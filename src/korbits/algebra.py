@@ -380,17 +380,6 @@ def format_polynomial(poly: Polynomial, namer=None) -> str:
 # arithmetic helpers
 
 
-def arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Dispatcher kept for symmetry with the operator methods."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ContractViolation(f"unknown operation {op!r}")
-
-
 def product(space: VariableSpace, factors: Iterable[Polynomial]) -> Polynomial:
     result = space.one()
     for f in factors:
@@ -649,11 +638,15 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+MAX_NESTING = 100  # parentheses plus unary minus signs, well below the recursion limit
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]], space: VariableSpace):
         self.tokens = tokens
         self.pos = 0
         self.space = space
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         if self.pos < len(self.tokens):
@@ -699,10 +692,18 @@ class _Parser:
             base = base ** int(text)
         return base
 
+    def nested(self, parse):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise UsageError(f"polynomial nests deeper than {MAX_NESTING} levels")
+        result = parse()
+        self.depth -= 1
+        return result
+
     def parse_primary(self) -> Polynomial:
         kind, text = self.take()
         if kind == "-":
-            return -self.parse_primary()
+            return -self.nested(self.parse_primary)
         if kind == "num":
             value = Fraction(int(text))
             if self.peek() == "/":
@@ -710,13 +711,15 @@ class _Parser:
                 dkind, dtext = self.take()
                 if dkind != "num":
                     raise UsageError("fraction denominator must be an integer")
+                if int(dtext) == 0:
+                    raise UsageError("fraction has a zero denominator")
                 value = value / int(dtext)
             return self.space.const(value)
         if kind == "var":
             index = int(text[1:])
             return self.space.x(index) if text[0] == "x" else self.space.y(index)
         if kind == "(":
-            inner = self.parse_expression()
+            inner = self.nested(self.parse_expression)
             close, _ = self.take()
             if close != ")":
                 raise UsageError("unbalanced parentheses")

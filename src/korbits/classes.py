@@ -13,7 +13,6 @@ root data, independently of the formulas.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -33,7 +32,6 @@ from .errors import ContractViolation, InternalError, UsageError
 from .orbits import (
     ClanOrbit,
     InvolutionOrbit,
-    NO_RAISE,
     OrbitParameter,
     RootStatus,
     SplitOrbit,
@@ -180,10 +178,10 @@ def closed_orbit_class(
         _, count, shift = sign_stats(rep)
         if pair.case == C_GL:
             sign = (-1) ** (count + shift)
-            delta = _staircase_determinant(space, n, rep, half=False)
+            delta = staircase_determinant(space, n, rep, half=False)
         else:
             sign = (-1) ** shift
-            delta = _staircase_determinant(space, n, rep, half=True)
+            delta = staircase_determinant(space, n, rep, half=True)
         return EquivariantClass(pair, sign * delta)
     elif pair.case == D_OO_ODD:
         _, _, f = unequal_rank_stats(rep, p)
@@ -201,7 +199,7 @@ def closed_orbit_class(
     return EquivariantClass.from_factors(pair, factors)
 
 
-def _staircase_determinant(
+def staircase_determinant(
     space: VariableSpace, n: int, w: SignedPermutation, half: bool
 ) -> Polynomial:
     """det(c_{n+1+j-2i}) (full) or det(c_{n+j-2i}) of size n-1 (half),
@@ -231,21 +229,8 @@ def _staircase_determinant(
     return poly_determinant(entries)
 
 
-def staircase_determinant_for(
-    space: VariableSpace, n: int, w: SignedPermutation, half: bool = False
-) -> Polynomial:
-    """Public handle on the determinant, used by identity tests."""
-    return _staircase_determinant(space, n, w, half)
-
-
 # ---------------------------------------------------------------------------
 # restriction and localization
-
-
-def restrict_polynomial(
-    pair: SymmetricPair, poly: Polynomial, w: SignedPermutation
-) -> Polynomial:
-    return poly.substitute(restriction_assignment(pair, w))
 
 
 def restrict_at(cls: EquivariantClass, w: SignedPermutation) -> Polynomial:
@@ -472,68 +457,39 @@ def weight_product_oracle(
 # propagation up the weak order
 
 
-def _propagate(
-    pair: SymmetricPair,
-    graph: WeakOrderGraph,
-    seeds: dict[OrbitParameter, EquivariantClass],
-    jobs: Optional[int] = None,
-) -> dict[OrbitParameter, EquivariantClass]:
-    classes = dict(seeds)
-    by_level: dict[int, list[WeakEdge]] = {}
-    for edge in graph.edges:
-        by_level.setdefault(graph.level[edge.source], []).append(edge)
+def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]:
+    """Classes for every orbit, seeded at the closed orbits.
 
-    def candidate(edge: WeakEdge) -> EquivariantClass:
-        action = pair.root_action(edge.root_index)
-        poly = divided_difference(classes[edge.source].polynomial, action)
+    Walks the weak-order edges in level order.  Nodes with several
+    incoming edges keep the first arrival; every later arrival is checked
+    against it by localization.
+    """
+    graph = build_weak_order_graph(pair)
+    classes = {param: closed_orbit_class(pair, param) for param in graph.closed}
+    for edge in graph.edges:
+        poly = divided_difference(
+            classes[edge.source].polynomial, pair.root_action(edge.root_index)
+        )
         if edge.degree == 2:
             poly = poly * Fraction(1, 2)
-        return EquivariantClass(pair, poly)
-
-    for depth in sorted(by_level):
-        edges = by_level[depth]
-        if jobs and jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                candidates = list(pool.map(candidate, edges))
-        else:
-            candidates = [candidate(edge) for edge in edges]
-        for edge, cand in zip(edges, candidates):
-            stored = classes.get(edge.target)
-            if stored is None:
-                classes[edge.target] = cand
-            elif not equal_via_localization(stored, cand):
-                raise InternalError(
-                    f"paths into {edge.target} disagree under localization"
-                )
+        candidate = EquivariantClass(pair, poly)
+        stored = classes.get(edge.target)
+        if stored is None:
+            classes[edge.target] = candidate
+        elif not equal_via_localization(stored, candidate):
+            raise InternalError(f"paths into {edge.target} disagree under localization")
     return classes
 
 
-def propagate_all(
-    pair: SymmetricPair, jobs: Optional[int] = None
-) -> dict[OrbitParameter, EquivariantClass]:
-    """Classes for every orbit, seeded at the closed orbits.
-
-    Nodes with several incoming edges keep the first breadth-first
-    arrival; every later arrival is checked against it by localization.
-    """
-    if pair.case == A_SO_EVEN:
-        return dict(split_orbit_data(pair).classes)
-    graph = build_weak_order_graph(pair)
-    seeds = {param: closed_orbit_class(pair, param) for param in graph.closed}
-    return _propagate(pair, graph, seeds, jobs)
-
-
 # ---------------------------------------------------------------------------
-# the even orthogonal pair: component resolution by localization
+# reference oracle for the even orthogonal pair (used by the tests):
+# component resolution by localization
 
 
 @dataclass
 class SplitData:
     graph: WeakOrderGraph
     classes: dict[OrbitParameter, EquivariantClass]
-    status: dict[tuple[OrbitParameter, int], RootStatus]
 
 
 def _component_representatives(inv: tuple[int, ...], n: int):
@@ -549,29 +505,19 @@ def _component_representatives(inv: tuple[int, ...], n: int):
     return {PLUS: plus, MINUS: _value_swap(plus, n)}
 
 
-@functools.lru_cache(maxsize=None)
 def split_orbit_data(pair: SymmetricPair) -> SplitData:
     """Joint weak-order graph and classes for (SL(2n), SO(2n)).
 
-    When a raise connects two split orbits the component pairing is not
-    combinatorial: the propagated class is restricted at a fixed point of
-    each candidate component, and the nonzero one is the target.
+    When a raise connects two split orbits, the propagated class is
+    restricted at a fixed point of each candidate component, and the
+    nonzero one is the target.  This checks the tag rule of
+    ``classify_simple_root`` independently.
     """
-    if pair.case != A_SO_EVEN:
-        raise ContractViolation("split engine only applies to the even orthogonal pair")
     n = pair.n
     closed = closed_orbits(pair)
     classes: dict[OrbitParameter, EquivariantClass] = {}
     level: dict[OrbitParameter, int] = {}
-    status: dict[tuple[OrbitParameter, int], RootStatus] = {}
     edges: list[WeakEdge] = []
-    reps_cache: dict[tuple[int, ...], dict] = {}
-
-    def reps(inv: tuple[int, ...]):
-        if inv not in reps_cache:
-            reps_cache[inv] = _component_representatives(inv, n)
-        return reps_cache[inv]
-
     for param, _ in closed:
         classes[param] = closed_orbit_class(pair, param)
         level[param] = 0
@@ -584,7 +530,6 @@ def split_orbit_data(pair: SymmetricPair) -> SplitData:
             for i in range(1, pair.num_simple_roots() + 1):
                 move = _involution_status(inv, i)
                 if move is None:
-                    status[(param, i)] = NO_RAISE
                     continue
                 target_inv, degree_two = move
                 action = pair.root_action(i)
@@ -599,8 +544,8 @@ def split_orbit_data(pair: SymmetricPair) -> SplitData:
                 else:
                     if isinstance(param, SplitOrbit):
                         chosen = None
-                        for tag, rep in reps(target_inv).items():
-                            value = restrict_polynomial(pair, poly, rep)
+                        for tag, rep in _component_representatives(target_inv, n).items():
+                            value = poly.substitute(restriction_assignment(pair, rep))
                             if not value.is_zero:
                                 if chosen is not None:
                                     raise InternalError(
@@ -613,7 +558,6 @@ def split_orbit_data(pair: SymmetricPair) -> SplitData:
                         st = RootStatus("complex", SplitOrbit(target_inv, chosen))
                     else:
                         st = RootStatus("complex", InvolutionOrbit(target_inv))
-                status[(param, i)] = st
                 target = st.target
                 assert target is not None
                 edges.append(WeakEdge(param, target, i, st.degree))
@@ -644,12 +588,7 @@ def split_orbit_data(pair: SymmetricPair) -> SplitData:
     graph = WeakOrderGraph(
         pair, nodes, tuple(edges), tuple(p for p, _ in closed), maximal[0], level
     )
-    return SplitData(graph, classes, status)
-
-
-def split_graph_status(pair: SymmetricPair, param: OrbitParameter, i: int) -> RootStatus:
-    data = split_orbit_data(pair)
-    return data.status.get((param, i), NO_RAISE)
+    return SplitData(graph, classes)
 
 
 # ---------------------------------------------------------------------------

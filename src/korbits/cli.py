@@ -26,7 +26,7 @@ from .classes import (
 )
 from .counting import INNER_CLASSES, count_report
 from .errors import ContractViolation, InternalError, UsageError, VerificationFailure
-from .orbits import build_weak_order_graph, closed_orbits, enumerate_orbits, to_dot
+from .orbits import build_weak_order_graph, to_dot
 from .pairs import SymmetricPair, parse_pair_spec
 
 FIXTURE_ENV = "KORBITS_FIXTURES"
@@ -46,9 +46,9 @@ def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
 
 def _cmd_orbits(args) -> int:
     pair = parse_pair_spec(args.pair)
-    params = enumerate_orbits(pair)
-    closed = {param for param, _ in closed_orbits(pair)}
-    dense = build_weak_order_graph(pair).dense
+    graph = build_weak_order_graph(pair)
+    params = sorted(graph.nodes, key=lambda p: p.sort_key())
+    closed, dense = set(graph.closed), graph.dense
     if args.format == "json":
         payload = [
             {
@@ -80,7 +80,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_classes(args) -> int:
     pair = parse_pair_spec(args.pair)
-    classes = propagate_all(pair, jobs=args.jobs)
+    classes = propagate_all(pair)
     print(format_table(pair, classes, args.format), end="")
     return 0
 
@@ -178,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classes = sub.add_parser("classes", help="table of class formulas")
     p_classes.add_argument("pair")
     p_classes.add_argument("--format", choices=("table", "csv", "machine"), default="table")
-    p_classes.add_argument("--jobs", type=int, default=None)
     p_classes.set_defaults(func=_cmd_classes)
 
     p_verify = sub.add_parser("verify", help="check a fixture file")
@@ -216,6 +215,9 @@ def main(argv=None) -> int:
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # anything else is a bug too, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

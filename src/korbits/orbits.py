@@ -12,10 +12,12 @@ representatives as explicit flags, and DOT emission.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from .errors import ContractViolation, InternalError, UsageError
@@ -302,10 +304,6 @@ def _value_swap(w: SignedPermutation, n: int) -> SignedPermutation:
     return SignedPermutation(w.family, tuple(swap.get(v, v) for v in w.images))
 
 
-def is_closed(pair: SymmetricPair, param: OrbitParameter) -> bool:
-    return any(param == p for p, _ in closed_orbits(pair))
-
-
 # ---------------------------------------------------------------------------
 # clan moves
 
@@ -567,15 +565,20 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
         raise ContractViolation(f"root index {i} out of range for {pair.describe()}")
     if isinstance(param, ClanOrbit):
         return _clan_classify(pair, param.clan, i)
-    if pair.case == A_SO_EVEN:
-        from .classes import split_graph_status
-
-        return split_graph_status(pair, param, i)
-    assert isinstance(param, InvolutionOrbit)
     move = _involution_status(param.involution, i)
     if move is None:
         return NO_RAISE
     target, degree_two = move
+    if isinstance(param, SplitOrbit):
+        if degree_two:
+            # each component covers the unsplit target once
+            return RootStatus("noncompact_I", InvolutionOrbit(target))
+        # A complex raise keeps the component tag.  Swapping vectors i and
+        # i+1 of the + flag from _involution_basis gives the + flag of the
+        # conjugated involution, up to an SO(2n) permutation of the pairs
+        # (e_k, e_{2n+1-k}); that flag lies in Q.P_i but not in Q, and the
+        # O(2n) component swap commutes with P_i.
+        return RootStatus("complex", SplitOrbit(target, param.component))
     if not degree_two:
         return RootStatus("complex", InvolutionOrbit(target))
     if pair.case == A_SP:
@@ -618,29 +621,24 @@ class WeakEdge:
     degree: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeakOrderGraph:
     pair: SymmetricPair
     nodes: tuple[OrbitParameter, ...]
     edges: tuple[WeakEdge, ...]
     closed: tuple[OrbitParameter, ...]
     dense: OrbitParameter
-    level: dict
+    level: Mapping[OrbitParameter, int]
 
 
+@functools.lru_cache(maxsize=None)
 def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
-    """Breadth-first weak-order graph built up from the closed orbits."""
-    if pair.case == A_SO_EVEN:
-        from .classes import split_orbit_data
+    """Breadth-first weak-order graph built up from the closed orbits.
 
-        return split_orbit_data(pair).graph
-    return _generic_graph(pair, lambda param, i: classify_simple_root(pair, param, i))
-
-
-def _generic_graph(
-    pair: SymmetricPair,
-    classify: Callable[[OrbitParameter, int], RootStatus],
-) -> WeakOrderGraph:
+    Edges come sorted by the level of their source, so walking them in
+    order visits every source after all of its own in-edges.  The graph is
+    cached per pair and shared by all callers.
+    """
     closed = [param for param, _ in closed_orbits(pair)]
     level = {param: 0 for param in closed}
     edges: list[WeakEdge] = []
@@ -650,7 +648,7 @@ def _generic_graph(
         next_frontier: list[OrbitParameter] = []
         for param in frontier:
             for i in range(1, pair.num_simple_roots() + 1):
-                status = classify(param, i)
+                status = classify_simple_root(pair, param, i)
                 if not status.raises:
                     continue
                 target = status.target
@@ -678,7 +676,9 @@ def _generic_graph(
         raise InternalError(f"expected one dense orbit, found {maximal}")
     edges.sort(key=lambda e: (level[e.source], e.source.sort_key(), e.root_index))
     nodes = tuple(sorted(level, key=lambda p: (level[p], p.sort_key())))
-    return WeakOrderGraph(pair, nodes, tuple(edges), tuple(closed), maximal[0], level)
+    return WeakOrderGraph(
+        pair, nodes, tuple(edges), tuple(closed), maximal[0], types.MappingProxyType(level)
+    )
 
 
 # ---------------------------------------------------------------------------

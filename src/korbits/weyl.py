@@ -212,7 +212,10 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
     for chunk in text.replace(")(", ")|(").split("|"):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise UsageError(f"bad cycle {chunk!r}")
-        entries = [int(v) for v in chunk[1:-1].split(",")]
+        try:
+            entries = [int(v) for v in chunk[1:-1].split(",")]
+        except ValueError:
+            raise UsageError(f"cycle entries must be integers in {chunk!r}") from None
         if len(set(entries)) != len(entries):
             raise UsageError(f"repeated entry in cycle {chunk!r}")
         for a, b in zip(entries, entries[1:] + entries[:1]):

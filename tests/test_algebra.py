@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbits.algebra import (
+    MAX_NESTING,
     Polynomial,
     VariableSpace,
     divided_difference,
@@ -367,6 +368,16 @@ def test_parse_rejects_implicit_multiplication():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ContractViolation):
         parse_polynomial("y5", VariableSpace(0, 2))
+
+
+def test_parse_nesting_cap():
+    space = VariableSpace(0, 1)
+    deep = "(" * MAX_NESTING + "y1" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, space) == space.y(1)
+    assert parse_polynomial("-" * (MAX_NESTING + 1) + "y1", space) == -space.y(1)
+    for text in ("(" + deep + ")", "-" * (MAX_NESTING + 2) + "y1"):
+        with pytest.raises(UsageError):
+            parse_polynomial(text, space)
 
 
 def test_print_deterministic():

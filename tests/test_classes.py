@@ -8,9 +8,10 @@ from korbits.classes import (
     ambient_weyl,
     closed_orbit_class,
     equal_via_localization,
-    staircase_determinant_for,
+    staircase_determinant,
     propagate_all,
     restrict_at,
+    split_orbit_data,
     verify_rows,
     weight_product_oracle,
 )
@@ -204,15 +205,6 @@ def test_propagation_grading_and_dense(spec):
     assert classes[graph.dense].polynomial == pair.variable_space().one()
 
 
-def test_propagation_jobs_identical():
-    pair = parse_pair_spec("C:gl:2")
-    serial = propagate_all(pair)
-    parallel = propagate_all(pair, jobs=4)
-    assert {str(k): str(v.polynomial) for k, v in serial.items()} == {
-        str(k): str(v.polynomial) for k, v in parallel.items()
-    }
-
-
 def test_sp4_table():
     pair = parse_pair_spec("A:sp:4")
     classes = {str(k): v.polynomial for k, v in propagate_all(pair).items()}
@@ -295,7 +287,7 @@ def test_full_determinant_sign_specialization(n):
         )
     )
     identity = SignedPermutation.identity("BC", n)
-    delta = staircase_determinant_for(sp, n, identity, half=False)
+    delta = staircase_determinant(sp, n, identity, half=False)
     for signs in itertools.product((1, -1), repeat=n):
         value = delta.substitute(
             {j: (signs[j - 1], "x", j) for j in range(1, n + 1)}
@@ -323,7 +315,7 @@ def test_half_determinant_sign_specialization(n):
         ),
     )
     identity = SignedPermutation.identity("BC", n)
-    delta = staircase_determinant_for(sp, n, identity, half=True)
+    delta = staircase_determinant(sp, n, identity, half=True)
     for signs in itertools.product((1, -1), repeat=n):
         if signs.count(-1) % 2:
             continue
@@ -479,3 +471,31 @@ def test_split_components_halve_the_fixed_points():
             if not weight_product_oracle(pair, param, w).is_zero
         )
         assert members == (2 ** 1) * math.factorial(2)
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_tag_rule_matches_split_oracle(size):
+    pair = parse_pair_spec(f"A:so-even:{size}")
+    graph = build_weak_order_graph(pair)
+    oracle = split_orbit_data(pair)
+    assert graph.nodes == oracle.graph.nodes
+    assert graph.edges == oracle.graph.edges
+    assert graph.level == oracle.graph.level
+    classes = propagate_all(pair)
+    assert {p: c.polynomial for p, c in classes.items()} == {
+        p: c.polynomial for p, c in oracle.classes.items()
+    }
+
+
+def test_graph_needs_no_classes(monkeypatch):
+    import korbits.algebra
+    import korbits.classes
+
+    def refuse(*args):
+        raise AssertionError("the weak order graph computed a class")
+
+    monkeypatch.setattr(korbits.algebra, "divided_difference", refuse)
+    monkeypatch.setattr(korbits.classes, "divided_difference", refuse)
+    build_weak_order_graph.cache_clear()
+    graph = build_weak_order_graph(parse_pair_spec("A:so-even:6"))
+    assert len(graph.nodes) == 91

@@ -170,3 +170,53 @@ def test_verify_rejects_malformed_row(tmp_path, capsys):
     fixture.write_text("# pair: A:sp:4\n(1,2)(3,4) = 1\n")
     code, _, err = run(capsys, "verify", str(fixture))
     assert code == 2 and "':='" in err
+
+
+def test_orbits_enumerates_once(capsys, monkeypatch):
+    import korbits.orbits
+
+    calls = []
+    original = korbits.orbits.enumerate_orbits
+
+    def counted(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(korbits.orbits, "enumerate_orbits", counted)
+    korbits.orbits.build_weak_order_graph.cache_clear()
+    code, out, _ = run(capsys, "orbits", "B:oo:2,1")
+    assert code == 0 and "total: 25 orbits" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, fixture_row",
+    [
+        (None, "(1,3) := 1/0"),
+        (("chern", "A:so:3", "(a,b)"), None),
+        (None, "(1,3) := " + "(" * 1000 + "y1" + ")" * 1000),
+        (None, "(1,3) := " + "-" * 3000 + "y1"),
+    ],
+    ids=["zero-denominator", "non-integer-cycle", "deep-parentheses", "many-minus-signs"],
+)
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_row):
+    if argv is None:
+        fixture = tmp_path / "bad.txt"
+        fixture.write_text(f"# pair: A:so:3\n{fixture_row}\n")
+        argv = ("verify", str(fixture))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    import korbits.cli
+
+    def broken(graph):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(korbits.cli, "to_dot", broken)
+    code, _, err = run(capsys, "graph", "A:sp:4")
+    assert code == 3
+    assert err == "internal error: ZeroDivisionError: boom\n"
