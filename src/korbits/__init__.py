@@ -17,6 +17,7 @@ from .classes import (
     EquivariantClass,
     closed_orbit_class,
     equal_via_localization,
+    first_disagreement,
     propagate_all,
     restrict_at,
     to_chern_basis,
@@ -61,6 +62,7 @@ __all__ = [
     "enumerate_group",
     "enumerate_orbits",
     "equal_via_localization",
+    "first_disagreement",
     "pair_validity",
     "parse_pair_spec",
     "parse_polynomial",

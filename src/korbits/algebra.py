@@ -20,6 +20,7 @@ fixtures and the CLI.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -98,8 +99,9 @@ def _mono_key(mono: Monomial) -> tuple[int, Monomial]:
 def _coeff(value: Scalar) -> Scalar:
     """Coefficients are stored as plain ints whenever integral; int and
     Fraction mix transparently (equality, hashing and printing agree), and
-    integer arithmetic is far cheaper."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    integer arithmetic is far cheaper.  The exact type test skips the
+    abstract-base-class machinery behind isinstance(value, Fraction)."""
+    if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
 
@@ -349,19 +351,20 @@ def format_polynomial(poly: Polynomial, namer=None) -> str:
     ``namer`` overrides variable naming (slot index -> name); the Chern
     rewrite uses it to print z-generators and the euler symbol.
     """
-    if namer is None:
-        namer = poly.space.var_name
     if not poly.terms:
         return "0"
+    if namer is None:
+        namer = poly.space.var_name
+    names = [namer(slot) for slot in range(poly.space.nvars)]
     parts: list[str] = []
     for mono, coeff in poly.sorted_terms():
-        factors = []
-        for slot, e in enumerate(mono):
-            if e == 1:
-                factors.append(namer(slot))
-            elif e > 1:
-                factors.append(f"{namer(slot)}^{e}")
-        body = "*".join(factors)
+        body = "*".join(
+            [
+                names[slot] if e == 1 else f"{names[slot]}^{e}"
+                for slot, e in enumerate(mono)
+                if e
+            ]
+        )
         mag = abs(coeff)
         if body and mag == 1:
             text = body
@@ -426,8 +429,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     Leading terms are tracked with a lazy heap, so each reduction step
     costs O(|g| log T) instead of a full scan.
     """
-    import heapq
-
     if g.is_zero:
         raise ContractViolation("division by the zero polynomial")
     space = f.space
@@ -531,12 +532,17 @@ class SimpleRootAction:
     """A simple reflection on the y-bank together with its root.
 
     ``reflection[j-1] = (sign, k)`` gives the image of y_j; ``root`` is the
-    simple root as a polynomial in the y-variables.
+    simple root as a polynomial in the y-variables.  ``shape`` names the
+    root's form for :func:`divided_difference`: "A" (u - v), "B" (u),
+    "C" (2u) or "D" (u + v), where u sits at exponent slot ``slot`` and v,
+    for A and D, at ``slot + 1``.
     """
 
     space: VariableSpace
     reflection: tuple[tuple[int, int], ...]
     root: Polynomial
+    shape: str
+    slot: int
 
 
 def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootAction:
@@ -555,24 +561,26 @@ def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootA
         images = list(identity)
         images[i - 1], images[i] = images[i], images[i - 1]
         root = space.y(i) - space.y(i + 1)
-        return SimpleRootAction(space, tuple(images), root)
+        return SimpleRootAction(space, tuple(images), root, "A", space.y_slot(i))
     if i != m:
         raise ContractViolation(f"alpha_{i} out of range for rank {m}")
     if family == "B":
         images = list(identity)
         images[m - 1] = (-1, m)
-        return SimpleRootAction(space, tuple(images), space.y(m))
+        return SimpleRootAction(space, tuple(images), space.y(m), "B", space.y_slot(m))
     if family == "C":
         images = list(identity)
         images[m - 1] = (-1, m)
-        return SimpleRootAction(space, tuple(images), 2 * space.y(m))
+        root = 2 * space.y(m)
+        return SimpleRootAction(space, tuple(images), root, "C", space.y_slot(m))
     if family == "D":
         if m < 2:
             raise ContractViolation("type D needs rank >= 2")
         images = list(identity)
         images[m - 2] = (-1, m)
         images[m - 1] = (-1, m - 1)
-        return SimpleRootAction(space, tuple(images), space.y(m - 1) + space.y(m))
+        root = space.y(m - 1) + space.y(m)
+        return SimpleRootAction(space, tuple(images), root, "D", space.y_slot(m - 1))
     raise ContractViolation(f"unknown family {family!r}")
 
 
@@ -581,11 +589,46 @@ def reflect(f: Polynomial, action: SimpleRootAction) -> Polynomial:
 
 
 def divided_difference(f: Polynomial, action: SimpleRootAction) -> Polynomial:
-    """(f - s(f)) / alpha; the numerator is always divisible by alpha."""
-    numerator = f - reflect(f, action)
-    if numerator.is_zero:
-        return f.space.zero()
-    return exact_divide(numerator, action.root)
+    """(f - s(f)) / alpha, computed term by term without any division.
+
+    Closed forms per root shape (Bernstein-Gel'fand-Gel'fand 1973;
+    Demazure 1974), with u, v the variables of the root:
+
+    - A, u - v: u^a v^b -> sum of u^e v^(a+b-1-e) over min(a,b) <= e <
+      max(a,b), negated when a < b; 0 when a = b;
+    - B, u: u^a -> 2u^(a-1) for odd a, else 0;
+    - C, 2u: u^a -> u^(a-1) for odd a, else 0;
+    - D, u + v: the A rule after v -> -w, then w -> -v, so the output
+      terms alternate in sign, starting from (-1)^(a+1+min(a,b)).
+    """
+    s = action.slot
+    terms: dict[Monomial, Scalar] = {}
+    if action.shape in ("B", "C"):
+        scale = 2 if action.shape == "B" else 1
+        for mono, coeff in f.terms.items():
+            a = mono[s]
+            if a & 1:
+                terms[mono[:s] + (a - 1,) + mono[s + 1 :]] = scale * coeff
+        return Polynomial(f.space, terms)
+    twisted = action.shape == "D"
+    get = terms.get
+    for mono, coeff in f.terms.items():
+        a, b = mono[s], mono[s + 1]
+        if a == b:
+            continue
+        if a > b:
+            lo, hi = b, a
+        else:
+            lo, hi, coeff = a, b, -coeff
+        if twisted and not (a + lo) & 1:
+            coeff = -coeff
+        alt = -coeff if twisted else coeff
+        head, tail, d = mono[:s], mono[s + 2 :], a + b - 1
+        for e in range(lo, hi):
+            key = head + (e, d - e) + tail
+            terms[key] = get(key, 0) + coeff
+            coeff, alt = alt, coeff
+    return Polynomial(f.space, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +682,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 MAX_NESTING = 100  # parentheses plus unary minus signs, well below the recursion limit
+# Largest exponent, and largest degree of a power, that the grammar accepts.
+# No class reaches it: the biggest flag variety the CLI handles has
+# dimension n^2 <= 64.
+MAX_EXPONENT = 64
 
 
 class _Parser:
@@ -689,6 +736,9 @@ class _Parser:
             kind, text = self.take()
             if kind != "num":
                 raise UsageError("exponent must be a nonnegative integer")
+            # the length test keeps int() off numerals past its digit limit
+            if len(text) > 6 or max(base.total_degree(), 1) * int(text) > MAX_EXPONENT:
+                raise UsageError(f"a power may have degree at most {MAX_EXPONENT}")
             base = base ** int(text)
         return base
 

@@ -258,16 +258,24 @@ def ambient_weyl_order(pair: SymmetricPair) -> int:
     return group_order(family, size)
 
 
-def equal_via_localization(c1: EquivariantClass, c2: EquivariantClass) -> bool:
-    """True when all fixed-point restrictions agree (exact equality)."""
+def first_disagreement(
+    c1: EquivariantClass, c2: EquivariantClass
+) -> Optional[SignedPermutation]:
+    """The first fixed point w whose restrictions differ, or None when all
+    agree (exact equality)."""
     if c1.pair != c2.pair:
         raise ContractViolation("classes belong to different pairs")
     if c1.polynomial == c2.polynomial:
-        return True
+        return None
     for w in ambient_weyl(c1.pair):
         if restrict_at(c1, w) != restrict_at(c2, w):
-            return False
-    return True
+            return w
+    return None
+
+
+def equal_via_localization(c1: EquivariantClass, c2: EquivariantClass) -> bool:
+    """True when all fixed-point restrictions agree (exact equality)."""
+    return first_disagreement(c1, c2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +485,13 @@ def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]
         if stored is None:
             classes[edge.target] = candidate
         elif not equal_via_localization(stored, candidate):
-            raise InternalError(f"paths into {edge.target} disagree under localization")
+            w = first_disagreement(stored, candidate)
+            raise InternalError(
+                f"{pair.spec_string()}: paths into {edge.target} disagree under"
+                f" localization: edge {edge.source} -> {edge.target} by"
+                f" alpha_{edge.root_index} (degree {edge.degree}) differs from the"
+                f" stored class at fixed point w = {w.images}"
+            )
     return classes
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbits.algebra import (
+    MAX_EXPONENT,
     MAX_NESTING,
     Polynomial,
     VariableSpace,
@@ -20,7 +21,10 @@ from korbits.algebra import (
     _det_bareiss,
     _det_cofactor,
 )
+from korbits.classes import propagate_all
 from korbits.errors import ContractViolation, UsageError
+from korbits.orbits import build_weak_order_graph
+from korbits.pairs import parse_pair_spec
 
 SP = VariableSpace(2, 4)
 
@@ -307,6 +311,95 @@ def test_degree_drop():
                 assert result.is_zero or result.homogeneous_degree() == 2
 
 
+# -- closed forms against the division-based operator --------------------------
+
+
+def divided_difference_by_division(f, act):
+    """Reference operator: form f - s(f) and divide by the root."""
+    return exact_divide(f - reflect(f, act), act.root)
+
+
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def polynomials(sp, max_exp=6):
+    monomial = st.tuples(*([st.integers(0, max_exp)] * sp.nvars))
+    return st.dictionaries(monomial, coefficients, max_size=6).map(
+        lambda terms: Polynomial(sp, terms)
+    )
+
+
+FAMILY_RANKS = [(family, m) for family in "ABCD" for m in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("family,m", FAMILY_RANKS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_forms_match_division(family, m, data):
+    sp = VariableSpace(1, m)
+    f = data.draw(polynomials(sp))
+    for act in actions_for(family, sp):
+        assert divided_difference(f, act) == divided_difference_by_division(f, act)
+
+
+RANK_TWO_PAIRS = [
+    "A:glpq:1,1",
+    "A:so:5",
+    "A:so-even:4",
+    "A:sp:4",
+    "B:oo:1,1",
+    "C:spsp:1,1",
+    "C:gl:2",
+    "D:oo:1,1",
+    "D:gl:2",
+    "D:oo-odd:1,1",
+]
+
+
+@pytest.mark.parametrize("spec", RANK_TWO_PAIRS)
+def test_closed_forms_match_division_on_every_edge(spec):
+    pair = parse_pair_spec(spec)
+    classes = propagate_all(pair)
+    edges = build_weak_order_graph(pair).edges
+    assert edges
+    for edge in edges:
+        f = classes[edge.source].polynomial
+        act = pair.root_action(edge.root_index)
+        assert divided_difference(f, act) == divided_difference_by_division(f, act)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_closed_forms_match_sympy(family):
+    sympy = pytest.importorskip("sympy")
+    sp = VariableSpace(1, 3)
+    symbols = sympy.symbols("x1 y1 y2 y3")
+
+    def to_sympy(poly):
+        return sum(
+            (
+                sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                * sympy.Mul(*[v**e for v, e in zip(symbols, mono)])
+                for mono, c in poly.terms.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    rng = random.Random(7)
+    for act in actions_for(family, sp):
+        images = {
+            symbols[1 + j]: sign * symbols[k]
+            for j, (sign, k) in enumerate(act.reflection)
+        }
+        for _ in range(15):
+            f = random_polynomial(sp, rng, terms=5, max_exp=4)
+            g = to_sympy(f)
+            want = sympy.cancel((g - g.subs(images, simultaneous=True)) / to_sympy(act.root))
+            assert sympy.expand(want - to_sympy(divided_difference(f, act))) == 0
+
+
 # -- hypothesis: ring laws stay canonical --------------------------------------
 
 small_polys = st.lists(
@@ -376,6 +469,23 @@ def test_parse_nesting_cap():
     assert parse_polynomial(deep, space) == space.y(1)
     assert parse_polynomial("-" * (MAX_NESTING + 1) + "y1", space) == -space.y(1)
     for text in ("(" + deep + ")", "-" * (MAX_NESTING + 2) + "y1"):
+        with pytest.raises(UsageError):
+            parse_polynomial(text, space)
+
+
+def test_parse_exponent_cap():
+    space = VariableSpace(1, 2)
+    assert parse_polynomial(f"y1^{MAX_EXPONENT}", space) == space.y(1) ** MAX_EXPONENT
+    assert parse_polynomial("(y1*y2)^32", space) == (space.y(1) * space.y(2)) ** 32
+    assert parse_polynomial(f"2^{MAX_EXPONENT}", space) == space.const(2**MAX_EXPONENT)
+    for text in (
+        f"y1^{MAX_EXPONENT + 1}",
+        "(x1*y1)^33",
+        "y1^8^9",
+        "((x1+y1)^64)^64",
+        "(x1+y1)^100000",
+        "y1^" + "9" * 5000,
+    ):
         with pytest.raises(UsageError):
             parse_polynomial(text, space)
 

@@ -8,6 +8,7 @@ from korbits.classes import (
     ambient_weyl,
     closed_orbit_class,
     equal_via_localization,
+    first_disagreement,
     staircase_determinant,
     propagate_all,
     restrict_at,
@@ -15,7 +16,7 @@ from korbits.classes import (
     verify_rows,
     weight_product_oracle,
 )
-from korbits.errors import ContractViolation
+from korbits.errors import ContractViolation, InternalError
 from korbits.orbits import (
     build_weak_order_graph,
     closed_orbits,
@@ -245,6 +246,22 @@ def test_localization_detects_scaling():
     a = EquivariantClass(pair, sp.y(1) + sp.y(2))
     b = EquivariantClass(pair, 2 * (sp.y(1) + sp.y(2)))
     assert not equal_via_localization(a, b)
+
+
+def test_first_disagreement_names_a_witness():
+    pair = parse_pair_spec("A:sp:4")
+    sp = pair.variable_space()
+    a = EquivariantClass(pair, sp.y(1) + sp.y(2))
+    b = EquivariantClass(pair, 2 * (sp.y(1) + sp.y(2)))
+    assert first_disagreement(a, a) is None
+    w = first_disagreement(a, b)
+    assert restrict_at(a, w) != restrict_at(b, w)
+    earlier = []
+    for v in ambient_weyl(pair):
+        if v == w:
+            break
+        earlier.append(v)
+    assert all(restrict_at(a, v) == restrict_at(b, v) for v in earlier)
 
 
 def test_localization_identifies_ideal_shifts():
@@ -499,3 +516,40 @@ def test_graph_needs_no_classes(monkeypatch):
     build_weak_order_graph.cache_clear()
     graph = build_weak_order_graph(parse_pair_spec("A:so-even:6"))
     assert len(graph.nodes) == 91
+
+
+def test_path_disagreement_names_pair_edge_and_fixed_point(monkeypatch):
+    import korbits.classes
+
+    pair = parse_pair_spec("A:glpq:2,2")
+    good = propagate_all(pair)
+    edges = build_weak_order_graph(pair).edges
+    seen = set()
+    for index, bad in enumerate(edges):
+        if bad.target in seen:
+            break
+        seen.add(bad.target)
+    else:
+        raise AssertionError("no orbit is reached by two edges")
+    original = korbits.classes.divided_difference
+    calls = []
+
+    def doubled_on_bad_edge(f, act):
+        result = original(f, act)
+        calls.append(None)
+        return 2 * result if len(calls) == index + 1 else result
+
+    monkeypatch.setattr(korbits.classes, "divided_difference", doubled_on_bad_edge)
+    with pytest.raises(InternalError) as failure:
+        propagate_all(pair)
+    stored = good[bad.target]
+    w = first_disagreement(stored, EquivariantClass(pair, 2 * stored.polynomial))
+    message = str(failure.value)
+    for field in (
+        "A:glpq:2,2",
+        f"{bad.source} -> {bad.target}",
+        f"alpha_{bad.root_index}",
+        f"degree {bad.degree}",
+        f"w = {w.images}",
+    ):
+        assert field in message

@@ -189,20 +189,30 @@ def test_orbits_enumerates_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+SO3 = "# pair: A:so:3\n"
+
+
 @pytest.mark.parametrize(
-    "argv, fixture_row",
+    "argv, fixture_text",
     [
-        (None, "(1,3) := 1/0"),
+        (None, SO3 + "(1,3) := 1/0"),
         (("chern", "A:so:3", "(a,b)"), None),
-        (None, "(1,3) := " + "(" * 1000 + "y1" + ")" * 1000),
-        (None, "(1,3) := " + "-" * 3000 + "y1"),
+        (None, SO3 + "(1,3) := " + "(" * 1000 + "y1" + ")" * 1000),
+        (None, SO3 + "(1,3) := " + "-" * 3000 + "y1"),
+        (None, "# pair: A:glpq:1,1\n(+,-) := (x1+y1)^100000"),
     ],
-    ids=["zero-denominator", "non-integer-cycle", "deep-parentheses", "many-minus-signs"],
+    ids=[
+        "zero-denominator",
+        "non-integer-cycle",
+        "deep-parentheses",
+        "many-minus-signs",
+        "huge-exponent",
+    ],
 )
-def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_row):
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):
     if argv is None:
         fixture = tmp_path / "bad.txt"
-        fixture.write_text(f"# pair: A:so:3\n{fixture_row}\n")
+        fixture.write_text(f"{fixture_text}\n")
         argv = ("verify", str(fixture))
     code, _, err = run(capsys, *argv)
     assert code == 2
