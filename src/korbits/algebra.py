@@ -688,6 +688,13 @@ MAX_NESTING = 100  # parentheses plus unary minus signs, well below the recursio
 MAX_EXPONENT = 64
 
 
+def _numeral(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int-string digit limit
+        raise UsageError(f"numeral of {len(text)} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]], space: VariableSpace):
         self.tokens = tokens
@@ -755,18 +762,19 @@ class _Parser:
         if kind == "-":
             return -self.nested(self.parse_primary)
         if kind == "num":
-            value = Fraction(int(text))
+            value = Fraction(_numeral(text))
             if self.peek() == "/":
                 self.take()
                 dkind, dtext = self.take()
                 if dkind != "num":
                     raise UsageError("fraction denominator must be an integer")
-                if int(dtext) == 0:
+                denominator = _numeral(dtext)
+                if denominator == 0:
                     raise UsageError("fraction has a zero denominator")
-                value = value / int(dtext)
+                value = value / denominator
             return self.space.const(value)
         if kind == "var":
-            index = int(text[1:])
+            index = _numeral(text[1:])
             return self.space.x(index) if text[0] == "x" else self.space.y(index)
         if kind == "(":
             inner = self.nested(self.parse_expression)

@@ -6,14 +6,17 @@ natural number, every number occurring exactly twice, with #plus - #minus
 stored canonically: pair labels are renumbered 1, 2, ... in order of
 first occurrence.  On top of the type itself the module provides
 enumeration, the counting invariants gamma(i;+), gamma(i;-), gamma(i;j),
-the symmetry predicates used outside type A, per-pair validity filters,
-and the position involution attached to a clan.
+the symmetry predicates used outside type A, the per-pair rule saying
+which clans label orbits (``CLAN_RULES``), and the position involution
+attached to a clan.  Symmetric and skew-symmetric clans are generated
+directly, a position and its mirror at a time, rather than filtered out of
+all clans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ContractViolation, UsageError
 from .pairs import (
@@ -32,6 +35,7 @@ Symbol = Union[str, int]
 
 PLUS = "+"
 MINUS = "-"
+_OPPOSITE = {PLUS: MINUS, MINUS: PLUS}
 
 
 def _canonical(symbols: Sequence[Symbol]) -> tuple[Symbol, ...]:
@@ -185,25 +189,21 @@ class Clan:
     def reverse(self) -> "Clan":
         return Clan.of(tuple(reversed(self.symbols)))
 
-    def negate(self) -> "Clan":
-        flipped = tuple(
-            MINUS if s == PLUS else PLUS if s == MINUS else s for s in self.symbols
-        )
-        return Clan.of(flipped)
-
     def is_symmetric(self) -> bool:
-        return self.reverse() == self
+        return _canonical(self.symbols[::-1]) == self.symbols
 
     def is_skew_symmetric(self) -> bool:
-        return self.reverse().negate() == self
+        """Equal to its reverse with every sign flipped."""
+        flipped = [_OPPOSITE.get(s, s) for s in reversed(self.symbols)]
+        return _canonical(flipped) == self.symbols
 
     def is_anti_reflexive(self) -> bool:
         """No number sits at a pair of mirrored positions (i, L+1-i)."""
-        size = len(self.symbols)
-        for i in range(1, size + 1):
-            if not self.is_sign(i) and self.mate(i) == size + 1 - i:
-                return False
-        return True
+        symbols = self.symbols
+        return not any(
+            isinstance(s, int) and s == symbols[-1 - i]
+            for i, s in enumerate(symbols[: len(symbols) // 2])
+        )
 
     def front_parity_even(self) -> bool:
         """Minus signs plus complete pairs among the first half, mod 2."""
@@ -226,41 +226,146 @@ def canonicalize(raw: Sequence[Symbol]) -> Clan:
     return Clan.of(raw)
 
 
-def enumerate_clans(a: int, b: int) -> list[Clan]:
-    """All clans of signature (a, b), canonical, sorted."""
+def enumerate_clans(
+    a: int, b: int, *, mirror: Optional[str] = None, anti_reflexive: bool = False
+) -> list[Clan]:
+    """All clans of signature (a, b), canonical, sorted.
+
+    ``mirror="symmetric"`` keeps only clans equal to their reverse,
+    ``mirror="skew"`` only clans equal to their negated reverse, and
+    ``anti_reflexive`` only clans with no number at a mirrored pair of
+    positions.  Clans of either mirror kind are generated a position and
+    its mirror at a time, so the work grows with the clans returned, not
+    with all clans of the signature.
+    """
     if a < 0 or b < 0:
         raise ContractViolation("signature parts must be nonnegative")
+    if mirror not in (None, "symmetric", "skew"):
+        raise ContractViolation(f"unknown mirror kind {mirror!r}")
+    if mirror is None:
+        clans = _plain_clans(a, b, anti_reflexive)
+    elif mirror == "skew" and (a + b) % 2:
+        # the middle position would need a sign equal to its own opposite
+        # or a number mated with itself
+        clans = []
+    else:
+        clans = _mirrored_clans(a, b, mirror == "skew", anti_reflexive)
+    return sorted(clans, key=Clan.sort_key)
+
+
+# Both generators fill the smallest open position next.  A sign uses one
+# unit of its own side of the (a, b) budget and a number pair one unit of
+# each, so the budgets left always add up to the open positions and every
+# leaf has used them exactly.
+
+
+def _plain_clans(a: int, b: int, anti_reflexive: bool) -> list[Clan]:
+    # Labels are handed out in order of first occurrence, so every leaf is
+    # already canonical.
     size = a + b
+    symbols: list[Optional[Symbol]] = [None] * size
     results: list[Clan] = []
-    symbols: list[Symbol] = [None] * size  # type: ignore[list-item]
 
-    def fill(pos: int, plus_left: int, minus_left: int, next_label: int) -> None:
+    def fill(pos: int, a_left: int, b_left: int, next_label: int) -> None:
+        while pos < size and symbols[pos] is not None:
+            pos += 1
         if pos == size:
-            if plus_left == 0 and minus_left == 0:
-                results.append(Clan(tuple(symbols)))
+            results.append(Clan(tuple(symbols)))
             return
-        if symbols[pos] is not None:
-            fill(pos + 1, plus_left, minus_left, next_label)
-            return
-        if plus_left:
+        if a_left:
             symbols[pos] = PLUS
-            fill(pos + 1, plus_left - 1, minus_left, next_label)
-            symbols[pos] = None
-        if minus_left:
+            fill(pos + 1, a_left - 1, b_left, next_label)
+        if b_left:
             symbols[pos] = MINUS
-            fill(pos + 1, plus_left, minus_left - 1, next_label)
-            symbols[pos] = None
-        for mate_pos in range(pos + 1, size):
-            if symbols[mate_pos] is None:
-                symbols[pos] = symbols[mate_pos] = next_label
-                fill(pos + 1, plus_left, minus_left, next_label + 1)
-                symbols[pos] = symbols[mate_pos] = None
+            fill(pos + 1, a_left, b_left - 1, next_label)
+        symbols[pos] = None
+        if a_left and b_left:
+            for mate in range(pos + 1, size):
+                if symbols[mate] is None and not (anti_reflexive and mate == size - 1 - pos):
+                    symbols[pos] = symbols[mate] = next_label
+                    fill(pos + 1, a_left - 1, b_left - 1, next_label + 1)
+                    symbols[pos] = symbols[mate] = None
 
-    # Each pair uses one slot on each side of the signature, so the pair
-    # count fixes the sign budgets exactly.
-    for pairs in range(min(a, b) + 1):
-        fill(0, a - pairs, b - pairs, 1)
-    return sorted(set(results), key=Clan.sort_key)
+    fill(0, a, b, 1)
+    return results
+
+
+def _mirrored_clans(a: int, b: int, skew: bool, anti_reflexive: bool) -> list[Clan]:
+    # The open positions stay closed under i -> L-1-i, so the smallest open
+    # position i and its mirror m are filled together: a sign at i and the
+    # same (symmetric) or opposite (skew) sign at m; a number pairing i with
+    # m; or numbers pairing i with an open j and m with L-1-j.  Only a sign
+    # fits the middle position of an odd length, where i == m.
+    size = a + b
+    symbols: list[Optional[Symbol]] = [None] * size
+    results: list[Clan] = []
+
+    def fill(pos: int, a_left: int, b_left: int, next_label: int) -> None:
+        while pos < size and symbols[pos] is not None:
+            pos += 1
+        if pos == size:
+            results.append(Clan.of(symbols))
+            return
+        mirror_pos = size - 1 - pos
+        if pos == mirror_pos:
+            # the last open position: exactly one budget unit is left
+            symbols[pos] = PLUS if a_left else MINUS
+            fill(pos + 1, 0, 0, next_label)
+            symbols[pos] = None
+            return
+        for sign in (PLUS, MINUS):
+            pair = (sign, _OPPOSITE[sign] if skew else sign)
+            a_use = pair.count(PLUS)
+            if a_use <= a_left and 2 - a_use <= b_left:
+                symbols[pos], symbols[mirror_pos] = pair
+                fill(pos + 1, a_left - a_use, b_left - 2 + a_use, next_label)
+        symbols[pos] = symbols[mirror_pos] = None
+        if a_left and b_left and not anti_reflexive:
+            symbols[pos] = symbols[mirror_pos] = next_label
+            fill(pos + 1, a_left - 1, b_left - 1, next_label + 1)
+            symbols[pos] = symbols[mirror_pos] = None
+        if a_left >= 2 and b_left >= 2:
+            for mate in range(pos + 1, size):
+                mate_mirror = size - 1 - mate
+                if symbols[mate] is None and mate not in (mirror_pos, mate_mirror):
+                    symbols[pos] = symbols[mate] = next_label
+                    symbols[mirror_pos] = symbols[mate_mirror] = next_label + 1
+                    fill(pos + 1, a_left - 2, b_left - 2, next_label + 2)
+                    symbols[pos] = symbols[mate] = None
+                    symbols[mirror_pos] = symbols[mate_mirror] = None
+
+    fill(0, a, b, 1)
+    return results
+
+
+@dataclass(frozen=True)
+class ClanRule:
+    """Which clans of a pair's signature label its orbits."""
+
+    mirror: Optional[str] = None  # None, "symmetric" or "skew"
+    anti_reflexive: bool = False
+    even_front: bool = False
+
+    def admits(self, clan: Clan) -> bool:
+        if self.mirror == "symmetric" and not clan.is_symmetric():
+            return False
+        if self.mirror == "skew" and not clan.is_skew_symmetric():
+            return False
+        if self.anti_reflexive and not clan.is_anti_reflexive():
+            return False
+        return not self.even_front or clan.front_parity_even()
+
+
+# Matsuki-Oshima: per clan-parametrized pair, the clans labelling its orbits.
+CLAN_RULES = {
+    A_GLPQ: ClanRule(),
+    B_OO: ClanRule("symmetric"),
+    C_SPSP: ClanRule("symmetric", anti_reflexive=True),
+    C_GL: ClanRule("skew"),
+    D_OO: ClanRule("symmetric"),
+    D_GL: ClanRule("skew", anti_reflexive=True, even_front=True),
+    D_OO_ODD: ClanRule("symmetric"),
+}
 
 
 def pair_validity(clan: Clan, pair: SymmetricPair) -> bool:
@@ -272,21 +377,7 @@ def pair_validity(clan: Clan, pair: SymmetricPair) -> bool:
             f"clan {clan} has signature {clan.signature()}, "
             f"pair needs {pair.clan_signature()}"
         )
-    if pair.case == A_GLPQ:
-        return True
-    if pair.case in (B_OO, D_OO, D_OO_ODD):
-        return clan.is_symmetric()
-    if pair.case == C_SPSP:
-        return clan.is_symmetric() and clan.is_anti_reflexive()
-    if pair.case == C_GL:
-        return clan.is_skew_symmetric()
-    if pair.case == D_GL:
-        return (
-            clan.is_skew_symmetric()
-            and clan.is_anti_reflexive()
-            and clan.front_parity_even()
-        )
-    raise ContractViolation(f"unhandled case {pair.case}")
+    return CLAN_RULES[pair.case].admits(clan)
 
 
 def clan_to_signed_involution(clan: Clan) -> SignedPermutation:

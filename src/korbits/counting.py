@@ -5,7 +5,10 @@ a fiber of size 2^k or 2^(k+1) (k the number of positive fixed points of
 the matching signed-element involution; the doubled count occurs exactly
 when no position is swapped with its mirror).  Summing clans over all
 symmetric subgroups in the inner class and grouping them by their
-position involution must reproduce these fiber sizes.
+position involution must reproduce these fiber sizes.  The clans of each
+subgroup come straight from the mirror-aware generator
+``enumerate_clans(..., mirror=..., anti_reflexive=...)`` under that
+subgroup's rule, so no clan outside the inner class is ever built.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ def count_report(inner_class: str, n: int) -> list[CountRow]:
         clans = [
             c
             for p in range(n + 1)
-            for c in enumerate_clans(2 * p, 2 * (n - p) + 1)
-            if c.is_symmetric()
+            for c in enumerate_clans(2 * p, 2 * (n - p) + 1, mirror="symmetric")
         ]
         taus = [w.embed_as_permutation(size) for w in _involutions("BC", n)]
 
@@ -70,10 +72,11 @@ def count_report(inner_class: str, n: int) -> list[CountRow]:
         clans = [
             c
             for p in range(n + 1)
-            for c in enumerate_clans(2 * p, 2 * (n - p))
-            if c.is_symmetric() and c.is_anti_reflexive()
+            for c in enumerate_clans(
+                2 * p, 2 * (n - p), mirror="symmetric", anti_reflexive=True
+            )
         ]
-        clans += [c for c in enumerate_clans(n, n) if c.is_skew_symmetric()]
+        clans += enumerate_clans(n, n, mirror="skew")
         taus = [w.embed_as_permutation(size) for w in _involutions("BC", n)]
 
         def fiber(sigma: SignedPermutation) -> int:
@@ -85,17 +88,12 @@ def count_report(inner_class: str, n: int) -> list[CountRow]:
         clans = [
             c
             for p in range(n + 1)
-            for c in enumerate_clans(2 * p, 2 * (n - p))
-            if c.is_symmetric()
+            for c in enumerate_clans(2 * p, 2 * (n - p), mirror="symmetric")
         ]
         # the two non-conjugate general-linear subgroups split the
-        # anti-reflexive skew clans between them by the front parity, so
-        # both parities contribute to the inner-class total
-        clans += [
-            c
-            for c in enumerate_clans(n, n)
-            if c.is_skew_symmetric() and c.is_anti_reflexive()
-        ]
+        # anti-reflexive skew clans between them by the front parity, so the
+        # D:gl rule without its front-parity test gives the inner-class total
+        clans += enumerate_clans(n, n, mirror="skew", anti_reflexive=True)
         taus = [w.embed_as_permutation(size) for w in _involutions("D", n)]
 
         def fiber(sigma: SignedPermutation) -> int:
@@ -107,8 +105,7 @@ def count_report(inner_class: str, n: int) -> list[CountRow]:
         clans = [
             c
             for p in range(n)
-            for c in enumerate_clans(2 * p + 1, 2 * (n - p) - 1)
-            if c.is_symmetric()
+            for c in enumerate_clans(2 * p + 1, 2 * (n - p) - 1, mirror="symmetric")
         ]
         taus = [
             w.embed_as_permutation(size) for w in _involutions("BC", n, parity="odd")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
+from .clans import CLAN_RULES, MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from .errors import ContractViolation, InternalError, UsageError
 from .pairs import (
     A_GLPQ,
@@ -180,9 +180,12 @@ def _involutions(size: int) -> list[tuple[int, ...]]:
 def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
     """All orbit parameters of the pair, sorted deterministically."""
     if pair.is_clan_case():
-        a, b = pair.clan_signature()
+        rule = CLAN_RULES[pair.case]
+        clans = enumerate_clans(
+            *pair.clan_signature(), mirror=rule.mirror, anti_reflexive=rule.anti_reflexive
+        )
         return [
-            ClanOrbit(c) for c in enumerate_clans(a, b) if pair_validity(c, pair)
+            ClanOrbit(c) for c in clans if not rule.even_front or c.front_parity_even()
         ]
     _, size = pair.ambient_family()
     involutions = _involutions(size)

@@ -89,6 +89,30 @@ def test_symmetry_consistency_under_reversal():
             assert clan.reverse() == clan
 
 
+def test_mirror_generation_matches_filtered_enumeration():
+    # generate-and-filter over all clans is the reference for the
+    # mirror-aware generator
+    for size in range(11):
+        for a in range(size + 1):
+            b = size - a
+            plain = enumerate_clans(a, b)
+            anti = [c for c in plain if c.is_anti_reflexive()]
+            assert enumerate_clans(a, b, anti_reflexive=True) == anti
+            for mirror, keep in (
+                ("symmetric", Clan.is_symmetric),
+                ("skew", Clan.is_skew_symmetric),
+            ):
+                want = [c for c in plain if keep(c)]
+                assert enumerate_clans(a, b, mirror=mirror) == want
+                want = [c for c in want if c.is_anti_reflexive()]
+                assert enumerate_clans(a, b, mirror=mirror, anti_reflexive=True) == want
+
+
+def test_enumerate_rejects_unknown_mirror():
+    with pytest.raises(ContractViolation):
+        enumerate_clans(2, 2, mirror="rotated")
+
+
 def test_pair_validity():
     spsp = parse_pair_spec("C:spsp:1,1")
     assert pair_validity(Clan.parse("(1,1,2,2)"), spsp)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +192,7 @@ def test_orbits_enumerates_once(capsys, monkeypatch):
 
 
 SO3 = "# pair: A:so:3\n"
+GLPQ11 = "# pair: A:glpq:1,1\n"
 
 
 @pytest.mark.parametrize(
@@ -199,7 +202,11 @@ SO3 = "# pair: A:so:3\n"
         (("chern", "A:so:3", "(a,b)"), None),
         (None, SO3 + "(1,3) := " + "(" * 1000 + "y1" + ")" * 1000),
         (None, SO3 + "(1,3) := " + "-" * 3000 + "y1"),
-        (None, "# pair: A:glpq:1,1\n(+,-) := (x1+y1)^100000"),
+        (None, GLPQ11 + "(+,-) := (x1+y1)^100000"),
+        (None, GLPQ11 + "(+,-) := x1+" + "9" * 5000),
+        (None, GLPQ11 + "(+,-) := x1+1/" + "9" * 5000),
+        (None, GLPQ11 + "(+,-) := x" + "1" * 5000),
+        (None, GLPQ11 + "(+,-) := y" + "1" * 5000),
     ],
     ids=[
         "zero-denominator",
@@ -207,6 +214,10 @@ SO3 = "# pair: A:so:3\n"
         "deep-parentheses",
         "many-minus-signs",
         "huge-exponent",
+        "long-numerator",
+        "long-denominator",
+        "long-x-index",
+        "long-y-index",
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):
@@ -230,3 +241,18 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, "graph", "A:sp:4")
     assert code == 3
     assert err == "internal error: ZeroDivisionError: boom\n"
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_orbits_count_outputs_match_benchmark_pins(capsys):
+    # the pinned orbits, count and graph calls of the benchmark's
+    # orbits-count workload, checked byte for byte
+    pins = json.loads(PINS.read_text())
+    calls = [k for k in pins if k.split()[0] in ("orbits", "count", "graph")]
+    assert len(calls) == 7
+    for call in calls:
+        code, out, _ = run(capsys, *call.split())
+        assert code == pins[call]["exit_code"], call
+        assert hashlib.sha256(out.encode()).hexdigest() == pins[call]["sha256"], call

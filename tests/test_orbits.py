@@ -1,6 +1,6 @@
 import pytest
 
-from korbits.clans import Clan
+from korbits.clans import Clan, enumerate_clans, pair_validity
 from korbits.errors import ContractViolation, UsageError
 from korbits.orbits import (
     ClanOrbit,
@@ -40,6 +40,31 @@ COUNTS = {
 def test_orbit_counts(spec, count):
     pair = parse_pair_spec(spec)
     assert len(enumerate_orbits(pair)) == count
+
+
+def _clan_pair_specs(max_rank):
+    for n in range(1, max_rank + 1):
+        yield f"C:gl:{n}"
+        if n >= 2:
+            yield f"D:gl:{n}"
+        for p in range(n + 1):
+            yield f"A:glpq:{p},{n - p}"
+            yield f"B:oo:{p},{n - p}"
+            yield f"C:spsp:{p},{n - p}"
+            if n >= 2:
+                yield f"D:oo:{p},{n - p}"
+                if p < n:
+                    yield f"D:oo-odd:{p},{n - p}"
+
+
+@pytest.mark.parametrize("spec", list(_clan_pair_specs(4)))
+def test_clan_orbits_match_filtered_enumeration(spec):
+    # filtering every clan of the signature by pair_validity is the
+    # reference for the mirror-aware enumeration
+    pair = parse_pair_spec(spec)
+    clans = enumerate_clans(*pair.clan_signature())
+    want = [ClanOrbit(c) for c in clans if pair_validity(c, pair)]
+    assert enumerate_orbits(pair) == want
 
 
 @pytest.mark.parametrize(
