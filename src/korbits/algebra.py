@@ -34,6 +34,14 @@ Scalar = Union[int, Fraction]
 #: to zero); otherwise (sign, bank, index) with bank "x" or "y", sign +-1.
 Target = Optional[tuple[int, str, int]]
 
+#: A substitution plan holds one entry per y-variable: None when it is
+#: unassigned, 0 when it maps to zero, else (sign, exponent slot of its image).
+PlanEntry = Union[None, int, tuple[int, int]]
+
+#: A term ready for substitution: its exponents with the y-part zeroed, its
+#: nonzero (y offset, exponent) pairs, and its coefficient.
+CompiledTerm = tuple[Monomial, tuple[tuple[int, int], ...], Scalar]
+
 # Matrices up to this size use cofactor expansion; larger ones Bareiss.
 _COFACTOR_LIMIT = 6
 
@@ -264,9 +272,7 @@ class Polynomial:
         the polynomial must be covered.  x-variables pass through.
         """
         space = self.space
-        r = space.x_count
-        # Per y-slot: None = unassigned, 0 = kill, else (sign, target slot).
-        plan: list = [None] * space.y_count
+        plan: list[PlanEntry] = [None] * space.y_count
         for j, target in assignment.items():
             space.y_slot(j)
             if target is None:
@@ -277,36 +283,7 @@ class Polynomial:
                     raise ContractViolation("substitution sign must be +-1")
                 slot = space.x_slot(idx) if bank == "x" else space.y_slot(idx)
                 plan[j - 1] = (sign, slot)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            new = list(mono[:r]) + [0] * space.y_count
-            sign = 1
-            dead = False
-            for offset in range(space.y_count):
-                e = mono[r + offset]
-                if not e:
-                    continue
-                target = plan[offset]
-                if target is None:
-                    raise ContractViolation(
-                        f"y{offset + 1} appears but has no assignment"
-                    )
-                if target == 0:
-                    dead = True
-                    break
-                tsign, slot = target
-                new[slot] += e
-                if tsign < 0 and e % 2:
-                    sign = -sign
-            if dead:
-                continue
-            key = tuple(new)
-            value = terms.get(key, 0) + sign * coeff
-            if value:
-                terms[key] = value
-            else:
-                terms.pop(key, None)
-        return Polynomial._from_clean(space, terms)
+        return substitute_planned(space, compile_terms(self), plan)
 
     def map_y(self, images: Sequence[tuple[int, int]]) -> "Polynomial":
         """Apply a signed permutation to the y-bank.
@@ -377,6 +354,52 @@ def format_polynomial(poly: Polynomial, namer=None) -> str:
         else:
             parts.append(("+ " if coeff > 0 else "- ") + text)
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# substitution
+
+
+def compile_terms(poly: Polynomial) -> list[CompiledTerm]:
+    """Split each term for :func:`substitute_planned`, once per polynomial."""
+    r = poly.space.x_count
+    pad = (0,) * poly.space.y_count
+    return [
+        (mono[:r] + pad, tuple((o, e) for o, e in enumerate(mono[r:]) if e), coeff)
+        for mono, coeff in poly.terms.items()
+    ]
+
+
+def substitute_planned(
+    space: VariableSpace, compiled: Sequence[CompiledTerm], plan: Sequence[PlanEntry]
+) -> Polynomial:
+    """Substitute every y-variable by its plan entry (see ``PlanEntry``).
+
+    The one substitution loop: :meth:`Polynomial.substitute` and the
+    localization code both build a plan and call it.
+    """
+    terms: dict[Monomial, Scalar] = {}
+    get = terms.get
+    for base, ys, coeff in compiled:
+        new = list(base)
+        for offset, e in ys:
+            target = plan[offset]
+            if not target:
+                if target is None:
+                    raise ContractViolation(f"y{offset + 1} appears but has no assignment")
+                break  # the term dies
+            sign, slot = target
+            new[slot] += e
+            if sign < 0 and e & 1:
+                coeff = -coeff
+        else:
+            key = tuple(new)
+            value = get(key, 0) + coeff
+            if value:
+                terms[key] = value
+            else:
+                terms.pop(key, None)
+    return Polynomial._from_clean(space, terms)
 
 
 # ---------------------------------------------------------------------------

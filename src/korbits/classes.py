@@ -20,12 +20,14 @@ from typing import Iterable, Optional
 from .algebra import (
     Polynomial,
     VariableSpace,
+    compile_terms,
     divided_difference,
     elementary_symmetric,
     format_polynomial,
     parse_polynomial,
     poly_determinant,
     product,
+    substitute_planned,
 )
 from .clans import MINUS, PLUS
 from .errors import ContractViolation, InternalError, UsageError
@@ -66,6 +68,7 @@ from .weyl import (
     restriction_assignment,
     restriction_map,
     sign_stats,
+    signed_targets,
     unequal_rank_stats,
 )
 
@@ -236,13 +239,14 @@ def staircase_determinant(
 def restrict_at(cls: EquivariantClass, w: SignedPermutation) -> Polynomial:
     """Restriction at the fixed point of w: substitute each y by the
     image of its w-translate in the small torus."""
-    assignment = restriction_assignment(cls.pair, w)
+    table = signed_targets(cls.pair)
+    plan = [table[v] for v in w.images]
     space = cls.pair.variable_space()
     if cls.factors is None:
-        return cls.polynomial.substitute(assignment)
+        return substitute_planned(space, compile_terms(cls.polynomial), plan)
     result = space.one()
     for factor in cls.factors:
-        result = result * factor.substitute(assignment)
+        result = result * substitute_planned(space, compile_terms(factor), plan)
         if result.is_zero:
             break
     return result
@@ -262,13 +266,23 @@ def first_disagreement(
     c1: EquivariantClass, c2: EquivariantClass
 ) -> Optional[SignedPermutation]:
     """The first fixed point w whose restrictions differ, or None when all
-    agree (exact equality)."""
+    agree (exact equality).
+
+    Restriction is a ring homomorphism, so the classes differ at w exactly
+    when their difference restricts to nonzero there; the difference is
+    split into terms once and restricted once per fixed point.
+    """
     if c1.pair != c2.pair:
         raise ContractViolation("classes belong to different pairs")
     if c1.polynomial == c2.polynomial:
         return None
-    for w in ambient_weyl(c1.pair):
-        if restrict_at(c1, w) != restrict_at(c2, w):
+    pair = c1.pair
+    space = pair.variable_space()
+    diff = compile_terms(c1.polynomial - c2.polynomial)
+    table = signed_targets(pair)
+    for w in ambient_weyl(pair):
+        plan = [table[v] for v in w.images]
+        if not substitute_planned(space, diff, plan).is_zero:
             return w
     return None
 
@@ -484,8 +498,7 @@ def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]
         stored = classes.get(edge.target)
         if stored is None:
             classes[edge.target] = candidate
-        elif not equal_via_localization(stored, candidate):
-            w = first_disagreement(stored, candidate)
+        elif (w := first_disagreement(stored, candidate)) is not None:
             raise InternalError(
                 f"{pair.spec_string()}: paths into {edge.target} disagree under"
                 f" localization: edge {edge.source} -> {edge.target} by"
@@ -808,9 +821,11 @@ def format_table(
     fmt: str = "table",
 ) -> str:
     graph = build_weak_order_graph(pair)
-    rows = [(str(param), str(classes[param].polynomial)) for param in graph.nodes]
     if fmt == "machine":
-        return "\n".join(f"{param} := {poly}" for param, poly in rows) + "\n"
+        return "".join(
+            f"{param} := {classes[param].polynomial}\n" for param in graph.nodes
+        )
+    rows = [(str(param), str(classes[param].polynomial)) for param in graph.nodes]
     if fmt == "csv":
         out = ["parameter,formula"]
         for param, poly in rows:

@@ -13,11 +13,12 @@ subgroup's rule, so no clan outside the inner class is ever built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .clans import enumerate_clans
 from .errors import InternalError, UsageError
-from .weyl import SignedPermutation, enumerate_group
+from .weyl import SignedPermutation
 
 INNER_CLASSES = ("B", "C", "D-compact", "D-unequal")
 
@@ -34,14 +35,27 @@ class CountRow:
 
 
 def _involutions(family: str, n: int, parity: str = "any"):
-    for w in enumerate_group(family, n):
-        if (w * w).is_identity():
-            changes = w.sign_changes()
+    """The involutions of the signed group, in ``enumerate_group`` order.
+
+    w(i) = s_i * pi(i) squares to the identity exactly when pi does and
+    s_i = s_pi(i), so only involutive pi get a sign loop and only sign
+    patterns constant on the cycles of pi become elements.
+    """
+    for perm in itertools.permutations(range(1, n + 1)):
+        if any(perm[v - 1] != i for i, v in enumerate(perm, start=1)):
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            images = tuple(s * v for s, v in zip(signs, perm))
+            if any((v < 0) != (images[abs(v) - 1] < 0) for v in images):
+                continue
+            changes = signs.count(-1)
+            if family == "D" and changes % 2:
+                continue
             if parity == "odd" and changes % 2 == 0:
                 continue
             if parity == "even" and changes % 2:
                 continue
-            yield w
+            yield SignedPermutation(family, images)
 
 
 def _fixed_low(sigma: SignedPermutation, n: int) -> int:

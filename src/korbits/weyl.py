@@ -10,10 +10,12 @@ generator swaps and negates n-1, n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .algebra import PlanEntry
 from .errors import ContractViolation, UsageError
 from .pairs import (
     A_GLPQ,
@@ -43,6 +45,14 @@ class SignedPermutation:
             raise ContractViolation("type D elements change an even number of signs")
         if self.family not in ("A", "BC", "D"):
             raise ContractViolation(f"unknown family {self.family!r}")
+
+    @classmethod
+    def _trusted(cls, family: str, images: tuple[int, ...]) -> "SignedPermutation":
+        """Wrap images already known to form an element of the family."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "family", family)
+        object.__setattr__(obj, "images", images)
+        return obj
 
     # -- basics -----------------------------------------------------------
 
@@ -228,15 +238,21 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
 
 
 def enumerate_group(family: str, n: int) -> Iterator[SignedPermutation]:
-    """All elements: n! for A, 2^n n! for BC, 2^(n-1) n! for D."""
+    """All elements: n! for A, 2^n n! for BC, 2^(n-1) n! for D.
+
+    Elements are valid by construction, so they skip the validation of
+    ``SignedPermutation``."""
+    if family not in ("A", "BC", "D"):
+        raise ContractViolation(f"unknown family {family!r}")
+    trusted = SignedPermutation._trusted
     for perm in itertools.permutations(range(1, n + 1)):
         if family == "A":
-            yield SignedPermutation("A", perm)
+            yield trusted("A", perm)
             continue
         for signs in itertools.product((1, -1), repeat=n):
             if family == "D" and signs.count(-1) % 2:
                 continue
-            yield SignedPermutation(family, tuple(s * v for s, v in zip(signs, perm)))
+            yield trusted(family, tuple(s * v for s, v in zip(signs, perm)))
 
 
 def group_order(family: str, n: int) -> int:
@@ -356,3 +372,20 @@ def restriction_assignment(pair: SymmetricPair, w: SignedPermutation):
             sign, idx = target
             assignment[j] = (sign if v > 0 else -sign, "x", idx)
     return assignment
+
+
+@functools.lru_cache(maxsize=None)
+def signed_targets(pair: SymmetricPair) -> tuple[PlanEntry, ...]:
+    """Substitution plan entries of restriction, indexed by the signed value
+    v = w(j) itself (a negative v counts from the end): the entry sends y_j
+    to the restriction map's target of Y_|v|, negated for v < 0, or to zero
+    (entry 0).  A plan at w is then ``[table[v] for v in w.images]``."""
+    rho = restriction_map(pair)
+    table: list[PlanEntry] = [None] * (2 * len(rho) + 1)
+    for v, target in enumerate(rho, start=1):
+        if target is None:
+            table[v] = table[-v] = 0
+        else:
+            sign, idx = target
+            table[v], table[-v] = (sign, idx - 1), (-sign, idx - 1)
+    return tuple(table)

@@ -24,7 +24,13 @@ from korbits.orbits import (
     parse_orbit_parameter,
 )
 from korbits.pairs import parse_pair_spec
-from korbits.weyl import SignedPermutation, enumerate_group, parse_cycles
+from korbits.weyl import (
+    SignedPermutation,
+    enumerate_group,
+    parse_cycles,
+    restriction_assignment,
+    restriction_map,
+)
 
 
 def poly(pair, text):
@@ -262,6 +268,71 @@ def test_first_disagreement_names_a_witness():
             break
         earlier.append(v)
     assert all(restrict_at(a, v) == restrict_at(b, v) for v in earlier)
+
+
+def restrict_by_assignment(cls, w):
+    """Reference restriction: substitute the assignment dict of w into the
+    class, factor by factor when it has factors."""
+    assignment = restriction_assignment(cls.pair, w)
+    if cls.factors is None:
+        return cls.polynomial.substitute(assignment)
+    space = cls.pair.variable_space()
+    return product(space, (factor.substitute(assignment) for factor in cls.factors))
+
+
+def first_disagreement_two_sided(c1, c2):
+    """Reference for ``first_disagreement``: restrict both classes at every
+    fixed point and compare."""
+    if c1.polynomial == c2.polynomial:
+        return None
+    for w in ambient_weyl(c1.pair):
+        if restrict_by_assignment(c1, w) != restrict_by_assignment(c2, w):
+            return w
+    return None
+
+
+RANK_TWO_PAIRS = [
+    "A:glpq:1,1",
+    "A:so:5",
+    "A:so-even:4",
+    "A:sp:4",
+    "B:oo:1,1",
+    "C:spsp:1,1",
+    "C:gl:2",
+    "D:oo:1,1",
+    "D:gl:2",
+    "D:oo-odd:1,1",
+]
+
+
+@pytest.mark.parametrize("spec", RANK_TWO_PAIRS + ["A:sp:6"])
+def test_first_disagreement_matches_two_sided_reference(spec, workloads):
+    # the difference restricted once per fixed point finds the same first
+    # witness as restricting both classes.  The benchmark's W-invariant I
+    # restricts to zero everywhere, so f + m*I equals f; x1^d restricts to
+    # itself, so f + c*x1^d does not.  Closed orbits keep their factored
+    # classes (C:gl and D:gl build theirs as one determinant).
+    pair = parse_pair_spec(spec)
+    space = pair.variable_space()
+    invariant = poly(pair, workloads._invariant_text(restriction_map(pair)))
+    multipliers = [space.one(), space.x(1), space.x(1) * space.y(space.y_count)]
+    classes = propagate_all(pair)
+    closed = [classes[param] for param, _ in closed_orbits(pair)]
+    if not spec.startswith(("C:gl", "D:gl")):
+        assert all(cls.factors is not None for cls in closed)
+    for k, param in enumerate(sorted(classes, key=lambda p: p.sort_key())):
+        cls = classes[param]
+        degree = max(cls.polynomial.total_degree(), 1)
+        shifted = cls.polynomial + multipliers[k % 3] * invariant
+        wrong = cls.polynomial + (-1) ** k * (k % 3 + 1) * space.x(1) ** degree
+        for other, equal in ((shifted, True), (wrong, False)):
+            other = EquivariantClass(pair, other)
+            w = first_disagreement(cls, other)
+            assert w == first_disagreement_two_sided(cls, other), (str(param), equal)
+            assert (w is None) == equal, (str(param), equal)
+    for a in closed:
+        for b in closed:
+            assert first_disagreement(a, b) == first_disagreement_two_sided(a, b)
 
 
 def test_localization_identifies_ideal_shifts():

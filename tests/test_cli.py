@@ -256,3 +256,27 @@ def test_orbits_count_outputs_match_benchmark_pins(capsys):
         code, out, _ = run(capsys, *call.split())
         assert code == pins[call]["exit_code"], call
         assert hashlib.sha256(out.encode()).hexdigest() == pins[call]["sha256"], call
+
+
+def test_classes_sweep_outputs_match_benchmark_pins(capsys, workloads):
+    # the pinned classes and chern calls of the benchmark's classes-sweep
+    # workload, checked byte for byte
+    calls = workloads.fixed_invocations("classes-sweep")
+    assert len(calls) == 12
+    for call in calls:
+        code, out, _ = run(capsys, *call.args)
+        assert code == call.exit_code, call.args
+        assert hashlib.sha256(out.encode()).hexdigest() == call.sha256, call.args
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_localize_outputs_match_workload(capsys, tmp_path, workloads, seed):
+    # the benchmark's seeded verify calls: re-expressed fixture rows that
+    # only localization can match, a seeded share of them made wrong
+    fixtures = Path(__file__).resolve().parents[1] / "src" / "korbits" / "fixtures"
+    calls = workloads.make_verify_inputs(seed, fixtures, tmp_path)
+    assert len(calls) == 13
+    for call in calls:
+        code, out, _ = run(capsys, *call.args)
+        assert code == call.exit_code, call.args
+        assert hashlib.sha256(out.encode()).hexdigest() == call.sha256, call.args

@@ -1,7 +1,8 @@
 import pytest
 
-from korbits.counting import count_report
+from korbits.counting import _involutions, count_report
 from korbits.errors import UsageError
+from korbits.weyl import enumerate_group
 
 
 def test_b2_fiber_example():
@@ -49,3 +50,17 @@ def test_totals_are_partitioned_by_fibers():
 def test_unknown_inner_class():
     with pytest.raises(UsageError):
         count_report("E", 2)
+
+
+@pytest.mark.parametrize("family", ["BC", "D"])
+@pytest.mark.parametrize("parity", ["any", "odd", "even"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_involutions_match_squaring_every_element(family, parity, n):
+    # reference: square every group element and keep the identities
+    expected = [
+        w
+        for w in enumerate_group(family, n)
+        if (w * w).is_identity()
+        and (parity == "any" or w.sign_changes() % 2 == (parity == "odd"))
+    ]
+    assert list(_involutions(family, n, parity)) == expected

@@ -25,6 +25,16 @@ def test_group_orders():
     assert sum(1 for _ in enumerate_group("D", 3)) == 24 == group_order("D", 3)
 
 
+@pytest.mark.parametrize("family", ["A", "BC", "D"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumerated_elements_pass_validation(family, n):
+    # enumerate_group skips the constructor checks; every element must
+    # still pass them, and the elements must be distinct
+    elements = list(enumerate_group(family, n))
+    assert [SignedPermutation(family, w.images) for w in elements] == elements
+    assert len({w.images for w in elements}) == group_order(family, n)
+
+
 def test_group_laws_small():
     elements = list(enumerate_group("BC", 2))
     for w in elements:
