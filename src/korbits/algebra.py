@@ -21,6 +21,7 @@ fixtures and the CLI.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -98,6 +99,18 @@ class VariableSpace:
         exp = [0] * self.nvars
         exp[slot] = 1
         return Polynomial(self, {tuple(exp): 1})
+
+
+def _power(base: "Polynomial", exponent: int, multiply) -> "Polynomial":
+    """base ** exponent by repeated squaring, every product through multiply."""
+    result = base.space.one()
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return result
 
 
 def _mono_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -205,15 +218,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ContractViolation("negative powers are not polynomials")
-        result = self.space.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Polynomial.__mul__)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -709,6 +714,11 @@ MAX_NESTING = 100  # parentheses plus unary minus signs, well below the recursio
 # No class reaches it: the biggest flag variety the CLI handles has
 # dimension n^2 <= 64.
 MAX_EXPONENT = 64
+# Largest work a parsed product or power may take on, counted in terms: the
+# term pairs |f|*|g| of a product, and the bound C(t*e + k, k) on the terms
+# of a power of degree t*e in k variables.  No input of the test suite or
+# the benchmark goes past 1,089 term pairs or a power bound of 2,145.
+MAX_TERMS = 10**6
 
 
 def _numeral(text: str) -> int:
@@ -756,8 +766,24 @@ class _Parser:
         result = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            result = result * self.parse_factor()
+            result = self.product(result, self.parse_factor())
         return result
+
+    def product(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        pairs = len(f.terms) * len(g.terms)
+        if pairs > MAX_TERMS:
+            raise UsageError(
+                f"a product of {len(f.terms)} by {len(g.terms)} terms makes {pairs} "
+                f"term pairs, more than {MAX_TERMS}"
+            )
+        return f * g
+
+    def power(self, base: Polynomial, exponent: int) -> Polynomial:
+        used = sum(1 for slot in range(base.space.nvars) if any(m[slot] for m in base.terms))
+        bound = math.comb(max(base.total_degree(), 0) * exponent + used, used)
+        if bound > MAX_TERMS:
+            raise UsageError(f"a power may have up to {bound} terms, more than {MAX_TERMS}")
+        return _power(base, exponent, self.product)
 
     def parse_factor(self) -> Polynomial:
         base = self.parse_primary()
@@ -769,7 +795,7 @@ class _Parser:
             # the length test keeps int() off numerals past its digit limit
             if len(text) > 6 or max(base.total_degree(), 1) * int(text) > MAX_EXPONENT:
                 raise UsageError(f"a power may have degree at most {MAX_EXPONENT}")
-            base = base ** int(text)
+            base = self.power(base, int(text))
         return base
 
     def nested(self, parse):

@@ -6,11 +6,11 @@ natural number, every number occurring exactly twice, with #plus - #minus
 stored canonically: pair labels are renumbered 1, 2, ... in order of
 first occurrence.  On top of the type itself the module provides
 enumeration, the counting invariants gamma(i;+), gamma(i;-), gamma(i;j),
-the symmetry predicates used outside type A, the per-pair rule saying
-which clans label orbits (``CLAN_RULES``), and the position involution
-attached to a clan.  Symmetric and skew-symmetric clans are generated
-directly, a position and its mirror at a time, rather than filtered out of
-all clans.
+the symmetry predicates used outside type A, the test of a clan against a
+pair's clan rule (kept with the pair, in ``pairs.KINDS``), and the
+position involution attached to a clan.  Symmetric and skew-symmetric
+clans are generated directly, a position and its mirror at a time, rather
+than filtered out of all clans.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ContractViolation, UsageError
-from .pairs import (
-    A_GLPQ,
-    B_OO,
-    C_GL,
-    C_SPSP,
-    D_GL,
-    D_OO,
-    D_OO_ODD,
-    SymmetricPair,
-)
+from .pairs import SymmetricPair
 from .weyl import SignedPermutation
 
 Symbol = Union[str, int]
@@ -338,46 +329,17 @@ def _mirrored_clans(a: int, b: int, skew: bool, anti_reflexive: bool) -> list[Cl
     return results
 
 
-@dataclass(frozen=True)
-class ClanRule:
-    """Which clans of a pair's signature label its orbits."""
-
-    mirror: Optional[str] = None  # None, "symmetric" or "skew"
-    anti_reflexive: bool = False
-    even_front: bool = False
-
-    def admits(self, clan: Clan) -> bool:
-        if self.mirror == "symmetric" and not clan.is_symmetric():
-            return False
-        if self.mirror == "skew" and not clan.is_skew_symmetric():
-            return False
-        if self.anti_reflexive and not clan.is_anti_reflexive():
-            return False
-        return not self.even_front or clan.front_parity_even()
-
-
-# Matsuki-Oshima: per clan-parametrized pair, the clans labelling its orbits.
-CLAN_RULES = {
-    A_GLPQ: ClanRule(),
-    B_OO: ClanRule("symmetric"),
-    C_SPSP: ClanRule("symmetric", anti_reflexive=True),
-    C_GL: ClanRule("skew"),
-    D_OO: ClanRule("symmetric"),
-    D_GL: ClanRule("skew", anti_reflexive=True, even_front=True),
-    D_OO_ODD: ClanRule("symmetric"),
-}
-
-
 def pair_validity(clan: Clan, pair: SymmetricPair) -> bool:
     """True when the clan labels an orbit of the given symmetric pair."""
-    if not pair.is_clan_case():
-        raise ContractViolation(f"{pair.case} is not clan-parametrized")
+    rule = pair.kind.clan_rule
+    if rule is None:
+        raise ContractViolation(f"{pair.spec_string()} is not clan-parametrized")
     if clan.signature() != pair.clan_signature():
         raise ContractViolation(
             f"clan {clan} has signature {clan.signature()}, "
             f"pair needs {pair.clan_signature()}"
         )
-    return CLAN_RULES[pair.case].admits(clan)
+    return rule.admits(clan)
 
 
 def clan_to_signed_involution(clan: Clan) -> SignedPermutation:

@@ -32,7 +32,6 @@ from .algebra import (
 from .clans import MINUS, PLUS
 from .errors import ContractViolation, InternalError, UsageError
 from .orbits import (
-    ClanOrbit,
     InvolutionOrbit,
     OrbitParameter,
     RootStatus,
@@ -104,6 +103,102 @@ def _signed_y(space: VariableSpace, w: SignedPermutation, j: int) -> Polynomial:
     return space.y(v) if v > 0 else -space.y(-v)
 
 
+def _cross_sums(space: VariableSpace, n: int, size: int) -> list[Polynomial]:
+    """y_i + y_j and y_i + y_{size+1-j} for i < j <= n."""
+    return [
+        factor
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for factor in (space.y(i) + space.y(j), space.y(i) + space.y(size + 1 - j))
+    ]
+
+
+def _closed_glpq(pair, param, rep, space) -> EquivariantClass:
+    n, p = pair.n, pair.p
+    inv = rep.inverse()
+    factors = [space.const((-1) ** l_p(rep, p))] + [
+        space.x(i) - space.y(inv.images[j - 1])
+        for i in range(1, p + 1)
+        for j in range(p + 1, n + 1)
+    ]
+    return EquivariantClass.from_factors(pair, factors)
+
+
+def _closed_so_odd(pair, param, rep, space) -> EquivariantClass:
+    n = pair.n
+    factors = [space.const((-2) ** n)]
+    for i in range(1, n + 1):
+        factors.append(space.y(i) + space.y(n + 1))
+        factors.append(space.y(n + 1) + space.y(2 * n + 2 - i))
+    factors += _cross_sums(space, n, 2 * n + 1)
+    return EquivariantClass.from_factors(pair, factors)
+
+
+def _closed_sp(pair, param, rep, space) -> EquivariantClass:
+    return EquivariantClass.from_factors(pair, _cross_sums(space, pair.n, 2 * pair.n))
+
+
+def _closed_so_even(pair, param, rep, space) -> EquivariantClass:
+    assert isinstance(param, SplitOrbit)
+    n = pair.n
+    x_mono = product(space, (space.x(i) for i in range(1, n + 1)))
+    y_mono = product(space, (space.y(i) for i in range(1, n + 1)))
+    if param.component == PLUS:
+        factors = [space.const(2 ** (n - 1)), x_mono + y_mono]
+    else:
+        factors = [space.const(-(2 ** (n - 1))), x_mono - y_mono]
+    factors += _cross_sums(space, n, 2 * n)
+    return EquivariantClass.from_factors(pair, factors)
+
+
+def _closed_blocks(pair, param, rep, space) -> EquivariantClass:
+    n, p = pair.n, pair.p
+    factors = [space.const((-1) ** l_p(rep.absolute(), p))]
+    if pair.root_family() == "B":
+        inv_abs = rep.absolute().inverse()
+        factors += [space.y(inv_abs.images[k - 1]) for k in range(1, p + 1)]
+    for i in range(1, p + 1):
+        for j in range(p + 1, n + 1):
+            yj = _signed_y(space, rep, j)
+            factors.append(space.x(i) - yj)
+            factors.append(space.x(i) + yj)
+    return EquivariantClass.from_factors(pair, factors)
+
+
+def _closed_gl(pair, param, rep, space) -> EquivariantClass:
+    _, count, shift = sign_stats(rep)
+    half = pair.kind.ambient == "D"
+    sign = (-1) ** shift if half else (-1) ** (count + shift)
+    return EquivariantClass(pair, sign * staircase_determinant(space, pair.n, rep, half))
+
+
+def _closed_oo_odd(pair, param, rep, space) -> EquivariantClass:
+    n, p = pair.n, pair.p
+    _, _, f = unequal_rank_stats(rep, p)
+    factors = [space.const((-1) ** f)] + [space.y(k) for k in range(1, n)]
+    inv = rep.inverse()
+    for i in range(1, p + 1):
+        for j in range(p + 2, n + 1):
+            yj = space.y(inv.images[j - 1])
+            factors.append(space.x(i) + yj)
+            factors.append(space.x(i) - yj)
+    return EquivariantClass.from_factors(pair, factors)
+
+
+_CLOSED_CLASSES = {
+    A_GLPQ: _closed_glpq,
+    A_SO_ODD: _closed_so_odd,
+    A_SP: _closed_sp,
+    A_SO_EVEN: _closed_so_even,
+    B_OO: _closed_blocks,
+    C_SPSP: _closed_blocks,
+    D_OO: _closed_blocks,
+    C_GL: _closed_gl,
+    D_GL: _closed_gl,
+    D_OO_ODD: _closed_oo_odd,
+}
+
+
 def closed_orbit_class(
     pair: SymmetricPair,
     param: OrbitParameter,
@@ -127,79 +222,7 @@ def closed_orbit_class(
         rep = found
     elif not _closed_member(pair, param, rep):
         raise ContractViolation("representative does not lie in the orbit")
-    space = pair.variable_space()
-    n, p = pair.n, pair.p
-    factors: list[Polynomial] = []
-    if pair.case == A_GLPQ:
-        sign = (-1) ** l_p(rep, p)
-        factors.append(space.const(sign))
-        inv = rep.inverse()
-        for i in range(1, p + 1):
-            for j in range(p + 1, n + 1):
-                factors.append(space.x(i) - space.y(inv.images[j - 1]))
-    elif pair.case == A_SO_ODD:
-        factors.append(space.const((-2) ** n))
-        for i in range(1, n + 1):
-            factors.append(space.y(i) + space.y(n + 1))
-            factors.append(space.y(n + 1) + space.y(2 * n + 2 - i))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                factors.append(space.y(i) + space.y(j))
-                factors.append(space.y(i) + space.y(2 * n + 2 - j))
-    elif pair.case == A_SP:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                factors.append(space.y(i) + space.y(j))
-                factors.append(space.y(i) + space.y(2 * n + 1 - j))
-    elif pair.case == A_SO_EVEN:
-        assert isinstance(param, SplitOrbit)
-        x_mono = product(space, (space.x(i) for i in range(1, n + 1)))
-        y_mono = product(space, (space.y(i) for i in range(1, n + 1)))
-        if param.component == PLUS:
-            factors.append(space.const(2 ** (n - 1)))
-            factors.append(x_mono + y_mono)
-        else:
-            factors.append(space.const(-(2 ** (n - 1))))
-            factors.append(x_mono - y_mono)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                factors.append(space.y(i) + space.y(j))
-                factors.append(space.y(i) + space.y(2 * n + 1 - j))
-    elif pair.case in (B_OO, C_SPSP, D_OO):
-        sign = (-1) ** l_p(rep.absolute(), p)
-        factors.append(space.const(sign))
-        if pair.case == B_OO:
-            inv_abs = rep.absolute().inverse()
-            for k in range(1, p + 1):
-                factors.append(space.y(inv_abs.images[k - 1]))
-        for i in range(1, p + 1):
-            for j in range(p + 1, n + 1):
-                yj = _signed_y(space, rep, j)
-                factors.append(space.x(i) - yj)
-                factors.append(space.x(i) + yj)
-    elif pair.case in (C_GL, D_GL):
-        _, count, shift = sign_stats(rep)
-        if pair.case == C_GL:
-            sign = (-1) ** (count + shift)
-            delta = staircase_determinant(space, n, rep, half=False)
-        else:
-            sign = (-1) ** shift
-            delta = staircase_determinant(space, n, rep, half=True)
-        return EquivariantClass(pair, sign * delta)
-    elif pair.case == D_OO_ODD:
-        _, _, f = unequal_rank_stats(rep, p)
-        factors.append(space.const((-1) ** f))
-        for k in range(1, n):
-            factors.append(space.y(k))
-        inv = rep.inverse()
-        for i in range(1, p + 1):
-            for j in range(p + 2, n + 1):
-                yj = space.y(inv.images[j - 1])
-                factors.append(space.x(i) + yj)
-                factors.append(space.x(i) - yj)
-    else:  # pragma: no cover
-        raise ContractViolation(f"unhandled case {pair.case}")
-    return EquivariantClass.from_factors(pair, factors)
+    return _CLOSED_CLASSES[pair.case](pair, param, rep, pair.variable_space())
 
 
 def staircase_determinant(
@@ -318,113 +341,71 @@ def _positive_roots(family: str, m: int) -> list[tuple[int, ...]]:
 
 
 def _subgroup_roots(pair: SymmetricPair) -> set[tuple[int, ...]]:
-    """Root system of K in the small-torus coordinates."""
-    space = pair.variable_space()
-    r = space.x_count
-    n, p = pair.n, pair.p
-
-    def form(entries: dict[int, int]) -> tuple[int, ...]:
-        row = [0] * r
-        for idx, coeff in entries.items():
-            row[idx - 1] += coeff
-        return tuple(row)
-
+    """Root system of K in the small-torus coordinates: the roots of each
+    block's family, placed at the block's x-coordinates."""
+    r = pair.variable_space().x_count
+    blocks = pair.kind.subgroup
+    bounds = (0, r) if len(blocks) == 1 else (0, pair.p, r)
     roots: set[tuple[int, ...]] = set()
-
-    def block_pairs(block: range, short: bool, long_double: bool = False) -> None:
-        for i in block:
-            for j in block:
-                if i < j:
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.add(form({i: si, j: sj}))
-            if short:
-                roots.add(form({i: 1}))
-                roots.add(form({i: -1}))
-            if long_double:
-                roots.add(form({i: 2}))
-                roots.add(form({i: -2}))
-
-    if pair.case == A_GLPQ:
-        for block in (range(1, p + 1), range(p + 1, n + 1)):
-            for i in block:
-                for j in block:
-                    if i != j:
-                        roots.add(form({i: 1, j: -1}))
-    elif pair.case == A_SO_ODD:
-        block_pairs(range(1, n + 1), short=True)
-    elif pair.case == A_SO_EVEN:
-        block_pairs(range(1, n + 1), short=False)
-    elif pair.case == A_SP:
-        block_pairs(range(1, n + 1), short=False, long_double=True)
-    elif pair.case == B_OO:
-        block_pairs(range(1, p + 1), short=False)
-        block_pairs(range(p + 1, n + 1), short=True)
-    elif pair.case == C_SPSP:
-        block_pairs(range(1, p + 1), short=False, long_double=True)
-        block_pairs(range(p + 1, n + 1), short=False, long_double=True)
-    elif pair.case in (C_GL, D_GL):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    roots.add(form({i: 1, j: -1}))
-    elif pair.case == D_OO:
-        block_pairs(range(1, p + 1), short=False)
-        block_pairs(range(p + 1, n + 1), short=False)
-    elif pair.case == D_OO_ODD:
-        # internal labels: block one is x_1..x_p, block two x_{p+1}..x_{n-1}
-        block_pairs(range(1, p + 1), short=True)
-        block_pairs(range(p + 1, n), short=True)
-    else:  # pragma: no cover
-        raise ContractViolation(f"unhandled case {pair.case}")
+    for family, start, stop in zip(blocks, bounds, bounds[1:]):
+        for root in _positive_roots(family, stop - start):
+            row = (0,) * start + root + (0,) * (r - stop)
+            roots.add(row)
+            roots.add(tuple(-c for c in row))
     return roots
+
+
+def _plus_where_low(symbols, w: SignedPermutation, p: int) -> bool:
+    """The + positions of the clan symbols are the positions i with |w(i)| <= p."""
+    plus_positions = {i for i, s in enumerate(symbols, start=1) if s == PLUS}
+    low = {i for i in range(1, len(symbols) + 1) if abs(w.images[i - 1]) <= p}
+    return low == plus_positions
+
+
+def _member_involution(pair, param, w) -> bool:
+    size, n = w.n, pair.n
+    if any(w.images[size - i] != size + 1 - w.images[i - 1] for i in range(1, size + 1)):
+        return False
+    if isinstance(param, SplitOrbit):
+        crossings = sum(1 for i in range(1, n + 1) if w.images[i - 1] > n)
+        return crossings % 2 == (0 if param.component == PLUS else 1)
+    return True
+
+
+def _member_blocks(pair, param, w) -> bool:
+    # the whole clan in type A, its first half otherwise
+    return _plus_where_low(param.clan.symbols[: pair.n], w, pair.p)
+
+
+def _member_gl(pair, param, w) -> bool:
+    signs = param.clan.symbols[: pair.n]
+    return all((v > 0) == (s == PLUS) for v, s in zip(w.images, signs))
+
+
+def _member_oo_odd(pair, param, w) -> bool:
+    n = pair.n
+    return abs(w.images[n - 1]) == pair.p + 1 and _plus_where_low(
+        param.clan.symbols[: n - 1], w, pair.p
+    )
+
+
+_MEMBERS = {
+    A_GLPQ: _member_blocks,
+    A_SO_ODD: _member_involution,
+    A_SP: _member_involution,
+    A_SO_EVEN: _member_involution,
+    B_OO: _member_blocks,
+    C_SPSP: _member_blocks,
+    D_OO: _member_blocks,
+    C_GL: _member_gl,
+    D_GL: _member_gl,
+    D_OO_ODD: _member_oo_odd,
+}
 
 
 def _closed_member(pair: SymmetricPair, param: OrbitParameter, w: SignedPermutation) -> bool:
     """Is the fixed point of w contained in the given closed orbit?"""
-    n, p = pair.n, pair.p
-    if pair.case == A_GLPQ:
-        assert isinstance(param, ClanOrbit)
-        plus_positions = {
-            i for i, s in enumerate(param.clan.symbols, start=1) if s == PLUS
-        }
-        return {i for i in range(1, n + 1) if w.images[i - 1] <= p} == plus_positions
-    if pair.case in (A_SO_ODD, A_SP, A_SO_EVEN):
-        size = w.n
-        signed = all(
-            w.images[size - i] == size + 1 - w.images[i - 1] for i in range(1, size + 1)
-        )
-        if not signed:
-            return False
-        if pair.case == A_SO_EVEN:
-            assert isinstance(param, SplitOrbit)
-            crossings = sum(1 for i in range(1, n + 1) if w.images[i - 1] > n)
-            wanted = 0 if param.component == PLUS else 1
-            return crossings % 2 == wanted
-        return True
-    if pair.case in (B_OO, C_SPSP, D_OO):
-        assert isinstance(param, ClanOrbit)
-        plus_positions = {
-            i for i, s in enumerate(param.clan.symbols[:n], start=1) if s == PLUS
-        }
-        low = {i for i in range(1, n + 1) if abs(w.images[i - 1]) <= p}
-        return low == plus_positions
-    if pair.case in (C_GL, D_GL):
-        assert isinstance(param, ClanOrbit)
-        signs = param.clan.symbols[:n]
-        return all(
-            (w.images[i - 1] > 0) == (signs[i - 1] == PLUS) for i in range(1, n + 1)
-        )
-    if pair.case == D_OO_ODD:
-        assert isinstance(param, ClanOrbit)
-        if abs(w.images[n - 1]) != p + 1:
-            return False
-        plus_positions = {
-            i for i, s in enumerate(param.clan.symbols[: n - 1], start=1) if s == PLUS
-        }
-        low = {i for i in range(1, n) if abs(w.images[i - 1]) <= p}
-        return low == plus_positions
-    raise ContractViolation(f"unhandled case {pair.case}")  # pragma: no cover
+    return _MEMBERS[pair.case](pair, param, w)
 
 
 def weight_product_oracle(
@@ -782,7 +763,7 @@ def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
     pair = cls.pair
     space = pair.variable_space()
     n, m = space.x_count, space.y_count
-    if pair.case == A_GLPQ:
+    if pair.kind.chern == "blocks":
         p, q = pair.p, pair.q
         terms = dict(cls.polynomial.terms)
         if not _block_symmetric(terms, 0, p) or not _block_symmetric(terms, p, q):
@@ -795,7 +776,7 @@ def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
             key = tuple(mono[:n]) + (0,) + tuple(mono[n:])
             out_terms[key] = coeff
         return ChernExpression(pair, (p, q), Polynomial(out_space, out_terms))
-    if pair.case in (A_SO_ODD, A_SO_EVEN, A_SP):
+    if pair.kind.chern == "euler":
         out_space = VariableSpace(1, m)
         out_terms = {}
         for mono, coeff in cls.polynomial.terms.items():
@@ -868,7 +849,7 @@ def class_for_parameter(
     param = parse_orbit_parameter(pair, param_text, allow_union=True)
     if param in classes:
         return classes[param]
-    if pair.case == A_SO_EVEN and isinstance(param, InvolutionOrbit):
+    if pair.kind.involutions == "split" and isinstance(param, InvolutionOrbit):
         plus = SplitOrbit(param.involution, PLUS)
         minus = SplitOrbit(param.involution, MINUS)
         if plus in classes and minus in classes:

@@ -5,10 +5,10 @@ a fiber of size 2^k or 2^(k+1) (k the number of positive fixed points of
 the matching signed-element involution; the doubled count occurs exactly
 when no position is swapped with its mirror).  Summing clans over all
 symmetric subgroups in the inner class and grouping them by their
-position involution must reproduce these fiber sizes.  The clans of each
-subgroup come straight from the mirror-aware generator
-``enumerate_clans(..., mirror=..., anti_reflexive=...)`` under that
-subgroup's rule, so no clan outside the inner class is ever built.
+position involution must reproduce these fiber sizes.  The subgroups of
+an inner class are the pair kinds that name it; the clans of each come
+straight from the mirror-aware generator under that kind's clan rule, so
+no clan outside the inner class is ever built.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ from dataclasses import dataclass
 
 from .clans import enumerate_clans
 from .errors import InternalError, UsageError
+from .pairs import KINDS, PQ
 from .weyl import SignedPermutation
 
-INNER_CLASSES = ("B", "C", "D-compact", "D-unequal")
+INNER_CLASSES = tuple(
+    dict.fromkeys(kind.inner_class.name for kind in KINDS.values() if kind.inner_class)
+)
 
 
 @dataclass(frozen=True)
@@ -69,69 +72,37 @@ def _mirrored_swap(sigma: SignedPermutation, n: int) -> bool:
 
 def count_report(inner_class: str, n: int) -> list[CountRow]:
     """Rows (involution, clan total, fiber size) for the inner class."""
-    if inner_class == "B":
-        size = 2 * n + 1
-        clans = [
-            c
-            for p in range(n + 1)
-            for c in enumerate_clans(2 * p, 2 * (n - p) + 1, mirror="symmetric")
-        ]
-        taus = [w.embed_as_permutation(size) for w in _involutions("BC", n)]
-
-        def fiber(sigma: SignedPermutation) -> int:
-            return 2 ** _fixed_low(sigma, n)
-
-    elif inner_class == "C":
-        size = 2 * n
-        clans = [
-            c
-            for p in range(n + 1)
-            for c in enumerate_clans(
-                2 * p, 2 * (n - p), mirror="symmetric", anti_reflexive=True
-            )
-        ]
-        clans += enumerate_clans(n, n, mirror="skew")
-        taus = [w.embed_as_permutation(size) for w in _involutions("BC", n)]
-
-        def fiber(sigma: SignedPermutation) -> int:
-            k = _fixed_low(sigma, n)
-            return 2 ** k if _mirrored_swap(sigma, n) else 2 ** (k + 1)
-
-    elif inner_class == "D-compact":
-        size = 2 * n
-        clans = [
-            c
-            for p in range(n + 1)
-            for c in enumerate_clans(2 * p, 2 * (n - p), mirror="symmetric")
-        ]
-        # the two non-conjugate general-linear subgroups split the
-        # anti-reflexive skew clans between them by the front parity, so the
-        # D:gl rule without its front-parity test gives the inner-class total
-        clans += enumerate_clans(n, n, mirror="skew", anti_reflexive=True)
-        taus = [w.embed_as_permutation(size) for w in _involutions("D", n)]
-
-        def fiber(sigma: SignedPermutation) -> int:
-            k = _fixed_low(sigma, n)
-            return 2 ** k if _mirrored_swap(sigma, n) else 2 ** (k + 1)
-
-    elif inner_class == "D-unequal":
-        size = 2 * n
-        clans = [
-            c
-            for p in range(n)
-            for c in enumerate_clans(2 * p + 1, 2 * (n - p) - 1, mirror="symmetric")
-        ]
-        taus = [
-            w.embed_as_permutation(size) for w in _involutions("BC", n, parity="odd")
-        ]
-
-        def fiber(sigma: SignedPermutation) -> int:
-            return 2 ** _fixed_low(sigma, n)
-
-    else:
+    kinds = [
+        kind for kind in KINDS.values()
+        if kind.inner_class is not None and kind.inner_class.name == inner_class
+    ]
+    if not kinds:
         raise UsageError(
             f"unknown inner class {inner_class!r}; pick from {INNER_CLASSES}"
         )
+    inner = kinds[0].inner_class
+    size = sum(kinds[0].signature(n, 0, n))  # one clan length for the class
+    clans = []
+    for kind in kinds:
+        rule = kind.clan_rule
+        for p in range(n + 1) if kind.form == PQ else (0,):
+            a, b = kind.signature(n, p, n - p)
+            if a < 0 or b < 0:
+                continue
+            # the front-parity test of the type D general-linear rule splits
+            # its clans between two non-conjugate subgroups of the inner
+            # class, so it is left out here
+            clans += enumerate_clans(
+                a, b, mirror=rule.mirror, anti_reflexive=rule.anti_reflexive
+            )
+    taus = [
+        w.embed_as_permutation(size)
+        for w in _involutions(inner.family, n, parity=inner.parity)
+    ]
+
+    def fiber(sigma: SignedPermutation) -> int:
+        k = _fixed_low(sigma, n)
+        return 2 ** (k + 1) if inner.doubled and not _mirrored_swap(sigma, n) else 2 ** k
 
     buckets: dict[tuple[int, ...], int] = {}
     for clan in clans:

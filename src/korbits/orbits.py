@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .clans import CLAN_RULES, MINUS, PLUS, Clan, enumerate_clans, pair_validity
+from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from .errors import ContractViolation, InternalError, UsageError
 from .pairs import (
     A_GLPQ,
@@ -126,18 +126,17 @@ def parse_orbit_parameter(
         if not valid:
             raise UsageError(f"clan {clan} does not label an orbit of {pair.describe()}")
         return ClanOrbit(clan)
-    family, size = pair.ambient_family()
-    if pair.case == A_SO_EVEN and text[:1] in (PLUS, MINUS):
+    policy, size = pair.kind.involutions, pair.ambient_family()[1]
+    if policy == "split" and text[:1] in (PLUS, MINUS):
         perm = parse_cycles(text[1:], size)
         _require_involution(perm)
         return SplitOrbit(perm.images, text[0])
     perm = parse_cycles(text, size)
     _require_involution(perm)
-    if pair.case == A_SP and _has_fixed_point(perm.images):
+    if policy == "fixed-point-free" and _has_fixed_point(perm.images):
         raise UsageError(f"{text!r} has fixed points; not an orbit of {pair.describe()}")
-    if pair.case == A_SO_EVEN and not _has_fixed_point(perm.images):
-        if not allow_union:
-            raise UsageError(f"{text!r} needs a +/- component tag for {pair.describe()}")
+    if policy == "split" and not _has_fixed_point(perm.images) and not allow_union:
+        raise UsageError(f"{text!r} needs a +/- component tag for {pair.describe()}")
     return InvolutionOrbit(perm.images)
 
 
@@ -179,29 +178,22 @@ def _involutions(size: int) -> list[tuple[int, ...]]:
 
 def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
     """All orbit parameters of the pair, sorted deterministically."""
-    if pair.is_clan_case():
-        rule = CLAN_RULES[pair.case]
+    rule, policy = pair.kind.clan_rule, pair.kind.involutions
+    if rule is not None:
         clans = enumerate_clans(
             *pair.clan_signature(), mirror=rule.mirror, anti_reflexive=rule.anti_reflexive
         )
         return [
             ClanOrbit(c) for c in clans if not rule.even_front or c.front_parity_even()
         ]
-    _, size = pair.ambient_family()
-    involutions = _involutions(size)
     params: list[OrbitParameter] = []
-    for inv in involutions:
-        if pair.case == A_SP:
-            if not _has_fixed_point(inv):
-                params.append(InvolutionOrbit(inv))
-        elif pair.case == A_SO_ODD:
+    for inv in _involutions(pair.ambient_family()[1]):
+        fixed = _has_fixed_point(inv)
+        if policy == "split" and not fixed:
+            params.append(SplitOrbit(inv, PLUS))
+            params.append(SplitOrbit(inv, MINUS))
+        elif not (fixed and policy == "fixed-point-free"):
             params.append(InvolutionOrbit(inv))
-        else:  # A_SO_EVEN
-            if _has_fixed_point(inv):
-                params.append(InvolutionOrbit(inv))
-            else:
-                params.append(SplitOrbit(inv, PLUS))
-                params.append(SplitOrbit(inv, MINUS))
     return sorted(params, key=lambda p: p.sort_key())
 
 
@@ -209,9 +201,9 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
 # closed orbits and their torus-fixed representatives
 
 
-def _sign_string_rep(signs: Sequence[str], p: int, family: str) -> SignedPermutation:
-    """Plain permutation sending + positions to 1..p and - positions to
-    p+1..n, each in increasing order."""
+def _sign_string_images(signs: Sequence[str], p: int) -> tuple[int, ...]:
+    """Images of the plain permutation sending + positions to 1..p and -
+    positions to p+1, p+2, ..., each in increasing order."""
     images = [0] * len(signs)
     plus_seen = minus_seen = 0
     for idx, sign in enumerate(signs):
@@ -221,84 +213,85 @@ def _sign_string_rep(signs: Sequence[str], p: int, family: str) -> SignedPermuta
         else:
             minus_seen += 1
             images[idx] = p + minus_seen
-    return SignedPermutation(family, tuple(images))
+    return tuple(images)
 
 
 def _longest_involution(size: int) -> tuple[int, ...]:
     return tuple(range(size, 0, -1))
 
 
+def _sign_strings(n: int, p: int):
+    """Sign lists of length n with p plus signs, in combination order."""
+    for plus_positions in itertools.combinations(range(n), p):
+        signs = [MINUS] * n
+        for idx in plus_positions:
+            signs[idx] = PLUS
+        yield signs
+
+
+def _closed_glpq(pair: SymmetricPair):
+    for signs in _sign_strings(pair.n, pair.p):
+        images = _sign_string_images(signs, pair.p)
+        yield ClanOrbit(Clan.of(signs)), SignedPermutation("A", images)
+
+
+def _closed_longest(pair: SymmetricPair):
+    size = pair.ambient_family()[1]
+    yield InvolutionOrbit(_longest_involution(size)), SignedPermutation.identity("A", size)
+
+
+def _closed_split(pair: SymmetricPair):
+    size = pair.ambient_family()[1]
+    w0 = _longest_involution(size)
+    identity = SignedPermutation.identity("A", size)
+    yield SplitOrbit(w0, PLUS), identity
+    yield SplitOrbit(w0, MINUS), _value_swap(identity, pair.n)
+
+
+def _closed_blocks(pair: SymmetricPair):
+    # the odd-length (type B) clans carry a minus sign in the middle
+    middle = [MINUS] if pair.root_family() == "B" else []
+    for half in _sign_strings(pair.n, pair.p):
+        clan = Clan.of(half + middle + half[::-1])
+        images = _sign_string_images(half, pair.p)
+        yield ClanOrbit(clan), SignedPermutation(pair.kind.ambient, images)
+
+
+def _closed_gl(pair: SymmetricPair):
+    family = pair.kind.ambient
+    for signs in itertools.product((PLUS, MINUS), repeat=pair.n):
+        if family == "D" and signs.count(MINUS) % 2:
+            continue
+        symbols = list(signs) + [PLUS if s == MINUS else MINUS for s in reversed(signs)]
+        images = tuple(i if s == PLUS else -i for i, s in enumerate(signs, start=1))
+        yield ClanOrbit(Clan.of(symbols)), SignedPermutation(family, images)
+
+
+def _closed_oo_odd(pair: SymmetricPair):
+    n, p = pair.n, pair.p
+    for half in _sign_strings(n - 1, p):
+        # position n goes to p+1, between the two blocks
+        images = _sign_string_images(half, p + 1) + (p + 1,)
+        yield ClanOrbit(Clan.of(half + [1, 1] + half[::-1])), SignedPermutation("D", images)
+
+
+_CLOSED_ORBITS = {
+    A_GLPQ: _closed_glpq,
+    A_SO_ODD: _closed_longest,
+    A_SP: _closed_longest,
+    A_SO_EVEN: _closed_split,
+    B_OO: _closed_blocks,
+    C_SPSP: _closed_blocks,
+    D_OO: _closed_blocks,
+    C_GL: _closed_gl,
+    D_GL: _closed_gl,
+    D_OO_ODD: _closed_oo_odd,
+}
+
+
 def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
     """Closed orbits with one torus-fixed representative each."""
-    n, p, q = pair.n, pair.p, pair.q
-    out: list[tuple[OrbitParameter, SignedPermutation]] = []
-    if pair.case == A_GLPQ:
-        for plus_positions in itertools.combinations(range(n), p):
-            signs = [MINUS] * n
-            for idx in plus_positions:
-                signs[idx] = PLUS
-            clan = Clan.of(signs)
-            out.append((ClanOrbit(clan), _sign_string_rep(signs, p, "A")))
-    elif pair.case == A_SO_ODD:
-        size = 2 * n + 1
-        out.append(
-            (InvolutionOrbit(_longest_involution(size)), SignedPermutation.identity("A", size))
-        )
-    elif pair.case == A_SP:
-        size = 2 * n
-        out.append(
-            (InvolutionOrbit(_longest_involution(size)), SignedPermutation.identity("A", size))
-        )
-    elif pair.case == A_SO_EVEN:
-        size = 2 * n
-        w0 = _longest_involution(size)
-        identity = SignedPermutation.identity("A", size)
-        out.append((SplitOrbit(w0, PLUS), identity))
-        out.append((SplitOrbit(w0, MINUS), _value_swap(identity, n)))
-    elif pair.case in (B_OO, C_SPSP, D_OO):
-        family = "D" if pair.case == D_OO else "BC"
-        for plus_positions in itertools.combinations(range(n), p):
-            half = [MINUS] * n
-            for idx in plus_positions:
-                half[idx] = PLUS
-            if pair.case == B_OO:
-                symbols = half + [MINUS] + half[::-1]
-            else:
-                symbols = half + half[::-1]
-            clan = Clan.of(symbols)
-            out.append((ClanOrbit(clan), _sign_string_rep(half, p, family)))
-    elif pair.case in (C_GL, D_GL):
-        family = "BC" if pair.case == C_GL else "D"
-        for signs in itertools.product((PLUS, MINUS), repeat=n):
-            if pair.case == D_GL and signs.count(MINUS) % 2:
-                continue
-            symbols = list(signs) + [
-                PLUS if s == MINUS else MINUS for s in reversed(signs)
-            ]
-            clan = Clan.of(symbols)
-            images = tuple(i if s == PLUS else -i for i, s in enumerate(signs, start=1))
-            out.append((ClanOrbit(clan), SignedPermutation(family, images)))
-    elif pair.case == D_OO_ODD:
-        for plus_positions in itertools.combinations(range(n - 1), p):
-            half = [MINUS] * (n - 1)
-            for idx in plus_positions:
-                half[idx] = PLUS
-            symbols = half + [1, 1] + half[::-1]
-            clan = Clan.of(symbols)
-            images = [0] * n
-            plus_seen = minus_seen = 0
-            for idx, sign in enumerate(half):
-                if sign == PLUS:
-                    plus_seen += 1
-                    images[idx] = plus_seen
-                else:
-                    minus_seen += 1
-                    images[idx] = p + 1 + minus_seen
-            images[n - 1] = p + 1
-            out.append((ClanOrbit(clan), SignedPermutation("D", tuple(images))))
-    else:  # pragma: no cover
-        raise ContractViolation(f"unhandled case {pair.case}")
-    return sorted(out, key=lambda pr: pr[0].sort_key())
+    return sorted(_CLOSED_ORBITS[pair.case](pair), key=lambda pr: pr[0].sort_key())
 
 
 def _value_swap(w: SignedPermutation, n: int) -> SignedPermutation:
@@ -470,20 +463,19 @@ def _clan_status_d_last_gl(clan: Clan, n: int) -> RootStatus:
     return RootStatus(kind, ClanOrbit(target))
 
 
-_MIRRORED_TYPE_II = {B_OO: True, C_SPSP: False, C_GL: True, D_OO: True, D_GL: False, D_OO_ODD: True}
-
-
 def _clan_classify(pair: SymmetricPair, clan: Clan, i: int) -> RootStatus:
-    n = pair.n
-    if pair.case == A_GLPQ:
+    n, kind = pair.n, pair.kind
+    if kind.roots == "A":
         return _clan_status_type_a(clan, i)
     if i < n:
-        return _clan_status_mirrored(clan, i, _MIRRORED_TYPE_II[pair.case])
-    if pair.case == B_OO:
+        # the degree-two raise pairs mirrored positions, which an
+        # anti-reflexive rule forbids
+        return _clan_status_mirrored(clan, i, not kind.clan_rule.anti_reflexive)
+    if kind.roots == "B":
         return _clan_status_b_last(clan, n)
-    if pair.case in (C_SPSP, C_GL):
+    if kind.roots == "C":
         return _clan_status_c_last(clan, n)
-    if pair.case in (D_OO, D_OO_ODD):
+    if kind.clan_rule.mirror == "symmetric":
         return _clan_status_d_last_orthogonal(clan, n)
     return _clan_status_d_last_gl(clan, n)
 
@@ -584,7 +576,7 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
         return RootStatus("complex", SplitOrbit(target, param.component))
     if not degree_two:
         return RootStatus("complex", InvolutionOrbit(target))
-    if pair.case == A_SP:
+    if pair.kind.involutions == "fixed-point-free":
         # the left product acquires fixed points, which lies outside the
         # symplectic orbit set: no edge
         return NO_RAISE
@@ -595,7 +587,7 @@ def cross_action(pair: SymmetricPair, w: SignedPermutation, param: OrbitParamete
     """The Weyl-group cross action on orbit parameters."""
     if isinstance(param, ClanOrbit):
         clan = param.clan
-        if pair.case == A_GLPQ:
+        if pair.ambient_family()[0] == "A":
             sigma = w
         else:
             sigma = w.embed_as_permutation(len(clan))
@@ -840,13 +832,10 @@ def representative_flag(pair: SymmetricPair, param: OrbitParameter) -> FlagRepre
     Implemented for every orbit of the type A pairs and for the closed
     orbits of all pairs (their torus-fixed coordinate flags).
     """
-    if pair.case == A_GLPQ:
-        assert isinstance(param, ClanOrbit)
+    family, size = pair.ambient_family()
+    if family == "A" and isinstance(param, ClanOrbit):
         return _clan_flag(param.clan, pair.p)
-    if pair.case in (A_SO_ODD, A_SP) or (
-        pair.case == A_SO_EVEN and isinstance(param, (InvolutionOrbit, SplitOrbit))
-    ):
-        _, size = pair.ambient_family()
+    if family == "A":
         inv = param.involution  # type: ignore[union-attr]
         vectors = _involution_basis(inv, size)
         if isinstance(param, SplitOrbit) and param.component == MINUS:
@@ -858,13 +847,8 @@ def representative_flag(pair: SymmetricPair, param: OrbitParameter) -> FlagRepre
         return FlagRepresentative(tuple(tuple(v) for v in vectors))
     for closed_param, rep in closed_orbits(pair):
         if closed_param == param:
-            _, rank = pair.ambient_family()
-            if pair.ambient_family()[0] == "A":
-                sigma = rep
-                size = rep.n
-            else:
-                size = 2 * rank + (1 if pair.case == B_OO else 0)
-                sigma = rep.embed_as_permutation(size)
+            size = pair.matrix_size()
+            sigma = rep.embed_as_permutation(size)
             vectors = [_unit(size, sigma.images[i - 1]) for i in range(1, size + 1)]
             return FlagRepresentative(tuple(tuple(v) for v in vectors))
     raise ContractViolation(

@@ -1,16 +1,19 @@
 """The ten symmetric pairs (G, K) handled by the library.
 
-Each pair fixes an ambient classical group G, a symmetric subgroup K, the
-variable space for equivariant classes (r torus coordinates for K's torus,
-m for G's), the ambient Weyl-group family used for fixed-point
-enumeration, and the root-system family driving the divided difference
-operators.  Pair descriptors are parsed from strings like ``A:glpq:2,2``
-or ``D:oo-odd:1,2``.
+A pair is a case tag plus its rank data (n, and the block sizes p, q).
+Everything the library knows about a case is written down once, in that
+case's :class:`PairKind` record in ``KINDS``: its descriptor and
+description, the ambient Weyl group and root system of G, the rule saying
+which clans or involutions label its orbits, its restriction map to the
+small torus, the root blocks of K, its Chern form and its inner class.
+Pair descriptors are parsed from strings like ``A:glpq:2,2`` or
+``D:oo-odd:1,2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .algebra import SimpleRootAction, VariableSpace, simple_root_action
 from .errors import UsageError
@@ -27,12 +30,128 @@ D_OO = "D_OO"            # (SO(2n), S(O(2p) x O(2q)))
 D_GL = "D_GL"            # (SO(2n), GL(n))
 D_OO_ODD = "D_OO_ODD"    # (SO(2n), S(O(2p+1) x O(2q-1)))
 
-ALL_CASES = (
-    A_GLPQ, A_SO_ODD, A_SO_EVEN, A_SP,
-    B_OO, C_SPSP, C_GL, D_OO, D_GL, D_OO_ODD,
-)
+# Descriptor parameter forms.
+PQ = "p,q"        # the two block sizes; n = p + q
+RANK = "n"        # the rank
+ODD = "odd N"     # the matrix size N = 2n + 1
+EVEN = "even N"   # the matrix size N = 2n
 
-_CLAN_CASES = {A_GLPQ, B_OO, C_SPSP, C_GL, D_OO, D_GL, D_OO_ODD}
+
+@dataclass(frozen=True)
+class ClanRule:
+    """Which clans of a pair's signature label its orbits (Matsuki-Oshima)."""
+
+    mirror: Optional[str] = None  # None, "symmetric" or "skew"
+    anti_reflexive: bool = False
+    even_front: bool = False
+
+    def admits(self, clan) -> bool:
+        if self.mirror == "symmetric" and not clan.is_symmetric():
+            return False
+        if self.mirror == "skew" and not clan.is_skew_symmetric():
+            return False
+        if self.anti_reflexive and not clan.is_anti_reflexive():
+            return False
+        return not self.even_front or clan.front_parity_even()
+
+
+@dataclass(frozen=True)
+class InnerClass:
+    """An inner class of involutions of the signed group ``family`` (with
+    the given sign-change ``parity``).  The one-sided fiber over a twisted
+    involution has 2^k points, k its positive fixed points, or 2^(k+1) when
+    ``doubled`` and no position is swapped with its mirror."""
+
+    name: str
+    family: str
+    parity: str = "any"
+    doubled: bool = False
+
+
+INNER_B = InnerClass("B", "BC")
+INNER_C = InnerClass("C", "BC", doubled=True)
+INNER_D_COMPACT = InnerClass("D-compact", "D", doubled=True)
+INNER_D_UNEQUAL = InnerClass("D-unequal", "BC", parity="odd")
+
+
+@dataclass(frozen=True)
+class PairKind:
+    """Everything that depends on a pair's case alone."""
+
+    tag: str
+    descriptor: str  # "TYPE:case", before the parameters
+    form: str  # parameter form: PQ, RANK, ODD or EVEN
+    template: str  # describe() over N (matrix size), n and the signature a, b
+    ambient: str  # Weyl family of G: "A", "BC" or "D"
+    roots: str  # root family of G: "A", "B", "C" or "D"
+    # root families of K's blocks: one block x_1..x_r, or two split after x_p
+    subgroup: tuple[str, ...]
+    # y_j -> x_j ("identity"); y_j -> x_j, y_{N+1-j} -> -x_j and any middle
+    # y -> 0 ("fold"); y_{p+1} -> 0 and the later x-labels close up ("drop")
+    restriction: str = "identity"
+    signature: Optional[Callable[[int, int, int], tuple[int, int]]] = None  # (n, p, q)
+    clan_rule: Optional[ClanRule] = None  # None: orbits are labelled by involutions
+    # which involutions of S_N label orbits: "all", "fixed-point-free", or
+    # "split" (all, each fixed-point-free one as two tagged components)
+    involutions: Optional[str] = None
+    chern: Optional[str] = None  # "blocks" (z-generators), "euler", or None
+    inner_class: Optional[InnerClass] = None
+
+
+_ORTHOGONAL_BLOCKS = "(SO({N}), S(O({a}) x O({b})))"
+
+KINDS = {
+    kind.tag: kind
+    for kind in (
+        PairKind(
+            A_GLPQ, "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A", "A", ("A", "A"),
+            signature=lambda n, p, q: (p, q), clan_rule=ClanRule(), chern="blocks",
+        ),
+        PairKind(
+            A_SO_ODD, "A:so", ODD, "(SL({N}), SO({N}))", "A", "A", ("B",),
+            restriction="fold", involutions="all", chern="euler",
+        ),
+        PairKind(
+            A_SO_EVEN, "A:so-even", EVEN, "(SL({N}), SO({N}))", "A", "A", ("D",),
+            restriction="fold", involutions="split", chern="euler",
+        ),
+        PairKind(
+            A_SP, "A:sp", EVEN, "(SL({N}), Sp({N}))", "A", "A", ("C",),
+            restriction="fold", involutions="fixed-point-free", chern="euler",
+        ),
+        PairKind(
+            B_OO, "B:oo", PQ, _ORTHOGONAL_BLOCKS, "BC", "B", ("D", "B"),
+            signature=lambda n, p, q: (2 * p, 2 * q + 1),
+            clan_rule=ClanRule("symmetric"), inner_class=INNER_B,
+        ),
+        PairKind(
+            C_SPSP, "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "BC", "C", ("C", "C"),
+            signature=lambda n, p, q: (2 * p, 2 * q),
+            clan_rule=ClanRule("symmetric", anti_reflexive=True), inner_class=INNER_C,
+        ),
+        PairKind(
+            C_GL, "C:gl", RANK, "(Sp({N}), GL({n}))", "BC", "C", ("A",),
+            signature=lambda n, p, q: (n, n),
+            clan_rule=ClanRule("skew"), inner_class=INNER_C,
+        ),
+        PairKind(
+            D_OO, "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("D", "D"),
+            signature=lambda n, p, q: (2 * p, 2 * q),
+            clan_rule=ClanRule("symmetric"), inner_class=INNER_D_COMPACT,
+        ),
+        PairKind(
+            D_GL, "D:gl", RANK, "(SO({N}), GL({n}))", "D", "D", ("A",),
+            signature=lambda n, p, q: (n, n),
+            clan_rule=ClanRule("skew", anti_reflexive=True, even_front=True),
+            inner_class=INNER_D_COMPACT,
+        ),
+        PairKind(
+            D_OO_ODD, "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("B", "B"),
+            restriction="drop", signature=lambda n, p, q: (2 * p + 1, 2 * q - 1),
+            clan_rule=ClanRule("symmetric"), inner_class=INNER_D_UNEQUAL,
+        ),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -43,108 +162,82 @@ class SymmetricPair:
     q: int = 0
 
     def __post_init__(self) -> None:
-        if self.case not in ALL_CASES:
+        kind = KINDS.get(self.case)
+        if kind is None:
             raise UsageError(f"unknown case {self.case!r}")
         if self.n < 1:
             raise UsageError("rank must be at least 1")
-        if self.case in (A_GLPQ, B_OO, C_SPSP, D_OO, D_OO_ODD):
+        if kind.form == PQ:
             if self.p < 0 or self.q < 0 or self.p + self.q != self.n:
                 raise UsageError("need p, q >= 0 with p + q = n")
-            if self.case == A_GLPQ and self.n < 1:
-                raise UsageError("need p + q >= 1")
-            if self.case == D_OO_ODD and self.q < 1:
-                raise UsageError("the odd orthogonal split needs q >= 1")
-        if self.case.startswith("D") and self.n < 2:
+            if min(self.clan_signature()) < 0:
+                raise UsageError(
+                    f"{self.spec_string()} has clan signature {self.clan_signature()}; "
+                    f"the odd orthogonal split needs q >= 1"
+                )
+        if kind.ambient == "D" and self.n < 2:
             raise UsageError("type D pairs need n >= 2")
 
     # -- descriptive data -------------------------------------------------
 
+    @property
+    def kind(self) -> PairKind:
+        return KINDS[self.case]
+
     def ambient_family(self) -> tuple[str, int]:
         """(family, size): family "A" with S_N, or "BC"/"D" signed rank n."""
-        if self.case == A_GLPQ:
-            return ("A", self.n)
-        if self.case == A_SO_ODD:
-            return ("A", 2 * self.n + 1)
-        if self.case in (A_SO_EVEN, A_SP):
-            return ("A", 2 * self.n)
-        if self.case in (B_OO, C_SPSP, C_GL):
-            return ("BC", self.n)
-        return ("D", self.n)
+        kind = self.kind
+        if kind.form == ODD:
+            return kind.ambient, 2 * self.n + 1
+        return kind.ambient, 2 * self.n if kind.form == EVEN else self.n
 
     def root_family(self) -> str:
         """Root-system family of G, for divided difference operators."""
-        if self.case in (A_GLPQ, A_SO_ODD, A_SO_EVEN, A_SP):
-            return "A"
-        if self.case == B_OO:
-            return "B"
-        if self.case in (C_SPSP, C_GL):
-            return "C"
-        return "D"
+        return self.kind.roots
 
     def num_simple_roots(self) -> int:
         family, size = self.ambient_family()
         return size - 1 if family == "A" else size
 
     def variable_space(self) -> VariableSpace:
-        if self.case == A_GLPQ:
-            return VariableSpace(self.n, self.n)
-        if self.case == A_SO_ODD:
-            return VariableSpace(self.n, 2 * self.n + 1)
-        if self.case in (A_SO_EVEN, A_SP):
-            return VariableSpace(self.n, 2 * self.n)
-        if self.case == D_OO_ODD:
-            return VariableSpace(self.n - 1, self.n)
-        return VariableSpace(self.n, self.n)
+        """x's for K's torus (one fewer when the restriction drops a
+        coordinate) and one y per ambient coordinate."""
+        x_count = self.n - 1 if self.kind.restriction == "drop" else self.n
+        return VariableSpace(x_count, self.ambient_family()[1])
 
     def root_action(self, i: int) -> SimpleRootAction:
         return simple_root_action(self.variable_space(), self.root_family(), i)
 
     def is_clan_case(self) -> bool:
-        return self.case in _CLAN_CASES
+        return self.kind.clan_rule is not None
 
     def clan_signature(self) -> tuple[int, int]:
         """(#plus, #minus) signature of the clans labelling the orbits."""
-        if self.case == A_GLPQ:
-            return (self.p, self.q)
-        if self.case == B_OO:
-            return (2 * self.p, 2 * self.q + 1)
-        if self.case in (C_SPSP, D_OO):
-            return (2 * self.p, 2 * self.q)
-        if self.case in (C_GL, D_GL):
-            return (self.n, self.n)
-        if self.case == D_OO_ODD:
-            return (2 * self.p + 1, 2 * self.q - 1)
-        raise UsageError(f"{self.case} is not clan-parametrized")
+        signature = self.kind.signature
+        if signature is None:
+            raise UsageError(f"{self.spec_string()} is not clan-parametrized")
+        return signature(self.n, self.p, self.q)
+
+    def matrix_size(self) -> int:
+        """N with G inside SL(N), SO(N) or Sp(N)."""
+        if self.is_clan_case():
+            return sum(self.clan_signature())
+        return self.ambient_family()[1]
 
     def describe(self) -> str:
-        n, p, q = self.n, self.p, self.q
-        return {
-            A_GLPQ: f"(SL({n}), S(GL({p}) x GL({q})))",
-            A_SO_ODD: f"(SL({2*n+1}), SO({2*n+1}))",
-            A_SO_EVEN: f"(SL({2*n}), SO({2*n}))",
-            A_SP: f"(SL({2*n}), Sp({2*n}))",
-            B_OO: f"(SO({2*n+1}), S(O({2*p}) x O({2*q+1})))",
-            C_SPSP: f"(Sp({2*n}), Sp({2*p}) x Sp({2*q}))",
-            C_GL: f"(Sp({2*n}), GL({n}))",
-            D_OO: f"(SO({2*n}), S(O({2*p}) x O({2*q})))",
-            D_GL: f"(SO({2*n}), GL({n}))",
-            D_OO_ODD: f"(SO({2*n}), S(O({2*p+1}) x O({2*q-1})))",
-        }[self.case]
+        a, b = self.clan_signature() if self.is_clan_case() else (0, 0)
+        return self.kind.template.format(N=self.matrix_size(), n=self.n, a=a, b=b)
 
     def spec_string(self) -> str:
-        n, p, q = self.n, self.p, self.q
-        return {
-            A_GLPQ: f"A:glpq:{p},{q}",
-            A_SO_ODD: f"A:so:{2*n+1}",
-            A_SO_EVEN: f"A:so-even:{2*n}",
-            A_SP: f"A:sp:{2*n}",
-            B_OO: f"B:oo:{p},{q}",
-            C_SPSP: f"C:spsp:{p},{q}",
-            C_GL: f"C:gl:{n}",
-            D_OO: f"D:oo:{p},{q}",
-            D_GL: f"D:gl:{n}",
-            D_OO_ODD: f"D:oo-odd:{p},{q}",
-        }[self.case]
+        kind = self.kind
+        if kind.form == PQ:
+            params = f"{self.p},{self.q}"
+        else:
+            params = str(self.n if kind.form == RANK else self.matrix_size())
+        return f"{kind.descriptor}:{params}"
+
+
+_BY_DESCRIPTOR = {kind.descriptor: kind for kind in KINDS.values()}
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -166,41 +259,17 @@ def parse_pair_spec(text: str) -> SymmetricPair:
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise UsageError(f"pair descriptor {text!r} is not TYPE:case:params")
-    family, case, params = parts[0].upper(), parts[1].lower(), parts[2]
-    if family == "A" and case == "glpq":
-        p, q = _parse_pq(params)
-        return SymmetricPair(A_GLPQ, p + q, p, q)
-    if family == "A" and case == "so":
-        size = _parse_int(params, "N")
-        if size < 3 or size % 2 == 0:
-            raise UsageError("A:so:N needs odd N >= 3; use A:so-even for even N")
-        return SymmetricPair(A_SO_ODD, (size - 1) // 2)
-    if family == "A" and case == "so-even":
-        size = _parse_int(params, "N")
-        if size < 2 or size % 2:
-            raise UsageError("A:so-even:N needs even N >= 2")
-        return SymmetricPair(A_SO_EVEN, size // 2)
-    if family == "A" and case == "sp":
-        size = _parse_int(params, "N")
-        if size < 2 or size % 2:
-            raise UsageError("A:sp:N needs even N >= 2")
-        return SymmetricPair(A_SP, size // 2)
-    if family == "B" and case == "oo":
-        p, q = _parse_pq(params)
-        return SymmetricPair(B_OO, p + q, p, q)
-    if family == "C" and case == "spsp":
-        p, q = _parse_pq(params)
-        return SymmetricPair(C_SPSP, p + q, p, q)
-    if family == "C" and case == "gl":
-        n = _parse_int(params, "n")
-        return SymmetricPair(C_GL, n)
-    if family == "D" and case == "oo":
-        p, q = _parse_pq(params)
-        return SymmetricPair(D_OO, p + q, p, q)
-    if family == "D" and case == "gl":
-        n = _parse_int(params, "n")
-        return SymmetricPair(D_GL, n)
-    if family == "D" and case == "oo-odd":
-        p, q = _parse_pq(params)
-        return SymmetricPair(D_OO_ODD, p + q, p, q)
-    raise UsageError(f"unknown pair descriptor {text!r}")
+    descriptor = f"{parts[0].upper()}:{parts[1].lower()}"
+    kind = _BY_DESCRIPTOR.get(descriptor)
+    if kind is None:
+        raise UsageError(f"unknown pair descriptor {text!r}")
+    if kind.form == PQ:
+        p, q = _parse_pq(parts[2])
+        return SymmetricPair(kind.tag, p + q, p, q)
+    if kind.form == RANK:
+        return SymmetricPair(kind.tag, _parse_int(parts[2], "n"))
+    size = _parse_int(parts[2], "N")
+    odd = kind.form == ODD
+    if size < 2 + odd or size % 2 != odd:
+        raise UsageError(f"{descriptor}:N needs {kind.form} >= {2 + odd}")
+    return SymmetricPair(kind.tag, size // 2)

@@ -17,14 +17,7 @@ from typing import Iterator, Optional
 
 from .algebra import PlanEntry
 from .errors import ContractViolation, UsageError
-from .pairs import (
-    A_GLPQ,
-    A_SO_EVEN,
-    A_SO_ODD,
-    A_SP,
-    D_OO_ODD,
-    SymmetricPair,
-)
+from .pairs import SymmetricPair
 
 #: Restriction targets per y-index: None for zero, else (sign, x_index).
 RestrictionMap = tuple[Optional[tuple[int, int]], ...]
@@ -326,36 +319,20 @@ def restriction_map(pair: SymmetricPair) -> RestrictionMap:
     """The per-pair map sending each torus coordinate Y_j into the small
     torus: entries are (sign, x_index) or None for the coordinate that
     restricts to zero."""
-    n = pair.n
-    if pair.case == A_GLPQ:
-        return tuple((1, j) for j in range(1, n + 1))
-    if pair.case == A_SO_ODD:
-        entries: list[Optional[tuple[int, int]]] = []
-        for j in range(1, 2 * n + 2):
-            if j <= n:
-                entries.append((1, j))
-            elif j == n + 1:
-                entries.append(None)
-            else:
-                entries.append((-1, 2 * n + 2 - j))
-        return tuple(entries)
-    if pair.case in (A_SO_EVEN, A_SP):
+    n, size = pair.n, pair.ambient_family()[1]
+    rule = pair.kind.restriction
+    if rule == "fold":
         return tuple(
-            (1, j) if j <= n else (-1, 2 * n + 1 - j) for j in range(1, 2 * n + 1)
+            (1, j) if j <= n else (-1, size + 1 - j) if j > size - n else None
+            for j in range(1, size + 1)
         )
-    if pair.case == D_OO_ODD:
+    if rule == "drop":
+        # internal x-labels are contiguous, so X_j becomes x_{j-1} past p+1
         p = pair.p
-        entries = []
-        for j in range(1, n + 1):
-            if j <= p:
-                entries.append((1, j))
-            elif j == p + 1:
-                entries.append(None)
-            else:
-                # internal x-labels are contiguous, so X_j becomes x_{j-1}
-                entries.append((1, j - 1))
-        return tuple(entries)
-    # remaining equal-rank cases restrict coordinates identically
+        return tuple(
+            (1, j) if j <= p else None if j == p + 1 else (1, j - 1)
+            for j in range(1, n + 1)
+        )
     return tuple((1, j) for j in range(1, n + 1))
 
 

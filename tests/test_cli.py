@@ -193,6 +193,8 @@ def test_orbits_enumerates_once(capsys, monkeypatch):
 
 SO3 = "# pair: A:so:3\n"
 GLPQ11 = "# pair: A:glpq:1,1\n"
+GLPQ22 = "# pair: A:glpq:2,2\n"
+SIX = "(x1+x2+y1+y2+y3+y4)"
 
 
 @pytest.mark.parametrize(
@@ -207,6 +209,9 @@ GLPQ11 = "# pair: A:glpq:1,1\n"
         (None, GLPQ11 + "(+,-) := x1+1/" + "9" * 5000),
         (None, GLPQ11 + "(+,-) := x" + "1" * 5000),
         (None, GLPQ11 + "(+,-) := y" + "1" * 5000),
+        (None, GLPQ22 + f"(+,+,-,-) := {SIX}^24"),
+        (None, GLPQ22 + f"(+,+,-,-) := {SIX}^8*{SIX}^8"),
+        (None, GLPQ22 + f"(+,+,-,-) := {SIX}^64"),
     ],
     ids=[
         "zero-denominator",
@@ -218,6 +223,9 @@ GLPQ11 = "# pair: A:glpq:1,1\n"
         "long-denominator",
         "long-x-index",
         "long-y-index",
+        "power-squares-past-term-bound",
+        "product-past-term-bound",
+        "power-past-term-bound",
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):
@@ -244,6 +252,18 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
 
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+OUTPUT_PINS = Path(__file__).with_name("output_pins.json")
+
+
+def test_graph_orbits_count_outputs_match_pins(capsys):
+    # graph and orbits --format json on the ten pairs at ranks 2 and 3, and
+    # count on the four inner classes at n <= 4, byte for byte
+    pins = json.loads(OUTPUT_PINS.read_text())
+    assert len(pins) == 56
+    for call, digest in pins.items():
+        code, out, _ = run(capsys, *call.split())
+        assert code == 0, call
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, call
 
 
 def test_orbits_count_outputs_match_benchmark_pins(capsys):

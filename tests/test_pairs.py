@@ -1,0 +1,88 @@
+"""The pair-kind table: descriptors, names, and where cases are dispatched."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from korbits.errors import UsageError
+from korbits.pairs import KINDS, parse_pair_spec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# an expression in n, p, q such as "2n+1", "p+q" or "2q-1", not inside a word
+_EXPR = re.compile(r"(?<![A-Za-z0-9])\d*[npq](?:[+-](?:\d*[npq]|\d+))*(?![A-Za-z])")
+
+
+def _instantiate(text: str, n: int, p: int, q: int) -> str:
+    def value(match) -> str:
+        expr = re.sub(r"(\d)([npq])", r"\1*\2", match.group(0))
+        return str(eval(expr, {}, {"n": n, "p": p, "q": q}))
+
+    return _EXPR.sub(value, text)
+
+
+def _readme_rows() -> list[tuple[str, str]]:
+    """(descriptor, pair) rows of the README's table of the ten pairs."""
+    rows = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        match = re.match(r"\| `([^`]+)`\s*\| ([^|]+?)\s*\|", line)
+        if match:
+            rows.append((match.group(1), match.group(2)))
+    return rows
+
+
+def test_readme_table_lists_every_kind():
+    descriptors = {descriptor.rsplit(":", 1)[0] for descriptor, _ in _readme_rows()}
+    assert descriptors == {kind.descriptor for kind in KINDS.values()}
+    assert len(_readme_rows()) == 10
+
+
+@pytest.mark.parametrize("n, p, q", [(2, 1, 1), (3, 1, 2)])
+@pytest.mark.parametrize("descriptor, described", _readme_rows())
+def test_descriptor_round_trip_and_description(descriptor, described, n, p, q):
+    spec = _instantiate(descriptor, n, p, q)
+    pair = parse_pair_spec(spec)
+    assert pair.n == n
+    assert pair.spec_string() == spec
+    assert parse_pair_spec(pair.spec_string()) == pair
+    assert pair.describe() == _instantiate(described, n, p, q)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "A:so:4",  # even A:so
+        "A:so:1",
+        "A:so-even:5",
+        "A:sp:5",  # odd A:sp
+        "A:sp:0",
+        "D:oo-odd:2,0",
+        "D:oo:1,0",  # rank 1 in type D
+        "D:gl:1",
+        "D:oo-odd:0,1",
+        "A:glpq:0,0",
+        "B:oo:1,-1",
+        "C:gl:x",
+        "A:glpq:1",
+        "Z:bad:1",
+        "A:so",
+    ],
+)
+def test_bad_descriptor_is_usage_error(spec):
+    with pytest.raises(UsageError):
+        parse_pair_spec(spec)
+
+
+def test_no_case_chains_outside_pairs():
+    # case facts live in the pair-kind records; other modules read them
+    # through pair.kind or look them up in a table keyed by the case
+    chain = re.compile(r"\.case\s*(==|!=|in\b|not\s+in\b)")
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "korbits").glob("*.py"))
+        if path.name != "pairs.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if chain.search(line)
+    ]
+    assert offenders == []
