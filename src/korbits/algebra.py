@@ -11,11 +11,12 @@ Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic comparison of the exponent tuple with x1 strongest).  The
 same order drives printing, leading-term extraction and exact division.
 
-On top of the ring operations the module provides elementary symmetric
+On top of the ring operations the module provides composition (x's
+replaced by polynomials, y's passed through), elementary symmetric
 polynomials, determinants of polynomial matrices (cofactor expansion for
 small sizes, fraction-free Bareiss elimination above), divided difference
 operators for the classical root systems, and a text grammar used by
-fixtures and the CLI.
+fixtures and the CLI.  It is the only module that reads the term dict.
 """
 
 from __future__ import annotations
@@ -98,7 +99,13 @@ class VariableSpace:
     def _variable(self, slot: int) -> "Polynomial":
         exp = [0] * self.nvars
         exp[slot] = 1
-        return Polynomial(self, {tuple(exp): 1})
+        return self.monomial(exp)
+
+    def monomial(self, exponents: Sequence[int]) -> "Polynomial":
+        """The monomial with the given exponents, one per slot, x-bank first."""
+        if len(exponents) != self.nvars or min(exponents, default=0) < 0:
+            raise ContractViolation(f"{tuple(exponents)} is not a monomial in {self.nvars} slots")
+        return Polynomial._from_clean(self, {tuple(exponents): 1})
 
 
 def _power(base: "Polynomial", exponent: int, multiply) -> "Polynomial":
@@ -252,21 +259,8 @@ class Polynomial:
             return None
         return degrees.pop()
 
-    def leading(self) -> tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise ContractViolation("zero polynomial has no leading term")
-        mono = max(self.terms, key=_mono_key)
-        return mono, self.terms[mono]
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0]), reverse=True)
-
-    def uses_y(self, j: int) -> bool:
-        slot = self.space.y_slot(j)
-        return any(m[slot] for m in self.terms)
 
     # -- substitution and Weyl actions ------------------------------------
 
@@ -418,6 +412,47 @@ def product(space: VariableSpace, factors: Iterable[Polynomial]) -> Polynomial:
         if result.is_zero:
             break
     return result
+
+
+def compose(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """Replace each x-variable of ``poly`` by its image; the y's pass through.
+
+    ``images[i-1]`` is the image of x_i.  The images share one space, which
+    the result lives in and whose y-bank matches that of ``poly``.  Each
+    x-part is expanded once, and the terms accumulate in one dict, so the
+    cost is linear in the terms of ``poly``.
+    """
+    r, m = poly.space.x_count, poly.space.y_count
+    if len(images) != r or not images:
+        raise ContractViolation("compose needs one image per x-variable")
+    space = images[0].space
+    if any(image.space != space for image in images) or space.y_count != m:
+        raise ContractViolation("images must share one space with the same y-bank")
+    shift = space.x_count
+    parts: dict[Monomial, Polynomial] = {}
+    terms: dict[Monomial, Scalar] = {}
+    for mono, coeff in poly.terms.items():
+        xs, ys = mono[:r], mono[r:]
+        part = parts.get(xs)
+        if part is None:
+            part = parts[xs] = product(space, (images[i] ** e for i, e in enumerate(xs) if e))
+        for image, c in part.terms.items():
+            key = image[:shift] + tuple(a + b for a, b in zip(image[shift:], ys))
+            terms[key] = terms.get(key, 0) + coeff * c
+    return Polynomial(space, terms)
+
+
+def split_leading_x(poly: Polynomial) -> tuple[Monomial, Polynomial]:
+    """The graded-lex greatest x-exponents ``a`` among the terms of a
+    nonzero polynomial, and the y-polynomial c with x^a * c the terms
+    whose x-part is ``a``."""
+    if not poly.terms:
+        raise ContractViolation("zero polynomial has no leading term")
+    r = poly.space.x_count
+    lead = max((mono[:r] for mono in poly.terms), key=_mono_key)
+    pad = (0,) * r
+    rest = {pad + mono[r:]: c for mono, c in poly.terms.items() if mono[:r] == lead}
+    return lead, Polynomial._from_clean(poly.space, rest)
 
 
 def elementary_symmetric(

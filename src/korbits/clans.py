@@ -110,9 +110,6 @@ class Clan:
     def is_sign(self, i: int) -> bool:
         return self.symbols[i - 1] in (PLUS, MINUS)
 
-    def all_signs(self) -> bool:
-        return all(s in (PLUS, MINUS) for s in self.symbols)
-
     def mate(self, i: int) -> int:
         """Position of the partner of the number at position i (1-based)."""
         sym = self.symbols[i - 1]

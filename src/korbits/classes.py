@@ -21,12 +21,14 @@ from .algebra import (
     Polynomial,
     VariableSpace,
     compile_terms,
+    compose,
     divided_difference,
     elementary_symmetric,
     format_polynomial,
     parse_polynomial,
     poly_determinant,
     product,
+    split_leading_x,
     substitute_planned,
 )
 from .clans import MINUS, PLUS
@@ -624,131 +626,23 @@ class ChernExpression:
     def __str__(self) -> str:
         return format_polynomial(self.polynomial, self._namer)
 
+    def generators(self) -> list[Polynomial]:
+        """What each x-slot of ``polynomial`` stands for in the class's
+        space: e_1..e_k of each x-block, then x1*...*xn.  The y's stand
+        for themselves."""
+        space = self.pair.variable_space()
+        xs = [space.x(i) for i in range(1, space.x_count + 1)]
+        p, q = self.blocks
+        zs = [
+            elementary_symmetric(k, block, space)
+            for block in (xs[:p], xs[p : p + q])
+            for k in range(1, len(block) + 1)
+        ]
+        return zs + [product(space, xs)]
+
     def expand(self) -> Polynomial:
         """Substitute the generators back; inverse of the rewrite."""
-        space = self.pair.variable_space()
-        n = space.x_count
-        p, q = self.blocks
-        zpolys = [
-            elementary_symmetric(k, [space.x(i) for i in range(1, p + 1)], space)
-            for k in range(1, p + 1)
-        ] + [
-            elementary_symmetric(k, [space.x(i) for i in range(p + 1, p + q + 1)], space)
-            for k in range(1, q + 1)
-        ]
-        euler = product(space, (space.x(i) for i in range(1, n + 1)))
-        result = space.zero()
-        zcount = p + q
-        for mono, coeff in self.polynomial.terms.items():
-            term = space.const(coeff)
-            for slot in range(zcount):
-                if mono[slot]:
-                    term = term * zpolys[slot] ** mono[slot]
-            if mono[zcount]:
-                term = term * euler ** mono[zcount]
-            for offset in range(space.y_count):
-                e = mono[zcount + 1 + offset]
-                if e:
-                    term = term * space.y(offset + 1) ** e
-            result = result + term
-        return result
-
-
-def _block_symmetric(terms: dict, start: int, width: int) -> bool:
-    """Invariance under adjacent transpositions of slots [start, start+width)."""
-    for k in range(width - 1):
-        for mono, coeff in terms.items():
-            swapped = list(mono)
-            swapped[start + k], swapped[start + k + 1] = (
-                swapped[start + k + 1],
-                swapped[start + k],
-            )
-            if terms.get(tuple(swapped), 0) != coeff:
-                return False
-    return True
-
-
-def _elementary_exponents_block(terms: dict, start: int, width: int) -> dict:
-    """Rewrite the symmetric content of slots [start, start+width) into
-    elementary-symmetric exponents occupying the same slots.
-
-    Standard leading-term division: the lex-greatest monomial of a
-    symmetric polynomial has weakly decreasing block exponents lambda, and
-    the product over columns of the conjugate partition reproduces it with
-    coefficient one.
-    """
-    # elementary symmetric e_k of the block variables, as bare term dicts
-    total = len(next(iter(terms))) if terms else 0
-    e_cache: dict[int, dict] = {}
-
-    def e_poly(k: int) -> dict:
-        if k not in e_cache:
-            out: dict = {}
-            import itertools as _it
-
-            for combo in _it.combinations(range(start, start + width), k):
-                mono = [0] * total
-                for slot in combo:
-                    mono[slot] = 1
-                out[tuple(mono)] = Fraction(1)
-            e_cache[k] = out
-        return e_cache[k]
-
-    def mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                val = out.get(key, 0) + c1 * c2
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return out
-
-    work = dict(terms)
-    result: dict = {}
-    while work:
-        mono = max(work, key=lambda m: (sum(m[start : start + width]), m))
-        block = list(mono[start : start + width])
-        if not block or max(block, default=0) == 0:
-            # no block content left; pass the term through
-            result[mono] = result.get(mono, 0) + work.pop(mono)
-            if result[mono] == 0:
-                del result[mono]
-            continue
-        if any(block[k] < block[k + 1] for k in range(width - 1)):
-            raise ContractViolation("x-content is not symmetric in the block")
-        coeff = work[mono]
-        conjugate = [sum(1 for part in block if part > col) for col in range(block[0])]
-        pieces: dict = {tuple(0 for _ in range(total)): Fraction(1)}
-        for col in conjugate:
-            pieces = mul(pieces, e_poly(col))
-        # subtract coeff * (outside part of mono) * prod e_{conjugate}
-        outside = list(mono)
-        for slot in range(start, start + width):
-            outside[slot] = 0
-        shifted = {
-            tuple(x + y for x, y in zip(m, outside)): c * coeff
-            for m, c in pieces.items()
-        }
-        for m, c in shifted.items():
-            val = work.get(m, 0) - c
-            if val:
-                work[m] = val
-            else:
-                work.pop(m, None)
-        # record: z-exponents live in the same slots (z_k at start + k - 1)
-        zmono = list(outside)
-        for col in conjugate:
-            zmono[start + col - 1] += 1
-        key = tuple(zmono)
-        val = result.get(key, 0) + coeff
-        if val:
-            result[key] = val
-        else:
-            result.pop(key, None)
-    return result
+        return compose(self.polynomial, self.generators())
 
 
 def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
@@ -759,37 +653,46 @@ def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
     functions z1..zp, z_{p+1}..z_{p+q}.  For the other type A pairs the
     x-content must be a multiple of x1*...*xn, which becomes the euler
     symbol.
+
+    One leading-term loop serves both forms (the fundamental theorem of
+    symmetric polynomials; Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, 7.1): the graded-lex leading x-exponents a of a
+    block-symmetric polynomial are a partition in each block, and the
+    generator monomial with z_k to the power a_k - a_{k+1} (or e to the
+    power min(a)) expands to a polynomial with the same leading term and
+    coefficient one.  Subtracting it strictly lowers the leading term, so
+    the loop ends, and the rewrite it finds is the unique one.
     """
     pair = cls.pair
-    space = pair.variable_space()
-    n, m = space.x_count, space.y_count
     if pair.kind.chern == "blocks":
-        p, q = pair.p, pair.q
-        terms = dict(cls.polynomial.terms)
-        if not _block_symmetric(terms, 0, p) or not _block_symmetric(terms, p, q):
-            raise ContractViolation("class is not symmetric in the x-blocks")
-        terms = _elementary_exponents_block(terms, 0, p)
-        terms = _elementary_exponents_block(terms, p, q)
-        out_space = VariableSpace(p + q + 1, m)
-        out_terms = {}
-        for mono, coeff in terms.items():
-            key = tuple(mono[:n]) + (0,) + tuple(mono[n:])
-            out_terms[key] = coeff
-        return ChernExpression(pair, (p, q), Polynomial(out_space, out_terms))
-    if pair.kind.chern == "euler":
-        out_space = VariableSpace(1, m)
-        out_terms = {}
-        for mono, coeff in cls.polynomial.terms.items():
-            xpart = mono[:n]
-            if any(xpart) and len(set(xpart)) != 1:
-                raise ContractViolation(
-                    "x-content is not a multiple of the full x-monomial"
-                )
-            power = xpart[0] if xpart else 0
-            key = (power,) + tuple(mono[n:])
-            out_terms[key] = out_terms.get(key, 0) + coeff
-        return ChernExpression(pair, (0, 0), Polynomial(out_space, out_terms))
-    raise ContractViolation("Chern rewriting is a type A operation")
+        blocks, message = (pair.p, pair.q), "class is not symmetric in the x-blocks"
+    elif pair.kind.chern == "euler":
+        blocks, message = (0, 0), "x-content is not a multiple of the full x-monomial"
+    else:
+        raise ContractViolation("Chern rewriting is a type A operation")
+    p, q = blocks
+    space = pair.variable_space()
+    out = VariableSpace(p + q + 1, space.y_count)
+    generators = ChernExpression(pair, blocks, out.zero()).generators()
+    # c is a polynomial in the y's alone, so this carries it to the output space
+    lift = [out.zero()] * space.x_count
+    result, work = out.zero(), cls.polynomial
+    while work:
+        a, c = split_leading_x(work)
+        # a block of a that is no partition clamps to some monomial whose
+        # expansion leads elsewhere, which the check below rejects
+        zs = [
+            max(a[k] - (a[k + 1] if k + 1 < stop else 0), 0)
+            for start, stop in ((0, p), (p, p + q))
+            for k in range(start, stop)
+        ]
+        monomial = out.monomial(zs + [0 if p + q else min(a)] + [0] * out.y_count)
+        expansion = compose(monomial, generators)
+        if split_leading_x(expansion)[0] != a:
+            raise ContractViolation(message)
+        result = result + compose(c, lift) * monomial
+        work = work - c * expansion
+    return ChernExpression(pair, blocks, result)
 
 
 # ---------------------------------------------------------------------------

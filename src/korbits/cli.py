@@ -35,7 +35,12 @@ FIXTURE_ENV = "KORBITS_FIXTURES"
 def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
     import math
 
-    limit = math.factorial(max_n) << max_n  # hyperoctahedral order at max-n
+    if max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, not {max_n}")
+    # the hyperoctahedral order at max-n; every ambient Weyl group of size N
+    # has order at most N! 2^N, so max-n past N changes no outcome
+    bound = min(max_n, pair.ambient_family()[1])
+    limit = math.factorial(bound) << bound
     order = ambient_weyl_order(pair)
     if order > limit:
         raise UsageError(
@@ -156,8 +161,16 @@ def _cmd_chern(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with a one-line usage error (exit 2), not
+    argparse's usage block; ``--help`` still prints help and exits 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="korbits",
         description=(
             "Orbit parametrizations, weak-order graphs and exact equivariant "
@@ -203,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

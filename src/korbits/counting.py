@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .clans import enumerate_clans
 from .errors import InternalError, UsageError
 from .pairs import KINDS, PQ
-from .weyl import SignedPermutation
+from .weyl import SignedPermutation, involutions
 
 INNER_CLASSES = tuple(
     dict.fromkeys(kind.inner_class.name for kind in KINDS.values() if kind.inner_class)
@@ -44,9 +44,7 @@ def _involutions(family: str, n: int, parity: str = "any"):
     s_i = s_pi(i), so only involutive pi get a sign loop and only sign
     patterns constant on the cycles of pi become elements.
     """
-    for perm in itertools.permutations(range(1, n + 1)):
-        if any(perm[v - 1] != i for i, v in enumerate(perm, start=1)):
-            continue
+    for perm in involutions(n):
         for signs in itertools.product((1, -1), repeat=n):
             images = tuple(s * v for s, v in zip(signs, perm))
             if any((v < 0) != (images[abs(v) - 1] < 0) for v in images):

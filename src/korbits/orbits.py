@@ -34,7 +34,7 @@ from .pairs import (
     D_OO_ODD,
     SymmetricPair,
 )
-from .weyl import SignedPermutation, parse_cycles
+from .weyl import SignedPermutation, involutions, parse_cycles
 
 # ---------------------------------------------------------------------------
 # orbit parameters
@@ -153,29 +153,6 @@ def _has_fixed_point(images: tuple[int, ...]) -> bool:
 # enumeration
 
 
-def _involutions(size: int) -> list[tuple[int, ...]]:
-    results: list[tuple[int, ...]] = []
-    images = list(range(1, size + 1))
-
-    def fill(start: int) -> None:
-        while start <= size and images[start - 1] != start:
-            start += 1
-        free = [i for i in range(start, size + 1) if images[i - 1] == i]
-        if not free:
-            results.append(tuple(images))
-            return
-        i = free[0]
-        # i stays fixed
-        fill(i + 1)
-        for j in free[1:]:
-            images[i - 1], images[j - 1] = j, i
-            fill(i + 1)
-            images[i - 1], images[j - 1] = i, j
-
-    fill(1)
-    return results
-
-
 def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
     """All orbit parameters of the pair, sorted deterministically."""
     rule, policy = pair.kind.clan_rule, pair.kind.involutions
@@ -187,7 +164,7 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
             ClanOrbit(c) for c in clans if not rule.even_front or c.front_parity_even()
         ]
     params: list[OrbitParameter] = []
-    for inv in _involutions(pair.ambient_family()[1]):
+    for inv in involutions(pair.ambient_family()[1]):
         fixed = _has_fixed_point(inv)
         if policy == "split" and not fixed:
             params.append(SplitOrbit(inv, PLUS))

@@ -248,6 +248,30 @@ def enumerate_group(family: str, n: int) -> Iterator[SignedPermutation]:
             yield trusted(family, tuple(s * v for s, v in zip(signs, perm)))
 
 
+def involutions(size: int) -> list[tuple[int, ...]]:
+    """The involutions of S_size as image tuples, in lexicographic order."""
+    results: list[tuple[int, ...]] = []
+    images = list(range(1, size + 1))
+
+    def fill(start: int) -> None:
+        while start <= size and images[start - 1] != start:
+            start += 1
+        free = [i for i in range(start, size + 1) if images[i - 1] == i]
+        if not free:
+            results.append(tuple(images))
+            return
+        i = free[0]
+        # i stays fixed
+        fill(i + 1)
+        for j in free[1:]:
+            images[i - 1], images[j - 1] = j, i
+            fill(i + 1)
+            images[i - 1], images[j - 1] = i, j
+
+    fill(1)
+    return results
+
+
 def group_order(family: str, n: int) -> int:
     import math
 

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from korbits.algebra import (
     MAX_NESTING,
     Polynomial,
     VariableSpace,
+    compose,
     divided_difference,
     elementary_symmetric,
     exact_divide,
@@ -18,6 +21,7 @@ from korbits.algebra import (
     product,
     reflect,
     simple_root_action,
+    split_leading_x,
     _det_bareiss,
     _det_cofactor,
 )
@@ -108,6 +112,53 @@ def test_elementary_symmetric_basic():
     assert elementary_symmetric(3, [sp.y(1), sp.y(2)], sp).is_zero
     assert elementary_symmetric(2, [sp.y(1), -sp.y(2)]) == -(sp.y(1) * sp.y(2))
     assert elementary_symmetric(0, [], sp) == sp.one()
+
+
+# -- composition and leading x-parts -----------------------------------------
+
+
+def test_compose_substitutes_the_x_bank_and_passes_y_through():
+    small, big = VariableSpace(1, 2), VariableSpace(2, 2)
+    f = 3 * small.x(1) ** 2 * small.y(2) - small.y(1) + 5
+    image = big.x(1) + big.x(2) * big.y(2)
+    want = 3 * image ** 2 * big.y(2) - big.y(1) + 5
+    assert compose(f, [image]) == want
+
+
+def test_compose_contract():
+    with pytest.raises(ContractViolation):
+        compose(SP.x(1), [SP.x(1)])  # one image for two x-slots
+    with pytest.raises(ContractViolation):
+        compose(SP.x(1), [SP.x(1), VariableSpace(2, 3).x(1)])
+    with pytest.raises(ContractViolation):
+        compose(SP.x(1), [VariableSpace(2, 3).x(1)] * 2)  # y-banks differ
+
+
+def test_split_leading_x_and_monomial():
+    f = parse_polynomial("x1*x2*y1 - 2*x1*x2*y3^2 + x2^2*y1 + x1 + y4", SP)
+    lead, c = split_leading_x(f)
+    assert lead == (1, 1)
+    assert c == parse_polynomial("y1 - 2*y3^2", SP)
+    assert SP.monomial((1, 1, 0, 0, 0, 2)) == SP.x(1) * SP.x(2) * SP.y(4) ** 2
+    for bad in [(1, 1), (0, 0, 0, 0, 0, -1)]:
+        with pytest.raises(ContractViolation):
+            SP.monomial(bad)
+    with pytest.raises(ContractViolation):
+        split_leading_x(SP.zero())
+
+
+def test_no_term_dict_reads_outside_algebra():
+    # the monomial format is algebra.py's alone; other modules use its
+    # ring operations, compose and split_leading_x
+    src = Path(__file__).resolve().parents[1] / "src" / "korbits"
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "algebra.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\.terms\b", line)
+    ]
+    assert offenders == []
 
 
 # -- determinants -------------------------------------------------------------

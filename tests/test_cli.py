@@ -158,6 +158,20 @@ def test_verify_guard_blocks_large_weyl_groups(tmp_path, capsys):
     assert "--max-n" in err
 
 
+def test_verify_max_n_past_the_pair_costs_nothing(capsys):
+    # the bound never builds a factorial larger than the pair's own
+    code, out, _ = run(capsys, "verify", "a-sp-4.txt", "--max-n", "3000000")
+    assert (code, out) == run(capsys, "verify", "a-sp-4.txt")[:2]
+    assert code == 0
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["orbits", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: korbits orbits")
+
+
 def test_verify_pair_flag_overrides_header(tmp_path, capsys):
     fixture = tmp_path / "override.txt"
     fixture.write_text("(1,2)(3,4) := 1\n")  # no header at all
@@ -212,6 +226,12 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^24"),
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^8*{SIX}^8"),
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^64"),
+        (("orbits", "A:glpq:1,1", "--format", "xml"), None),
+        ((), None),
+        (("orbits",), None),
+        (("verify", "a-sp-4.txt", "--max-n", "x"), None),
+        (("verify", "a-sp-4.txt", "--max-n", "-5"), None),
+        (("verify", "a-sp-4.txt", "--max-n", "0"), None),
     ],
     ids=[
         "zero-denominator",
@@ -226,6 +246,12 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "power-squares-past-term-bound",
         "product-past-term-bound",
         "power-past-term-bound",
+        "argparse-bad-choice",
+        "argparse-no-command",
+        "argparse-missing-argument",
+        "argparse-bad-int",
+        "negative-max-n",
+        "zero-max-n",
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):

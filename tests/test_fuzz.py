@@ -115,10 +115,7 @@ def command_lines(draw, fixture_path):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 
@@ -138,5 +135,5 @@ def test_exit_code_contract(tmp_path_factory, data):
     assert "Traceback" not in err, argv
     if code == 1:
         assert argv[0] in ("verify", "count") and err.startswith("verification failed:"), argv
-    if code == 2 and not err.startswith("usage:"):
+    if code == 2:
         assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
