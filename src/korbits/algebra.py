@@ -13,10 +13,12 @@ same order drives printing, leading-term extraction and exact division.
 
 On top of the ring operations the module provides composition (x's
 replaced by polynomials, y's passed through), elementary symmetric
-polynomials, determinants of polynomial matrices (cofactor expansion for
-small sizes, fraction-free Bareiss elimination above), divided difference
-operators for the classical root systems, and a text grammar used by
-fixtures and the CLI.  It is the only module that reads the term dict.
+polynomials, determinants of polynomial matrices by cofactor expansion,
+exact division, divided difference operators for the classical root
+systems, and a text grammar used by fixtures and the CLI.  Every
+substitution of variables runs through the one loop
+:func:`substitute_planned`.  It is the only module that reads the term
+dict.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ PlanEntry = Union[None, int, tuple[int, int]]
 #: A term ready for substitution: its exponents with the y-part zeroed, its
 #: nonzero (y offset, exponent) pairs, and its coefficient.
 CompiledTerm = tuple[Monomial, tuple[tuple[int, int], ...], Scalar]
-
-# Matrices up to this size use cofactor expansion; larger ones Bareiss.
-_COFACTOR_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -288,29 +287,12 @@ class Polynomial:
         """Apply a signed permutation to the y-bank.
 
         ``images[j-1] = (sign, k)`` sends y_j to sign*y_k.  x-variables are
-        untouched.  Used for the reflections in divided differences.
+        untouched.  Used for the reflections of :func:`reflect` and to
+        translate the general-linear closed classes.
         """
         space = self.space
-        r = space.x_count
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            new = list(mono[:r]) + [0] * space.y_count
-            sign = 1
-            for offset in range(space.y_count):
-                e = mono[r + offset]
-                if not e:
-                    continue
-                tsign, k = images[offset]
-                new[r + k - 1] += e
-                if tsign < 0 and e % 2:
-                    sign = -sign
-            key = tuple(new)
-            value = terms.get(key, 0) + sign * coeff
-            if value:
-                terms[key] = value
-            else:
-                terms.pop(key, None)
-        return Polynomial._from_clean(space, terms)
+        plan = [(sign, space.y_slot(k)) for sign, k in images]
+        return substitute_planned(space, compile_terms(self), plan)
 
     # -- printing ----------------------------------------------------------
 
@@ -374,8 +356,9 @@ def substitute_planned(
 ) -> Polynomial:
     """Substitute every y-variable by its plan entry (see ``PlanEntry``).
 
-    The one substitution loop: :meth:`Polynomial.substitute` and the
-    localization code both build a plan and call it.
+    The one substitution loop: :meth:`Polynomial.substitute`,
+    :meth:`Polynomial.map_y` and the localization code all build a plan
+    and call it.
     """
     terms: dict[Monomial, Scalar] = {}
     get = terms.get
@@ -487,9 +470,9 @@ def _heap_key(mono: Monomial) -> tuple:
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """Return q with f = q*g, raising InternalError if g does not divide f.
 
-    Used where divisibility is mathematically guaranteed (divided
-    differences, Bareiss pivots), so a nonzero remainder is a bug.
-    Leading terms are tracked with a lazy heap, so each reduction step
+    The tests' reference divided difference, (f - s(f)) / alpha, divides
+    with it, where divisibility is guaranteed, so a nonzero remainder is a
+    bug.  Leading terms are tracked with a lazy heap, so each reduction step
     costs O(|g| log T) instead of a full scan.
     """
     if g.is_zero:
@@ -528,10 +511,12 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def poly_determinant(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square grid of polynomials.
+    """Determinant of a square grid of polynomials, by cofactor expansion
+    along the first row (skipping zero entries).
 
-    Cofactor expansion up to 6x6; fraction-free Bareiss elimination above.
-    Both give identical canonical results.
+    The closed classes of the general-linear pairs need one staircase
+    determinant of size at most n per pair, so no elimination method is
+    kept beside it.
     """
     n = len(entries)
     if n == 0:
@@ -544,9 +529,7 @@ def poly_determinant(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for entry in row:
             if entry.space != space:
                 raise ContractViolation("determinant entries in different spaces")
-    if n <= _COFACTOR_LIMIT:
-        return _det_cofactor(space, [list(r) for r in entries])
-    return _det_bareiss(space, [list(r) for r in entries])
+    return _det_cofactor(space, [list(r) for r in entries])
 
 
 def _det_cofactor(space: VariableSpace, m: list[list[Polynomial]]) -> Polynomial:
@@ -562,28 +545,6 @@ def _det_cofactor(space: VariableSpace, m: list[list[Polynomial]]) -> Polynomial
         term = entry * _det_cofactor(space, minor)
         result = result + term if col % 2 == 0 else result - term
     return result
-
-
-def _det_bareiss(space: VariableSpace, m: list[list[Polynomial]]) -> Polynomial:
-    n = len(m)
-    sign = 1
-    prev = space.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for swap in range(k + 1, n):
-                if not m[swap][k].is_zero:
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return space.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,6 @@ class Clan:
         return SignedPermutation("A", tuple(images))
 
 
-def canonicalize(raw: Sequence[Symbol]) -> Clan:
-    return Clan.of(raw)
-
-
 def enumerate_clans(
     a: int, b: int, *, mirror: Optional[str] = None, anti_reflexive: bool = False
 ) -> list[Clan]:

@@ -1,18 +1,19 @@
 """Equivariant fundamental classes of orbit closures.
 
 Closed orbits get explicit polynomial representatives (products of linear
-forms, or determinants of elementary-symmetric entries for the two
-general-linear subgroup cases).  Every other class is produced by divided
-difference operators walking up the weak order, dividing by the cover
-degree on degree-two edges.  Correctness is checked against localization:
-restriction at a torus fixed point is polynomial substitution, and two
-classes are equal exactly when all their restrictions agree.  A
-weight-product oracle recomputes closed-orbit restrictions directly from
-root data, independently of the formulas.
+forms, or for the two general-linear subgroup cases signed y-permutations
+of one determinant of elementary-symmetric entries).  Every other class
+is produced by divided difference operators walking up the weak order,
+dividing by the cover degree on degree-two edges.  Correctness is checked
+against localization: restriction at a torus fixed point is polynomial
+substitution, and two classes are equal exactly when all their
+restrictions agree.  A weight-product oracle recomputes closed-orbit
+restrictions directly from root data, independently of the formulas.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -64,7 +65,6 @@ from .pairs import (
 from .weyl import (
     SignedPermutation,
     enumerate_group,
-    group_order,
     l_p,
     restriction_assignment,
     restriction_map,
@@ -168,10 +168,14 @@ def _closed_blocks(pair, param, rep, space) -> EquivariantClass:
 
 
 def _closed_gl(pair, param, rep, space) -> EquivariantClass:
+    """The staircase determinant at the identity, with each y_k sent to
+    the signed y of rep^{-1}(k)."""
     _, count, shift = sign_stats(rep)
     half = pair.kind.ambient == "D"
     sign = (-1) ** shift if half else (-1) ** (count + shift)
-    return EquivariantClass(pair, sign * staircase_determinant(space, pair.n, rep, half))
+    base = staircase_determinant(space, pair.n, half)
+    images = [(1 if v > 0 else -1, abs(v)) for v in rep.inverse().images]
+    return EquivariantClass(pair, sign * base.map_y(images))
 
 
 def _closed_oo_odd(pair, param, rep, space) -> EquivariantClass:
@@ -227,14 +231,14 @@ def closed_orbit_class(
     return _CLOSED_CLASSES[pair.case](pair, param, rep, pair.variable_space())
 
 
-def staircase_determinant(
-    space: VariableSpace, n: int, w: SignedPermutation, half: bool
-) -> Polynomial:
+@functools.lru_cache(maxsize=None)
+def staircase_determinant(space: VariableSpace, n: int, half: bool) -> Polynomial:
     """det(c_{n+1+j-2i}) (full) or det(c_{n+j-2i}) of size n-1 (half),
-    where c_k sums the k-th elementary symmetric functions of the x's and
-    of the w-permuted signed y's, halved in the second variant."""
+    where c_k sums the k-th elementary symmetric functions of x1..xn and
+    of y1..yn, halved in the second variant.  Cached: every closed class
+    of a general-linear pair is a signed y-permutation of it."""
     xs = [space.x(i) for i in range(1, n + 1)]
-    ys = [_signed_y(space, w, k) for k in range(1, n + 1)]
+    ys = [space.y(k) for k in range(1, n + 1)]
 
     def c(k: int) -> Polynomial:
         if k < 0:
@@ -280,11 +284,6 @@ def restrict_at(cls: EquivariantClass, w: SignedPermutation) -> Polynomial:
 def ambient_weyl(pair: SymmetricPair):
     family, size = pair.ambient_family()
     return enumerate_group(family, size)
-
-
-def ambient_weyl_order(pair: SymmetricPair) -> int:
-    family, size = pair.ambient_family()
-    return group_order(family, size)
 
 
 def first_disagreement(
@@ -508,7 +507,7 @@ def _component_representatives(inv: tuple[int, ...], n: int):
     basis = _involution_basis(inv, size)
     images = []
     for row in basis:
-        hot = [idx for idx, entry in enumerate(row, start=1) if entry != (0, 0)]
+        hot = [idx for idx, entry in enumerate(row, start=1) if entry != 0]
         assert len(hot) == 1
         images.append(hot[0])
     plus = SignedPermutation("A", tuple(images))

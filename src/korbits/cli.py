@@ -22,12 +22,12 @@ from .classes import (
     propagate_all,
     to_chern_basis,
     verify_rows,
-    ambient_weyl_order,
 )
 from .counting import INNER_CLASSES, count_report
 from .errors import ContractViolation, InternalError, UsageError, VerificationFailure
 from .orbits import build_weak_order_graph, to_dot
 from .pairs import SymmetricPair, parse_pair_spec
+from .weyl import group_order
 
 FIXTURE_ENV = "KORBITS_FIXTURES"
 
@@ -41,7 +41,7 @@ def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
     # has order at most N! 2^N, so max-n past N changes no outcome
     bound = min(max_n, pair.ambient_family()[1])
     limit = math.factorial(bound) << bound
-    order = ambient_weyl_order(pair)
+    order = group_order(*pair.ambient_family())
     if order > limit:
         raise UsageError(
             f"localization would enumerate {order} fixed points, beyond the "

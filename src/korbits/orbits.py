@@ -721,86 +721,57 @@ def _clan_dominated(a: Clan, b: Clan) -> bool:
 # representative flags
 
 
-Gauss = tuple[Fraction, Fraction]  # re + im*i
-
-
 @dataclass(frozen=True)
 class FlagRepresentative:
-    """A flag given by an ordered basis with exact Gaussian-rational
-    coordinates; vector k spans the new direction of the k-th subspace."""
+    """A flag given by an ordered basis with exact rational coordinates;
+    vector k spans the new direction of the k-th subspace."""
 
-    vectors: tuple[tuple[Gauss, ...], ...]
+    vectors: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if not _gauss_independent([list(v) for v in self.vectors]):
+        if not _independent([list(v) for v in self.vectors]):
             raise ContractViolation("flag vectors are linearly dependent")
 
     def __str__(self) -> str:
         return "<" + ", ".join(_format_vector(v) for v in self.vectors) + ">"
 
 
-def _format_vector(vector: tuple[Gauss, ...]) -> str:
-    parts = []
-    for idx, (re, im) in enumerate(vector, start=1):
-        if re == 0 and im == 0:
-            continue
-        if im == 0:
-            coeff = re
-            text = f"e{idx}" if coeff == 1 else f"-e{idx}" if coeff == -1 else f"{coeff}*e{idx}"
-        elif re == 0:
-            text = f"i*e{idx}" if im == 1 else f"-i*e{idx}" if im == -1 else f"{im}*i*e{idx}"
-        else:
-            text = f"({re}+{im}i)*e{idx}"
-        parts.append(text)
+def _format_vector(vector: tuple[Fraction, ...]) -> str:
     out = ""
-    for part in parts:
-        if not out:
-            out = part
-        elif part.startswith("-"):
-            out += part
-        else:
-            out += "+" + part
+    for idx, coeff in enumerate(vector, start=1):
+        if coeff == 0:
+            continue
+        text = f"e{idx}" if coeff == 1 else f"-e{idx}" if coeff == -1 else f"{coeff}*e{idx}"
+        out += text if not out or text.startswith("-") else "+" + text
     return out or "0"
 
 
-def _gauss_independent(rows: list[list[Gauss]]) -> bool:
-    rows = [list(row) for row in rows]
+def _independent(rows: list[list[Fraction]]) -> bool:
+    """Gaussian elimination over the rationals: do the rows have full rank?"""
     cols = len(rows[0]) if rows else 0
     rank = 0
     for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != (Fraction(0), Fraction(0)):
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pre, pim = rows[rank][col]
-        norm = pre * pre + pim * pim
-        inv = (pre / norm, -pim / norm)
+        lead = rows[rank]
         for r in range(rank + 1, len(rows)):
-            vre, vim = rows[r][col]
-            if vre == 0 and vim == 0:
-                continue
-            fre = vre * inv[0] - vim * inv[1]
-            fim = vre * inv[1] + vim * inv[0]
-            for c in range(cols):
-                are, aim = rows[rank][c]
-                bre, bim = rows[r][c]
-                rows[r][c] = (bre - (fre * are - fim * aim), bim - (fre * aim + fim * are))
+            factor = rows[r][col] / lead[col]
+            if factor:
+                rows[r] = [b - factor * a for a, b in zip(lead, rows[r])]
         rank += 1
     return rank == len(rows)
 
 
-def _unit(size: int, idx: int, coeff: int = 1) -> list[Gauss]:
-    row = [(Fraction(0), Fraction(0))] * size
-    row[idx - 1] = (Fraction(coeff), Fraction(0))
+def _unit(size: int, idx: int, coeff: int = 1) -> list[Fraction]:
+    row = [Fraction(0)] * size
+    row[idx - 1] = Fraction(coeff)
     return row
 
 
-def _vector_sum(a: list[Gauss], b: list[Gauss]) -> list[Gauss]:
-    return [(x[0] + y[0], x[1] + y[1]) for x, y in zip(a, b)]
+def _vector_sum(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    return [x + y for x, y in zip(a, b)]
 
 
 def representative_flag(pair: SymmetricPair, param: OrbitParameter) -> FlagRepresentative:
@@ -866,13 +837,13 @@ def _clan_flag(clan: Clan, p: int) -> FlagRepresentative:
     return FlagRepresentative(tuple(tuple(v) for v in vectors))
 
 
-def _involution_basis(images: tuple[int, ...], size: int) -> list[list[Gauss]]:
+def _involution_basis(images: tuple[int, ...], size: int) -> list[list[Fraction]]:
     """Basis flag making the defining form monomial with the given shape.
 
     Two-cycles consume coordinate pairs (e_k, e_{size+1-k}); the first
     fixed point takes the middle vector when the size is odd; remaining
     fixed points pair up as e_k +- e_{size+1-k}."""
-    vectors: list[Optional[list[Gauss]]] = [None] * size
+    vectors: list[Optional[list[Fraction]]] = [None] * size
     next_k = 1
     for i in range(1, size + 1):
         j = images[i - 1]

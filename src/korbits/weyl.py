@@ -155,22 +155,6 @@ class SignedPermutation:
     def neg_set(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.images, start=1) if v < 0)
 
-    def one_line(self) -> str:
-        """ASCII one-line form; negatives carry a trailing ``-`` marker."""
-        return " ".join(f"{abs(v)}-" if v < 0 else str(v) for v in self.images)
-
-    @classmethod
-    def from_one_line(cls, family: str, text: str) -> "SignedPermutation":
-        images = []
-        for token in text.replace(",", " ").split():
-            if token.endswith("-"):
-                images.append(-int(token[:-1]))
-            elif token.startswith("-"):
-                images.append(-int(token[1:]))
-            else:
-                images.append(int(token))
-        return cls(family, tuple(images))
-
     def cycle_string(self) -> str:
         """Cycle notation for plain permutations (used for involutions)."""
         if self.family != "A":
@@ -305,11 +289,6 @@ def sign_stats(w: SignedPermutation) -> tuple[tuple[int, ...], int, int]:
     """(Neg(w), f(w), g(w)) with g = sum of (n - i) over i in Neg(w)."""
     neg = w.neg_set()
     return neg, len(neg), sum(w.n - i for i in neg)
-
-
-def f_bounded(w: SignedPermutation, p: int) -> int:
-    """#{i : w(i) < 0 and |w(i)| <= p}, the sign count within the first block."""
-    return sum(1 for v in w.images if v < 0 and -v <= p)
 
 
 def unequal_rank_stats(w: SignedPermutation, p: int) -> tuple[tuple[int, ...], dict[int, int], int]:

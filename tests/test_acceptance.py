@@ -144,8 +144,7 @@ def test_criterion_3_literal_operator_outputs():
     # determinant expansions for the even general-linear subgroup
     pair = parse_pair_spec("D:gl:3")
     sp = pair.variable_space()
-    identity = SignedPermutation.identity("D", 3)
-    assert staircase_determinant(sp, 3, identity, half=True) == parse_polynomial(
+    assert staircase_determinant(sp, 3, half=True) == parse_polynomial(
         "1/4*(x1*x2+x1*x3+x2*x3+y1*y2+y1*y3+y2*y3)*(x1+x2+x3+y1+y2+y3)"
         "-1/2*(x1*x2*x3+y1*y2*y3)",
         sp,
@@ -287,8 +286,7 @@ def test_criterion_6_determinant_identities():
 
     for n in (1, 2, 3):
         sp = VariableSpace(n, n)
-        identity = SignedPermutation.identity("BC", n)
-        full = staircase_determinant(sp, n, identity, half=False)
+        full = staircase_determinant(sp, n, half=False)
         target = (
             sp.const(2 ** n)
             * product(sp, (sp.x(i) for i in range(1, n + 1)))
@@ -308,8 +306,7 @@ def test_criterion_6_determinant_identities():
             assert value == (target if all(s == 1 for s in signs) else sp.zero())
     for n in (2, 3):
         sp = VariableSpace(n, n)
-        identity = SignedPermutation.identity("BC", n)
-        half = staircase_determinant(sp, n, identity, half=True)
+        half = staircase_determinant(sp, n, half=True)
         target = product(
             sp,
             (
@@ -329,7 +326,7 @@ def test_criterion_6_determinant_identities():
     # witness that the restriction matters: one odd vector is genuinely
     # nonzero, via the hand value (x1+x2+x1-x2)/2 = x1 at rank two
     sp = VariableSpace(2, 2)
-    half = staircase_determinant(sp, 2, SignedPermutation.identity("BC", 2), half=True)
+    half = staircase_determinant(sp, 2, half=True)
     odd = half.substitute({1: (1, "x", 1), 2: (-1, "x", 2)})
     assert odd == sp.x(1)
     report(6, "determinant sign specializations exact for n <= 3")

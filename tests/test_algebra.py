@@ -22,8 +22,6 @@ from korbits.algebra import (
     reflect,
     simple_root_action,
     split_leading_x,
-    _det_bareiss,
-    _det_cofactor,
 )
 from korbits.classes import propagate_all
 from korbits.errors import ContractViolation, UsageError
@@ -184,24 +182,34 @@ def test_determinant_known_factorization():
     assert det == want
 
 
-def test_determinant_methods_agree():
-    rng = random.Random(7)
+def sympy_form(sympy, symbols, poly):
+    return sum(
+        (
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            * sympy.Mul(*[v**e for v, e in zip(symbols, mono)])
+            for mono, c in poly.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_determinant_matches_sympy(size):
+    sympy = pytest.importorskip("sympy")
     sp = VariableSpace(1, 2)
-
-    def rand_poly():
-        f = sp.zero()
-        for _ in range(3):
-            term = sp.const(rng.randint(-3, 3))
-            for v in (sp.x(1), sp.y(1), sp.y(2)):
-                term = term * v ** rng.randint(0, 1)
-            f = f + term
-        return f
-
-    for _ in range(5):
-        rows = [[rand_poly() for _ in range(3)] for _ in range(3)]
-        assert _det_cofactor(sp, [list(r) for r in rows]) == _det_bareiss(
-            sp, [list(r) for r in rows]
-        )
+    symbols = sympy.symbols("x1 y1 y2")
+    rng = random.Random(size)
+    for _ in range(3):
+        rows = [
+            [
+                sp.zero() if rng.random() < 0.2 else random_polynomial(sp, rng, terms=2, max_exp=1)
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+        matrix = sympy.Matrix([[sympy_form(sympy, symbols, f) for f in row] for row in rows])
+        want = matrix.det(method="berkowitz")
+        assert sympy.expand(want - sympy_form(sympy, symbols, poly_determinant(rows))) == 0
 
 
 def test_determinant_rejects_ragged():
@@ -428,16 +436,6 @@ def test_closed_forms_match_sympy(family):
     sp = VariableSpace(1, 3)
     symbols = sympy.symbols("x1 y1 y2 y3")
 
-    def to_sympy(poly):
-        return sum(
-            (
-                sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-                * sympy.Mul(*[v**e for v, e in zip(symbols, mono)])
-                for mono, c in poly.terms.items()
-            ),
-            sympy.Integer(0),
-        )
-
     rng = random.Random(7)
     for act in actions_for(family, sp):
         images = {
@@ -446,9 +444,11 @@ def test_closed_forms_match_sympy(family):
         }
         for _ in range(15):
             f = random_polynomial(sp, rng, terms=5, max_exp=4)
-            g = to_sympy(f)
-            want = sympy.cancel((g - g.subs(images, simultaneous=True)) / to_sympy(act.root))
-            assert sympy.expand(want - to_sympy(divided_difference(f, act))) == 0
+            g = sympy_form(sympy, symbols, f)
+            root = sympy_form(sympy, symbols, act.root)
+            want = sympy.cancel((g - g.subs(images, simultaneous=True)) / root)
+            got = sympy_form(sympy, symbols, divided_difference(f, act))
+            assert sympy.expand(want - got) == 0
 
 
 # -- hypothesis: ring laws stay canonical --------------------------------------

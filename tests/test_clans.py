@@ -2,27 +2,27 @@ import math
 
 import pytest
 
-from korbits.clans import Clan, canonicalize, clan_to_signed_involution, enumerate_clans, pair_validity
+from korbits.clans import Clan, clan_to_signed_involution, enumerate_clans, pair_validity
 from korbits.errors import ContractViolation, UsageError
 from korbits.pairs import parse_pair_spec
 
 
 def test_canonicalize_renumbers_by_first_occurrence():
-    assert canonicalize([5, 7, 5, 7]).symbols == (1, 2, 1, 2)
-    assert canonicalize(["+", "-"]).symbols == ("+", "-")
-    assert canonicalize([2, 1, 1, 2]).symbols == (1, 2, 2, 1)
+    assert Clan.of([5, 7, 5, 7]).symbols == (1, 2, 1, 2)
+    assert Clan.of(["+", "-"]).symbols == ("+", "-")
+    assert Clan.of([2, 1, 1, 2]).symbols == (1, 2, 2, 1)
 
 
 def test_canonicalize_idempotent():
     for clan in enumerate_clans(2, 2):
-        assert canonicalize(clan.symbols) == clan
+        assert Clan.of(clan.symbols) == clan
 
 
 def test_rejects_unpaired_numbers():
     with pytest.raises(ContractViolation):
-        canonicalize([1, "+", "-"])
+        Clan.of([1, "+", "-"])
     with pytest.raises(ContractViolation):
-        canonicalize([1, 1, 1, "+"])
+        Clan.of([1, 1, 1, "+"])
 
 
 def _clan_count(p, q):

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from korbits.algebra import VariableSpace, parse_polynomial, product
+from korbits.algebra import (
+    VariableSpace,
+    elementary_symmetric,
+    parse_polynomial,
+    poly_determinant,
+    product,
+)
 from korbits.classes import (
     EquivariantClass,
     ambient_weyl,
@@ -30,6 +36,7 @@ from korbits.weyl import (
     parse_cycles,
     restriction_assignment,
     restriction_map,
+    sign_stats,
 )
 
 
@@ -374,8 +381,7 @@ def test_full_determinant_sign_specialization(n):
             ),
         )
     )
-    identity = SignedPermutation.identity("BC", n)
-    delta = staircase_determinant(sp, n, identity, half=False)
+    delta = staircase_determinant(sp, n, half=False)
     for signs in itertools.product((1, -1), repeat=n):
         value = delta.substitute(
             {j: (signs[j - 1], "x", j) for j in range(1, n + 1)}
@@ -402,8 +408,7 @@ def test_half_determinant_sign_specialization(n):
             for j in range(i + 1, n + 1)
         ),
     )
-    identity = SignedPermutation.identity("BC", n)
-    delta = staircase_determinant(sp, n, identity, half=True)
+    delta = staircase_determinant(sp, n, half=True)
     for signs in itertools.product((1, -1), repeat=n):
         if signs.count(-1) % 2:
             continue
@@ -431,6 +436,54 @@ def test_gl_determinant_rows_match_worked_expansions():
         "+1/2*(x1*x2*x3+y1*y2*y3)",
     )
     assert classes["(-,-,+,-,+,+)"] == second
+
+
+def per_orbit_staircase(space, n, w, half):
+    """Reference general-linear closed class: the staircase determinant
+    expanded afresh at w, its c_k built from the signed y's of w^{-1}."""
+    xs = [space.x(i) for i in range(1, n + 1)]
+    ys = [space.y(v) if v > 0 else -space.y(-v) for v in w.inverse().images]
+
+    def c(k):
+        if k < 0:
+            return space.zero()
+        value = elementary_symmetric(k, xs, space) + elementary_symmetric(k, ys, space)
+        return value / 2 if half else value
+
+    size = n - 1 if half else n
+    if size == 0:
+        return space.one()
+    top = n if half else n + 1
+    rows = range(1, size + 1)
+    det = poly_determinant([[c(top + j - 2 * i) for j in rows] for i in rows])
+    _, count, shift = sign_stats(w)
+    return (-1) ** (shift if half else count + shift) * det
+
+
+@pytest.mark.parametrize("spec", ["C:gl:2", "C:gl:3", "C:gl:4", "D:gl:2", "D:gl:3", "D:gl:4"])
+def test_gl_closed_classes_match_per_orbit_determinant(spec):
+    pair = parse_pair_spec(spec)
+    half = pair.kind.ambient == "D"
+    space = pair.variable_space()
+    for param, rep in closed_orbits(pair):
+        want = per_orbit_staircase(space, pair.n, rep, half)
+        assert closed_orbit_class(pair, param).polynomial == want
+
+
+def test_propagate_all_expands_one_determinant_per_pair(monkeypatch):
+    import korbits.classes
+
+    staircase_determinant.cache_clear()
+    calls = []
+
+    def counted(entries):
+        calls.append(len(entries))
+        return poly_determinant(entries)
+
+    monkeypatch.setattr(korbits.classes, "poly_determinant", counted)
+    pair = parse_pair_spec("C:gl:4")
+    propagate_all(pair)
+    assert calls == [4] and len(closed_orbits(pair)) > 1
 
 
 # -- split orbit machinery ---------------------------------------------------------

@@ -326,3 +326,17 @@ def test_verify_localize_outputs_match_workload(capsys, tmp_path, workloads, see
         code, out, _ = run(capsys, *call.args)
         assert code == call.exit_code, call.args
         assert hashlib.sha256(out.encode()).hexdigest() == call.sha256, call.args
+
+
+def test_traced_names_resolve(trace_child):
+    # --trace 1 runs rebind these names in the korbits modules; a deleted
+    # one would crash every traced run
+    import importlib
+
+    from korbits.algebra import Polynomial
+
+    for module_name, func_name, _ in trace_child.SPANS:
+        module = importlib.import_module(f"korbits.{module_name}")
+        assert callable(getattr(module, func_name, None)), (module_name, func_name)
+    assert callable(Polynomial.substitute)
+    assert callable(importlib.import_module("korbits.classes").ambient_weyl)

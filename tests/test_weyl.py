@@ -5,7 +5,6 @@ from korbits.pairs import parse_pair_spec
 from korbits.weyl import (
     SignedPermutation,
     enumerate_group,
-    f_bounded,
     group_order,
     l_p,
     parse_cycles,
@@ -122,26 +121,6 @@ def test_sign_stats():
     assert neg == (1, 2) and f == 2 and g == 3
 
 
-def test_f_bounded_example():
-    w = perm("BC", -2, -4, 1, 3, -5)
-    assert f_bounded(w, 3) == 1
-
-
-def test_f_bounded_parity_on_cosets():
-    # parity is stable under the even-signed block subgroup
-    n, p = 3, 2
-    subgroup = [
-        w
-        for w in enumerate_group("BC", n)
-        if all(abs(w.images[i - 1]) <= p for i in range(1, p + 1))
-        and sum(1 for i in range(p) if w.images[i] < 0) % 2 == 0
-    ]
-    for w in list(enumerate_group("BC", n))[::7]:
-        base = f_bounded(w, p) % 2
-        for s in subgroup:
-            assert f_bounded(s * w, p) % 2 == base
-
-
 def test_unequal_rank_stats():
     i_set, c_map, f = unequal_rank_stats(perm("A", 1, 3, 2), 1)
     assert i_set == (2,) and c_map == {2: 0} and f == 0
@@ -158,13 +137,6 @@ def test_restriction_maps():
     assert restriction_map(pair) == ((1, 1), (1, 2), None, (-1, 2), (-1, 1))
     pair = parse_pair_spec("D:oo-odd:1,2")
     assert restriction_map(pair) == ((1, 1), None, (1, 2))
-
-
-def test_one_line_round_trip():
-    w = perm("BC", 1, 3, -2)
-    assert w.one_line() == "1 3 2-"
-    assert SignedPermutation.from_one_line("BC", w.one_line()).images == w.images
-    assert SignedPermutation.from_one_line("BC", "1 3 -2").images == w.images
 
 
 def test_cycle_string_round_trip():
