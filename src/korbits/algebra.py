@@ -2,14 +2,19 @@
 
 Polynomials live in a fixed :class:`VariableSpace` with two banks of
 variables, ``x1..xr`` and ``y1..ym``.  A polynomial is stored as a dict
-mapping exponent tuples (one entry per variable, x-bank first) to nonzero
-``Fraction`` coefficients.  This representation is canonical: two
+mapping packed monomials to nonzero coefficients (an ``int`` when
+integral, else a ``Fraction``).  A packed monomial is one int with 8-bit
+fields: the total degree on top, then x1 down to the last y (Bachmann &
+Schoenemann, ISSAC 1998).  This representation is canonical: two
 polynomials are equal exactly when their term dicts are equal, regardless
 of how they were built.
 
 Monomials are ordered graded-lexicographically (total degree first, then
-lexicographic comparison of the exponent tuple with x1 strongest).  The
-same order drives printing, leading-term extraction and exact division.
+lexicographic comparison of the exponents with x1 strongest), which is
+integer order on packed monomials.  The same order drives printing,
+leading-term extraction and exact division.  A monomial product is one
+integer add; every product checks first that its degree stays within
+``MAX_DEGREE``, so no field can carry.
 
 On top of the ring operations the module provides composition (x's
 replaced by polynomials, y's passed through), elementary symmetric
@@ -25,14 +30,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContractViolation, InternalError, UsageError
 
-Monomial = tuple[int, ...]
+Monomial = int  # packed, see the module docstring
 Scalar = Union[int, Fraction]
+
+FIELD_BITS = 8
+FIELD_MASK = (1 << FIELD_BITS) - 1
+#: Largest total degree of a packed monomial; each exponent is at most this.
+MAX_DEGREE = FIELD_MASK
 
 #: Substitution target for a y-variable: None kills the variable (maps it
 #: to zero); otherwise (sign, bank, index) with bank "x" or "y", sign +-1.
@@ -42,21 +54,28 @@ Target = Optional[tuple[int, str, int]]
 #: unassigned, 0 when it maps to zero, else (sign, exponent slot of its image).
 PlanEntry = Union[None, int, tuple[int, int]]
 
-#: A term ready for substitution: its exponents with the y-part zeroed, its
-#: nonzero (y offset, exponent) pairs, and its coefficient.
+#: A term ready for substitution: its monomial with the y-fields cleared
+#: (degree kept), its nonzero (y offset, exponent) pairs, and its coefficient.
 CompiledTerm = tuple[Monomial, tuple[tuple[int, int], ...], Scalar]
 
 
 @dataclass(frozen=True)
 class VariableSpace:
-    """A fixed set of variables x1..xr, y1..ym (indices are 1-based)."""
+    """A fixed set of variables x1..xr, y1..ym (indices are 1-based), and
+    the packed layout: ``shifts[slot]`` is the bit offset of a slot's
+    exponent field (x-bank first), ``degree_shift`` that of the degree."""
 
     x_count: int
     y_count: int
+    shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    degree_shift: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.x_count < 0 or self.y_count < 0:
             raise ContractViolation("variable counts must be nonnegative")
+        n = self.nvars
+        object.__setattr__(self, "shifts", tuple(FIELD_BITS * (n - 1 - s) for s in range(n)))
+        object.__setattr__(self, "degree_shift", FIELD_BITS * n)
 
     @property
     def nvars(self) -> int:
@@ -77,6 +96,19 @@ class VariableSpace:
             return f"x{slot + 1}"
         return f"y{slot - self.x_count + 1}"
 
+    def pack(self, exponents: Sequence[int]) -> Monomial:
+        """The packed monomial with the given exponents, one per slot."""
+        degree = sum(exponents)
+        if len(exponents) != self.nvars or min(exponents, default=0) < 0 or degree > MAX_DEGREE:
+            raise ContractViolation(
+                f"{tuple(exponents)} is no {self.nvars}-slot monomial of degree <= {MAX_DEGREE}"
+            )
+        return sum(e << s for e, s in zip(exponents, self.shifts)) + (degree << self.degree_shift)
+
+    def exponents(self, mono: Monomial) -> tuple[int, ...]:
+        """The exponent of each slot in a packed monomial, x-bank first."""
+        return tuple([mono >> s & FIELD_MASK for s in self.shifts])
+
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
@@ -84,10 +116,7 @@ class VariableSpace:
         return self.const(1)
 
     def const(self, value: Scalar) -> "Polynomial":
-        coeff = _coeff(Fraction(value))
-        if coeff == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: coeff})
+        return Polynomial(self, {0: Fraction(value)})
 
     def x(self, i: int) -> "Polynomial":
         return self._variable(self.x_slot(i))
@@ -96,15 +125,12 @@ class VariableSpace:
         return self._variable(self.y_slot(j))
 
     def _variable(self, slot: int) -> "Polynomial":
-        exp = [0] * self.nvars
-        exp[slot] = 1
-        return self.monomial(exp)
+        mono = (1 << self.shifts[slot]) + (1 << self.degree_shift)
+        return Polynomial._from_clean(self, {mono: 1})
 
     def monomial(self, exponents: Sequence[int]) -> "Polynomial":
         """The monomial with the given exponents, one per slot, x-bank first."""
-        if len(exponents) != self.nvars or min(exponents, default=0) < 0:
-            raise ContractViolation(f"{tuple(exponents)} is not a monomial in {self.nvars} slots")
-        return Polynomial._from_clean(self, {tuple(exponents): 1})
+        return Polynomial._from_clean(self, {self.pack(exponents): 1})
 
 
 def _power(base: "Polynomial", exponent: int, multiply) -> "Polynomial":
@@ -119,10 +145,6 @@ def _power(base: "Polynomial", exponent: int, multiply) -> "Polynomial":
     return result
 
 
-def _mono_key(mono: Monomial) -> tuple[int, Monomial]:
-    return (sum(mono), mono)
-
-
 def _coeff(value: Scalar) -> Scalar:
     """Coefficients are stored as plain ints whenever integral; int and
     Fraction mix transparently (equality, hashing and printing agree), and
@@ -133,15 +155,22 @@ def _coeff(value: Scalar) -> Scalar:
     return value
 
 
+def _ints(terms: dict) -> dict:
+    """Store every integral Fraction value of ``terms`` as an int, in place."""
+    for mono, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[mono] = c.numerator
+    return terms
+
+
 class Polynomial:
     """Immutable sparse polynomial over a :class:`VariableSpace`."""
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: VariableSpace, terms: Mapping[Monomial, Fraction]):
-        clean = {m: _coeff(c) for m, c in terms.items() if c != 0}
+    def __init__(self, space: VariableSpace, terms: Mapping[Monomial, Scalar]):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _ints({m: c for m, c in terms.items() if c}))
 
     @classmethod
     def _from_clean(cls, space: VariableSpace, terms: dict) -> "Polynomial":
@@ -165,18 +194,23 @@ class Polynomial:
             return self.space.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other) -> "Polynomial":
+    def _combine(self, other, op) -> "Polynomial":
+        """self op other for op + or -, in one pass over other's terms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
+            new = _coeff(op(get(mono, 0), coeff))
             if new:
                 terms[mono] = new
             else:
-                terms.pop(mono, None)
+                del terms[mono]
         return Polynomial._from_clean(self.space, terms)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -186,10 +220,7 @@ class Polynomial:
         )
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -200,16 +231,20 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return self.space.zero()
-        terms: dict[Monomial, Fraction] = {}
+        if self.total_degree() + other.total_degree() > MAX_DEGREE:
+            raise ContractViolation(f"a product of degree above {MAX_DEGREE} does not pack")
+        terms: dict[Monomial, Scalar] = {}
+        get = terms.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                new = terms.get(mono, 0) + c1 * c2
+            for m2, c2 in right:
+                mono = m1 + m2
+                new = get(mono, 0) + c1 * c2
                 if new:
                     terms[mono] = new
                 else:
-                    terms.pop(mono, None)
-        return Polynomial._from_clean(self.space, terms)
+                    del terms[mono]
+        return Polynomial._from_clean(self.space, _ints(terms))
 
     __rmul__ = __mul__
 
@@ -249,17 +284,18 @@ class Polynomial:
         """Maximum total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> self.space.degree_shift
 
     def homogeneous_degree(self) -> Optional[int]:
         """The common degree of all terms, or None if inhomogeneous/zero."""
-        degrees = {sum(m) for m in self.terms}
+        shift = self.space.degree_shift
+        degrees = {m >> shift for m in self.terms}
         if len(degrees) != 1:
             return None
         return degrees.pop()
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+        return sorted(self.terms.items(), key=operator.itemgetter(0), reverse=True)
 
     # -- substitution and Weyl actions ------------------------------------
 
@@ -303,26 +339,32 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def format_polynomial(poly: Polynomial, namer=None) -> str:
+def format_polynomial(poly: Polynomial, namer=None, memo: Optional[dict] = None) -> str:
     """Canonical expanded form, terms in descending graded-lex order.
 
     ``namer`` overrides variable naming (slot index -> name); the Chern
-    rewrite uses it to print z-generators and the euler symbol.
+    rewrite uses it to print z-generators and the euler symbol.  ``memo``
+    maps packed monomials to their text; calls that share a space and a
+    namer, such as the rows of one table, may share one.
     """
     if not poly.terms:
         return "0"
+    space = poly.space
     if namer is None:
-        namer = poly.space.var_name
-    names = [namer(slot) for slot in range(poly.space.nvars)]
+        namer = space.var_name
+    memo = {} if memo is None else memo
+    fields = [(namer(slot), shift) for slot, shift in enumerate(space.shifts)]
     parts: list[str] = []
     for mono, coeff in poly.sorted_terms():
-        body = "*".join(
-            [
-                names[slot] if e == 1 else f"{names[slot]}^{e}"
-                for slot, e in enumerate(mono)
-                if e
-            ]
-        )
+        body = memo.get(mono)
+        if body is None:
+            body = memo[mono] = "*".join(
+                [
+                    name if e == 1 else f"{name}^{e}"
+                    for name, shift in fields
+                    if (e := mono >> shift & FIELD_MASK)
+                ]
+            )
         mag = abs(coeff)
         if body and mag == 1:
             text = body
@@ -343,10 +385,14 @@ def format_polynomial(poly: Polynomial, namer=None) -> str:
 
 def compile_terms(poly: Polynomial) -> list[CompiledTerm]:
     """Split each term for :func:`substitute_planned`, once per polynomial."""
-    r = poly.space.x_count
-    pad = (0,) * poly.space.y_count
+    ybits = FIELD_BITS * poly.space.y_count
+    yshifts = poly.space.shifts[poly.space.x_count :]
     return [
-        (mono[:r] + pad, tuple((o, e) for o, e in enumerate(mono[r:]) if e), coeff)
+        (
+            mono >> ybits << ybits,
+            tuple((o, e) for o, s in enumerate(yshifts) if (e := mono >> s & FIELD_MASK)),
+            coeff,
+        )
         for mono, coeff in poly.terms.items()
     ]
 
@@ -360,28 +406,29 @@ def substitute_planned(
     :meth:`Polynomial.map_y` and the localization code all build a plan
     and call it.
     """
+    shifts = space.shifts
+    # None and 0 stay as they are; (sign, slot) becomes (sign, field shift)
+    plan = [target and (target[0], shifts[target[1]]) for target in plan]
     terms: dict[Monomial, Scalar] = {}
     get = terms.get
-    for base, ys, coeff in compiled:
-        new = list(base)
+    for key, ys, coeff in compiled:
         for offset, e in ys:
             target = plan[offset]
             if not target:
                 if target is None:
                     raise ContractViolation(f"y{offset + 1} appears but has no assignment")
                 break  # the term dies
-            sign, slot = target
-            new[slot] += e
+            sign, shift = target
+            key += e << shift
             if sign < 0 and e & 1:
                 coeff = -coeff
         else:
-            key = tuple(new)
             value = get(key, 0) + coeff
             if value:
                 terms[key] = value
             else:
-                terms.pop(key, None)
-    return Polynomial._from_clean(space, terms)
+                del terms[key]
+    return Polynomial._from_clean(space, _ints(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -411,31 +458,42 @@ def compose(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     space = images[0].space
     if any(image.space != space for image in images) or space.y_count != m:
         raise ContractViolation("images must share one space with the same y-bank")
-    shift = space.x_count
-    parts: dict[Monomial, Polynomial] = {}
+    source, ybits = poly.space, FIELD_BITS * m
+    # degree and x-fields of a term -> (image of its x-part, its y-degree field)
+    parts: dict[Monomial, tuple] = {}
     terms: dict[Monomial, Scalar] = {}
+    get = terms.get
     for mono, coeff in poly.terms.items():
-        xs, ys = mono[:r], mono[r:]
-        part = parts.get(xs)
+        part = parts.get(mono >> ybits)
         if part is None:
-            part = parts[xs] = product(space, (images[i] ** e for i, e in enumerate(xs) if e))
-        for image, c in part.terms.items():
-            key = image[:shift] + tuple(a + b for a, b in zip(image[shift:], ys))
-            terms[key] = terms.get(key, 0) + coeff * c
+            xs = source.exponents(mono)[:r]
+            image = product(space, (images[i] ** e for i, e in enumerate(xs) if e))
+            ydegree = (mono >> source.degree_shift) - sum(xs)
+            if image.total_degree() + ydegree > MAX_DEGREE:
+                raise ContractViolation(f"a composite of degree above {MAX_DEGREE} does not pack")
+            part = parts[mono >> ybits] = (image.terms.items(), ydegree << space.degree_shift)
+        image, ys = part
+        ys += mono & ((1 << ybits) - 1)
+        for key, c in image:
+            key += ys
+            terms[key] = get(key, 0) + coeff * c
     return Polynomial(space, terms)
 
 
-def split_leading_x(poly: Polynomial) -> tuple[Monomial, Polynomial]:
+def split_leading_x(poly: Polynomial) -> tuple[tuple[int, ...], Polynomial]:
     """The graded-lex greatest x-exponents ``a`` among the terms of a
     nonzero polynomial, and the y-polynomial c with x^a * c the terms
     whose x-part is ``a``."""
     if not poly.terms:
         raise ContractViolation("zero polynomial has no leading term")
-    r = poly.space.x_count
-    lead = max((mono[:r] for mono in poly.terms), key=_mono_key)
-    pad = (0,) * r
-    rest = {pad + mono[r:]: c for mono, c in poly.terms.items() if mono[:r] == lead}
-    return lead, Polynomial._from_clean(poly.space, rest)
+    space = poly.space
+    xfields = (1 << space.degree_shift) - (1 << FIELD_BITS * space.y_count)
+    # graded-lex order on the x-part alone, whose degree is not stored
+    lead = max({mono & xfields for mono in poly.terms}, key=lambda x: (sum(space.exponents(x)), x))
+    a = space.exponents(lead)[: space.x_count]
+    drop = lead + (sum(a) << space.degree_shift)
+    rest = {mono - drop: c for mono, c in poly.terms.items() if mono & xfields == lead}
+    return a, Polynomial._from_clean(space, rest)
 
 
 def elementary_symmetric(
@@ -462,11 +520,6 @@ def elementary_symmetric(
     return e[k]
 
 
-def _heap_key(mono: Monomial) -> tuple:
-    # heapq pops the minimum; negate the graded-lex key to pop leaders first
-    return (-sum(mono), tuple(-e for e in mono))
-
-
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """Return q with f = q*g, raising InternalError if g does not divide f.
 
@@ -479,31 +532,29 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ContractViolation("division by the zero polynomial")
     space = f.space
     g_items = list(g.terms.items())
-    g_mono = max(g.terms, key=_mono_key)
+    g_mono = max(g.terms)
     g_coeff = g.terms[g_mono]
+    g_exponents = space.exponents(g_mono)
     rest = dict(f.terms)
-    heap = [(_heap_key(m), m) for m in rest]
+    heap = [-m for m in rest]  # heapq pops the minimum, so leaders go in negated
     heapq.heapify(heap)
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, Scalar] = {}
     while heap:
-        _, mono = heapq.heappop(heap)
+        mono = -heapq.heappop(heap)
         coeff = rest.get(mono)
         if not coeff:
             continue  # stale heap entry
-        diff = tuple(a - b for a, b in zip(mono, g_mono))
-        if any(d < 0 for d in diff):
+        if any(a < b for a, b in zip(space.exponents(mono), g_exponents)):
             raise InternalError("non-exact polynomial division")
-        if isinstance(coeff, int) and isinstance(g_coeff, int):
-            q_coeff = _coeff(Fraction(coeff, g_coeff))
-        else:
-            q_coeff = _coeff(Fraction(coeff) / Fraction(g_coeff))
+        diff = mono - g_mono
+        q_coeff = _coeff(Fraction(coeff) / g_coeff)
         quotient[diff] = quotient.get(diff, 0) + q_coeff
         for gm, gc in g_items:
-            target = tuple(a + b for a, b in zip(diff, gm))
+            target = diff + gm
             value = rest.get(target, 0) - q_coeff * gc
             if value:
                 if target not in rest:
-                    heapq.heappush(heap, (_heap_key(target), target))
+                    heapq.heappush(heap, -target)
                 rest[target] = value
             else:
                 rest.pop(target, None)
@@ -625,19 +676,24 @@ def divided_difference(f: Polynomial, action: SimpleRootAction) -> Polynomial:
     - D, u + v: the A rule after v -> -w, then w -> -v, so the output
       terms alternate in sign, starting from (-1)^(a+1+min(a,b)).
     """
-    s = action.slot
+    space = f.space
+    sa = space.shifts[action.slot]
+    lower = 1 << space.degree_shift  # every output term has one degree less
     terms: dict[Monomial, Scalar] = {}
     if action.shape in ("B", "C"):
         scale = 2 if action.shape == "B" else 1
+        drop = (1 << sa) + lower
         for mono, coeff in f.terms.items():
-            a = mono[s]
-            if a & 1:
-                terms[mono[:s] + (a - 1,) + mono[s + 1 :]] = scale * coeff
-        return Polynomial(f.space, terms)
+            if mono >> sa & 1:
+                terms[mono - drop] = scale * coeff
+        return Polynomial(space, terms)
+    sb = sa - FIELD_BITS  # v sits in the next slot, one field lower
+    step = (1 << sa) - (1 << sb)  # u^e v^(d-e) -> u^(e+1) v^(d-e-1)
+    first = (1 << sb) + lower
     twisted = action.shape == "D"
-    get = terms.get
+    get, mask = terms.get, FIELD_MASK
     for mono, coeff in f.terms.items():
-        a, b = mono[s], mono[s + 1]
+        a, b = mono >> sa & mask, mono >> sb & mask
         if a == b:
             continue
         if a > b:
@@ -647,12 +703,12 @@ def divided_difference(f: Polynomial, action: SimpleRootAction) -> Polynomial:
         if twisted and not (a + lo) & 1:
             coeff = -coeff
         alt = -coeff if twisted else coeff
-        head, tail, d = mono[:s], mono[s + 2 :], a + b - 1
-        for e in range(lo, hi):
-            key = head + (e, d - e) + tail
+        key = mono + (lo - a) * step - first  # u^lo v^(a+b-1-lo)
+        for _ in range(lo, hi):
             terms[key] = get(key, 0) + coeff
             coeff, alt = alt, coeff
-    return Polynomial(f.space, terms)
+            key += step
+    return Polynomial(space, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +762,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 MAX_NESTING = 100  # parentheses plus unary minus signs, well below the recursion limit
-# Largest exponent, and largest degree of a power, that the grammar accepts.
+# Largest exponent, and largest degree of a power or a product, that the
+# grammar accepts, well below MAX_DEGREE.
 # No class reaches it: the biggest flag variety the CLI handles has
 # dimension n^2 <= 64.
 MAX_EXPONENT = 64
@@ -766,6 +823,8 @@ class _Parser:
         return result
 
     def product(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        if f.total_degree() + g.total_degree() > MAX_EXPONENT:
+            raise UsageError(f"a product may have degree at most {MAX_EXPONENT}")
         pairs = len(f.terms) * len(g.terms)
         if pairs > MAX_TERMS:
             raise UsageError(
@@ -775,7 +834,8 @@ class _Parser:
         return f * g
 
     def power(self, base: Polynomial, exponent: int) -> Polynomial:
-        used = sum(1 for slot in range(base.space.nvars) if any(m[slot] for m in base.terms))
+        # a field of the bitwise or of all monomials is nonzero when some term uses its slot
+        used = sum(map(bool, base.space.exponents(reduce(operator.or_, base.terms, 0))))
         bound = math.comb(max(base.total_degree(), 0) * exponent + used, used)
         if bound > MAX_TERMS:
             raise UsageError(f"a power may have up to {bound} terms, more than {MAX_TERMS}")

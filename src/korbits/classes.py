@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .algebra import (
@@ -475,7 +474,7 @@ def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]
             classes[edge.source].polynomial, pair.root_action(edge.root_index)
         )
         if edge.degree == 2:
-            poly = poly * Fraction(1, 2)
+            poly = poly / 2
         candidate = EquivariantClass(pair, poly)
         stored = classes.get(edge.target)
         if stored is None:
@@ -549,7 +548,7 @@ def split_orbit_data(pair: SymmetricPair) -> SplitData:
                         st = RootStatus("noncompact_I", InvolutionOrbit(target_inv))
                     else:
                         st = RootStatus("noncompact_II", InvolutionOrbit(target_inv))
-                        poly = poly * Fraction(1, 2)
+                        poly = poly / 2
                 else:
                     if isinstance(param, SplitOrbit):
                         chosen = None
@@ -704,16 +703,15 @@ def format_table(
     fmt: str = "table",
 ) -> str:
     graph = build_weak_order_graph(pair)
+    memo: dict = {}  # one text per monomial for the whole table
+    rows = [
+        (str(param), format_polynomial(classes[param].polynomial, memo=memo))
+        for param in graph.nodes
+    ]
     if fmt == "machine":
-        return "".join(
-            f"{param} := {classes[param].polynomial}\n" for param in graph.nodes
-        )
-    rows = [(str(param), str(classes[param].polynomial)) for param in graph.nodes]
+        return "".join(f"{param} := {poly}\n" for param, poly in rows)
     if fmt == "csv":
-        out = ["parameter,formula"]
-        for param, poly in rows:
-            out.append(f'"{param}","{poly}"')
-        return "\n".join(out) + "\n"
+        return "parameter,formula\n" + "".join(f'"{param}","{poly}"\n' for param, poly in rows)
     if fmt == "table":
         width = max(len(param) for param, _ in rows)
         return "\n".join(f"{param:<{width}}  {poly}" for param, poly in rows) + "\n"

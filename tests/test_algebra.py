@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbits.algebra import (
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
     Polynomial,
@@ -29,6 +30,106 @@ from korbits.orbits import build_weak_order_graph
 from korbits.pairs import parse_pair_spec
 
 SP = VariableSpace(2, 4)
+
+
+# -- the tuple-dict oracle ------------------------------------------------------
+# The representation packed monomials replaced: a dict from exponent tuples
+# (one entry per slot, x-bank first) to nonzero coefficients.  The packed
+# code is compared with it through VariableSpace.exponents and .pack.
+
+
+def exponent_terms(poly):
+    return {poly.space.exponents(mono): c for mono, c in poly.terms.items()}
+
+
+def packed(sp, terms):
+    return Polynomial(sp, {sp.pack(mono): c for mono, c in terms.items()})
+
+
+def _nonzero(terms):
+    return {mono: c for mono, c in terms.items() if c}
+
+
+def reference_add(f, g):
+    out = dict(f)
+    for mono, c in g.items():
+        out[mono] = out.get(mono, 0) + c
+    return _nonzero(out)
+
+
+def reference_mul(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def reference_substitute(sp, f, assignment):
+    # assignment as for Polynomial.substitute: y index -> None or (sign, bank, index)
+    r = sp.x_count
+    out = {}
+    for mono, c in f.items():
+        new = list(mono[:r]) + [0] * sp.y_count
+        for j, e in enumerate(mono[r:], start=1):
+            if not e:
+                continue
+            target = assignment[j]
+            if target is None:
+                break
+            sign, bank, idx = target
+            new[idx - 1 if bank == "x" else r + idx - 1] += e
+            c *= sign**e
+        else:
+            out[tuple(new)] = out.get(tuple(new), 0) + c
+    return _nonzero(out)
+
+
+def reference_divided_difference(f, act):
+    # the closed forms of algebra.divided_difference on exponent tuples
+    s, out = act.slot, {}
+    if act.shape in ("B", "C"):
+        scale = 2 if act.shape == "B" else 1
+        for mono, coeff in f.items():
+            if mono[s] & 1:
+                out[mono[:s] + (mono[s] - 1,) + mono[s + 1 :]] = scale * coeff
+        return _nonzero(out)
+    twisted = act.shape == "D"
+    for mono, coeff in f.items():
+        a, b = mono[s], mono[s + 1]
+        if a == b:
+            continue
+        lo, hi = min(a, b), max(a, b)
+        if a < b:
+            coeff = -coeff
+        if twisted and not (a + lo) & 1:
+            coeff = -coeff
+        alt = -coeff if twisted else coeff
+        for e in range(lo, hi):
+            key = mono[:s] + (e, a + b - 1 - e) + mono[s + 2 :]
+            out[key] = out.get(key, 0) + coeff
+            coeff, alt = alt, coeff
+    return _nonzero(out)
+
+
+def reference_format(sp, f):
+    names = [sp.var_name(slot) for slot in range(sp.nvars)]
+    parts = []
+    for mono in sorted(f, key=lambda m: (sum(m), m), reverse=True):
+        coeff = f[mono]
+        body = "*".join(
+            names[slot] if e == 1 else f"{names[slot]}^{e}" for slot, e in enumerate(mono) if e
+        )
+        mag = abs(coeff)
+        text = body if body and mag == 1 else f"{mag}*{body}" if body else str(mag)
+        sign = ("-" if coeff < 0 else "") if not parts else ("- " if coeff < 0 else "+ ")
+        parts.append(sign + text)
+    return " ".join(parts) if parts else "0"
+
+
+def integral_values_are_ints(poly):
+    return all(type(c) is int or c.denominator > 1 for c in poly.terms.values())
 
 
 def test_addition_cancels():
@@ -63,7 +164,7 @@ def test_canonical_form_ignores_build_order():
     for t in reversed(terms):
         backward = backward + t
     assert forward == backward
-    assert forward.terms == backward.terms
+    assert exponent_terms(forward) == exponent_terms(backward)
 
 
 def test_homogeneous_degree():
@@ -187,7 +288,7 @@ def sympy_form(sympy, symbols, poly):
         (
             sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
             * sympy.Mul(*[v**e for v, e in zip(symbols, mono)])
-            for mono, c in poly.terms.items()
+            for mono, c in exponent_terms(poly).items()
         ),
         sympy.Integer(0),
     )
@@ -387,7 +488,7 @@ coefficients = st.one_of(
 def polynomials(sp, max_exp=6):
     monomial = st.tuples(*([st.integers(0, max_exp)] * sp.nvars))
     return st.dictionaries(monomial, coefficients, max_size=6).map(
-        lambda terms: Polynomial(sp, terms)
+        lambda terms: packed(sp, terms)
     )
 
 
@@ -484,6 +585,72 @@ def test_ring_axioms(da, db, dc):
     assert (a - a).is_zero
 
 
+def tuple_polynomials(sp, max_exp=4):
+    monomial = st.tuples(*([st.integers(0, max_exp)] * sp.nvars))
+    return st.dictionaries(monomial, coefficients.filter(bool), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_packed_code_matches_tuple_oracle(data):
+    sp = VariableSpace(data.draw(st.integers(0, 2)), data.draw(st.integers(2, 3)))
+    ft, gt = data.draw(tuple_polynomials(sp)), data.draw(tuple_polynomials(sp))
+    f, g = packed(sp, ft), packed(sp, gt)
+    assert exponent_terms(f) == ft
+    results = [
+        (f + g, reference_add(ft, gt)),
+        (f - g, reference_add(ft, {m: -c for m, c in gt.items()})),
+        (f * g, reference_mul(ft, gt)),
+    ]
+    for family in "ABCD":
+        for act in actions_for(family, sp):
+            results.append((divided_difference(f, act), reference_divided_difference(ft, act)))
+    targets = st.none() | st.tuples(
+        st.sampled_from([1, -1]),
+        st.sampled_from("x" * bool(sp.x_count) + "y"),
+        st.integers(1, 2),
+    )
+    assignment = {
+        j: data.draw(targets.filter(lambda t: t is None or t[2] <= sp.x_count or t[1] == "y"))
+        for j in range(1, sp.y_count + 1)
+    }
+    results.append((f.substitute(assignment), reference_substitute(sp, ft, assignment)))
+    for got, want in results:
+        assert exponent_terms(got) == want
+        assert integral_values_are_ints(got)
+    assert str(f) == reference_format(sp, ft)
+    assert str(f * g) == reference_format(sp, reference_mul(ft, gt))
+
+
+def test_degree_past_a_packed_field_is_a_contract_violation():
+    sp = VariableSpace(1, 1)
+    top = sp.x(1) ** MAX_DEGREE
+    assert top.total_degree() == MAX_DEGREE
+    assert sp.exponents(next(iter(top.terms))) == (MAX_DEGREE, 0)
+    for make in (
+        lambda: top * sp.y(1),
+        lambda: sp.y(1) ** (MAX_DEGREE + 1),
+        lambda: sp.monomial((MAX_DEGREE, 1)),
+        lambda: compose(sp.x(1) ** 2 * sp.y(1) ** 200, [sp.x(1) ** 28]),
+    ):
+        with pytest.raises(ContractViolation):
+            make()
+
+
+def test_sums_and_scalings_store_integral_values_as_ints():
+    sp = VariableSpace(1, 1)
+    half = Fraction(1, 2)
+    for poly in (
+        parse_polynomial("1/2*x1+1/2*x1", sp),
+        parse_polynomial("1/2*x1-(-1/2)*x1", sp),
+        (half * sp.x(1)) * (2 * sp.y(1)),
+        (2 * sp.x(1)) / 2,
+        sp.x(1) * half + sp.x(1) * half,
+    ):
+        assert integral_values_are_ints(poly), poly
+        assert poly.terms
+
+
 # -- parsing / printing ---------------------------------------------------------
 
 
@@ -529,8 +696,12 @@ def test_parse_exponent_cap():
     assert parse_polynomial(f"y1^{MAX_EXPONENT}", space) == space.y(1) ** MAX_EXPONENT
     assert parse_polynomial("(y1*y2)^32", space) == (space.y(1) * space.y(2)) ** 32
     assert parse_polynomial(f"2^{MAX_EXPONENT}", space) == space.const(2**MAX_EXPONENT)
+    assert parse_polynomial("x1^32*y1^32", space) == space.x(1) ** 32 * space.y(1) ** 32
     for text in (
         f"y1^{MAX_EXPONENT + 1}",
+        "x1^64*x1^64*x1^64*x1^64",
+        "x1^32*y1^32*y2",
+        "(x1+1)^40*(y1+1)^40",
         "(x1*y1)^33",
         "y1^8^9",
         "((x1+y1)^64)^64",

@@ -110,23 +110,26 @@ def reference_chern(cls: EquivariantClass) -> Polynomial:
     pair = cls.pair
     space = pair.variable_space()
     n, m = space.x_count, space.y_count
+    # the exponent tuples of the class's terms, through the packed layout's accessor
+    terms = {space.exponents(mono): c for mono, c in cls.polynomial.terms.items()}
     if pair.kind.chern == "blocks":
         p, q = pair.p, pair.q
-        terms = dict(cls.polynomial.terms)
         if not _block_symmetric(terms, 0, p) or not _block_symmetric(terms, p, q):
             raise ContractViolation("class is not symmetric in the x-blocks")
         terms = _elementary_exponents_block(terms, 0, p)
         terms = _elementary_exponents_block(terms, p, q)
         out = {mono[:n] + (0,) + mono[n:]: coeff for mono, coeff in terms.items()}
-        return Polynomial(VariableSpace(p + q + 1, m), out)
-    out = {}
-    for mono, coeff in cls.polynomial.terms.items():
-        xpart = mono[:n]
-        if any(xpart) and len(set(xpart)) != 1:
-            raise ContractViolation("x-content is not a multiple of the full x-monomial")
-        key = (xpart[0] if xpart else 0,) + mono[n:]
-        out[key] = out.get(key, 0) + coeff
-    return Polynomial(VariableSpace(1, m), out)
+        out_space = VariableSpace(p + q + 1, m)
+    else:
+        out = {}
+        for mono, coeff in terms.items():
+            xpart = mono[:n]
+            if any(xpart) and len(set(xpart)) != 1:
+                raise ContractViolation("x-content is not a multiple of the full x-monomial")
+            key = (xpart[0] if xpart else 0,) + mono[n:]
+            out[key] = out.get(key, 0) + coeff
+        out_space = VariableSpace(1, m)
+    return Polynomial(out_space, {out_space.pack(mono): c for mono, c in out.items()})
 
 
 ORACLE_PAIRS = [

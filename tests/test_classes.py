@@ -219,6 +219,14 @@ def test_propagation_grading_and_dense(spec):
     assert classes[graph.dense].polynomial == pair.variable_space().one()
 
 
+def test_sweep_classes_store_integral_coefficients_as_ints(workloads):
+    # halving and summing Fractions must not leave Fraction(k, 1) behind
+    for spec in workloads.CLASSES_PAIRS:
+        for param, cls in propagate_all(parse_pair_spec(spec)).items():
+            coeffs = cls.polynomial.terms.values()
+            assert all(type(c) is int or c.denominator > 1 for c in coeffs), (spec, param)
+
+
 def test_sp4_table():
     pair = parse_pair_spec("A:sp:4")
     classes = {str(k): v.polynomial for k, v in propagate_all(pair).items()}

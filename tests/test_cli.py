@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from korbits.cli import main
+from korbits.orbits import build_weak_order_graph
 
 
 def run(capsys, *argv):
@@ -226,6 +227,7 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^24"),
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^8*{SIX}^8"),
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^64"),
+        (None, GLPQ11 + "(+,-) := x1^64*x1^64*x1^64*x1^64"),
         (("orbits", "A:glpq:1,1", "--format", "xml"), None),
         ((), None),
         (("orbits",), None),
@@ -246,6 +248,7 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "power-squares-past-term-bound",
         "product-past-term-bound",
         "power-past-term-bound",
+        "product-past-degree-cap",
         "argparse-bad-choice",
         "argparse-no-command",
         "argparse-missing-argument",
@@ -333,10 +336,39 @@ def test_traced_names_resolve(trace_child):
     # one would crash every traced run
     import importlib
 
-    from korbits.algebra import Polynomial
+    from test_algebra import exponent_terms, reference_divided_difference
+
+    from korbits.algebra import Polynomial, divided_difference
+    from korbits.classes import propagate_all
+    from korbits.pairs import parse_pair_spec
 
     for module_name, func_name, _ in trace_child.SPANS:
         module = importlib.import_module(f"korbits.{module_name}")
         assert callable(getattr(module, func_name, None)), (module_name, func_name)
     assert callable(Polynomial.substitute)
     assert callable(importlib.import_module("korbits.classes").ambient_weyl)
+    # the algebra.terms_out hook counts len(result.terms) on each
+    # divided_difference result; a change of representation must not zero it
+    pair = parse_pair_spec("A:so:5")
+    classes, counted = propagate_all(pair), 0
+    for edge in build_weak_order_graph(pair).edges:
+        f = classes[edge.source].polynomial
+        act = pair.root_action(edge.root_index)
+        result = divided_difference(f, act)
+        assert len(result.terms) == len(reference_divided_difference(exponent_terms(f), act))
+        counted += len(result.terms)
+    assert counted > 0
+
+
+CLASSES_PINS = Path(__file__).with_name("classes_pins.json")
+
+
+def test_classes_tables_match_pins(capsys):
+    # classes --format machine on the ten pairs at ranks 2 and 3, and the
+    # csv and table formats on two pairs, byte for byte
+    pins = json.loads(CLASSES_PINS.read_text())
+    assert len(pins) == 24
+    for call, digest in pins.items():
+        code, out, _ = run(capsys, *call.split())
+        assert code == 0, call
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, call
