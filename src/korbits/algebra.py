@@ -31,12 +31,12 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContractViolation, InternalError, UsageError
+from .records import Record, set_field, set_fields
 
 Monomial = int  # packed, see the module docstring
 Scalar = Union[int, Fraction]
@@ -59,23 +59,30 @@ PlanEntry = Union[None, int, tuple[int, int]]
 CompiledTerm = tuple[Monomial, tuple[tuple[int, int], ...], Scalar]
 
 
-@dataclass(frozen=True)
-class VariableSpace:
+class VariableSpace(Record):
     """A fixed set of variables x1..xr, y1..ym (indices are 1-based), and
     the packed layout: ``shifts[slot]`` is the bit offset of a slot's
-    exponent field (x-bank first), ``degree_shift`` that of the degree."""
+    exponent field (x-bank first), ``degree_shift`` that of the degree.
+    Spaces compare and hash by the two counts alone."""
 
-    x_count: int
-    y_count: int
-    shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    degree_shift: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("x_count", "y_count", "shifts", "degree_shift")
 
-    def __post_init__(self) -> None:
-        if self.x_count < 0 or self.y_count < 0:
+    def __init__(self, x_count: int, y_count: int) -> None:
+        set_field(self, "x_count", x_count)
+        set_field(self, "y_count", y_count)
+        if x_count < 0 or y_count < 0:
             raise ContractViolation("variable counts must be nonnegative")
-        n = self.nvars
-        object.__setattr__(self, "shifts", tuple(FIELD_BITS * (n - 1 - s) for s in range(n)))
-        object.__setattr__(self, "degree_shift", FIELD_BITS * n)
+        n = x_count + y_count
+        set_field(self, "shifts", tuple(FIELD_BITS * (n - 1 - s) for s in range(n)))
+        set_field(self, "degree_shift", FIELD_BITS * n)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.x_count == other.x_count and self.y_count == other.y_count
+
+    def __hash__(self) -> int:
+        return hash((self.x_count, self.y_count))
 
     @property
     def nvars(self) -> int:
@@ -163,25 +170,22 @@ def _ints(terms: dict) -> dict:
     return terms
 
 
-class Polynomial:
+class Polynomial(Record):
     """Immutable sparse polynomial over a :class:`VariableSpace`."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: VariableSpace, terms: Mapping[Monomial, Scalar]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", _ints({m: c for m, c in terms.items() if c}))
+        set_field(self, "space", space)
+        set_field(self, "terms", _ints({m: c for m, c in terms.items() if c}))
 
     @classmethod
     def _from_clean(cls, space: VariableSpace, terms: dict) -> "Polynomial":
         """Wrap a dict already known to hold no zero coefficients."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "terms", terms)
+        set_field(obj, "space", space)
+        set_field(obj, "terms", terms)
         return obj
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Polynomial is immutable")
 
     # -- ring structure -------------------------------------------------
 
@@ -602,8 +606,7 @@ def _det_cofactor(space: VariableSpace, m: list[list[Polynomial]]) -> Polynomial
 # divided difference operators
 
 
-@dataclass(frozen=True)
-class SimpleRootAction:
+class SimpleRootAction(Record):
     """A simple reflection on the y-bank together with its root.
 
     ``reflection[j-1] = (sign, k)`` gives the image of y_j; ``root`` is the
@@ -613,11 +616,10 @@ class SimpleRootAction:
     for A and D, at ``slot + 1``.
     """
 
-    space: VariableSpace
-    reflection: tuple[tuple[int, int], ...]
-    root: Polynomial
-    shape: str
-    slot: int
+    __slots__ = ("space", "reflection", "root", "shape", "slot")
+
+    def __init__(self, space: VariableSpace, reflection, root: Polynomial, shape: str, slot: int):
+        set_fields(self, space, reflection, root, shape, slot)
 
 
 def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootAction:

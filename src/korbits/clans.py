@@ -15,11 +15,11 @@ than filtered out of all clans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ContractViolation, UsageError
 from .pairs import SymmetricPair
+from .records import Record, set_field
 from .weyl import SignedPermutation
 
 Symbol = Union[str, int]
@@ -42,13 +42,13 @@ def _canonical(symbols: Sequence[Symbol]) -> tuple[Symbol, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Clan:
-    symbols: tuple[Symbol, ...]
+class Clan(Record):
+    __slots__ = ("symbols",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, symbols: tuple[Symbol, ...]) -> None:
+        set_field(self, "symbols", symbols)
         counts: dict[int, int] = {}
-        for sym in self.symbols:
+        for sym in symbols:
             if sym in (PLUS, MINUS):
                 continue
             if not isinstance(sym, int) or sym < 1:
@@ -57,7 +57,7 @@ class Clan:
         for label, count in counts.items():
             if count != 2:
                 raise ContractViolation(f"number {label} appears {count} times")
-        if self.symbols != _canonical(self.symbols):
+        if symbols != _canonical(symbols):
             raise ContractViolation("clan symbols are not in canonical form")
 
     # -- construction -----------------------------------------------------
@@ -65,6 +65,19 @@ class Clan:
     @classmethod
     def of(cls, symbols: Sequence[Symbol]) -> "Clan":
         return cls(_canonical(tuple(symbols)))
+
+    @classmethod
+    def _trusted(cls, symbols: tuple[Symbol, ...]) -> "Clan":
+        """Wrap symbols already known to form a clan in canonical form."""
+        obj = object.__new__(cls)
+        set_field(obj, "symbols", symbols)
+        return obj
+
+    def __eq__(self, other):
+        return self.symbols == other.symbols if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbols,))
 
     @classmethod
     def parse(cls, text: str) -> "Clan":
@@ -127,9 +140,10 @@ class Clan:
         return Clan.of(symbols)
 
     def swap(self, i: int, j: int) -> "Clan":
+        """Positions i and j exchanged; a clan stays a clan, so only relabel."""
         symbols = list(self.symbols)
         symbols[i - 1], symbols[j - 1] = symbols[j - 1], symbols[i - 1]
-        return Clan.of(symbols)
+        return Clan._trusted(_canonical(symbols))
 
     def fresh_label(self) -> int:
         numbers = [s for s in self.symbols if isinstance(s, int)]

@@ -14,7 +14,6 @@ restrictions directly from root data, independently of the formulas.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .algebra import (
@@ -61,6 +60,7 @@ from .pairs import (
     D_OO_ODD,
     SymmetricPair,
 )
+from .records import Record, set_fields
 from .weyl import (
     SignedPermutation,
     enumerate_group,
@@ -73,8 +73,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class EquivariantClass:
+class EquivariantClass(Record):
     """A polynomial representative of an orbit-closure class.
 
     ``factors`` optionally keeps the product form the closed-orbit
@@ -83,9 +82,10 @@ class EquivariantClass:
     much faster for large ambient Weyl groups.
     """
 
-    pair: SymmetricPair
-    polynomial: Polynomial
-    factors: Optional[tuple[Polynomial, ...]] = None
+    __slots__ = ("pair", "polynomial", "factors")
+
+    def __init__(self, pair: SymmetricPair, polynomial: Polynomial, factors=None) -> None:
+        set_fields(self, pair, polynomial, factors)
 
     @classmethod
     def from_factors(cls, pair: SymmetricPair, factors: Iterable[Polynomial]):
@@ -232,32 +232,25 @@ def closed_orbit_class(
 
 @functools.lru_cache(maxsize=None)
 def staircase_determinant(space: VariableSpace, n: int, half: bool) -> Polynomial:
-    """det(c_{n+1+j-2i}) (full) or det(c_{n+j-2i}) of size n-1 (half),
+    """det(c_{n+1+j-2i}) (full) or det(c_{n+j-2i} / 2) of size n-1 (half),
     where c_k sums the k-th elementary symmetric functions of x1..xn and
-    of y1..yn, halved in the second variant.  Cached: every closed class
-    of a general-linear pair is a signed y-permutation of it."""
+    of y1..yn.  The half variant expands the integer determinant and
+    divides it once by 2^(n-1).  Cached: every closed class of a
+    general-linear pair is a signed y-permutation of it."""
     xs = [space.x(i) for i in range(1, n + 1)]
     ys = [space.y(k) for k in range(1, n + 1)]
 
     def c(k: int) -> Polynomial:
         if k < 0:
             return space.zero()
-        value = elementary_symmetric(k, xs, space) + elementary_symmetric(k, ys, space)
-        return value / 2 if half else value
+        return elementary_symmetric(k, xs, space) + elementary_symmetric(k, ys, space)
 
-    if half:
-        size = n - 1
-        entries = [
-            [c(n + (j + 1) - 2 * (i + 1)) for j in range(size)] for i in range(size)
-        ]
-        if size == 0:
-            return space.one()
-    else:
-        size = n
-        entries = [
-            [c(n + 1 + (j + 1) - 2 * (i + 1)) for j in range(size)] for i in range(size)
-        ]
-    return poly_determinant(entries)
+    size = n - 1 if half else n
+    if size == 0:
+        return space.one()
+    top = n if half else n + 1
+    entries = [[c(top + (j + 1) - 2 * (i + 1)) for j in range(size)] for i in range(size)]
+    return poly_determinant(entries) / 2**size if half else poly_determinant(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +487,6 @@ def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]
 # component resolution by localization
 
 
-@dataclass
-class SplitData:
-    graph: WeakOrderGraph
-    classes: dict[OrbitParameter, EquivariantClass]
-
-
 def _component_representatives(inv: tuple[int, ...], n: int):
     """Fixed-point representatives of the two components of a split orbit."""
     size = 2 * n
@@ -513,7 +500,7 @@ def _component_representatives(inv: tuple[int, ...], n: int):
     return {PLUS: plus, MINUS: _value_swap(plus, n)}
 
 
-def split_orbit_data(pair: SymmetricPair) -> SplitData:
+def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
     """Joint weak-order graph and classes for (SL(2n), SO(2n)).
 
     When a raise connects two split orbits, the propagated class is
@@ -596,22 +583,23 @@ def split_orbit_data(pair: SymmetricPair) -> SplitData:
     graph = WeakOrderGraph(
         pair, nodes, tuple(edges), tuple(p for p, _ in closed), maximal[0], level
     )
-    return SplitData(graph, classes)
+    return graph, classes
 
 
 # ---------------------------------------------------------------------------
 # rewriting into Chern generators
 
 
-@dataclass(frozen=True)
-class ChernExpression:
+class ChernExpression(Record):
     """A class rewritten over z-generators (block elementary symmetric
     functions), the y-variables, and the euler symbol standing for the
     monomial x1*...*xn."""
 
-    pair: SymmetricPair
-    blocks: tuple[int, int]
-    polynomial: Polynomial  # x-bank: z's for both blocks, then the euler slot
+    # the polynomial's x-bank: z's for both blocks, then the euler slot
+    __slots__ = ("pair", "blocks", "polynomial")
+
+    def __init__(self, pair: SymmetricPair, blocks: tuple[int, int], polynomial: Polynomial):
+        set_fields(self, pair, blocks, polynomial)
 
     def _namer(self, slot: int) -> str:
         zcount = self.blocks[0] + self.blocks[1]

@@ -10,10 +10,8 @@ error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from importlib import resources
 
 from .classes import (
     class_for_parameter,
@@ -55,6 +53,7 @@ def _cmd_orbits(args) -> int:
     params = sorted(graph.nodes, key=lambda p: p.sort_key())
     closed, dense = set(graph.closed), graph.dense
     if args.format == "json":
+        import json
         payload = [
             {
                 "parameter": str(param),
@@ -100,6 +99,7 @@ def _fixture_text(path: str) -> str:
         if os.path.exists(candidate):
             with open(candidate, "r", encoding="utf-8") as handle:
                 return handle.read()
+    from importlib import resources
     packaged = resources.files("korbits").joinpath("fixtures", path)
     if packaged.is_file():
         return packaged.read_text(encoding="utf-8")

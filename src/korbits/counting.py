@@ -14,11 +14,11 @@ no clan outside the inner class is ever built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .clans import enumerate_clans
 from .errors import InternalError, UsageError
 from .pairs import KINDS, PQ
+from .records import Record, set_fields
 from .weyl import SignedPermutation, involutions
 
 INNER_CLASSES = tuple(
@@ -26,11 +26,11 @@ INNER_CLASSES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class CountRow:
-    involution: str
-    clan_count: int
-    fiber_count: int
+class CountRow(Record):
+    __slots__ = ("involution", "clan_count", "fiber_count")
+
+    def __init__(self, involution: str, clan_count: int, fiber_count: int) -> None:
+        set_fields(self, involution, clan_count, fiber_count)
 
     @property
     def ok(self) -> bool:

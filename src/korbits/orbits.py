@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -34,15 +33,24 @@ from .pairs import (
     D_OO_ODD,
     SymmetricPair,
 )
+from .records import Record, set_field, set_fields
 from .weyl import SignedPermutation, involutions, parse_cycles
 
 # ---------------------------------------------------------------------------
 # orbit parameters
 
 
-@dataclass(frozen=True)
-class ClanOrbit:
-    clan: Clan
+class ClanOrbit(Record):
+    __slots__ = ("clan",)
+
+    def __init__(self, clan: Clan) -> None:
+        set_field(self, "clan", clan)
+
+    def __eq__(self, other):
+        return self.clan == other.clan if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.clan,))
 
     def __str__(self) -> str:
         return str(self.clan)
@@ -51,11 +59,19 @@ class ClanOrbit:
         return (0, self.clan.sort_key())
 
 
-@dataclass(frozen=True)
-class InvolutionOrbit:
+class InvolutionOrbit(Record):
     """An orbit labelled by an honest involution (image tuple)."""
 
-    involution: tuple[int, ...]
+    __slots__ = ("involution",)
+
+    def __init__(self, involution: tuple[int, ...]) -> None:
+        set_field(self, "involution", involution)
+
+    def __eq__(self, other):
+        return self.involution == other.involution if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.involution,))
 
     def __str__(self) -> str:
         return SignedPermutation("A", self.involution).cycle_string()
@@ -64,19 +80,27 @@ class InvolutionOrbit:
         return (1, self.involution)
 
 
-@dataclass(frozen=True)
-class SplitOrbit:
+class SplitOrbit(Record):
     """One component of a split orbit of the even orthogonal pair."""
 
-    involution: tuple[int, ...]
-    component: str  # "+" or "-"
+    __slots__ = ("involution", "component")  # component "+" or "-"
 
-    def __post_init__(self) -> None:
-        if self.component not in (PLUS, MINUS):
+    def __init__(self, involution: tuple[int, ...], component: str) -> None:
+        set_field(self, "involution", involution)
+        set_field(self, "component", component)
+        if component not in (PLUS, MINUS):
             raise ContractViolation("component tag must be + or -")
-        perm = SignedPermutation("A", self.involution)
+        perm = SignedPermutation("A", involution)
         if any(perm.images[i - 1] == i for i in range(1, perm.n + 1)):
             raise ContractViolation("only fixed-point-free involutions split")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.involution == other.involution and self.component == other.component
+
+    def __hash__(self) -> int:
+        return hash((self.involution, self.component))
 
     def __str__(self) -> str:
         return self.component + SignedPermutation("A", self.involution).cycle_string()
@@ -88,13 +112,15 @@ class SplitOrbit:
 OrbitParameter = Union[ClanOrbit, InvolutionOrbit, SplitOrbit]
 
 
-@dataclass(frozen=True)
-class RootStatus:
+class RootStatus(Record):
     """Effect of a simple root on an orbit: no raise, or a cover of degree
     1 (complex or non-compact type I) or 2 (non-compact type II)."""
 
-    kind: str  # "complex", "noncompact_I", "noncompact_II", "no_raise"
-    target: Optional[OrbitParameter] = None
+    __slots__ = ("kind", "target")  # kind: complex, noncompact_I or _II, or no_raise
+
+    def __init__(self, kind: str, target: Optional[OrbitParameter] = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "target", target)
 
     @property
     def raises(self) -> bool:
@@ -585,22 +611,31 @@ def cross_action(pair: SymmetricPair, w: SignedPermutation, param: OrbitParamete
 # the weak order graph
 
 
-@dataclass(frozen=True)
-class WeakEdge:
-    source: OrbitParameter
-    target: OrbitParameter
-    root_index: int
-    degree: int
+class WeakEdge(Record):
+    __slots__ = ("source", "target", "root_index", "degree")
+
+    def __init__(self, source, target, root_index: int, degree: int) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "root_index", root_index)
+        set_field(self, "degree", degree)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.source, self.target, self.root_index, self.degree) == (
+            other.source, other.target, other.root_index, other.degree
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.root_index, self.degree))
 
 
-@dataclass(frozen=True)
-class WeakOrderGraph:
-    pair: SymmetricPair
-    nodes: tuple[OrbitParameter, ...]
-    edges: tuple[WeakEdge, ...]
-    closed: tuple[OrbitParameter, ...]
-    dense: OrbitParameter
-    level: Mapping[OrbitParameter, int]
+class WeakOrderGraph(Record):
+    __slots__ = ("pair", "nodes", "edges", "closed", "dense", "level")
+
+    def __init__(self, pair, nodes: tuple, edges: tuple, closed: tuple, dense, level: Mapping):
+        set_fields(self, pair, nodes, edges, closed, dense, level)
 
 
 @functools.lru_cache(maxsize=None)
@@ -721,15 +756,15 @@ def _clan_dominated(a: Clan, b: Clan) -> bool:
 # representative flags
 
 
-@dataclass(frozen=True)
-class FlagRepresentative:
+class FlagRepresentative(Record):
     """A flag given by an ordered basis with exact rational coordinates;
     vector k spans the new direction of the k-th subspace."""
 
-    vectors: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("vectors",)
 
-    def __post_init__(self) -> None:
-        if not _independent([list(v) for v in self.vectors]):
+    def __init__(self, vectors: tuple[tuple[Fraction, ...], ...]) -> None:
+        set_fields(self, vectors)
+        if not _independent([list(v) for v in vectors]):
             raise ContractViolation("flag vectors are linearly dependent")
 
     def __str__(self) -> str:

@@ -12,11 +12,9 @@ Pair descriptors are parsed from strings like ``A:glpq:2,2`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 from .algebra import SimpleRootAction, VariableSpace, simple_root_action
 from .errors import UsageError
+from .records import Record, set_field, set_fields
 
 # Case tags.  "A_*" pairs live inside SL(N); the rest inside SO/Sp.
 A_GLPQ = "A_GLPQ"        # (SL(p+q), S(GL(p) x GL(q)))
@@ -37,13 +35,13 @@ ODD = "odd N"     # the matrix size N = 2n + 1
 EVEN = "even N"   # the matrix size N = 2n
 
 
-@dataclass(frozen=True)
-class ClanRule:
+class ClanRule(Record):
     """Which clans of a pair's signature label its orbits (Matsuki-Oshima)."""
 
-    mirror: Optional[str] = None  # None, "symmetric" or "skew"
-    anti_reflexive: bool = False
-    even_front: bool = False
+    __slots__ = ("mirror", "anti_reflexive", "even_front")
+
+    def __init__(self, mirror=None, anti_reflexive=False, even_front=False) -> None:
+        set_fields(self, mirror, anti_reflexive, even_front)  # mirror: "symmetric" or "skew"
 
     def admits(self, clan) -> bool:
         if self.mirror == "symmetric" and not clan.is_symmetric():
@@ -55,17 +53,16 @@ class ClanRule:
         return not self.even_front or clan.front_parity_even()
 
 
-@dataclass(frozen=True)
-class InnerClass:
+class InnerClass(Record):
     """An inner class of involutions of the signed group ``family`` (with
     the given sign-change ``parity``).  The one-sided fiber over a twisted
     involution has 2^k points, k its positive fixed points, or 2^(k+1) when
     ``doubled`` and no position is swapped with its mirror."""
 
-    name: str
-    family: str
-    parity: str = "any"
-    doubled: bool = False
+    __slots__ = ("name", "family", "parity", "doubled")
+
+    def __init__(self, name: str, family: str, parity: str = "any", doubled: bool = False):
+        set_fields(self, name, family, parity, doubled)
 
 
 INNER_B = InnerClass("B", "BC")
@@ -74,28 +71,38 @@ INNER_D_COMPACT = InnerClass("D-compact", "D", doubled=True)
 INNER_D_UNEQUAL = InnerClass("D-unequal", "BC", parity="odd")
 
 
-@dataclass(frozen=True)
-class PairKind:
+class PairKind(Record):
     """Everything that depends on a pair's case alone."""
 
-    tag: str
-    descriptor: str  # "TYPE:case", before the parameters
-    form: str  # parameter form: PQ, RANK, ODD or EVEN
-    template: str  # describe() over N (matrix size), n and the signature a, b
-    ambient: str  # Weyl family of G: "A", "BC" or "D"
-    roots: str  # root family of G: "A", "B", "C" or "D"
-    # root families of K's blocks: one block x_1..x_r, or two split after x_p
-    subgroup: tuple[str, ...]
-    # y_j -> x_j ("identity"); y_j -> x_j, y_{N+1-j} -> -x_j and any middle
-    # y -> 0 ("fold"); y_{p+1} -> 0 and the later x-labels close up ("drop")
-    restriction: str = "identity"
-    signature: Optional[Callable[[int, int, int], tuple[int, int]]] = None  # (n, p, q)
-    clan_rule: Optional[ClanRule] = None  # None: orbits are labelled by involutions
-    # which involutions of S_N label orbits: "all", "fixed-point-free", or
-    # "split" (all, each fixed-point-free one as two tagged components)
-    involutions: Optional[str] = None
-    chern: Optional[str] = None  # "blocks" (z-generators), "euler", or None
-    inner_class: Optional[InnerClass] = None
+    __slots__ = (
+        "tag",
+        "descriptor",  # "TYPE:case", before the parameters
+        "form",  # parameter form: PQ, RANK, ODD or EVEN
+        "template",  # describe() over N (matrix size), n and the signature a, b
+        "ambient",  # Weyl family of G: "A", "BC" or "D"
+        "roots",  # root family of G: "A", "B", "C" or "D"
+        # root families of K's blocks: one block x_1..x_r, or two split after x_p
+        "subgroup",
+        # y_j -> x_j ("identity"); y_j -> x_j, y_{N+1-j} -> -x_j and any middle
+        # y -> 0 ("fold"); y_{p+1} -> 0 and the later x-labels close up ("drop")
+        "restriction",
+        "signature",  # None, or (n, p, q) -> the clan signature
+        "clan_rule",  # None: orbits are labelled by involutions
+        # which involutions of S_N label orbits: "all", "fixed-point-free", or
+        # "split" (all, each fixed-point-free one as two tagged components)
+        "involutions",
+        "chern",  # "blocks" (z-generators), "euler", or None
+        "inner_class",  # None, or the InnerClass that `count` files the pair under
+    )
+
+    def __init__(
+        self, tag, descriptor, form, template, ambient, roots, subgroup, restriction="identity",
+        signature=None, clan_rule=None, involutions=None, chern=None, inner_class=None,
+    ) -> None:
+        set_fields(
+            self, tag, descriptor, form, template, ambient, roots, subgroup, restriction,
+            signature, clan_rule, involutions, chern, inner_class,
+        )
 
 
 _ORTHOGONAL_BLOCKS = "(SO({N}), S(O({a}) x O({b})))"
@@ -154,17 +161,17 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class SymmetricPair:
-    case: str
-    n: int
-    p: int = 0
-    q: int = 0
+class SymmetricPair(Record):
+    __slots__ = ("case", "n", "p", "q")
 
-    def __post_init__(self) -> None:
-        kind = KINDS.get(self.case)
+    def __init__(self, case: str, n: int, p: int = 0, q: int = 0) -> None:
+        set_field(self, "case", case)
+        set_field(self, "n", n)
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        kind = KINDS.get(case)
         if kind is None:
-            raise UsageError(f"unknown case {self.case!r}")
+            raise UsageError(f"unknown case {case!r}")
         if self.n < 1:
             raise UsageError("rank must be at least 1")
         if kind.form == PQ:
@@ -177,6 +184,15 @@ class SymmetricPair:
                 )
         if kind.ambient == "D" and self.n < 2:
             raise UsageError("type D pairs need n >= 2")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = self.n == other.n and self.p == other.p and self.q == other.q
+        return same and self.case == other.case
+
+    def __hash__(self) -> int:
+        return hash((self.case, self.n, self.p, self.q))
 
     # -- descriptive data -------------------------------------------------
 

@@ -12,40 +12,48 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebra import PlanEntry
 from .errors import ContractViolation, UsageError
 from .pairs import SymmetricPair
+from .records import Record, set_field
 
 #: Restriction targets per y-index: None for zero, else (sign, x_index).
 RestrictionMap = tuple[Optional[tuple[int, int]], ...]
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    family: str  # "A", "BC" or "D"
-    images: tuple[int, ...]
+class SignedPermutation(Record):
+    __slots__ = ("family", "images")  # family "A", "BC" or "D"
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(abs(v) for v in self.images) != list(range(1, n + 1)):
-            raise ContractViolation(f"{self.images} is not a signed permutation")
-        if self.family == "A" and any(v < 0 for v in self.images):
+    def __init__(self, family: str, images: tuple[int, ...]) -> None:
+        set_field(self, "family", family)
+        set_field(self, "images", images)
+        n = len(images)
+        if sorted(abs(v) for v in images) != list(range(1, n + 1)):
+            raise ContractViolation(f"{images} is not a signed permutation")
+        if family == "A" and any(v < 0 for v in images):
             raise ContractViolation("type A elements change no signs")
-        if self.family == "D" and self.sign_changes() % 2:
+        if family == "D" and self.sign_changes() % 2:
             raise ContractViolation("type D elements change an even number of signs")
-        if self.family not in ("A", "BC", "D"):
-            raise ContractViolation(f"unknown family {self.family!r}")
+        if family not in ("A", "BC", "D"):
+            raise ContractViolation(f"unknown family {family!r}")
 
     @classmethod
     def _trusted(cls, family: str, images: tuple[int, ...]) -> "SignedPermutation":
         """Wrap images already known to form an element of the family."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "family", family)
-        object.__setattr__(obj, "images", images)
+        set_field(obj, "family", family)
+        set_field(obj, "images", images)
         return obj
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.images == other.images and self.family == other.family
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.images))
 
     # -- basics -----------------------------------------------------------
 

@@ -478,6 +478,17 @@ def test_gl_closed_classes_match_per_orbit_determinant(spec):
         assert closed_orbit_class(pair, param).polynomial == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_half_staircase_over_integers_matches_halved_entries(n):
+    # the integer expansion divided once by 2^(n-1) against the expansion
+    # of the halved entries, coefficient types included
+    space = parse_pair_spec(f"D:gl:{n}").variable_space()
+    want = per_orbit_staircase(space, n, SignedPermutation.identity("D", n), half=True)
+    got = staircase_determinant(space, n, half=True)
+    assert got == want
+    assert {m: type(c) for m, c in got.terms.items()} == {m: type(c) for m, c in want.terms.items()}
+
+
 def test_propagate_all_expands_one_determinant_per_pair(monkeypatch):
     import korbits.classes
 
@@ -626,13 +637,13 @@ def test_split_components_halve_the_fixed_points():
 def test_tag_rule_matches_split_oracle(size):
     pair = parse_pair_spec(f"A:so-even:{size}")
     graph = build_weak_order_graph(pair)
-    oracle = split_orbit_data(pair)
-    assert graph.nodes == oracle.graph.nodes
-    assert graph.edges == oracle.graph.edges
-    assert graph.level == oracle.graph.level
+    oracle_graph, oracle_classes = split_orbit_data(pair)
+    assert graph.nodes == oracle_graph.nodes
+    assert graph.edges == oracle_graph.edges
+    assert graph.level == oracle_graph.level
     classes = propagate_all(pair)
     assert {p: c.polynomial for p, c in classes.items()} == {
-        p: c.polynomial for p, c in oracle.classes.items()
+        p: c.polynomial for p, c in oracle_classes.items()
     }
 
 

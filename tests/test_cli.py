@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -358,6 +361,23 @@ def test_traced_names_resolve(trace_child):
         assert len(result.terms) == len(reference_divided_difference(exponent_terms(f), act))
         counted += len(result.terms)
     assert counted > 0
+
+
+def test_cli_import_loads_every_traced_module_and_no_unneeded_stdlib(trace_child):
+    # a clean interpreter (-S: no site, so no .pth preloads) shows what
+    # ``import korbits.cli`` itself loads; the benchmark's tracer relies on
+    # every traced module being loaded by that import
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, korbits.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {f"korbits.{module}" for module, _, _ in trace_child.SPANS} <= loaded
+    unneeded = loaded & {"dataclasses", "inspect", "json", "importlib.resources"}
+    assert not unneeded, sorted(unneeded)
 
 
 CLASSES_PINS = Path(__file__).with_name("classes_pins.json")
