@@ -33,7 +33,6 @@ from .orbits import (
     closure_compare,
     cross_action,
     enumerate_orbits,
-    representative_flag,
     twisted_involution_action,
 )
 from .pairs import SymmetricPair, parse_pair_spec
@@ -68,7 +67,6 @@ __all__ = [
     "parse_polynomial",
     "poly_determinant",
     "propagate_all",
-    "representative_flag",
     "restrict_at",
     "restriction_map",
     "simple_root_action",

@@ -134,10 +134,12 @@ class Clan(Record):
         raise ContractViolation("unpaired number")  # pragma: no cover
 
     def replace(self, updates: dict[int, Symbol]) -> "Clan":
+        """Symbols at some positions replaced; the caller keeps it a clan
+        (every number twice), so only relabel."""
         symbols = list(self.symbols)
         for pos, sym in updates.items():
             symbols[pos - 1] = sym
-        return Clan.of(symbols)
+        return Clan._trusted(_canonical(symbols))
 
     def swap(self, i: int, j: int) -> "Clan":
         """Positions i and j exchanged; a clan stays a clan, so only relabel."""
@@ -153,22 +155,19 @@ class Clan(Record):
 
     def gamma_plus(self, i: int) -> int:
         """Plus signs plus complete number pairs among the first i symbols."""
-        self._check_index(i)
-        prefix = self.symbols[:i]
-        pairs = sum(
-            1 for label in set(s for s in prefix if isinstance(s, int))
-            if prefix.count(label) == 2
-        )
-        return prefix.count(PLUS) + pairs
+        return self._prefix_count(i, PLUS)
 
     def gamma_minus(self, i: int) -> int:
+        return self._prefix_count(i, MINUS)
+
+    def _prefix_count(self, i: int, sign: str) -> int:
         self._check_index(i)
         prefix = self.symbols[:i]
         pairs = sum(
             1 for label in set(s for s in prefix if isinstance(s, int))
             if prefix.count(label) == 2
         )
-        return prefix.count(MINUS) + pairs
+        return prefix.count(sign) + pairs
 
     def gamma_pair(self, i: int, j: int) -> int:
         """Number pairs c_s = c_t with s <= i < j < t."""
@@ -268,7 +267,7 @@ def _plain_clans(a: int, b: int, anti_reflexive: bool) -> list[Clan]:
         while pos < size and symbols[pos] is not None:
             pos += 1
         if pos == size:
-            results.append(Clan(tuple(symbols)))
+            results.append(Clan._trusted(tuple(symbols)))
             return
         if a_left:
             symbols[pos] = PLUS
@@ -302,7 +301,7 @@ def _mirrored_clans(a: int, b: int, skew: bool, anti_reflexive: bool) -> list[Cl
         while pos < size and symbols[pos] is not None:
             pos += 1
         if pos == size:
-            results.append(Clan.of(symbols))
+            results.append(Clan._trusted(_canonical(symbols)))
             return
         mirror_pos = size - 1 - pos
         if pos == mirror_pos:

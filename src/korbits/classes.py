@@ -39,7 +39,6 @@ from .orbits import (
     SplitOrbit,
     WeakEdge,
     WeakOrderGraph,
-    _involution_basis,
     _involution_status,
     _value_swap,
     build_weak_order_graph,
@@ -488,14 +487,18 @@ def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]
 
 
 def _component_representatives(inv: tuple[int, ...], n: int):
-    """Fixed-point representatives of the two components of a split orbit."""
-    size = 2 * n
-    basis = _involution_basis(inv, size)
-    images = []
-    for row in basis:
-        hot = [idx for idx, entry in enumerate(row, start=1) if entry != 0]
-        assert len(hot) == 1
-        images.append(hot[0])
+    """Fixed-point representatives of the two components of a split orbit.
+
+    The k-th two-cycle (i, j), i < j, of the fixed-point-free involution
+    takes the coordinate pair (e_k, e_{2n+1-k}): the + representative
+    sends i to k and j to 2n+1-k, the - one also swaps the values n, n+1.
+    """
+    images = [0] * (2 * n)
+    k = 0
+    for i, j in enumerate(inv, start=1):
+        if j > i:
+            k += 1
+            images[i - 1], images[j - 1] = k, 2 * n + 1 - k
     plus = SignedPermutation("A", tuple(images))
     return {PLUS: plus, MINUS: _value_swap(plus, n)}
 

@@ -6,8 +6,10 @@ even special-orthogonal pair additionally splits fixed-point-free
 involutions into two tagged components.  The module builds the weak-order
 graph by breadth-first raising from the closed orbits, classifies simple
 roots (complex / non-compact imaginary of type I or II), exposes the
-monoid action on twisted involutions, a closure-order comparator, orbit
-representatives as explicit flags, and DOT emission.
+monoid action on twisted involutions, a closure-order comparator and DOT
+emission.  Outside type D's last root, a clan moves by the type A rule
+at two positions, applied there and, for i < n, at their mirror images;
+the orthogonal pairs add their degree-two raises.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import types
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
@@ -316,20 +317,30 @@ def _fresh_pair(clan: Clan, positions: Sequence[int]) -> Clan:
     return clan.replace(updates)
 
 
-def _clan_status_type_a(clan: Clan, i: int) -> RootStatus:
-    """Weak-order move for a plain (p,q)-clan at alpha_i."""
-    c1, c2 = clan.symbols[i - 1], clan.symbols[i]
-    s1, s2 = clan.is_sign(i), clan.is_sign(i + 1)
-    if not s1 and not s2 and c1 != c2:
-        if clan.mate(i) < clan.mate(i + 1):
-            return RootStatus("complex", ClanOrbit(clan.swap(i, i + 1)))
-        return NO_RAISE
-    if s1 and not s2 and clan.mate(i + 1) > i + 1:
-        return RootStatus("complex", ClanOrbit(clan.swap(i, i + 1)))
-    if not s1 and s2 and clan.mate(i) < i:
-        return RootStatus("complex", ClanOrbit(clan.swap(i, i + 1)))
-    if s1 and s2 and c1 != c2:
-        return RootStatus("noncompact_I", ClanOrbit(_fresh_pair(clan, (i, i + 1))))
+def _adjacent_kind(clan: Clan, i: int, j: int) -> Optional[str]:
+    """The type A move rule at positions i < j: "complex", "noncompact_I"
+    (two different signs) or None (no raise)."""
+    c1, c2 = clan.symbols[i - 1], clan.symbols[j - 1]
+    s1, s2 = c1 in (PLUS, MINUS), c2 in (PLUS, MINUS)
+    if s1 and s2:
+        return "noncompact_I" if c1 != c2 else None
+    if s1:
+        return "complex" if clan.mate(j) > j else None
+    if s2:
+        return "complex" if clan.mate(i) < i else None
+    return "complex" if c1 != c2 and clan.mate(i) < clan.mate(j) else None
+
+
+def _adjacent_status(clan: Clan, *windows: tuple[int, int]) -> RootStatus:
+    """The type A move at the first window, applied at every window: swap
+    each, or join each into a fresh number pair."""
+    kind = _adjacent_kind(clan, *windows[0])
+    if kind == "complex":
+        for i, j in windows:
+            clan = clan.swap(i, j)
+        return RootStatus(kind, ClanOrbit(clan))
+    if kind == "noncompact_I":
+        return RootStatus(kind, ClanOrbit(_fresh_pair(clan, sum(windows, ()))))
     return NO_RAISE
 
 
@@ -337,63 +348,32 @@ def _clan_status_mirrored(clan: Clan, i: int, with_type_ii: bool) -> RootStatus:
     """Move at alpha_i (i < n) for a length-L clan of a type B/C/D pair.
 
     The reflection acts simultaneously at positions (i, i+1) and their
-    mirror images (L-i, L+1-i).  ``with_type_ii`` enables the degree-two
-    branch (present for the orthogonal-type pairs, absent for the
-    symplectic-block and type-D general-linear pairs).
+    mirror images (L-i, L+1-i).  Numbers at i and i+1 mated with those
+    mirror images give the degree-two raise when ``with_type_ii`` is set
+    (the orthogonal-type pairs) and no raise otherwise; all other clans
+    follow the type A rule at (i, i+1).
     """
     size = len(clan)
     mi, mi1 = size - i, size + 1 - i
-    c1, c2 = clan.symbols[i - 1], clan.symbols[i]
-    s1, s2 = clan.is_sign(i), clan.is_sign(i + 1)
-
-    def both_swapped() -> ClanOrbit:
-        return ClanOrbit(clan.swap(i, i + 1).swap(mi, mi1))
-
-    if s1 and not s2 and clan.mate(i + 1) > i + 1:
-        return RootStatus("complex", both_swapped())
-    if not s1 and s2 and clan.mate(i) < i:
-        return RootStatus("complex", both_swapped())
-    if not s1 and not s2 and c1 != c2:
-        mirrored = clan.mate(i) == mi and clan.mate(i + 1) == mi1
-        if mirrored:
+    if not (clan.is_sign(i) or clan.is_sign(i + 1)):
+        if clan.mate(i) == mi and clan.mate(i + 1) == mi1:
             if with_type_ii:
                 return RootStatus("noncompact_II", ClanOrbit(clan.swap(i, i + 1)))
             return NO_RAISE
-        if clan.mate(i) < clan.mate(i + 1):
-            return RootStatus("complex", both_swapped())
-        return NO_RAISE
-    if s1 and s2 and c1 != c2:
-        return RootStatus(
-            "noncompact_I", ClanOrbit(_fresh_pair(clan, (i, i + 1, mi, mi1)))
-        )
-    return NO_RAISE
+    return _adjacent_status(clan, (i, i + 1), (mi, mi1))
 
 
 def _clan_status_b_last(clan: Clan, n: int) -> RootStatus:
-    """Type B alpha_n: acts at positions n, n+2 of a length 2n+1 clan."""
-    cn, mid, cn2 = clan.symbols[n - 1], clan.symbols[n], clan.symbols[n + 1]
-    if not clan.is_sign(n) and not clan.is_sign(n + 2) and cn != cn2:
-        if clan.mate(n) < clan.mate(n + 2):
-            return RootStatus("complex", ClanOrbit(clan.swap(n, n + 2)))
-        return NO_RAISE
+    """Type B alpha_n: acts at positions n, n+2 of a length 2n+1 clan,
+    mirror images of each other, around the sign at n+1."""
+    if _adjacent_kind(clan, n, n + 2) == "complex":
+        return RootStatus("complex", ClanOrbit(clan.swap(n, n + 2)))
+    cn, mid = clan.symbols[n - 1], clan.symbols[n]
     if clan.is_sign(n) and clan.is_sign(n + 1) and cn != mid:
         label = clan.fresh_label()
         flipped = PLUS if mid == MINUS else MINUS
         target = clan.replace({n: label, n + 2: label, n + 1: flipped})
         return RootStatus("noncompact_II", ClanOrbit(target))
-    return NO_RAISE
-
-
-def _clan_status_c_last(clan: Clan, n: int) -> RootStatus:
-    """Type C alpha_n: acts at positions n, n+1 of a length 2n clan."""
-    c1, c2 = clan.symbols[n - 1], clan.symbols[n]
-    s1, s2 = clan.is_sign(n), clan.is_sign(n + 1)
-    if not s1 and not s2 and c1 != c2:
-        if clan.mate(n) < clan.mate(n + 1):
-            return RootStatus("complex", ClanOrbit(clan.swap(n, n + 1)))
-        return NO_RAISE
-    if s1 and s2 and c1 != c2:
-        return RootStatus("noncompact_I", ClanOrbit(_fresh_pair(clan, (n, n + 1))))
     return NO_RAISE
 
 
@@ -468,16 +448,16 @@ def _clan_status_d_last_gl(clan: Clan, n: int) -> RootStatus:
 
 def _clan_classify(pair: SymmetricPair, clan: Clan, i: int) -> RootStatus:
     n, kind = pair.n, pair.kind
-    if kind.roots == "A":
-        return _clan_status_type_a(clan, i)
+    if kind.roots == "A" or (kind.roots == "C" and i == n):
+        # type C: positions n, n+1 of a length-2n clan mirror each other, both
+        # signs or both numbers
+        return _adjacent_status(clan, (i, i + 1))
     if i < n:
         # the degree-two raise pairs mirrored positions, which an
         # anti-reflexive rule forbids
         return _clan_status_mirrored(clan, i, not kind.clan_rule.anti_reflexive)
     if kind.roots == "B":
         return _clan_status_b_last(clan, n)
-    if kind.roots == "C":
-        return _clan_status_c_last(clan, n)
     if kind.clan_rule.mirror == "symmetric":
         return _clan_status_d_last_orthogonal(clan, n)
     return _clan_status_d_last_gl(clan, n)
@@ -571,11 +551,13 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
         if degree_two:
             # each component covers the unsplit target once
             return RootStatus("noncompact_I", InvolutionOrbit(target))
-        # A complex raise keeps the component tag.  Swapping vectors i and
-        # i+1 of the + flag from _involution_basis gives the + flag of the
-        # conjugated involution, up to an SO(2n) permutation of the pairs
-        # (e_k, e_{2n+1-k}); that flag lies in Q.P_i but not in Q, and the
-        # O(2n) component swap commutes with P_i.
+        # A complex raise keeps the component tag.  In the coordinate basis
+        # of classes._component_representatives, where the k-th two-cycle
+        # takes the pair (e_k, e_{2n+1-k}), swapping the vectors at i and
+        # i+1 of the + representative gives the + representative of the
+        # conjugated involution, up to an SO(2n) permutation of those
+        # pairs; that flag lies in Q.P_i but not in Q, and the O(2n)
+        # component swap commutes with P_i.
         return RootStatus("complex", SplitOrbit(target, param.component))
     if not degree_two:
         return RootStatus("complex", InvolutionOrbit(target))
@@ -750,152 +732,6 @@ def _clan_dominated(a: Clan, b: Clan) -> bool:
             if a.gamma_pair(i, j) > b.gamma_pair(i, j):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# representative flags
-
-
-class FlagRepresentative(Record):
-    """A flag given by an ordered basis with exact rational coordinates;
-    vector k spans the new direction of the k-th subspace."""
-
-    __slots__ = ("vectors",)
-
-    def __init__(self, vectors: tuple[tuple[Fraction, ...], ...]) -> None:
-        set_fields(self, vectors)
-        if not _independent([list(v) for v in vectors]):
-            raise ContractViolation("flag vectors are linearly dependent")
-
-    def __str__(self) -> str:
-        return "<" + ", ".join(_format_vector(v) for v in self.vectors) + ">"
-
-
-def _format_vector(vector: tuple[Fraction, ...]) -> str:
-    out = ""
-    for idx, coeff in enumerate(vector, start=1):
-        if coeff == 0:
-            continue
-        text = f"e{idx}" if coeff == 1 else f"-e{idx}" if coeff == -1 else f"{coeff}*e{idx}"
-        out += text if not out or text.startswith("-") else "+" + text
-    return out or "0"
-
-
-def _independent(rows: list[list[Fraction]]) -> bool:
-    """Gaussian elimination over the rationals: do the rows have full rank?"""
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / lead[col]
-            if factor:
-                rows[r] = [b - factor * a for a, b in zip(lead, rows[r])]
-        rank += 1
-    return rank == len(rows)
-
-
-def _unit(size: int, idx: int, coeff: int = 1) -> list[Fraction]:
-    row = [Fraction(0)] * size
-    row[idx - 1] = Fraction(coeff)
-    return row
-
-
-def _vector_sum(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    return [x + y for x, y in zip(a, b)]
-
-
-def representative_flag(pair: SymmetricPair, param: OrbitParameter) -> FlagRepresentative:
-    """An explicit flag in the orbit.
-
-    Implemented for every orbit of the type A pairs and for the closed
-    orbits of all pairs (their torus-fixed coordinate flags).
-    """
-    family, size = pair.ambient_family()
-    if family == "A" and isinstance(param, ClanOrbit):
-        return _clan_flag(param.clan, pair.p)
-    if family == "A":
-        inv = param.involution  # type: ignore[union-attr]
-        vectors = _involution_basis(inv, size)
-        if isinstance(param, SplitOrbit) and param.component == MINUS:
-            n = pair.n
-            swap = {n: n + 1, n + 1: n}
-            vectors = [
-                [row[swap.get(c + 1, c + 1) - 1] for c in range(size)] for row in vectors
-            ]
-        return FlagRepresentative(tuple(tuple(v) for v in vectors))
-    for closed_param, rep in closed_orbits(pair):
-        if closed_param == param:
-            size = pair.matrix_size()
-            sigma = rep.embed_as_permutation(size)
-            vectors = [_unit(size, sigma.images[i - 1]) for i in range(1, size + 1)]
-            return FlagRepresentative(tuple(tuple(v) for v in vectors))
-    raise ContractViolation(
-        f"no representative implemented for {param} in {pair.describe()}"
-    )
-
-
-def _clan_flag(clan: Clan, p: int) -> FlagRepresentative:
-    """Deterministic flag for any (p,q)-clan: first occurrences of a pair
-    carry + signature, the assignment permutation fills each block in
-    position order."""
-    size = len(clan)
-    signature = {}
-    for pos in range(1, size + 1):
-        if clan.is_sign(pos):
-            signature[pos] = clan.symbols[pos - 1]
-        else:
-            signature[pos] = PLUS if clan.mate(pos) > pos else MINUS
-    sigma = {}
-    plus_seen = minus_seen = 0
-    for pos in range(1, size + 1):
-        if signature[pos] == PLUS:
-            plus_seen += 1
-            sigma[pos] = plus_seen
-        else:
-            minus_seen += 1
-            sigma[pos] = p + minus_seen
-    vectors = []
-    for pos in range(1, size + 1):
-        if clan.is_sign(pos):
-            vectors.append(_unit(size, sigma[pos]))
-        else:
-            mate = clan.mate(pos)
-            if mate > pos:
-                vectors.append(_vector_sum(_unit(size, sigma[pos]), _unit(size, sigma[mate])))
-            else:
-                vectors.append(_vector_sum(_unit(size, sigma[mate]), _unit(size, sigma[pos], -1)))
-    return FlagRepresentative(tuple(tuple(v) for v in vectors))
-
-
-def _involution_basis(images: tuple[int, ...], size: int) -> list[list[Fraction]]:
-    """Basis flag making the defining form monomial with the given shape.
-
-    Two-cycles consume coordinate pairs (e_k, e_{size+1-k}); the first
-    fixed point takes the middle vector when the size is odd; remaining
-    fixed points pair up as e_k +- e_{size+1-k}."""
-    vectors: list[Optional[list[Fraction]]] = [None] * size
-    next_k = 1
-    for i in range(1, size + 1):
-        j = images[i - 1]
-        if j > i:
-            vectors[i - 1] = _unit(size, next_k)
-            vectors[j - 1] = _unit(size, size + 1 - next_k)
-            next_k += 1
-    fixed = [i for i in range(1, size + 1) if images[i - 1] == i]
-    if size % 2 == 1 and fixed:
-        vectors[fixed[0] - 1] = _unit(size, (size + 1) // 2)
-        fixed = fixed[1:]
-    for a, b in zip(fixed[::2], fixed[1::2]):
-        vectors[a - 1] = _vector_sum(_unit(size, next_k), _unit(size, size + 1 - next_k))
-        vectors[b - 1] = _vector_sum(_unit(size, next_k), _unit(size, size + 1 - next_k, -1))
-        next_k += 1
-    assert all(v is not None for v in vectors)
-    return [list(v) for v in vectors]  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from korbits.algebra import (
     VariableSpace,
     divided_difference,
@@ -20,11 +18,8 @@ from korbits.algebra import (
     simple_root_action,
 )
 from korbits.classes import (
-    EquivariantClass,
     ambient_weyl,
-    class_for_parameter,
     closed_orbit_class,
-    equal_via_localization,
     staircase_determinant,
     parse_fixture,
     propagate_all,

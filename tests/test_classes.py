@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from korbits.algebra import (
@@ -26,14 +24,12 @@ from korbits.errors import ContractViolation, InternalError
 from korbits.orbits import (
     build_weak_order_graph,
     closed_orbits,
-    enumerate_orbits,
     parse_orbit_parameter,
 )
 from korbits.pairs import parse_pair_spec
 from korbits.weyl import (
     SignedPermutation,
     enumerate_group,
-    parse_cycles,
     restriction_assignment,
     restriction_map,
     sign_stats,

@@ -288,10 +288,11 @@ OUTPUT_PINS = Path(__file__).with_name("output_pins.json")
 
 
 def test_graph_orbits_count_outputs_match_pins(capsys):
-    # graph and orbits --format json on the ten pairs at ranks 2 and 3, and
-    # count on the four inner classes at n <= 4, byte for byte
+    # graph and orbits --format json on the ten pairs at ranks 2 and 3,
+    # graph on eleven rank-4 pairs that reach the type B/C/D last-root
+    # patterns, and count on the four inner classes at n <= 4, byte for byte
     pins = json.loads(OUTPUT_PINS.read_text())
-    assert len(pins) == 56
+    assert len(pins) == 67
     for call, digest in pins.items():
         code, out, _ = run(capsys, *call.split())
         assert code == 0, call

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from korbits.classes import closed_orbit_class, propagate_all
-from korbits.orbits import build_weak_order_graph, closed_orbits, enumerate_orbits
+from korbits.orbits import build_weak_order_graph, enumerate_orbits
 from korbits.pairs import parse_pair_spec
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from korbits.clans import Clan, enumerate_clans, pair_validity
-from korbits.errors import ContractViolation, UsageError
+from korbits.errors import UsageError
 from korbits.orbits import (
     ClanOrbit,
     InvolutionOrbit,
@@ -14,7 +14,6 @@ from korbits.orbits import (
     cross_action,
     enumerate_orbits,
     parse_orbit_parameter,
-    representative_flag,
     to_dot,
     twisted_involution_action,
 )
@@ -363,49 +362,6 @@ def test_closure_compare_dominance_on_edges():
         graph = build_weak_order_graph(pair)
         for e in graph.edges:
             assert closure_compare(pair, e.source, e.target) == "less"
-
-
-# -- representative flags --------------------------------------------------------
-
-
-def test_flag_for_type_a_clan():
-    pair = parse_pair_spec("A:glpq:2,2")
-    flag = representative_flag(pair, ClanOrbit(Clan.parse("(1,-,+,1)")))
-    assert str(flag) == "<e1+e4, e3, e2, e1-e4>"
-
-
-def test_flag_for_orthogonal_involution():
-    pair = parse_pair_spec("A:so:5")
-    flag = representative_flag(pair, parse_orbit_parameter(pair, "(2,4)"))
-    assert str(flag) == "<e3, e1, e2+e4, e5, e2-e4>"
-
-
-def test_flag_for_closed_clan():
-    pair = parse_pair_spec("A:glpq:2,2")
-    flag = representative_flag(pair, ClanOrbit(Clan.parse("(+,+,-,-)")))
-    assert str(flag) == "<e1, e2, e3, e4>"
-
-
-def test_flag_for_closed_bcd_orbit():
-    pair = parse_pair_spec("C:spsp:1,1")
-    closed, _ = closed_orbits(pair)[0]
-    flag = representative_flag(pair, closed)
-    assert len(flag.vectors) == 4
-
-
-def test_flag_unsupported_for_generic_bcd_orbit():
-    pair = parse_pair_spec("C:gl:2")
-    dense = parse_orbit_parameter(pair, "(1,2,2,1)")
-    with pytest.raises(ContractViolation):
-        representative_flag(pair, dense)
-
-
-def test_split_component_flags_differ():
-    pair = parse_pair_spec("A:so-even:4")
-    plus = representative_flag(pair, parse_orbit_parameter(pair, "+(1,3)(2,4)"))
-    minus = representative_flag(pair, parse_orbit_parameter(pair, "-(1,3)(2,4)"))
-    assert str(plus) == "<e1, e2, e4, e3>"
-    assert str(minus) == "<e1, e3, e4, e2>"
 
 
 # -- misc ------------------------------------------------------------------------

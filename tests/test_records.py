@@ -8,7 +8,6 @@ records), immutability and the validation messages must not move.
 
 import dataclasses
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -17,11 +16,12 @@ from korbits.clans import Clan
 from korbits.errors import ContractViolation, UsageError
 from korbits.orbits import (
     ClanOrbit,
-    FlagRepresentative,
     InvolutionOrbit,
+    RootStatus,
     SplitOrbit,
     WeakEdge,
     build_weak_order_graph,
+    classify_simple_root,
     enumerate_orbits,
 )
 from korbits.pairs import KINDS, PQ, RANK, SymmetricPair
@@ -196,7 +196,7 @@ def test_records_of_different_classes_never_compare_equal():
         (SplitOrbit((2, 1), "-"), "component"),
         (WeakEdge(InvolutionOrbit((1, 2)), InvolutionOrbit((2, 1)), 1, 1), "degree"),
         (KINDS["D_GL"], "clan_rule"),
-        (FlagRepresentative(((Fraction(1),),)), "vectors"),
+        (RootStatus("complex"), "kind"),
         (VariableSpace(1, 0).x(1), "terms"),
     ],
 )
@@ -244,11 +244,6 @@ def test_records_refuse_assignment_and_deletion(record, field):
             ContractViolation,
             "only fixed-point-free involutions split",
         ),
-        (
-            lambda: FlagRepresentative(((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)))),
-            ContractViolation,
-            "flag vectors are linearly dependent",
-        ),
     ],
 )
 def test_invalid_arguments_keep_their_errors(build, error, message):
@@ -267,18 +262,27 @@ def test_keyword_construction_and_defaults():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_clan_swap_matches_validating_constructor(n):
-    # swap builds its result without validation; every swap of every clan
-    # node of the pairs of rank n equals the validating Clan.of
-    swaps = 0
+    # swap, replace and the clan generators build their results without
+    # validation; every swap of every clan node of the pairs of rank n,
+    # every generated clan and every raised target (the noncompact ones
+    # come from replace) equals the validating Clan.of
+    swaps = targets = 0
     for pair in pairs_of_rank(n):
         if not pair.is_clan_case():
             continue
         for param in enumerate_orbits(pair):
             clan = param.clan
+            assert clan == Clan.of(clan.symbols) and type(clan.symbols) is tuple
             for i, j in itertools.combinations(range(1, len(clan) + 1), 2):
                 symbols = list(clan.symbols)
                 symbols[i - 1], symbols[j - 1] = symbols[j - 1], symbols[i - 1]
                 got = clan.swap(i, j)
                 assert got == Clan.of(symbols) and type(got.symbols) is tuple
                 swaps += 1
-    assert swaps > 0
+            for i in range(1, pair.num_simple_roots() + 1):
+                status = classify_simple_root(pair, param, i)
+                if status.kind.startswith("noncompact"):
+                    got = status.target.clan
+                    assert got == Clan.of(got.symbols) and type(got.symbols) is tuple
+                    targets += 1
+    assert swaps > 0 and targets > 0
