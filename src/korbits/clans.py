@@ -91,7 +91,10 @@ class Clan(Record):
             elif token == MINUS:
                 symbols.append(MINUS)
             elif token.isdigit():
-                symbols.append(int(token))
+                try:
+                    symbols.append(int(token))
+                except ValueError:  # a digit int() refuses, or past its digit limit
+                    raise UsageError(f"bad clan number of {len(token)} digits") from None
             else:
                 raise UsageError(f"bad clan symbol {token!r}")
         if not symbols:

@@ -7,9 +7,11 @@ involutions into two tagged components.  The module builds the weak-order
 graph by breadth-first raising from the closed orbits, classifies simple
 roots (complex / non-compact imaginary of type I or II), exposes the
 monoid action on twisted involutions, a closure-order comparator and DOT
-emission.  Outside type D's last root, a clan moves by the type A rule
-at two positions, applied there and, for i < n, at their mirror images;
-the orthogonal pairs add their degree-two raises.
+emission.  Every clan move is the type A move at one or two windows: at
+positions (i, i+1) and, for i < n, at their mirror images.  Type D's
+alpha_n is the alpha_{n-1} move seen through the diagram flip that swaps
+positions n and n+1.  Only type B's alpha_n and the degree-two raises of
+the orthogonal pairs add a rule of their own.
 """
 
 from __future__ import annotations
@@ -366,8 +368,11 @@ def _clan_status_mirrored(clan: Clan, i: int, with_type_ii: bool) -> RootStatus:
 def _clan_status_b_last(clan: Clan, n: int) -> RootStatus:
     """Type B alpha_n: acts at positions n, n+2 of a length 2n+1 clan,
     mirror images of each other, around the sign at n+1."""
-    if _adjacent_kind(clan, n, n + 2) == "complex":
-        return RootStatus("complex", ClanOrbit(clan.swap(n, n + 2)))
+    # a symmetric clan has equal signs at the mirror positions n, n+2, so the
+    # type A move there is complex or no raise
+    status = _adjacent_status(clan, (n, n + 2))
+    if status.raises:
+        return status
     cn, mid = clan.symbols[n - 1], clan.symbols[n]
     if clan.is_sign(n) and clan.is_sign(n + 1) and cn != mid:
         label = clan.fresh_label()
@@ -377,73 +382,19 @@ def _clan_status_b_last(clan: Clan, n: int) -> RootStatus:
     return NO_RAISE
 
 
-def _clan_status_d_last_orthogonal(clan: Clan, n: int) -> RootStatus:
-    """Type D alpha_n for the orthogonal-block pairs.
+def _clan_status_d_last(clan: Clan, n: int, with_type_ii: bool) -> RootStatus:
+    """Type D alpha_n: the alpha_{n-1} move on the clan with positions n and
+    n+1 swapped, swapped back.
 
-    Acts on the window (n-1, n, n+1, n+2) of a length 2n clan; the complex
-    branch has eight patterns, the non-compact branch three.
+    The diagram automorphism exchanging alpha_{n-1} and alpha_n is
+    conjugation by the reflection that swaps e_n and e_{n+1}, an element of
+    O(2n) outside SO(2n) that normalizes K for every type D pair; on a
+    length-2n clan it swaps positions n and n+1.
     """
-    size = 2 * n
-    a, b, c, d = n - 1, n, n + 1, n + 2
-    sa, sb, sc, sd = (clan.is_sign(pos) for pos in (a, b, c, d))
-    sym = clan.symbols
-
-    def swapped() -> ClanOrbit:
-        return ClanOrbit(clan.swap(a, c).swap(b, d))
-
-    # non-compact branch first: sign window (+,-,-,+) / (-,+,+,-) is type I,
-    # adjacent mate pairs (1,1,2,2) are type II
-    if sa and sb and sc and sd:
-        window = (sym[a - 1], sym[b - 1], sym[c - 1], sym[d - 1])
-        if window in ((PLUS, MINUS, MINUS, PLUS), (MINUS, PLUS, PLUS, MINUS)):
-            return RootStatus("noncompact_I", ClanOrbit(_fresh_pair(clan, (a, c, b, d))))
-        return NO_RAISE
-    if not sa and not sb and not sc and not sd:
-        if clan.mate(a) == b and clan.mate(c) == d:
-            return RootStatus("noncompact_II", ClanOrbit(clan.swap(a, c)))
-    # complex branch, eight patterns
-    if sa and sd and not sb and not sc:
-        if clan.mate(b) == c:
-            return RootStatus("complex", swapped())
-        if clan.mate(b) < a and clan.mate(c) > d:
-            return RootStatus("complex", swapped())
-        return NO_RAISE
-    if not sa and not sd and sb and sc:
-        if clan.mate(a) < a and clan.mate(d) > d:
-            return RootStatus("complex", swapped())
-        return NO_RAISE
-    if not (sa or sb or sc or sd):
-        ma, mb, mc, md = clan.mate(a), clan.mate(b), clan.mate(c), clan.mate(d)
-        if mb == c and ma < a and md > d:
-            # window (1,2,2,3)
-            return RootStatus("complex", swapped())
-        if ma == d and mb < a and mc > d:
-            # window (1,2,3,1)
-            return RootStatus("complex", swapped())
-        distinct = len({ma, mb, mc, md} | {a, b, c, d}) == 8
-        if distinct:
-            if ma < a and mb < a and mc > d and md > d:
-                return RootStatus("complex", swapped())
-            if ma < a and mc < a and mb > d and md > d and ma + mb < size + 1:
-                return RootStatus("complex", swapped())
-            if mb < a and md < a and ma > d and mc > d and ma + mb < size + 1:
-                return RootStatus("complex", swapped())
-    return NO_RAISE
-
-
-def _clan_status_d_last_gl(clan: Clan, n: int) -> RootStatus:
-    """Type D alpha_n for the general-linear pair: flip positions n, n+1,
-    apply the alpha_{n-1} move, flip back.  All covers have degree one."""
-    flipped = clan.swap(n, n + 1)
-    inner = _clan_status_mirrored(flipped, n - 1, with_type_ii=False)
-    if not inner.raises:
-        return NO_RAISE
-    assert isinstance(inner.target, ClanOrbit)
-    target = inner.target.clan.swap(n, n + 1)
-    if target == clan:
-        return NO_RAISE
-    kind = "complex" if inner.kind == "complex" else "noncompact_I"
-    return RootStatus(kind, ClanOrbit(target))
+    status = _clan_status_mirrored(clan.swap(n, n + 1), n - 1, with_type_ii)
+    if not status.raises:
+        return status
+    return RootStatus(status.kind, ClanOrbit(status.target.clan.swap(n, n + 1)))
 
 
 def _clan_classify(pair: SymmetricPair, clan: Clan, i: int) -> RootStatus:
@@ -452,15 +403,14 @@ def _clan_classify(pair: SymmetricPair, clan: Clan, i: int) -> RootStatus:
         # type C: positions n, n+1 of a length-2n clan mirror each other, both
         # signs or both numbers
         return _adjacent_status(clan, (i, i + 1))
+    # the degree-two raise pairs mirrored positions, which an
+    # anti-reflexive rule forbids
+    with_type_ii = not kind.clan_rule.anti_reflexive
     if i < n:
-        # the degree-two raise pairs mirrored positions, which an
-        # anti-reflexive rule forbids
-        return _clan_status_mirrored(clan, i, not kind.clan_rule.anti_reflexive)
+        return _clan_status_mirrored(clan, i, with_type_ii)
     if kind.roots == "B":
         return _clan_status_b_last(clan, n)
-    if kind.clan_rule.mirror == "symmetric":
-        return _clan_status_d_last_orthogonal(clan, n)
-    return _clan_status_d_last_gl(clan, n)
+    return _clan_status_d_last(clan, n, with_type_ii)
 
 
 # ---------------------------------------------------------------------------

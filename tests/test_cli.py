@@ -231,6 +231,9 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^8*{SIX}^8"),
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^64"),
         (None, GLPQ11 + "(+,-) := x1^64*x1^64*x1^64*x1^64"),
+        (None, GLPQ11 + f"({'9' * 5000},{'9' * 5000}) := x1"),
+        (("chern", "A:glpq:1,1", f"({'9' * 5000},{'9' * 5000})"), None),
+        (("chern", "A:glpq:1,1", "(\u00b2,\u00b2)"), None),
         (("orbits", "A:glpq:1,1", "--format", "xml"), None),
         ((), None),
         (("orbits",), None),
@@ -252,6 +255,9 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "product-past-term-bound",
         "power-past-term-bound",
         "product-past-degree-cap",
+        "long-clan-number-in-fixture",
+        "long-clan-number",
+        "superscript-clan-number",
         "argparse-bad-choice",
         "argparse-no-command",
         "argparse-missing-argument",
@@ -290,9 +296,10 @@ OUTPUT_PINS = Path(__file__).with_name("output_pins.json")
 def test_graph_orbits_count_outputs_match_pins(capsys):
     # graph and orbits --format json on the ten pairs at ranks 2 and 3,
     # graph on eleven rank-4 pairs that reach the type B/C/D last-root
-    # patterns, and count on the four inner classes at n <= 4, byte for byte
+    # patterns and on five rank-5 type D pairs, and count on the four inner
+    # classes at n <= 4, byte for byte
     pins = json.loads(OUTPUT_PINS.read_text())
-    assert len(pins) == 67
+    assert len(pins) == 72
     for call, digest in pins.items():
         code, out, _ = run(capsys, *call.split())
         assert code == 0, call

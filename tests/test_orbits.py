@@ -1,11 +1,15 @@
 import pytest
 
-from korbits.clans import Clan, enumerate_clans, pair_validity
+from korbits.clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from korbits.errors import UsageError
 from korbits.orbits import (
+    NO_RAISE,
     ClanOrbit,
     InvolutionOrbit,
+    RootStatus,
     SplitOrbit,
+    _clan_status_mirrored,
+    _fresh_pair,
     build_weak_order_graph,
     classify_simple_root,
     closed_orbits,
@@ -193,6 +197,103 @@ def test_classify_d_gl_weak_order_jump():
     status = classify_simple_root(pair, param, 3)
     assert status.raises
     assert str(status.target) == "(1,+,2,1,-,2)"
+
+
+# -- type D's last root: the former rules as test-only references ----------------
+
+
+def _clan_status_d_last_orthogonal(clan: Clan, n: int) -> RootStatus:
+    """Type D alpha_n for the orthogonal-block pairs.
+
+    Acts on the window (n-1, n, n+1, n+2) of a length 2n clan; the complex
+    branch has eight patterns, the non-compact branch three.
+    """
+    size = 2 * n
+    a, b, c, d = n - 1, n, n + 1, n + 2
+    sa, sb, sc, sd = (clan.is_sign(pos) for pos in (a, b, c, d))
+    sym = clan.symbols
+
+    def swapped() -> ClanOrbit:
+        return ClanOrbit(clan.swap(a, c).swap(b, d))
+
+    # non-compact branch first: sign window (+,-,-,+) / (-,+,+,-) is type I,
+    # adjacent mate pairs (1,1,2,2) are type II
+    if sa and sb and sc and sd:
+        window = (sym[a - 1], sym[b - 1], sym[c - 1], sym[d - 1])
+        if window in ((PLUS, MINUS, MINUS, PLUS), (MINUS, PLUS, PLUS, MINUS)):
+            return RootStatus("noncompact_I", ClanOrbit(_fresh_pair(clan, (a, c, b, d))))
+        return NO_RAISE
+    if not sa and not sb and not sc and not sd:
+        if clan.mate(a) == b and clan.mate(c) == d:
+            return RootStatus("noncompact_II", ClanOrbit(clan.swap(a, c)))
+    # complex branch, eight patterns
+    if sa and sd and not sb and not sc:
+        if clan.mate(b) == c:
+            return RootStatus("complex", swapped())
+        if clan.mate(b) < a and clan.mate(c) > d:
+            return RootStatus("complex", swapped())
+        return NO_RAISE
+    if not sa and not sd and sb and sc:
+        if clan.mate(a) < a and clan.mate(d) > d:
+            return RootStatus("complex", swapped())
+        return NO_RAISE
+    if not (sa or sb or sc or sd):
+        ma, mb, mc, md = clan.mate(a), clan.mate(b), clan.mate(c), clan.mate(d)
+        if mb == c and ma < a and md > d:
+            # window (1,2,2,3)
+            return RootStatus("complex", swapped())
+        if ma == d and mb < a and mc > d:
+            # window (1,2,3,1)
+            return RootStatus("complex", swapped())
+        distinct = len({ma, mb, mc, md} | {a, b, c, d}) == 8
+        if distinct:
+            if ma < a and mb < a and mc > d and md > d:
+                return RootStatus("complex", swapped())
+            if ma < a and mc < a and mb > d and md > d and ma + mb < size + 1:
+                return RootStatus("complex", swapped())
+            if mb < a and md < a and ma > d and mc > d and ma + mb < size + 1:
+                return RootStatus("complex", swapped())
+    return NO_RAISE
+
+
+def _clan_status_d_last_gl(clan: Clan, n: int) -> RootStatus:
+    """Type D alpha_n for the general-linear pair: flip positions n, n+1,
+    apply the alpha_{n-1} move, flip back.  All covers have degree one."""
+    flipped = clan.swap(n, n + 1)
+    inner = _clan_status_mirrored(flipped, n - 1, with_type_ii=False)
+    if not inner.raises:
+        return NO_RAISE
+    assert isinstance(inner.target, ClanOrbit)
+    target = inner.target.clan.swap(n, n + 1)
+    if target == clan:
+        return NO_RAISE
+    kind = "complex" if inner.kind == "complex" else "noncompact_I"
+    return RootStatus(kind, ClanOrbit(target))
+
+
+def _type_d_specs(max_rank):
+    for n in range(2, max_rank + 1):
+        yield f"D:gl:{n}"
+        for p in range(n + 1):
+            yield f"D:oo:{p},{n - p}"
+            if p < n:
+                yield f"D:oo-odd:{p},{n - p}"
+
+
+def test_d_last_root_flip_matches_former_rules():
+    # alpha_n through the diagram flip against the two rules it replaced, on
+    # every orbit clan (D:gl's front-parity filter included) of rank 2..6
+    checked = 0
+    for spec in _type_d_specs(6):
+        pair = parse_pair_spec(spec)
+        n = pair.n
+        gl = spec.startswith("D:gl")
+        former = _clan_status_d_last_gl if gl else _clan_status_d_last_orthogonal
+        for param in enumerate_orbits(pair):
+            want = former(param.clan, n)
+            assert classify_simple_root(pair, param, n) == want, (spec, str(param))
+            checked += 1
+    assert checked == 7018
 
 
 @pytest.mark.parametrize("spec", ["A:sp:4", "A:sp:6", "C:spsp:2,1", "C:spsp:1,1", "D:gl:3", "D:gl:2"])
