@@ -22,7 +22,7 @@ polynomials, determinants of polynomial matrices by cofactor expansion,
 exact division, divided difference operators for the classical root
 systems, and a text grammar used by fixtures and the CLI.  Every
 substitution of variables runs through the one loop
-:func:`substitute_planned`.  It is the only module that reads the term
+:func:`substitute_terms`.  It is the only module that reads the term
 dict.
 """
 
@@ -51,7 +51,8 @@ MAX_DEGREE = FIELD_MASK
 Target = Optional[tuple[int, str, int]]
 
 #: A substitution plan holds one entry per y-variable: None when it is
-#: unassigned, 0 when it maps to zero, else (sign, exponent slot of its image).
+#: unassigned, 0 when it maps to zero, else (sign, bit offset of the exponent
+#: field of its image, as in ``VariableSpace.shifts``).
 PlanEntry = Union[None, int, tuple[int, int]]
 
 #: A term ready for substitution: its monomial with the y-fields cleared
@@ -140,9 +141,9 @@ class VariableSpace(Record):
         return Polynomial._from_clean(self, {self.pack(exponents): 1})
 
 
-def _power(base: "Polynomial", exponent: int, multiply) -> "Polynomial":
-    """base ** exponent by repeated squaring, every product through multiply."""
-    result = base.space.one()
+def _power(base, exponent: int, multiply, result):
+    """base ** exponent by repeated squaring from ``result`` (the one of
+    base's ring), every product through multiply."""
     while exponent:
         if exponent & 1:
             result = multiply(result, base)
@@ -160,6 +161,22 @@ def _coeff(value: Scalar) -> Scalar:
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _multiply_terms(f: dict, g: dict) -> dict:
+    """The term dict of the product of two term dicts (degrees unchecked)."""
+    terms: dict[Monomial, Scalar] = {}
+    get = terms.get
+    right = g.items()
+    for m1, c1 in f.items():
+        for m2, c2 in right:
+            mono = m1 + m2
+            new = get(mono, 0) + c1 * c2
+            if new:
+                terms[mono] = new
+            else:
+                del terms[mono]
+    return terms
 
 
 def _ints(terms: dict) -> dict:
@@ -237,18 +254,7 @@ class Polynomial(Record):
             return self.space.zero()
         if self.total_degree() + other.total_degree() > MAX_DEGREE:
             raise ContractViolation(f"a product of degree above {MAX_DEGREE} does not pack")
-        terms: dict[Monomial, Scalar] = {}
-        get = terms.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                mono = m1 + m2
-                new = get(mono, 0) + c1 * c2
-                if new:
-                    terms[mono] = new
-                else:
-                    del terms[mono]
-        return Polynomial._from_clean(self.space, _ints(terms))
+        return Polynomial._from_clean(self.space, _ints(_multiply_terms(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -263,7 +269,7 @@ class Polynomial(Record):
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ContractViolation("negative powers are not polynomials")
-        return _power(self, exponent, Polynomial.__mul__)
+        return _power(self, exponent, Polynomial.__mul__, self.space.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -320,8 +326,8 @@ class Polynomial(Record):
                 if sign not in (1, -1):
                     raise ContractViolation("substitution sign must be +-1")
                 slot = space.x_slot(idx) if bank == "x" else space.y_slot(idx)
-                plan[j - 1] = (sign, slot)
-        return substitute_planned(space, compile_terms(self), plan)
+                plan[j - 1] = (sign, space.shifts[slot])
+        return Polynomial(space, substitute_terms(compile_terms(self), plan))
 
     def map_y(self, images: Sequence[tuple[int, int]]) -> "Polynomial":
         """Apply a signed permutation to the y-bank.
@@ -331,8 +337,8 @@ class Polynomial(Record):
         translate the general-linear closed classes.
         """
         space = self.space
-        plan = [(sign, space.y_slot(k)) for sign, k in images]
-        return substitute_planned(space, compile_terms(self), plan)
+        plan = [(sign, space.shifts[space.y_slot(k)]) for sign, k in images]
+        return Polynomial(space, substitute_terms(compile_terms(self), plan))
 
     # -- printing ----------------------------------------------------------
 
@@ -388,7 +394,7 @@ def format_polynomial(poly: Polynomial, namer=None, memo: Optional[dict] = None)
 
 
 def compile_terms(poly: Polynomial) -> list[CompiledTerm]:
-    """Split each term for :func:`substitute_planned`, once per polynomial."""
+    """Split each term for :func:`substitute_terms`, once per polynomial."""
     ybits = FIELD_BITS * poly.space.y_count
     yshifts = poly.space.shifts[poly.space.x_count :]
     return [
@@ -401,18 +407,15 @@ def compile_terms(poly: Polynomial) -> list[CompiledTerm]:
     ]
 
 
-def substitute_planned(
-    space: VariableSpace, compiled: Sequence[CompiledTerm], plan: Sequence[PlanEntry]
-) -> Polynomial:
-    """Substitute every y-variable by its plan entry (see ``PlanEntry``).
+def substitute_terms(compiled: Sequence[CompiledTerm], plan: Sequence[PlanEntry]) -> dict:
+    """Substitute every y-variable by its plan entry (see ``PlanEntry``),
+    returning the raw term dict, whose values may be 0 or integral
+    Fractions (``Polynomial`` drops the one and converts the other).
 
     The one substitution loop: :meth:`Polynomial.substitute`,
     :meth:`Polynomial.map_y` and the localization code all build a plan
     and call it.
     """
-    shifts = space.shifts
-    # None and 0 stay as they are; (sign, slot) becomes (sign, field shift)
-    plan = [target and (target[0], shifts[target[1]]) for target in plan]
     terms: dict[Monomial, Scalar] = {}
     get = terms.get
     for key, ys, coeff in compiled:
@@ -427,12 +430,8 @@ def substitute_planned(
             if sign < 0 and e & 1:
                 coeff = -coeff
         else:
-            value = get(key, 0) + coeff
-            if value:
-                terms[key] = value
-            else:
-                del terms[key]
-    return Polynomial._from_clean(space, _ints(terms))
+            terms[key] = get(key, 0) + coeff
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +723,11 @@ def parse_polynomial(text: str, space: VariableSpace) -> Polynomial:
     operators ``+ - * ^``; parentheses.  Implicit multiplication is a
     syntax error.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, space)
-    result = parser.parse_expression()
-    parser.expect_end()
-    return result
+    parser = _Parser(_tokenize(text), space)
+    terms = parser.expression()
+    if parser.peek() != "end":
+        raise UsageError(f"trailing input near {parser.tokens[parser.pos][1]!r}")
+    return Polynomial._from_clean(space, _ints(terms))
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -736,30 +735,18 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
+        j = i + 1
+        if ch.isdigit() or ch in "xy":
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-            continue
-        if ch in "xy":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+            if ch in "xy" and j == i + 1:
                 raise UsageError(f"variable {ch!r} needs an index")
-            tokens.append(("var", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*^()/":
+            tokens.append(("var" if ch in "xy" else "num", text[i:j]))
+        elif ch in "+-*^()/":
             tokens.append((ch, ch))
-            i += 1
-            continue
-        raise UsageError(f"unexpected character {ch!r} in polynomial")
+        elif not ch.isspace():
+            raise UsageError(f"unexpected character {ch!r} in polynomial")
+        i = j
     return tokens
 
 
@@ -777,6 +764,8 @@ MAX_TERMS = 10**6
 
 
 def _numeral(text: str) -> int:
+    if not text.isdecimal():  # a digit such as a superscript, which int() refuses
+        raise UsageError(f"numeral {text!r} is not a decimal integer")
     try:
         return int(text)
     except ValueError:  # longer than the interpreter's int-string digit limit
@@ -784,109 +773,123 @@ def _numeral(text: str) -> int:
 
 
 class _Parser:
+    """Recursive descent straight into packed terms.  A value of at most
+    one term is a (key, coefficient) pair, coefficient 0 for zero, so a
+    product of numerals and variables is one key add and one multiply per
+    factor; a value of more terms is a term dict."""
+
     def __init__(self, tokens: list[tuple[str, str]], space: VariableSpace):
-        self.tokens = tokens
+        self.tokens = tokens + [("end", "")]
         self.pos = 0
         self.space = space
         self.depth = 0
 
-    def peek(self) -> Optional[str]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
     def take(self) -> tuple[str, str]:
-        if self.pos >= len(self.tokens):
+        token = self.tokens[self.pos]
+        if token[0] == "end":
             raise UsageError("unexpected end of polynomial")
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect_end(self) -> None:
-        if self.pos != len(self.tokens):
-            raise UsageError(f"trailing input near {self.tokens[self.pos][1]!r}")
+    def degree(self, value) -> int:
+        if type(value) is dict:
+            return max(value) >> self.space.degree_shift
+        return value[0] >> self.space.degree_shift if value[1] else -1
 
-    def parse_expression(self) -> Polynomial:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        result = sign * self.parse_term()
-        while self.peek() in ("+", "-"):
+    def expression(self) -> dict:
+        terms: dict = {}
+        get = terms.get
+        op = self.take()[0] if self.peek() in ("+", "-") else "+"
+        while True:
+            value = self.term()
+            for key, coeff in value.items() if type(value) is dict else [value] * (value[1] != 0):
+                total = get(key, 0) + coeff if op == "+" else get(key, 0) - coeff
+                if total:
+                    terms[key] = total
+                else:
+                    del terms[key]
+            if self.peek() not in ("+", "-"):
+                return terms
             op = self.take()[0]
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
+
+    def term(self):
+        result = self.factor()
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            result = self.product(result, self.factor())
         return result
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.peek() == "*":
-            self.take()
-            result = self.product(result, self.parse_factor())
-        return result
-
-    def product(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        if f.total_degree() + g.total_degree() > MAX_EXPONENT:
+    def product(self, f, g):
+        if self.degree(f) + self.degree(g) > MAX_EXPONENT:
             raise UsageError(f"a product may have degree at most {MAX_EXPONENT}")
-        pairs = len(f.terms) * len(g.terms)
-        if pairs > MAX_TERMS:
+        if type(f) is tuple and type(g) is tuple:
+            return f[0] + g[0], f[1] * g[1]
+        m, n = [len(v) if type(v) is dict else int(v[1] != 0) for v in (f, g)]
+        if m * n > MAX_TERMS:
             raise UsageError(
-                f"a product of {len(f.terms)} by {len(g.terms)} terms makes {pairs} "
-                f"term pairs, more than {MAX_TERMS}"
+                f"a product of {m} by {n} terms makes {m * n} term pairs, more than {MAX_TERMS}"
             )
-        return f * g
+        if type(f) is tuple:
+            f, g = g, f
+        if type(g) is dict:
+            return _multiply_terms(f, g)
+        return {k + g[0]: c * g[1] for k, c in f.items()} if g[1] else (0, 0)
 
-    def power(self, base: Polynomial, exponent: int) -> Polynomial:
-        # a field of the bitwise or of all monomials is nonzero when some term uses its slot
-        used = sum(map(bool, base.space.exponents(reduce(operator.or_, base.terms, 0))))
-        bound = math.comb(max(base.total_degree(), 0) * exponent + used, used)
-        if bound > MAX_TERMS:
-            raise UsageError(f"a power may have up to {bound} terms, more than {MAX_TERMS}")
-        return _power(base, exponent, self.product)
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_primary()
-        while self.peek() == "^":
-            self.take()
+    def factor(self):
+        base = self.primary()
+        while self.tokens[self.pos][0] == "^":
+            self.pos += 1
             kind, text = self.take()
             if kind != "num":
                 raise UsageError("exponent must be a nonnegative integer")
             # the length test keeps int() off numerals past its digit limit
-            if len(text) > 6 or max(base.total_degree(), 1) * int(text) > MAX_EXPONENT:
+            if len(text) > 6 or max(self.degree(base), 1) * _numeral(text) > MAX_EXPONENT:
                 raise UsageError(f"a power may have degree at most {MAX_EXPONENT}")
-            base = self.power(base, int(text))
+            exponent = int(text)
+            # a field of the bitwise or of all monomials is nonzero when some term uses its slot
+            keys = base if type(base) is dict else [base[0]] * (base[1] != 0)
+            used = sum(map(bool, self.space.exponents(reduce(operator.or_, keys, 0))))
+            bound = math.comb(max(self.degree(base), 0) * exponent + used, used)
+            if bound > MAX_TERMS:
+                raise UsageError(f"a power may have up to {bound} terms, more than {MAX_TERMS}")
+            if type(base) is tuple:
+                base = base[0] * exponent, base[1] ** exponent
+            else:
+                base = _power(base, exponent, self.product, (0, 1))
         return base
 
-    def nested(self, parse):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise UsageError(f"polynomial nests deeper than {MAX_NESTING} levels")
-        result = parse()
-        self.depth -= 1
-        return result
-
-    def parse_primary(self) -> Polynomial:
+    def primary(self):
         kind, text = self.take()
-        if kind == "-":
-            return -self.nested(self.parse_primary)
+        if kind in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise UsageError(f"polynomial nests deeper than {MAX_NESTING} levels")
+            value = self.primary() if kind == "-" else self.expression()
+            self.depth -= 1
+            if kind == "-" and type(value) is tuple:
+                return value[0], -value[1]
+            if kind == "-":
+                return {k: -c for k, c in value.items()}
+            if self.take()[0] != ")":
+                raise UsageError("unbalanced parentheses")
+            return value if len(value) > 1 else next(iter(value.items()), (0, 0))
         if kind == "num":
-            value = Fraction(_numeral(text))
+            value = _numeral(text)
             if self.peek() == "/":
-                self.take()
+                self.pos += 1
                 dkind, dtext = self.take()
                 if dkind != "num":
                     raise UsageError("fraction denominator must be an integer")
                 denominator = _numeral(dtext)
                 if denominator == 0:
                     raise UsageError("fraction has a zero denominator")
-                value = value / denominator
-            return self.space.const(value)
+                value = Fraction(value, denominator)
+            return 0, value
         if kind == "var":
             index = _numeral(text[1:])
-            return self.space.x(index) if text[0] == "x" else self.space.y(index)
-        if kind == "(":
-            inner = self.nested(self.parse_expression)
-            close, _ = self.take()
-            if close != ")":
-                raise UsageError("unbalanced parentheses")
-            return inner
+            slot = self.space.x_slot(index) if text[0] == "x" else self.space.y_slot(index)
+            return (1 << self.space.shifts[slot]) + (1 << self.space.degree_shift), 1
         raise UsageError(f"unexpected token {text!r}")

@@ -28,7 +28,7 @@ from .algebra import (
     poly_determinant,
     product,
     split_leading_x,
-    substitute_planned,
+    substitute_terms,
 )
 from .clans import MINUS, PLUS
 from .errors import ContractViolation, InternalError, UsageError
@@ -62,9 +62,8 @@ from .pairs import (
 from .records import Record, set_fields
 from .weyl import (
     SignedPermutation,
-    enumerate_group,
+    group_images,
     l_p,
-    restriction_assignment,
     restriction_map,
     sign_stats,
     signed_targets,
@@ -256,50 +255,52 @@ def staircase_determinant(space: VariableSpace, n: int, half: bool) -> Polynomia
 # restriction and localization
 
 
-def restrict_at(cls: EquivariantClass, w: SignedPermutation) -> Polynomial:
-    """Restriction at the fixed point of w: substitute each y by the
-    image of its w-translate in the small torus."""
+def restrict_at(cls: EquivariantClass, images: tuple[int, ...]) -> Polynomial:
+    """Restriction at the fixed point of the w with these images: substitute
+    each y by the image of its w-translate in the small torus."""
     table = signed_targets(cls.pair)
-    plan = [table[v] for v in w.images]
+    plan = [table[v] for v in images]
     space = cls.pair.variable_space()
-    if cls.factors is None:
-        return substitute_planned(space, compile_terms(cls.polynomial), plan)
     result = space.one()
-    for factor in cls.factors:
-        result = result * substitute_planned(space, compile_terms(factor), plan)
+    for factor in cls.factors or (cls.polynomial,):
+        result = result * Polynomial(space, substitute_terms(compile_terms(factor), plan))
         if result.is_zero:
             break
     return result
 
 
 def ambient_weyl(pair: SymmetricPair):
-    family, size = pair.ambient_family()
-    return enumerate_group(family, size)
+    """The image tuples of the fixed points, in ``enumerate_group`` order."""
+    return group_images(*pair.ambient_family())
 
 
-def first_disagreement(
-    c1: EquivariantClass, c2: EquivariantClass
-) -> Optional[SignedPermutation]:
-    """The first fixed point w whose restrictions differ, or None when all
-    agree (exact equality).
-
-    Restriction is a ring homomorphism, so the classes differ at w exactly
-    when their difference restricts to nonzero there; the difference is
-    split into terms once and restricted once per fixed point.
-    """
+def first_disagreement(c1: EquivariantClass, c2: EquivariantClass) -> Optional[tuple[int, ...]]:
+    """The images of the first fixed point w whose restrictions differ, or
+    None when all agree (exact equality)."""
     if c1.pair != c2.pair:
         raise ContractViolation("classes belong to different pairs")
-    if c1.polynomial == c2.polynomial:
+    if c1.polynomial == c2.polynomial:  # most path checks; far cheaper than a difference
         return None
-    pair = c1.pair
-    space = pair.variable_space()
-    diff = compile_terms(c1.polynomial - c2.polynomial)
+    return _first_nonzero(c1.pair, [c1.polynomial - c2.polynomial])[0]
+
+
+def _first_nonzero(pair: SymmetricPair, differences: list[Polynomial]) -> list:
+    """For each polynomial, the images of the first fixed point where it
+    restricts to nonzero, or None: two classes differ at w exactly when their
+    difference does, restriction being a ring homomorphism.  One walk over
+    the fixed points tests each difference until it is nonzero somewhere."""
+    found: list = [None] * len(differences)
+    pending = [(k, compile_terms(diff)) for k, diff in enumerate(differences) if diff]
     table = signed_targets(pair)
-    for w in ambient_weyl(pair):
-        plan = [table[v] for v in w.images]
-        if not substitute_planned(space, diff, plan).is_zero:
-            return w
-    return None
+    for images in ambient_weyl(pair) if pending else ():
+        plan = [table[v] for v in images]
+        for k, diff in pending:
+            if any(substitute_terms(diff, plan).values()):
+                found[k] = images
+        pending = [(k, diff) for k, diff in pending if found[k] is None]
+        if not pending:
+            break
+    return found
 
 
 def equal_via_localization(c1: EquivariantClass, c2: EquivariantClass) -> bool:
@@ -476,7 +477,7 @@ def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]
                 f"{pair.spec_string()}: paths into {edge.target} disagree under"
                 f" localization: edge {edge.source} -> {edge.target} by"
                 f" alpha_{edge.root_index} (degree {edge.degree}) differs from the"
-                f" stored class at fixed point w = {w.images}"
+                f" stored class at fixed point w = {w}"
             )
     return classes
 
@@ -543,7 +544,7 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
                     if isinstance(param, SplitOrbit):
                         chosen = None
                         for tag, rep in _component_representatives(target_inv, n).items():
-                            value = poly.substitute(restriction_assignment(pair, rep))
+                            value = restrict_at(EquivariantClass(pair, poly), rep.images)
                             if not value.is_zero:
                                 if chosen is not None:
                                     raise InternalError(
@@ -757,20 +758,17 @@ def verify_rows(
 ) -> list[tuple[str, bool]]:
     """Check fixture rows against propagated classes.
 
-    Default comparison is localization equality; ``literal`` demands the
-    exact canonical polynomial.
+    Default comparison is localization equality, one walk over the fixed
+    points for all rows; ``literal`` demands the exact canonical polynomial.
     """
     space = pair.variable_space()
     classes = propagate_all(pair)
-    results = []
+    differences = []
     for param_text, poly_text in rows:
         expected = parse_polynomial(poly_text, space)
-        computed = class_for_parameter(pair, classes, param_text)
-        if literal:
-            ok = computed.polynomial == expected
-        else:
-            ok = equal_via_localization(
-                computed, EquivariantClass(pair, expected)
-            )
-        results.append((param_text, ok))
-    return results
+        differences.append(class_for_parameter(pair, classes, param_text).polynomial - expected)
+    if literal:
+        checks = [not diff for diff in differences]
+    else:
+        checks = [w is None for w in _first_nonzero(pair, differences)]
+    return [(param_text, ok) for (param_text, _), ok in zip(rows, checks)]

@@ -90,19 +90,20 @@ def _cmd_classes(args) -> int:
 
 
 def _fixture_text(path: str) -> str:
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+    """The path itself, else the path under $KORBITS_FIXTURES, else a
+    packaged fixture; one that cannot be read as UTF-8 text is bad input."""
     override = os.environ.get(FIXTURE_ENV)
-    if override:
-        candidate = os.path.join(override, path)
-        if os.path.exists(candidate):
-            with open(candidate, "r", encoding="utf-8") as handle:
-                return handle.read()
-    from importlib import resources
-    packaged = resources.files("korbits").joinpath("fixtures", path)
-    if packaged.is_file():
-        return packaged.read_text(encoding="utf-8")
+    try:
+        for candidate in [path] + ([os.path.join(override, path)] if override else []):
+            if os.path.exists(candidate):
+                with open(candidate, "r", encoding="utf-8") as handle:
+                    return handle.read()
+        from importlib import resources
+        packaged = resources.files("korbits").joinpath("fixtures", path)
+        if packaged.is_file():
+            return packaged.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"fixture {path!r} cannot be read: {exc}") from None
     raise UsageError(f"fixture {path!r} not found")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterator, Optional
 
 from .algebra import PlanEntry
@@ -223,21 +224,26 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
 
 
 def enumerate_group(family: str, n: int) -> Iterator[SignedPermutation]:
-    """All elements: n! for A, 2^n n! for BC, 2^(n-1) n! for D.
+    """All elements: n! for A, 2^n n! for BC, 2^(n-1) n! for D, in the
+    order of :func:`group_images`.
 
     Elements are valid by construction, so they skip the validation of
     ``SignedPermutation``."""
+    return map(functools.partial(SignedPermutation._trusted, family), group_images(family, n))
+
+
+def group_images(family: str, n: int) -> Iterator[tuple[int, ...]]:
+    """The image tuples of all elements: each permutation in
+    lexicographic order, with its sign patterns in ``itertools.product``
+    order of (1, -1) (type D keeps the even ones)."""
     if family not in ("A", "BC", "D"):
         raise ContractViolation(f"unknown family {family!r}")
-    trusted = SignedPermutation._trusted
-    for perm in itertools.permutations(range(1, n + 1)):
-        if family == "A":
-            yield trusted("A", perm)
-            continue
-        for signs in itertools.product((1, -1), repeat=n):
-            if family == "D" and signs.count(-1) % 2:
-                continue
-            yield trusted(family, tuple(s * v for s, v in zip(signs, perm)))
+    perms = itertools.permutations(range(1, n + 1))
+    if family == "A":
+        return perms
+    signs = itertools.product((1, -1), repeat=n)
+    patterns = [s for s in signs if family == "BC" or not s.count(-1) % 2]
+    return (tuple(map(operator.mul, s, perm)) for perm in perms for s in patterns)
 
 
 def involutions(size: int) -> list[tuple[int, ...]]:
@@ -347,33 +353,19 @@ def restriction_map(pair: SymmetricPair) -> RestrictionMap:
     return tuple((1, j) for j in range(1, n + 1))
 
 
-def restriction_assignment(pair: SymmetricPair, w: SignedPermutation):
-    """Substitution y_j -> rho(w . Y_j) as an algebra assignment dict."""
-    rho = restriction_map(pair)
-    assignment = {}
-    for j in range(1, len(rho) + 1):
-        v = w.images[j - 1]
-        target = rho[abs(v) - 1]
-        if target is None:
-            assignment[j] = None
-        else:
-            sign, idx = target
-            assignment[j] = (sign if v > 0 else -sign, "x", idx)
-    return assignment
-
-
 @functools.lru_cache(maxsize=None)
 def signed_targets(pair: SymmetricPair) -> tuple[PlanEntry, ...]:
-    """Substitution plan entries of restriction, indexed by the signed value
-    v = w(j) itself (a negative v counts from the end): the entry sends y_j
-    to the restriction map's target of Y_|v|, negated for v < 0, or to zero
-    (entry 0).  A plan at w is then ``[table[v] for v in w.images]``."""
+    """The pair's plan table: restriction's substitution plan entries, indexed
+    by the signed value v = w(j) itself (a negative v counts from the end):
+    the entry sends y_j to the restriction map's target of Y_|v|, negated
+    for v < 0, or to zero (entry 0).  A plan at w is ``[table[v] for v in images]``."""
     rho = restriction_map(pair)
+    shifts = pair.variable_space().shifts
     table: list[PlanEntry] = [None] * (2 * len(rho) + 1)
     for v, target in enumerate(rho, start=1):
         if target is None:
             table[v] = table[-v] = 0
         else:
             sign, idx = target
-            table[v], table[-v] = (sign, idx - 1), (-sign, idx - 1)
+            table[v], table[-v] = (sign, shifts[idx - 1]), (-sign, shifts[idx - 1])
     return tuple(table)

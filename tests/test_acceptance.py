@@ -18,7 +18,6 @@ from korbits.algebra import (
     simple_root_action,
 )
 from korbits.classes import (
-    ambient_weyl,
     closed_orbit_class,
     staircase_determinant,
     parse_fixture,
@@ -38,7 +37,7 @@ from korbits.orbits import (
     parse_orbit_parameter,
 )
 from korbits.pairs import SymmetricPair, parse_pair_spec
-from korbits.weyl import SignedPermutation
+from korbits.weyl import SignedPermutation, enumerate_group
 
 
 def report(number: int, text: str) -> None:
@@ -186,8 +185,8 @@ def test_criterion_4_closed_orbit_oracle():
     for pair in _pairs_up_to_rank(3):
         for param, _ in closed_orbits(pair):
             cls = closed_orbit_class(pair, param)
-            for w in ambient_weyl(pair):
-                assert restrict_at(cls, w) == weight_product_oracle(pair, param, w), (
+            for w in enumerate_group(*pair.ambient_family()):
+                assert restrict_at(cls, w.images) == weight_product_oracle(pair, param, w), (
                     f"{pair.spec_string()} {param} at {w.images}"
                 )
                 checks += 1

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import parse_polynomial_reference
+from test_fuzz import POLYNOMIALS
 
 from korbits.algebra import (
     MAX_DEGREE,
@@ -710,6 +712,89 @@ def test_parse_exponent_cap():
     ):
         with pytest.raises(UsageError):
             parse_polynomial(text, space)
+
+
+def parse_outcome(parse, text, space):
+    """The terms and coefficient types a parser builds, or the type and
+    message of the error it raises."""
+    try:
+        poly = parse(text, space)
+    except (UsageError, ContractViolation) as exc:
+        return type(exc), str(exc)
+    return {mono: (coeff, type(coeff)) for mono, coeff in poly.terms.items()}
+
+
+def same_parse(text, space):
+    want = parse_outcome(parse_polynomial_reference, text, space)
+    assert parse_outcome(parse_polynomial, text, space) == want, text
+
+
+def test_parser_matches_reference_on_verify_rows(verify_tables):
+    # the shipped fixtures and the seeded verify tables of seeds 1 to 3
+    for spec, rows in verify_tables:
+        space = parse_pair_spec(spec).variable_space()
+        for _, text in rows:
+            same_parse(text, space)
+
+
+SIX = "(x1+x2+y1+y2+y3+y4)"
+MALFORMED = [
+    "",
+    "2y1",
+    "y5",
+    "x3",
+    "x0",
+    "z1",
+    "x",
+    "1/0",
+    "1/x1",
+    "1/",
+    "x1^",
+    "x1^-2",
+    "x1^y1",
+    "(x1",
+    "(x1]",
+    "x1)",
+    "x1 x2",
+    "x1**2",
+    "*x1",
+    "+",
+    "-",
+    "x1+" + "9" * 5000,
+    "x1+1/" + "9" * 5000,
+    "x" + "1" * 5000,
+    "(" * (MAX_NESTING + 1) + "y1" + ")" * (MAX_NESTING + 1),
+    "-" * (MAX_NESTING + 2) + "y1",
+    "(" * 1000 + "y1" + ")" * 1000,
+    f"y1^{MAX_EXPONENT + 1}",
+    "x1^64*x1^64*x1^64*x1^64",
+    "x1^32*y1^32*y2",
+    "0*x1^64*x1",
+    "x1^64*0*x1",
+    "(x1+1)^40*(y1+1)^40",
+    "(x1*y1)^33",
+    "(x1*x2*y1*y2)^16",
+    "y1^8^9",
+    "((x1+y1)^64)^64",
+    "(x1+y1)^100000",
+    "y1^" + "9" * 5000,
+    f"{SIX}^24",
+    f"{SIX}^8*{SIX}^8",
+    f"{SIX}^64",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED, ids=range(len(MALFORMED)))
+def test_parser_matches_reference_on_malformed_input(text):
+    # the same exception type and message (and the same value where the
+    # text is in fact well formed), bound for bound
+    same_parse(text, VariableSpace(2, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=POLYNOMIALS)
+def test_parser_matches_reference_on_grammar_text(text):
+    same_parse(text, VariableSpace(3, 3))
 
 
 def test_print_deterministic():

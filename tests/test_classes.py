@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+from oracles import first_disagreement_reference, restriction_assignment
 
 from korbits.algebra import (
     VariableSpace,
@@ -10,6 +13,7 @@ from korbits.algebra import (
 from korbits.classes import (
     EquivariantClass,
     ambient_weyl,
+    class_for_parameter,
     closed_orbit_class,
     equal_via_localization,
     first_disagreement,
@@ -30,14 +34,22 @@ from korbits.pairs import parse_pair_spec
 from korbits.weyl import (
     SignedPermutation,
     enumerate_group,
-    restriction_assignment,
     restriction_map,
     sign_stats,
 )
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "korbits" / "fixtures"
+
+
 def poly(pair, text):
     return parse_polynomial(text, pair.variable_space())
+
+
+def fixed_points(pair):
+    """The ambient Weyl group as ``SignedPermutation`` elements, in the
+    order of ``ambient_weyl``'s image tuples."""
+    return enumerate_group(*pair.ambient_family())
 
 
 # -- closed orbit formulas -------------------------------------------------------
@@ -84,14 +96,11 @@ def test_closed_class_independent_of_representative():
     pair = parse_pair_spec("C:spsp:1,1")
     for param, rep in closed_orbits(pair):
         cls = closed_orbit_class(pair, param)
-        base = {
-            w.images: restrict_at(cls, w)
-            for w in ambient_weyl(pair)
-        }
+        base = {images: restrict_at(cls, images) for images in ambient_weyl(pair)}
         nonzero = {images for images, value in base.items() if not value.is_zero}
         members = {
             w.images
-            for w in ambient_weyl(pair)
+            for w in fixed_points(pair)
             if not weight_product_oracle(pair, param, w).is_zero
         }
         assert nonzero == members
@@ -104,9 +113,9 @@ def test_restriction_values_at_split_candidates():
     pair = parse_pair_spec("A:so-even:4")
     sp = pair.variable_space()
     cls = EquivariantClass(pair, poly(pair, "2*(x1*x2+y1*y2)*(y1+y2)"))
-    at_first = restrict_at(cls, SignedPermutation("A", (1, 2, 4, 3)))
+    at_first = restrict_at(cls, (1, 2, 4, 3))
     assert at_first == 4 * sp.x(1) * sp.x(2) * (sp.x(1) + sp.x(2))
-    at_second = restrict_at(cls, SignedPermutation("A", (1, 3, 4, 2)))
+    at_second = restrict_at(cls, (1, 3, 4, 2))
     assert at_second.is_zero
 
 
@@ -149,8 +158,8 @@ def test_oracle_matches_restriction(spec):
     pair = parse_pair_spec(spec)
     for param, _ in closed_orbits(pair):
         cls = closed_orbit_class(pair, param)
-        for w in ambient_weyl(pair):
-            assert restrict_at(cls, w) == weight_product_oracle(pair, param, w)
+        for w in fixed_points(pair):
+            assert restrict_at(cls, w.images) == weight_product_oracle(pair, param, w)
 
 
 def test_oracle_weight_values():
@@ -296,9 +305,9 @@ def first_disagreement_two_sided(c1, c2):
     fixed point and compare."""
     if c1.polynomial == c2.polynomial:
         return None
-    for w in ambient_weyl(c1.pair):
+    for w in fixed_points(c1.pair):
         if restrict_by_assignment(c1, w) != restrict_by_assignment(c2, w):
-            return w
+            return w.images
     return None
 
 
@@ -344,6 +353,29 @@ def test_first_disagreement_matches_two_sided_reference(spec, workloads):
     for a in closed:
         for b in closed:
             assert first_disagreement(a, b) == first_disagreement_two_sided(a, b)
+
+
+def test_walk_matches_reference_walk_on_verify_tables(verify_tables):
+    # every row of the shipped fixtures and of the seeded verify tables, and
+    # each shipped row plus y1 - x1, which restricts to zero exactly where
+    # y1 goes to x1: first_disagreement names the reference walk's fixed
+    # point, and verify_rows' one walk per table gives the same verdicts
+    shipped = len(list(FIXTURES.glob("*.txt")))
+    for index, (spec, rows) in enumerate(verify_tables):
+        pair = parse_pair_spec(spec)
+        if index < shipped:
+            rows = rows + [(param, f"({text})+y1-x1") for param, text in rows]
+        classes = propagate_all(pair)
+        want = []
+        for param, text in rows:
+            computed = class_for_parameter(pair, classes, param)
+            given = EquivariantClass(pair, poly(pair, text))
+            w = first_disagreement_reference(computed, given)
+            assert first_disagreement(computed, given) == w, (spec, param, text)
+            want.append((param, w is None))
+        assert verify_rows(pair, rows) == want, spec
+        if index < shipped:
+            assert not any(ok for _, ok in want[len(rows) // 2 :]), spec
 
 
 def test_localization_identifies_ideal_shifts():
@@ -531,7 +563,7 @@ def test_closed_class_same_from_every_member_fixed_point():
             base = closed_orbit_class(pair, param).polynomial
             members = [
                 w
-                for w in ambient_weyl(pair)
+                for w in fixed_points(pair)
                 if not weight_product_oracle(pair, param, w).is_zero
             ]
             assert members
@@ -610,7 +642,7 @@ def test_closed_orbits_contain_subgroup_weyl_many_fixed_points():
         for param, _ in closed_orbits(pair):
             members = sum(
                 1
-                for w in ambient_weyl(pair)
+                for w in fixed_points(pair)
                 if not weight_product_oracle(pair, param, w).is_zero
             )
             assert members == count, (spec, str(param), members)
@@ -623,7 +655,7 @@ def test_split_components_halve_the_fixed_points():
     for param, _ in closed_orbits(pair):
         members = sum(
             1
-            for w in ambient_weyl(pair)
+            for w in fixed_points(pair)
             if not weight_product_oracle(pair, param, w).is_zero
         )
         assert members == (2 ** 1) * math.factorial(2)
@@ -689,6 +721,6 @@ def test_path_disagreement_names_pair_edge_and_fixed_point(monkeypatch):
         f"{bad.source} -> {bad.target}",
         f"alpha_{bad.root_index}",
         f"degree {bad.degree}",
-        f"w = {w.images}",
+        f"w = {w}",
     ):
         assert field in message

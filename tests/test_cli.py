@@ -231,6 +231,7 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^8*{SIX}^8"),
         (None, GLPQ22 + f"(+,+,-,-) := {SIX}^64"),
         (None, GLPQ11 + "(+,-) := x1^64*x1^64*x1^64*x1^64"),
+        (None, GLPQ11 + "(+,-) := x1^\u00b2"),
         (None, GLPQ11 + f"({'9' * 5000},{'9' * 5000}) := x1"),
         (("chern", "A:glpq:1,1", f"({'9' * 5000},{'9' * 5000})"), None),
         (("chern", "A:glpq:1,1", "(\u00b2,\u00b2)"), None),
@@ -255,6 +256,7 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "product-past-term-bound",
         "power-past-term-bound",
         "product-past-degree-cap",
+        "superscript-exponent",
         "long-clan-number-in-fixture",
         "long-clan-number",
         "superscript-clan-number",
@@ -275,6 +277,17 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_unreadable_fixture_is_usage_error(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8 text: one line naming the path
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"# pair: A:sp:4\n(1,3)(2,4) := y1+y2 \xe9\n")
+    for path in (tmp_path, latin1):
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert repr(str(path)) in err
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
@@ -340,6 +353,28 @@ def test_verify_localize_outputs_match_workload(capsys, tmp_path, workloads, see
         code, out, _ = run(capsys, *call.args)
         assert code == call.exit_code, call.args
         assert hashlib.sha256(out.encode()).hexdigest() == call.sha256, call.args
+
+
+def test_traced_verify_counts_fixed_points_and_parses(tmp_path):
+    # the benchmark's tracer counts fixed points through
+    # classes.ambient_weyl and parses through algebra.parse_polynomial;
+    # a walk or a parser that bypassed either would zero its metric
+    from korbits.classes import parse_fixture
+
+    root = Path(__file__).resolve().parents[1]
+    fixture = root / "src" / "korbits" / "fixtures" / "d-oo-odd-1-2.txt"
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    tracer = root / "perfbench" / "trace_child.py"
+    result = subprocess.run(
+        [sys.executable, str(tracer), str(trace), "verify", str(fixture)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(trace.read_text())
+    rows = parse_fixture(fixture.read_text(encoding="utf-8"))[1]
+    assert report["counters"]["weyl.fixed_points"] > 0
+    assert report["spans"]["algebra.parse_polynomial"]["calls"] == len(rows)
 
 
 def test_traced_names_resolve(trace_child):

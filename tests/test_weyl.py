@@ -1,10 +1,12 @@
 import pytest
+from oracles import group_images_reference
 
 from korbits.errors import ContractViolation
 from korbits.pairs import parse_pair_spec
 from korbits.weyl import (
     SignedPermutation,
     enumerate_group,
+    group_images,
     group_order,
     l_p,
     parse_cycles,
@@ -32,6 +34,16 @@ def test_enumerated_elements_pass_validation(family, n):
     elements = list(enumerate_group(family, n))
     assert [SignedPermutation(family, w.images) for w in elements] == elements
     assert len({w.images for w in elements}) == group_order(family, n)
+
+
+@pytest.mark.parametrize("family", ["A", "BC", "D"])
+def test_group_images_keep_the_element_order(family):
+    # localization walks the image tuples; a witness it names must be the
+    # element enumerate_group reaches first, in the former order
+    for n in range(6):
+        images = list(group_images(family, n))
+        assert images == [w.images for w in enumerate_group(family, n)]
+        assert images == list(group_images_reference(family, n))
 
 
 def test_group_laws_small():
