@@ -24,9 +24,7 @@ from .classes import (
     weight_product_oracle,
 )
 from .orbits import (
-    ClanOrbit,
     InvolutionOrbit,
-    SplitOrbit,
     build_weak_order_graph,
     classify_simple_root,
     closed_orbits,
@@ -40,12 +38,10 @@ from .weyl import SignedPermutation, enumerate_group, restriction_map
 
 __all__ = [
     "Clan",
-    "ClanOrbit",
     "EquivariantClass",
     "InvolutionOrbit",
     "Polynomial",
     "SignedPermutation",
-    "SplitOrbit",
     "SymmetricPair",
     "VariableSpace",
     "build_weak_order_graph",

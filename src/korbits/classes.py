@@ -36,7 +36,6 @@ from .orbits import (
     InvolutionOrbit,
     OrbitParameter,
     RootStatus,
-    SplitOrbit,
     WeakEdge,
     WeakOrderGraph,
     _involution_status,
@@ -138,7 +137,6 @@ def _closed_sp(pair, param, rep, space) -> EquivariantClass:
 
 
 def _closed_so_even(pair, param, rep, space) -> EquivariantClass:
-    assert isinstance(param, SplitOrbit)
     n = pair.n
     x_mono = product(space, (space.x(i) for i in range(1, n + 1)))
     y_mono = product(space, (space.y(i) for i in range(1, n + 1)))
@@ -359,7 +357,7 @@ def _member_involution(pair, param, w) -> bool:
     size, n = w.n, pair.n
     if any(w.images[size - i] != size + 1 - w.images[i - 1] for i in range(1, size + 1)):
         return False
-    if isinstance(param, SplitOrbit):
+    if param.component:
         crossings = sum(1 for i in range(1, n + 1) if w.images[i - 1] > n)
         return crossings % 2 == (0 if param.component == PLUS else 1)
     return True
@@ -367,18 +365,18 @@ def _member_involution(pair, param, w) -> bool:
 
 def _member_blocks(pair, param, w) -> bool:
     # the whole clan in type A, its first half otherwise
-    return _plus_where_low(param.clan.symbols[: pair.n], w, pair.p)
+    return _plus_where_low(param.symbols[: pair.n], w, pair.p)
 
 
 def _member_gl(pair, param, w) -> bool:
-    signs = param.clan.symbols[: pair.n]
+    signs = param.symbols[: pair.n]
     return all((v > 0) == (s == PLUS) for v, s in zip(w.images, signs))
 
 
 def _member_oo_odd(pair, param, w) -> bool:
     n = pair.n
     return abs(w.images[n - 1]) == pair.p + 1 and _plus_where_low(
-        param.clan.symbols[: n - 1], w, pair.p
+        param.symbols[: n - 1], w, pair.p
     )
 
 
@@ -534,29 +532,27 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
                 action = pair.root_action(i)
                 poly = divided_difference(classes[param].polynomial, action)
                 if degree_two:
-                    if isinstance(param, SplitOrbit):
+                    if param.component:
                         # each component covers the unsplit target once
                         st = RootStatus("noncompact_I", InvolutionOrbit(target_inv))
                     else:
                         st = RootStatus("noncompact_II", InvolutionOrbit(target_inv))
                         poly = poly / 2
+                elif not param.component:
+                    st = RootStatus("complex", InvolutionOrbit(target_inv))
                 else:
-                    if isinstance(param, SplitOrbit):
-                        chosen = None
-                        for tag, rep in _component_representatives(target_inv, n).items():
-                            value = restrict_at(EquivariantClass(pair, poly), rep.images)
-                            if not value.is_zero:
-                                if chosen is not None:
-                                    raise InternalError(
-                                        "both candidate components have nonzero "
-                                        "restriction"
-                                    )
-                                chosen = tag
-                        if chosen is None:
-                            raise InternalError("no candidate component matches")
-                        st = RootStatus("complex", SplitOrbit(target_inv, chosen))
-                    else:
-                        st = RootStatus("complex", InvolutionOrbit(target_inv))
+                    chosen = None
+                    for tag, rep in _component_representatives(target_inv, n).items():
+                        value = restrict_at(EquivariantClass(pair, poly), rep.images)
+                        if not value.is_zero:
+                            if chosen is not None:
+                                raise InternalError(
+                                    "both candidate components have nonzero restriction"
+                                )
+                            chosen = tag
+                    if chosen is None:
+                        raise InternalError("no candidate component matches")
+                    st = RootStatus("complex", InvolutionOrbit(target_inv, chosen))
                 target = st.target
                 assert target is not None
                 edges.append(WeakEdge(param, target, i, st.degree))
@@ -741,9 +737,9 @@ def class_for_parameter(
     param = parse_orbit_parameter(pair, param_text, allow_union=True)
     if param in classes:
         return classes[param]
-    if pair.kind.involutions == "split" and isinstance(param, InvolutionOrbit):
-        plus = SplitOrbit(param.involution, PLUS)
-        minus = SplitOrbit(param.involution, MINUS)
+    if pair.kind.involutions == "split" and not param.component:
+        plus = InvolutionOrbit(param.involution, PLUS)
+        minus = InvolutionOrbit(param.involution, MINUS)
         if plus in classes and minus in classes:
             return EquivariantClass(
                 pair, classes[plus].polynomial + classes[minus].polynomial

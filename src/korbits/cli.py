@@ -24,17 +24,22 @@ from .classes import (
 from .counting import INNER_CLASSES, count_report
 from .errors import ContractViolation, InternalError, UsageError, VerificationFailure
 from .orbits import build_weak_order_graph, to_dot
-from .pairs import SymmetricPair, parse_pair_spec
+from .pairs import SymmetricPair, parse_decimal, parse_pair_spec
 from .weyl import group_order
 
 FIXTURE_ENV = "KORBITS_FIXTURES"
 
 
+def _max_n(text: str) -> int:
+    max_n = parse_decimal(text, "--max-n")
+    if max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, not {max_n}")
+    return max_n
+
+
 def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
     import math
 
-    if max_n < 1:
-        raise UsageError(f"--max-n must be at least 1, not {max_n}")
     # the hyperoctahedral order at max-n; every ambient Weyl group of size N
     # has order at most N! 2^N, so max-n past N changes no outcome
     bound = min(max_n, pair.ambient_family()[1])
@@ -108,6 +113,7 @@ def _fixture_text(path: str) -> str:
 
 
 def _cmd_verify(args) -> int:
+    max_n = _max_n(args.max_n)
     text = _fixture_text(args.fixture)
     pair_spec, rows = parse_fixture(text)
     if args.pair:
@@ -116,7 +122,7 @@ def _cmd_verify(args) -> int:
         pair = parse_pair_spec(pair_spec)
     else:
         raise UsageError("fixture has no pair header; pass --pair")
-    _check_weyl_bound(pair, args.max_n)
+    _check_weyl_bound(pair, max_n)
     results = verify_rows(pair, rows, literal=args.literal)
     failures = 0
     for param_text, ok in results:
@@ -133,13 +139,11 @@ def _cmd_count(args) -> int:
     spec = args.inner_class
     if ":" not in spec:
         raise UsageError("inner class spec looks like B:3 or D-compact:2")
+    max_n = _max_n(args.max_n)
     name, rank_text = spec.rsplit(":", 1)
-    try:
-        rank = int(rank_text)
-    except ValueError:
-        raise UsageError(f"bad rank {rank_text!r}") from None
-    if rank < 1 or rank > args.max_n:
-        raise UsageError(f"rank must be between 1 and --max-n ({args.max_n})")
+    rank = parse_decimal(rank_text, "rank")
+    if rank < 1 or rank > max_n:
+        raise UsageError(f"rank must be between 1 and --max-n ({max_n})")
     rows = count_report(name, rank)
     failures = 0
     for row in rows:
@@ -198,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("fixture")
     p_verify.add_argument("--pair", default=None)
     p_verify.add_argument("--literal", action="store_true")
-    p_verify.add_argument("--max-n", type=int, default=5)
+    p_verify.add_argument("--max-n", default="5")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_count = sub.add_parser("count", help="clan totals vs fiber sizes")
     p_count.add_argument(
         "inner_class", help=f"NAME:n with NAME one of {', '.join(INNER_CLASSES)}"
     )
-    p_count.add_argument("--max-n", type=int, default=5)
+    p_count.add_argument("--max-n", default="5")
     p_count.set_defaults(func=_cmd_count)
 
     p_chern = sub.add_parser("chern", help="class over Chern generators")

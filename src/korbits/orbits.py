@@ -1,9 +1,10 @@
 """Orbit parametrizations and the weak closure order.
 
-Each symmetric pair's orbits are labelled either by clans (with per-pair
-validity filters) or by involutions of the ambient symmetric group; the
-even special-orthogonal pair additionally splits fixed-point-free
-involutions into two tagged components.  The module builds the weak-order
+An orbit parameter is the label itself: a ``Clan`` (with per-pair
+validity filters) or an ``InvolutionOrbit``, an involution of the ambient
+symmetric group whose component "+" or "-" tags one of the two halves of
+a split fixed-point-free involution of the even special-orthogonal pair
+and is empty otherwise.  The module builds the weak-order
 graph by breadth-first raising from the closed orbits, classifies simple
 roots (complex / non-compact imaginary of type I or II), exposes the
 monoid action on twisted involutions, a closure-order comparator and DOT
@@ -43,58 +44,18 @@ from .weyl import SignedPermutation, involutions, parse_cycles
 # orbit parameters
 
 
-class ClanOrbit(Record):
-    __slots__ = ("clan",)
-
-    def __init__(self, clan: Clan) -> None:
-        set_field(self, "clan", clan)
-
-    def __eq__(self, other):
-        return self.clan == other.clan if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.clan,))
-
-    def __str__(self) -> str:
-        return str(self.clan)
-
-    def sort_key(self):
-        return (0, self.clan.sort_key())
-
-
 class InvolutionOrbit(Record):
-    """An orbit labelled by an honest involution (image tuple)."""
+    """An orbit labelled by an honest involution (image tuple); the
+    component "+" or "-" tags one half of a split orbit of the even
+    orthogonal pair, and is "" everywhere else."""
 
-    __slots__ = ("involution",)
+    __slots__ = ("involution", "component")
 
-    def __init__(self, involution: tuple[int, ...]) -> None:
-        set_field(self, "involution", involution)
-
-    def __eq__(self, other):
-        return self.involution == other.involution if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.involution,))
-
-    def __str__(self) -> str:
-        return SignedPermutation("A", self.involution).cycle_string()
-
-    def sort_key(self):
-        return (1, self.involution)
-
-
-class SplitOrbit(Record):
-    """One component of a split orbit of the even orthogonal pair."""
-
-    __slots__ = ("involution", "component")  # component "+" or "-"
-
-    def __init__(self, involution: tuple[int, ...], component: str) -> None:
-        set_field(self, "involution", involution)
-        set_field(self, "component", component)
-        if component not in (PLUS, MINUS):
+    def __init__(self, involution: tuple[int, ...], component: str = "") -> None:
+        set_fields(self, involution, component)
+        if component not in ("", PLUS, MINUS):
             raise ContractViolation("component tag must be + or -")
-        perm = SignedPermutation("A", involution)
-        if any(perm.images[i - 1] == i for i in range(1, perm.n + 1)):
+        if component and _has_fixed_point(involution):
             raise ContractViolation("only fixed-point-free involutions split")
 
     def __eq__(self, other):
@@ -109,10 +70,10 @@ class SplitOrbit(Record):
         return self.component + SignedPermutation("A", self.involution).cycle_string()
 
     def sort_key(self):
-        return (1, self.involution, self.component)
+        return (self.involution, self.component)
 
 
-OrbitParameter = Union[ClanOrbit, InvolutionOrbit, SplitOrbit]
+OrbitParameter = Union[Clan, InvolutionOrbit]
 
 
 class RootStatus(Record):
@@ -154,19 +115,17 @@ def parse_orbit_parameter(
             raise UsageError(str(exc)) from None
         if not valid:
             raise UsageError(f"clan {clan} does not label an orbit of {pair.describe()}")
-        return ClanOrbit(clan)
+        return clan
     policy, size = pair.kind.involutions, pair.ambient_family()[1]
-    if policy == "split" and text[:1] in (PLUS, MINUS):
-        perm = parse_cycles(text[1:], size)
-        _require_involution(perm)
-        return SplitOrbit(perm.images, text[0])
-    perm = parse_cycles(text, size)
+    tag = text[0] if policy == "split" and text[:1] in (PLUS, MINUS) else ""
+    perm = parse_cycles(text[len(tag):], size)
     _require_involution(perm)
-    if policy == "fixed-point-free" and _has_fixed_point(perm.images):
+    fixed = _has_fixed_point(perm.images)
+    if policy == "fixed-point-free" and fixed:
         raise UsageError(f"{text!r} has fixed points; not an orbit of {pair.describe()}")
-    if policy == "split" and not _has_fixed_point(perm.images) and not allow_union:
+    if policy == "split" and not (fixed or tag or allow_union):
         raise UsageError(f"{text!r} needs a +/- component tag for {pair.describe()}")
-    return InvolutionOrbit(perm.images)
+    return InvolutionOrbit(perm.images, tag)
 
 
 def _require_involution(perm: SignedPermutation) -> None:
@@ -189,15 +148,13 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
         clans = enumerate_clans(
             *pair.clan_signature(), mirror=rule.mirror, anti_reflexive=rule.anti_reflexive
         )
-        return [
-            ClanOrbit(c) for c in clans if not rule.even_front or c.front_parity_even()
-        ]
+        return [c for c in clans if not rule.even_front or c.front_parity_even()]
     params: list[OrbitParameter] = []
     for inv in involutions(pair.ambient_family()[1]):
         fixed = _has_fixed_point(inv)
         if policy == "split" and not fixed:
-            params.append(SplitOrbit(inv, PLUS))
-            params.append(SplitOrbit(inv, MINUS))
+            params.append(InvolutionOrbit(inv, PLUS))
+            params.append(InvolutionOrbit(inv, MINUS))
         elif not (fixed and policy == "fixed-point-free"):
             params.append(InvolutionOrbit(inv))
     return sorted(params, key=lambda p: p.sort_key())
@@ -238,7 +195,7 @@ def _sign_strings(n: int, p: int):
 def _closed_glpq(pair: SymmetricPair):
     for signs in _sign_strings(pair.n, pair.p):
         images = _sign_string_images(signs, pair.p)
-        yield ClanOrbit(Clan.of(signs)), SignedPermutation("A", images)
+        yield Clan.of(signs), SignedPermutation("A", images)
 
 
 def _closed_longest(pair: SymmetricPair):
@@ -250,8 +207,8 @@ def _closed_split(pair: SymmetricPair):
     size = pair.ambient_family()[1]
     w0 = _longest_involution(size)
     identity = SignedPermutation.identity("A", size)
-    yield SplitOrbit(w0, PLUS), identity
-    yield SplitOrbit(w0, MINUS), _value_swap(identity, pair.n)
+    yield InvolutionOrbit(w0, PLUS), identity
+    yield InvolutionOrbit(w0, MINUS), _value_swap(identity, pair.n)
 
 
 def _closed_blocks(pair: SymmetricPair):
@@ -260,7 +217,7 @@ def _closed_blocks(pair: SymmetricPair):
     for half in _sign_strings(pair.n, pair.p):
         clan = Clan.of(half + middle + half[::-1])
         images = _sign_string_images(half, pair.p)
-        yield ClanOrbit(clan), SignedPermutation(pair.kind.ambient, images)
+        yield clan, SignedPermutation(pair.kind.ambient, images)
 
 
 def _closed_gl(pair: SymmetricPair):
@@ -270,7 +227,7 @@ def _closed_gl(pair: SymmetricPair):
             continue
         symbols = list(signs) + [PLUS if s == MINUS else MINUS for s in reversed(signs)]
         images = tuple(i if s == PLUS else -i for i, s in enumerate(signs, start=1))
-        yield ClanOrbit(Clan.of(symbols)), SignedPermutation(family, images)
+        yield Clan.of(symbols), SignedPermutation(family, images)
 
 
 def _closed_oo_odd(pair: SymmetricPair):
@@ -278,7 +235,7 @@ def _closed_oo_odd(pair: SymmetricPair):
     for half in _sign_strings(n - 1, p):
         # position n goes to p+1, between the two blocks
         images = _sign_string_images(half, p + 1) + (p + 1,)
-        yield ClanOrbit(Clan.of(half + [1, 1] + half[::-1])), SignedPermutation("D", images)
+        yield Clan.of(half + [1, 1] + half[::-1]), SignedPermutation("D", images)
 
 
 _CLOSED_ORBITS = {
@@ -340,9 +297,9 @@ def _adjacent_status(clan: Clan, *windows: tuple[int, int]) -> RootStatus:
     if kind == "complex":
         for i, j in windows:
             clan = clan.swap(i, j)
-        return RootStatus(kind, ClanOrbit(clan))
+        return RootStatus(kind, clan)
     if kind == "noncompact_I":
-        return RootStatus(kind, ClanOrbit(_fresh_pair(clan, sum(windows, ()))))
+        return RootStatus(kind, _fresh_pair(clan, sum(windows, ())))
     return NO_RAISE
 
 
@@ -360,7 +317,7 @@ def _clan_status_mirrored(clan: Clan, i: int, with_type_ii: bool) -> RootStatus:
     if not (clan.is_sign(i) or clan.is_sign(i + 1)):
         if clan.mate(i) == mi and clan.mate(i + 1) == mi1:
             if with_type_ii:
-                return RootStatus("noncompact_II", ClanOrbit(clan.swap(i, i + 1)))
+                return RootStatus("noncompact_II", clan.swap(i, i + 1))
             return NO_RAISE
     return _adjacent_status(clan, (i, i + 1), (mi, mi1))
 
@@ -378,7 +335,7 @@ def _clan_status_b_last(clan: Clan, n: int) -> RootStatus:
         label = clan.fresh_label()
         flipped = PLUS if mid == MINUS else MINUS
         target = clan.replace({n: label, n + 2: label, n + 1: flipped})
-        return RootStatus("noncompact_II", ClanOrbit(target))
+        return RootStatus("noncompact_II", target)
     return NO_RAISE
 
 
@@ -394,7 +351,7 @@ def _clan_status_d_last(clan: Clan, n: int, with_type_ii: bool) -> RootStatus:
     status = _clan_status_mirrored(clan.swap(n, n + 1), n - 1, with_type_ii)
     if not status.raises:
         return status
-    return RootStatus(status.kind, ClanOrbit(status.target.clan.swap(n, n + 1)))
+    return RootStatus(status.kind, status.target.swap(n, n + 1))
 
 
 def _clan_classify(pair: SymmetricPair, clan: Clan, i: int) -> RootStatus:
@@ -491,16 +448,13 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
     """Kind of alpha_i for the orbit, with the raised orbit when one exists."""
     if not 1 <= i <= pair.num_simple_roots():
         raise ContractViolation(f"root index {i} out of range for {pair.describe()}")
-    if isinstance(param, ClanOrbit):
-        return _clan_classify(pair, param.clan, i)
+    if isinstance(param, Clan):
+        return _clan_classify(pair, param, i)
     move = _involution_status(param.involution, i)
     if move is None:
         return NO_RAISE
     target, degree_two = move
-    if isinstance(param, SplitOrbit):
-        if degree_two:
-            # each component covers the unsplit target once
-            return RootStatus("noncompact_I", InvolutionOrbit(target))
+    if not degree_two:
         # A complex raise keeps the component tag.  In the coordinate basis
         # of classes._component_representatives, where the k-th two-cycle
         # takes the pair (e_k, e_{2n+1-k}), swapping the vectors at i and
@@ -508,9 +462,10 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
         # conjugated involution, up to an SO(2n) permutation of those
         # pairs; that flag lies in Q.P_i but not in Q, and the O(2n)
         # component swap commutes with P_i.
-        return RootStatus("complex", SplitOrbit(target, param.component))
-    if not degree_two:
-        return RootStatus("complex", InvolutionOrbit(target))
+        return RootStatus("complex", InvolutionOrbit(target, param.component))
+    if param.component:
+        # each component covers the unsplit target once
+        return RootStatus("noncompact_I", InvolutionOrbit(target))
     if pair.kind.involutions == "fixed-point-free":
         # the left product acquires fixed points, which lies outside the
         # symplectic orbit set: no edge
@@ -520,8 +475,8 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
 
 def cross_action(pair: SymmetricPair, w: SignedPermutation, param: OrbitParameter) -> OrbitParameter:
     """The Weyl-group cross action on orbit parameters."""
-    if isinstance(param, ClanOrbit):
-        clan = param.clan
+    if isinstance(param, Clan):
+        clan = param
         if pair.ambient_family()[0] == "A":
             sigma = w
         else:
@@ -529,14 +484,12 @@ def cross_action(pair: SymmetricPair, w: SignedPermutation, param: OrbitParamete
         moved = [None] * len(clan)
         for pos in range(1, len(clan) + 1):
             moved[sigma.images[pos - 1] - 1] = clan.symbols[pos - 1]
-        return ClanOrbit(Clan.of(moved))  # type: ignore[arg-type]
+        return Clan.of(moved)  # type: ignore[arg-type]
     inv = SignedPermutation("A", param.involution)
     conjugated = (w * inv) * w.inverse()
-    if isinstance(param, SplitOrbit):
-        # the tagged component moves with the representative; callers that
-        # need the precise tag use the localization machinery instead
-        return SplitOrbit(conjugated.images, param.component)
-    return InvolutionOrbit(conjugated.images)
+    # a tagged component moves with the representative; callers that need
+    # the precise tag use the localization machinery instead
+    return InvolutionOrbit(conjugated.images, param.component)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +596,8 @@ def closure_compare(pair: SymmetricPair, a: OrbitParameter, b: OrbitParameter) -
     """
     if a == b:
         return "equal"
-    if isinstance(a, ClanOrbit) and isinstance(b, ClanOrbit):
-        return _dominance_verdict(a.clan, b.clan)
+    if isinstance(a, Clan) and isinstance(b, Clan):
+        return _dominance_verdict(a, b)
     inv_a = a.involution  # type: ignore[union-attr]
     inv_b = b.involution  # type: ignore[union-attr]
     if inv_a == inv_b:

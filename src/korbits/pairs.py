@@ -256,18 +256,22 @@ class SymmetricPair(Record):
 _BY_DESCRIPTOR = {kind.descriptor: kind for kind in KINDS.values()}
 
 
-def _parse_int(text: str, what: str) -> int:
+def parse_decimal(text: str, what: str) -> int:
+    """A numeral of the descriptor grammar: decimal digits only, never the
+    sign, underscores or spaces that int() also reads."""
+    if not text.isdecimal():
+        raise UsageError(f"{what} must be a decimal integer, got {text!r}")
     try:
         return int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+    except ValueError:  # longer than the interpreter's int-string digit limit
+        raise UsageError(f"{what} of {len(text)} digits is too long") from None
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected p,q but got {text!r}")
-    return _parse_int(parts[0], "p"), _parse_int(parts[1], "q")
+    return parse_decimal(parts[0], "p"), parse_decimal(parts[1], "q")
 
 
 def parse_pair_spec(text: str) -> SymmetricPair:
@@ -283,8 +287,8 @@ def parse_pair_spec(text: str) -> SymmetricPair:
         p, q = _parse_pq(parts[2])
         return SymmetricPair(kind.tag, p + q, p, q)
     if kind.form == RANK:
-        return SymmetricPair(kind.tag, _parse_int(parts[2], "n"))
-    size = _parse_int(parts[2], "N")
+        return SymmetricPair(kind.tag, parse_decimal(parts[2], "n"))
+    size = parse_decimal(parts[2], "N")
     odd = kind.form == ODD
     if size < 2 + odd or size % 2 != odd:
         raise UsageError(f"{descriptor}:N needs {kind.form} >= {2 + odd}")

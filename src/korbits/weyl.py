@@ -205,6 +205,7 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
         return SignedPermutation("A", tuple(images))
     if not text.startswith("("):
         raise UsageError(f"bad cycle notation {text!r}")
+    seen: set[int] = set()  # disjoint cycles of distinct entries make a permutation
     for chunk in text.replace(")(", ")|(").split("|"):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise UsageError(f"bad cycle {chunk!r}")
@@ -212,14 +213,13 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
             entries = [int(v) for v in chunk[1:-1].split(",")]
         except ValueError:
             raise UsageError(f"cycle entries must be integers in {chunk!r}") from None
-        if len(set(entries)) != len(entries):
-            raise UsageError(f"repeated entry in cycle {chunk!r}")
         for a, b in zip(entries, entries[1:] + entries[:1]):
             if not 1 <= a <= n:
                 raise UsageError(f"cycle entry {a} outside 1..{n}")
+            if a in seen:
+                raise UsageError(f"entry {a} repeated in {text!r}")
+            seen.add(a)
             images[a - 1] = b
-    if sorted(images) != list(range(1, n + 1)):
-        raise UsageError(f"{text!r} is not a permutation of 1..{n}")
     return SignedPermutation("A", tuple(images))
 
 

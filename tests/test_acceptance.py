@@ -29,7 +29,7 @@ from korbits.classes import (
 )
 from korbits.counting import count_report
 from korbits.orbits import (
-    SplitOrbit,
+    InvolutionOrbit,
     build_weak_order_graph,
     closed_orbits,
     closure_compare,
@@ -351,15 +351,15 @@ def test_criterion_8_splitting():
     for tag in ("+", "-"):
         for root in (1, 3):
             assert any(
-                e.source == SplitOrbit(w0, tag)
-                and e.target == SplitOrbit(mid, tag)
+                e.source == InvolutionOrbit(w0, tag)
+                and e.target == InvolutionOrbit(mid, tag)
                 and e.root_index == root
                 for e in graph.edges
             ), f"missing same-component cover for {tag} via {root}"
     classes = propagate_all(pair)
     union = (
-        classes[SplitOrbit(w0, "+")].polynomial
-        + classes[SplitOrbit(w0, "-")].polynomial
+        classes[InvolutionOrbit(w0, "+")].polynomial
+        + classes[InvolutionOrbit(w0, "-")].polynomial
     )
     want = parse_polynomial("4*y1*y2*(y1+y2)*(y1+y3)", pair.variable_space())
     assert union == want

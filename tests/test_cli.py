@@ -241,6 +241,12 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (("verify", "a-sp-4.txt", "--max-n", "x"), None),
         (("verify", "a-sp-4.txt", "--max-n", "-5"), None),
         (("verify", "a-sp-4.txt", "--max-n", "0"), None),
+        (("chern", "A:so:3", "(1,3)(3,1)"), None),
+        (None, SO3 + "(1,3)(1,3) := -2*y1*y2 - 2*y1*y3 - 2*y2^2 - 2*y2*y3"),
+        (("orbits", "A:glpq:1_0,1"), None),
+        (("orbits", "A:glpq:+1,1"), None),
+        (("count", "B:0_3"), None),
+        (("count", "B:3", "--max-n", "1_0"), None),
     ],
     ids=[
         "zero-denominator",
@@ -266,6 +272,12 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "argparse-bad-int",
         "negative-max-n",
         "zero-max-n",
+        "entry-in-two-cycles",
+        "entry-in-two-cycles-in-fixture",
+        "underscore-in-descriptor",
+        "signed-descriptor-number",
+        "underscore-in-rank",
+        "underscore-in-max-n",
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):
@@ -309,10 +321,11 @@ OUTPUT_PINS = Path(__file__).with_name("output_pins.json")
 def test_graph_orbits_count_outputs_match_pins(capsys):
     # graph and orbits --format json on the ten pairs at ranks 2 and 3,
     # graph on eleven rank-4 pairs that reach the type B/C/D last-root
-    # patterns and on five rank-5 type D pairs, and count on the four inner
-    # classes at n <= 4, byte for byte
+    # patterns and on five rank-5 type D pairs, orbits (plain and json) and
+    # graph on A:so-even:8, and count on the four inner classes at n <= 4,
+    # byte for byte
     pins = json.loads(OUTPUT_PINS.read_text())
-    assert len(pins) == 72
+    assert len(pins) == 75
     for call, digest in pins.items():
         code, out, _ = run(capsys, *call.split())
         assert code == 0, call
@@ -427,10 +440,11 @@ CLASSES_PINS = Path(__file__).with_name("classes_pins.json")
 
 
 def test_classes_tables_match_pins(capsys):
-    # classes --format machine on the ten pairs at ranks 2 and 3, and the
-    # csv and table formats on two pairs, byte for byte
+    # classes --format machine on the ten pairs at ranks 2 and 3, the csv
+    # and table formats on two pairs, and the table of A:so-even:6, byte
+    # for byte
     pins = json.loads(CLASSES_PINS.read_text())
-    assert len(pins) == 24
+    assert len(pins) == 25
     for call, digest in pins.items():
         code, out, _ = run(capsys, *call.split())
         assert code == 0, call

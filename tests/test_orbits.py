@@ -4,10 +4,8 @@ from korbits.clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from korbits.errors import UsageError
 from korbits.orbits import (
     NO_RAISE,
-    ClanOrbit,
     InvolutionOrbit,
     RootStatus,
-    SplitOrbit,
     _clan_status_mirrored,
     _fresh_pair,
     build_weak_order_graph,
@@ -66,7 +64,7 @@ def test_clan_orbits_match_filtered_enumeration(spec):
     # reference for the mirror-aware enumeration
     pair = parse_pair_spec(spec)
     clans = enumerate_clans(*pair.clan_signature())
-    want = [ClanOrbit(c) for c in clans if pair_validity(c, pair)]
+    want = [c for c in clans if pair_validity(c, pair)]
     assert enumerate_orbits(pair) == want
 
 
@@ -152,7 +150,7 @@ def test_closed_counts_follow_rank_formulas():
 
 def test_classify_type_a_noncompact():
     pair = parse_pair_spec("A:glpq:3,2")
-    param = ClanOrbit(Clan.parse("(1,+,-,1,+)"))
+    param = Clan.parse("(1,+,-,1,+)")
     status = classify_simple_root(pair, param, 2)
     assert status.kind == "noncompact_I"
     assert str(status.target) == "(1,2,2,1,+)"
@@ -170,7 +168,7 @@ def test_classify_so_odd_blue():
 
 def test_classify_b_last_root():
     pair = parse_pair_spec("B:oo:2,1")
-    param = ClanOrbit(Clan.parse("(1,+,1,-,2,+,2)"))
+    param = Clan.parse("(1,+,1,-,2,+,2)")
     status = classify_simple_root(pair, param, 3)
     assert status.kind == "complex"
     assert str(status.target) == "(1,+,2,-,1,+,2)"
@@ -178,14 +176,14 @@ def test_classify_b_last_root():
 
 def test_classify_d_gl_flip_rule():
     pair = parse_pair_spec("D:gl:3")
-    param = ClanOrbit(Clan.parse("(+,+,+,-,-,-)"))
+    param = Clan.parse("(+,+,+,-,-,-)")
     status = classify_simple_root(pair, param, 3)
     assert status.raises
     # the target keeps the trailing minus: the plus-ended variant is not
     # skew-symmetric, so it is not even a parameter of this pair
     assert str(status.target) == "(+,1,2,1,2,-)"
     # and the stationary example
-    frozen = ClanOrbit(Clan.parse("(-,1,1,2,2,+)"))
+    frozen = Clan.parse("(-,1,1,2,2,+)")
     assert classify_simple_root(pair, frozen, 3).kind == "no_raise"
 
 
@@ -193,7 +191,7 @@ def test_classify_d_gl_weak_order_jump():
     # this raise exists for the subgroup even though the ambient block
     # orbits are unrelated in their weak order
     pair = parse_pair_spec("D:gl:3")
-    param = ClanOrbit(Clan.parse("(1,1,-,+,2,2)"))
+    param = Clan.parse("(1,1,-,+,2,2)")
     status = classify_simple_root(pair, param, 3)
     assert status.raises
     assert str(status.target) == "(1,+,2,1,-,2)"
@@ -213,19 +211,19 @@ def _clan_status_d_last_orthogonal(clan: Clan, n: int) -> RootStatus:
     sa, sb, sc, sd = (clan.is_sign(pos) for pos in (a, b, c, d))
     sym = clan.symbols
 
-    def swapped() -> ClanOrbit:
-        return ClanOrbit(clan.swap(a, c).swap(b, d))
+    def swapped() -> Clan:
+        return clan.swap(a, c).swap(b, d)
 
     # non-compact branch first: sign window (+,-,-,+) / (-,+,+,-) is type I,
     # adjacent mate pairs (1,1,2,2) are type II
     if sa and sb and sc and sd:
         window = (sym[a - 1], sym[b - 1], sym[c - 1], sym[d - 1])
         if window in ((PLUS, MINUS, MINUS, PLUS), (MINUS, PLUS, PLUS, MINUS)):
-            return RootStatus("noncompact_I", ClanOrbit(_fresh_pair(clan, (a, c, b, d))))
+            return RootStatus("noncompact_I", _fresh_pair(clan, (a, c, b, d)))
         return NO_RAISE
     if not sa and not sb and not sc and not sd:
         if clan.mate(a) == b and clan.mate(c) == d:
-            return RootStatus("noncompact_II", ClanOrbit(clan.swap(a, c)))
+            return RootStatus("noncompact_II", clan.swap(a, c))
     # complex branch, eight patterns
     if sa and sd and not sb and not sc:
         if clan.mate(b) == c:
@@ -263,12 +261,12 @@ def _clan_status_d_last_gl(clan: Clan, n: int) -> RootStatus:
     inner = _clan_status_mirrored(flipped, n - 1, with_type_ii=False)
     if not inner.raises:
         return NO_RAISE
-    assert isinstance(inner.target, ClanOrbit)
-    target = inner.target.clan.swap(n, n + 1)
+    assert isinstance(inner.target, Clan)
+    target = inner.target.swap(n, n + 1)
     if target == clan:
         return NO_RAISE
     kind = "complex" if inner.kind == "complex" else "noncompact_I"
-    return RootStatus(kind, ClanOrbit(target))
+    return RootStatus(kind, target)
 
 
 def _type_d_specs(max_rank):
@@ -290,7 +288,7 @@ def test_d_last_root_flip_matches_former_rules():
         gl = spec.startswith("D:gl")
         former = _clan_status_d_last_gl if gl else _clan_status_d_last_orthogonal
         for param in enumerate_orbits(pair):
-            want = former(param.clan, n)
+            want = former(param, n)
             assert classify_simple_root(pair, param, n) == want, (spec, str(param))
             checked += 1
     assert checked == 7018
@@ -306,7 +304,7 @@ def test_no_degree_two_covers(spec):
 
 def test_c_gl_has_degree_two_cover():
     pair = parse_pair_spec("C:gl:2")
-    param = ClanOrbit(Clan.parse("(1,2,1,2)"))
+    param = Clan.parse("(1,2,1,2)")
     status = classify_simple_root(pair, param, 1)
     assert status.kind == "noncompact_II"
     assert str(status.target) == "(1,2,2,1)"
@@ -318,14 +316,14 @@ def test_c_gl_has_degree_two_cover():
 def test_cross_action_swaps_signs():
     pair = parse_pair_spec("A:glpq:2,2")
     s2 = parse_cycles("(2,3)", 4)
-    param = ClanOrbit(Clan.parse("(+,-,+,-)"))
+    param = Clan.parse("(+,-,+,-)")
     assert str(cross_action(pair, s2, param)) == "(+,+,-,-)"
 
 
 def test_cross_action_fixes_type_ii_witness():
     pair = parse_pair_spec("C:gl:2")
     s1 = SignedPermutation("BC", (1, 2)).times_generator(1)
-    param = ClanOrbit(Clan.parse("(1,2,1,2)"))
+    param = Clan.parse("(1,2,1,2)")
     assert cross_action(pair, s1, param) == param
 
 
@@ -422,8 +420,8 @@ def test_even_orthogonal_split_pairing():
                 sum(
                     1
                     for e in graph.edges
-                    if e.source == SplitOrbit(w0, tag)
-                    and e.target == SplitOrbit(mid, tag)
+                    if e.source == InvolutionOrbit(w0, tag)
+                    and e.target == InvolutionOrbit(mid, tag)
                     and e.root_index == root
                     and e.degree == 1
                 )
@@ -433,7 +431,7 @@ def test_even_orthogonal_split_pairing():
     unsplit = [
         e
         for e in graph.edges
-        if e.source == SplitOrbit(w0, "+") and isinstance(e.target, InvolutionOrbit)
+        if e.source == InvolutionOrbit(w0, "+") and not e.target.component
     ]
     assert [(e.root_index, str(e.target), e.degree) for e in unsplit] == [(2, "(1,4)", 1)]
 
@@ -529,11 +527,21 @@ def test_degree_two_exactly_when_cross_action_fixes(spec):
             assert fixed == (status.kind == "noncompact_II"), (spec, str(param), i)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["A:glpq:2,2", "A:so:5", "A:so-even:4", "A:sp:6", "B:oo:2,1", "C:gl:2", "D:oo-odd:1,2"],
-)
+def _pair_specs(max_rank):
+    yield from _clan_pair_specs(max_rank)
+    for n in range(1, max_rank + 1):
+        yield from (f"A:so:{2 * n + 1}", f"A:so-even:{2 * n}", f"A:sp:{2 * n}")
+
+
+@pytest.mark.parametrize("spec", list(_pair_specs(4)))
 def test_parameter_strings_round_trip(spec):
+    # a parameter is the clan or the involution itself, and only the
+    # fixed-point-free involutions of the even orthogonal pair carry a tag
     pair = parse_pair_spec(spec)
     for param in enumerate_orbits(pair):
         assert parse_orbit_parameter(pair, str(param), allow_union=True) == param
+        assert isinstance(param, Clan if pair.is_clan_case() else InvolutionOrbit)
+        if isinstance(param, InvolutionOrbit):
+            fixed_point_free = all(v != i for i, v in enumerate(param.involution, start=1))
+            split = pair.case == "A_SO_EVEN" and fixed_point_free
+            assert bool(param.component) == split, (spec, str(param))

@@ -15,10 +15,8 @@ from korbits.algebra import VariableSpace
 from korbits.clans import Clan
 from korbits.errors import ContractViolation, UsageError
 from korbits.orbits import (
-    ClanOrbit,
     InvolutionOrbit,
     RootStatus,
-    SplitOrbit,
     WeakEdge,
     build_weak_order_graph,
     classify_simple_root,
@@ -58,17 +56,7 @@ class TwinClan:
 
 
 @frozen
-class TwinClanOrbit:
-    clan: TwinClan
-
-
-@frozen
 class TwinInvolutionOrbit:
-    involution: tuple
-
-
-@frozen
-class TwinSplitOrbit:
     involution: tuple
     component: str
 
@@ -91,12 +79,8 @@ def twin(record):
         return TwinSignedPermutation(record.family, record.images)
     if isinstance(record, Clan):
         return TwinClan(record.symbols)
-    if isinstance(record, ClanOrbit):
-        return TwinClanOrbit(twin(record.clan))
     if isinstance(record, InvolutionOrbit):
-        return TwinInvolutionOrbit(record.involution)
-    if isinstance(record, SplitOrbit):
-        return TwinSplitOrbit(record.involution, record.component)
+        return TwinInvolutionOrbit(record.involution, record.component)
     if isinstance(record, WeakEdge):
         return TwinWeakEdge(
             twin(record.source), twin(record.target), record.root_index, record.degree
@@ -112,12 +96,10 @@ def rebuilt(record):
         return SymmetricPair(record.case, record.n, record.p, record.q)
     if isinstance(record, SignedPermutation):
         return SignedPermutation(record.family, tuple(list(record.images)))
-    if isinstance(record, ClanOrbit):
-        return ClanOrbit(Clan(tuple(list(record.clan.symbols))))
+    if isinstance(record, Clan):
+        return Clan(tuple(list(record.symbols)))
     if isinstance(record, InvolutionOrbit):
-        return InvolutionOrbit(tuple(list(record.involution)))
-    if isinstance(record, SplitOrbit):
-        return SplitOrbit(tuple(list(record.involution)), record.component)
+        return InvolutionOrbit(tuple(list(record.involution)), record.component)
     if isinstance(record, WeakEdge):
         source, target = rebuilt(record.source), rebuilt(record.target)
         return WeakEdge(source, target, record.root_index, record.degree)
@@ -172,9 +154,8 @@ def test_pairs_spaces_and_permutations_match_dataclass_twins():
 def test_records_of_different_classes_never_compare_equal():
     inv = (2, 1, 4, 3)
     records = [
-        InvolutionOrbit(inv),
-        SplitOrbit(inv, "+"),
-        ClanOrbit(Clan((1, 1))),
+        InvolutionOrbit(inv, "+"),
+        Clan((1, 1)),
         SignedPermutation("A", inv),
         SymmetricPair("A_SO_EVEN", 2),
     ]
@@ -191,9 +172,9 @@ def test_records_of_different_classes_never_compare_equal():
         (SymmetricPair("A_GLPQ", 2, 1, 1), "n"),
         (SignedPermutation("BC", (2, -1)), "images"),
         (Clan(("+", 1, 1)), "symbols"),
-        (ClanOrbit(Clan(("+", 1, 1))), "clan"),
+        (build_weak_order_graph(SymmetricPair("A_SP", 2)), "nodes"),
         (InvolutionOrbit((2, 1)), "involution"),
-        (SplitOrbit((2, 1), "-"), "component"),
+        (InvolutionOrbit((2, 1), "-"), "component"),
         (WeakEdge(InvolutionOrbit((1, 2)), InvolutionOrbit((2, 1)), 1, 1), "degree"),
         (KINDS["D_GL"], "clan_rule"),
         (RootStatus("complex"), "kind"),
@@ -238,9 +219,9 @@ def test_records_refuse_assignment_and_deletion(record, field):
         (lambda: Clan(("x",)), ContractViolation, "bad clan symbol 'x'"),
         (lambda: Clan((1, "+")), ContractViolation, "number 1 appears 1 times"),
         (lambda: Clan((2, 2)), ContractViolation, "clan symbols are not in canonical form"),
-        (lambda: SplitOrbit((2, 1), "x"), ContractViolation, "component tag must be + or -"),
+        (lambda: InvolutionOrbit((2, 1), "x"), ContractViolation, "component tag must be + or -"),
         (
-            lambda: SplitOrbit((1, 2), "+"),
+            lambda: InvolutionOrbit((1, 2), "+"),
             ContractViolation,
             "only fixed-point-free involutions split",
         ),
@@ -271,7 +252,7 @@ def test_clan_swap_matches_validating_constructor(n):
         if not pair.is_clan_case():
             continue
         for param in enumerate_orbits(pair):
-            clan = param.clan
+            clan = param
             assert clan == Clan.of(clan.symbols) and type(clan.symbols) is tuple
             for i, j in itertools.combinations(range(1, len(clan) + 1), 2):
                 symbols = list(clan.symbols)
@@ -282,7 +263,7 @@ def test_clan_swap_matches_validating_constructor(n):
             for i in range(1, pair.num_simple_roots() + 1):
                 status = classify_simple_root(pair, param, i)
                 if status.kind.startswith("noncompact"):
-                    got = status.target.clan
+                    got = status.target
                     assert got == Clan.of(got.symbols) and type(got.symbols) is tuple
                     targets += 1
     assert swaps > 0 and targets > 0
