@@ -2,15 +2,16 @@
 
 A clan of signature (a, b) is a string whose entries are '+', '-' or a
 natural number, every number occurring exactly twice, with #plus - #minus
-= a - b.  Only the positions of matching numbers matter, so clans are
-stored canonically: pair labels are renumbered 1, 2, ... in order of
-first occurrence.  On top of the type itself the module provides
-enumeration, the counting invariants gamma(i;+), gamma(i;-), gamma(i;j),
-the symmetry predicates used outside type A, the test of a clan against a
-pair's clan rule (kept with the pair, in ``pairs.KINDS``), and the
-position involution attached to a clan.  Symmetric and skew-symmetric
-clans are generated directly, a position and its mirror at a time, rather
-than filtered out of all clans.
+= a - b.  Only the positions of matching numbers matter, so a clan is
+stored by its mates: each position holds its sign or the position of the
+other end of its pair.  The numbers exist only in printed text, as 1, 2,
+... in order of first occurrence.  On top of the type itself the module
+provides enumeration, the counting invariants gamma(i;+), gamma(i;-),
+gamma(i;j), the symmetry predicates used outside type A, the test of a
+clan against a pair's clan rule (kept with the pair, in ``pairs.KINDS``),
+and the position involution attached to a clan.  Symmetric and
+skew-symmetric clans are generated directly, a position and its mirror at
+a time, rather than filtered out of all clans.
 """
 
 from __future__ import annotations
@@ -27,57 +28,41 @@ Symbol = Union[str, int]
 PLUS = "+"
 MINUS = "-"
 _OPPOSITE = {PLUS: MINUS, MINUS: PLUS}
-
-
-def _canonical(symbols: Sequence[Symbol]) -> tuple[Symbol, ...]:
-    rename: dict[int, int] = {}
-    out: list[Symbol] = []
-    for sym in symbols:
-        if sym in (PLUS, MINUS):
-            out.append(sym)
-        else:
-            if sym not in rename:
-                rename[sym] = len(rename) + 1
-            out.append(rename[sym])
-    return tuple(out)
+_SAME = {PLUS: PLUS, MINUS: MINUS}
 
 
 class Clan(Record):
-    __slots__ = ("symbols",)
+    __slots__ = ("mates",)  # mates[i-1]: the sign at i, or the position of its partner
 
-    def __init__(self, symbols: tuple[Symbol, ...]) -> None:
-        set_field(self, "symbols", symbols)
-        counts: dict[int, int] = {}
-        for sym in symbols:
-            if sym in (PLUS, MINUS):
-                continue
-            if not isinstance(sym, int) or sym < 1:
-                raise ContractViolation(f"bad clan symbol {sym!r}")
-            counts[sym] = counts.get(sym, 0) + 1
-        for label, count in counts.items():
-            if count != 2:
-                raise ContractViolation(f"number {label} appears {count} times")
-        if symbols != _canonical(symbols):
-            raise ContractViolation("clan symbols are not in canonical form")
+    def __init__(self, symbols: Sequence[Symbol]) -> None:
+        """The clan of printed symbols, under any numbering of the pairs."""
+        mates: list[Symbol] = list(symbols)
+        ends: dict[int, list[int]] = {}
+        for pos, sym in enumerate(mates, start=1):
+            if sym not in (PLUS, MINUS):
+                if not isinstance(sym, int) or sym < 1:
+                    raise ContractViolation(f"bad clan symbol {sym!r}")
+                ends.setdefault(sym, []).append(pos)
+        for label, where in ends.items():
+            if len(where) != 2:
+                raise ContractViolation(f"number {label} appears {len(where)} times")
+            mates[where[0] - 1], mates[where[1] - 1] = where[1], where[0]
+        set_field(self, "mates", tuple(mates))
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def of(cls, symbols: Sequence[Symbol]) -> "Clan":
-        return cls(_canonical(tuple(symbols)))
-
-    @classmethod
-    def _trusted(cls, symbols: tuple[Symbol, ...]) -> "Clan":
-        """Wrap symbols already known to form a clan in canonical form."""
+    def _trusted(cls, mates: tuple[Symbol, ...]) -> "Clan":
+        """Wrap a mate tuple already known to pair its positions."""
         obj = object.__new__(cls)
-        set_field(obj, "symbols", symbols)
+        set_field(obj, "mates", mates)
         return obj
 
     def __eq__(self, other):
-        return self.symbols == other.symbols if type(other) is type(self) else NotImplemented
+        return self.mates == other.mates if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.symbols,))
+        return hash((self.mates,))
 
     @classmethod
     def parse(cls, text: str) -> "Clan":
@@ -100,9 +85,21 @@ class Clan(Record):
         if not symbols:
             raise UsageError("empty clan")
         try:
-            return cls.of(symbols)
+            return cls(symbols)
         except ContractViolation as exc:
             raise UsageError(str(exc)) from None
+
+    @property
+    def symbols(self) -> tuple[Symbol, ...]:
+        """The printed symbols: pairs numbered 1, 2, ... in order of first
+        occurrence."""
+        out = list(self.mates)
+        label = 0
+        for pos, mate in enumerate(self.mates, start=1):
+            if mate not in (PLUS, MINUS) and mate > pos:
+                label += 1
+                out[pos - 1] = out[mate - 1] = label
+        return tuple(out)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(s) for s in self.symbols) + ")"
@@ -110,7 +107,7 @@ class Clan(Record):
     # -- basic queries -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.mates)
 
     def sort_key(self):
         order = {PLUS: (0, 0), MINUS: (1, 0)}
@@ -118,41 +115,42 @@ class Clan(Record):
 
     def signature(self) -> tuple[int, int]:
         """(a, b) with a - b = #plus - #minus and a + b = length."""
-        plus = self.symbols.count(PLUS)
-        minus = self.symbols.count(MINUS)
-        pairs = (len(self.symbols) - plus - minus) // 2
+        plus = self.mates.count(PLUS)
+        minus = self.mates.count(MINUS)
+        pairs = (len(self.mates) - plus - minus) // 2
         return (plus + pairs, minus + pairs)
 
     def is_sign(self, i: int) -> bool:
-        return self.symbols[i - 1] in (PLUS, MINUS)
+        return self.mates[i - 1] in (PLUS, MINUS)
 
     def mate(self, i: int) -> int:
         """Position of the partner of the number at position i (1-based)."""
-        sym = self.symbols[i - 1]
-        if sym in (PLUS, MINUS):
+        mate = self.mates[i - 1]
+        if mate in (PLUS, MINUS):
             raise ContractViolation(f"position {i} holds a sign")
-        for j, other in enumerate(self.symbols, start=1):
-            if j != i and other == sym:
-                return j
-        raise ContractViolation("unpaired number")  # pragma: no cover
+        return mate
 
     def replace(self, updates: dict[int, Symbol]) -> "Clan":
-        """Symbols at some positions replaced; the caller keeps it a clan
-        (every number twice), so only relabel."""
-        symbols = list(self.symbols)
-        for pos, sym in updates.items():
-            symbols[pos - 1] = sym
-        return Clan._trusted(_canonical(symbols))
+        """Mate entries at some positions replaced by a sign or a partner's
+        position; the caller keeps every pairing mutual."""
+        mates = list(self.mates)
+        for pos, entry in updates.items():
+            mates[pos - 1] = entry
+        return Clan._trusted(tuple(mates))
 
     def swap(self, i: int, j: int) -> "Clan":
-        """Positions i and j exchanged; a clan stays a clan, so only relabel."""
-        symbols = list(self.symbols)
-        symbols[i - 1], symbols[j - 1] = symbols[j - 1], symbols[i - 1]
-        return Clan._trusted(_canonical(symbols))
-
-    def fresh_label(self) -> int:
-        numbers = [s for s in self.symbols if isinstance(s, int)]
-        return max(numbers, default=0) + 1
+        """Positions i and j exchanged; the partners of moved numbers are
+        repointed."""
+        mates = list(self.mates)
+        a, b = mates[i - 1], mates[j - 1]
+        if a == j:  # i and j are each other's partners
+            return self
+        mates[i - 1], mates[j - 1] = b, a
+        if a not in (PLUS, MINUS):
+            mates[a - 1] = j
+        if b not in (PLUS, MINUS):
+            mates[b - 1] = i
+        return Clan._trusted(tuple(mates))
 
     # -- counting invariants -------------------------------------------------
 
@@ -164,72 +162,60 @@ class Clan(Record):
         return self._prefix_count(i, MINUS)
 
     def _prefix_count(self, i: int, sign: str) -> int:
-        self._check_index(i)
-        prefix = self.symbols[:i]
-        pairs = sum(
-            1 for label in set(s for s in prefix if isinstance(s, int))
-            if prefix.count(label) == 2
-        )
-        return prefix.count(sign) + pairs
+        if not 1 <= i <= len(self.mates):
+            raise ContractViolation(f"index {i} out of range")
+        prefix = self.mates[:i]
+        # a pair is complete when its second end, mated backwards, is in the prefix
+        ends = sum(1 for pos, m in enumerate(prefix, start=1) if m not in (PLUS, MINUS) and m < pos)
+        return prefix.count(sign) + ends
 
     def gamma_pair(self, i: int, j: int) -> int:
         """Number pairs c_s = c_t with s <= i < j < t."""
-        if not 1 <= i < j <= len(self.symbols):
+        if not 1 <= i < j <= len(self.mates):
             raise ContractViolation("need 1 <= i < j <= n")
-        count = 0
-        for s in range(1, i + 1):
-            if isinstance(self.symbols[s - 1], int):
-                t = self.mate(s)
-                if t > j:
-                    count += 1
-        return count
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= len(self.symbols):
-            raise ContractViolation(f"index {i} out of range")
+        return sum(1 for mate in self.mates[:i] if mate not in (PLUS, MINUS) and mate > j)
 
     # -- symmetry -------------------------------------------------------------
 
+    def _mirror_image(self, signs: dict[str, str]) -> tuple[Symbol, ...]:
+        """Mates of the reversed clan, its signs mapped through ``signs``."""
+        end = len(self.mates) + 1
+        return tuple(signs[m] if m in signs else end - m for m in reversed(self.mates))
+
     def reverse(self) -> "Clan":
-        return Clan.of(tuple(reversed(self.symbols)))
+        return Clan._trusted(self._mirror_image(_SAME))
 
     def is_symmetric(self) -> bool:
-        return _canonical(self.symbols[::-1]) == self.symbols
+        return self._mirror_image(_SAME) == self.mates
 
     def is_skew_symmetric(self) -> bool:
         """Equal to its reverse with every sign flipped."""
-        flipped = [_OPPOSITE.get(s, s) for s in reversed(self.symbols)]
-        return _canonical(flipped) == self.symbols
+        return self._mirror_image(_OPPOSITE) == self.mates
 
     def is_anti_reflexive(self) -> bool:
         """No number sits at a pair of mirrored positions (i, L+1-i)."""
-        symbols = self.symbols
-        return not any(
-            isinstance(s, int) and s == symbols[-1 - i]
-            for i, s in enumerate(symbols[: len(symbols) // 2])
-        )
+        end = len(self.mates) + 1
+        return not any(mate == end - pos for pos, mate in enumerate(self.mates, start=1))
 
     def front_parity_even(self) -> bool:
         """Minus signs plus complete pairs among the first half, mod 2."""
-        half = len(self.symbols) // 2
+        half = len(self.mates) // 2
         return (self.gamma_minus(half) % 2) == 0
 
     # -- the position involution ------------------------------------------------
 
     def position_involution(self) -> SignedPermutation:
         """The involution whose 2-cycles are the mate-position pairs."""
-        size = len(self.symbols)
-        images = list(range(1, size + 1))
-        for i in range(1, size + 1):
-            if not self.is_sign(i):
-                images[i - 1] = self.mate(i)
-        return SignedPermutation("A", tuple(images))
+        images = tuple(
+            pos if mate in (PLUS, MINUS) else mate for pos, mate in enumerate(self.mates, start=1)
+        )
+        return SignedPermutation("A", images)
 
 
 def enumerate_clans(
     a: int, b: int, *, mirror: Optional[str] = None, anti_reflexive: bool = False
 ) -> list[Clan]:
-    """All clans of signature (a, b), canonical, sorted.
+    """All clans of signature (a, b), sorted.
 
     ``mirror="symmetric"`` keeps only clans equal to their reverse,
     ``mirror="skew"`` only clans equal to their negated reverse, and
@@ -256,37 +242,36 @@ def enumerate_clans(
 # Both generators fill the smallest open position next.  A sign uses one
 # unit of its own side of the (a, b) budget and a number pair one unit of
 # each, so the budgets left always add up to the open positions and every
-# leaf has used them exactly.
+# leaf has used them exactly.  A number pair writes at each end the
+# position of the other, so a leaf is a finished mate tuple.
 
 
 def _plain_clans(a: int, b: int, anti_reflexive: bool) -> list[Clan]:
-    # Labels are handed out in order of first occurrence, so every leaf is
-    # already canonical.
     size = a + b
-    symbols: list[Optional[Symbol]] = [None] * size
+    mates: list[Optional[Symbol]] = [None] * size
     results: list[Clan] = []
 
-    def fill(pos: int, a_left: int, b_left: int, next_label: int) -> None:
-        while pos < size and symbols[pos] is not None:
+    def fill(pos: int, a_left: int, b_left: int) -> None:
+        while pos < size and mates[pos] is not None:
             pos += 1
         if pos == size:
-            results.append(Clan._trusted(tuple(symbols)))
+            results.append(Clan._trusted(tuple(mates)))
             return
         if a_left:
-            symbols[pos] = PLUS
-            fill(pos + 1, a_left - 1, b_left, next_label)
+            mates[pos] = PLUS
+            fill(pos + 1, a_left - 1, b_left)
         if b_left:
-            symbols[pos] = MINUS
-            fill(pos + 1, a_left, b_left - 1, next_label)
-        symbols[pos] = None
+            mates[pos] = MINUS
+            fill(pos + 1, a_left, b_left - 1)
+        mates[pos] = None
         if a_left and b_left:
             for mate in range(pos + 1, size):
-                if symbols[mate] is None and not (anti_reflexive and mate == size - 1 - pos):
-                    symbols[pos] = symbols[mate] = next_label
-                    fill(pos + 1, a_left - 1, b_left - 1, next_label + 1)
-                    symbols[pos] = symbols[mate] = None
+                if mates[mate] is None and not (anti_reflexive and mate == size - 1 - pos):
+                    mates[pos], mates[mate] = mate + 1, pos + 1
+                    fill(pos + 1, a_left - 1, b_left - 1)
+                    mates[pos] = mates[mate] = None
 
-    fill(0, a, b, 1)
+    fill(0, a, b)
     return results
 
 
@@ -297,44 +282,44 @@ def _mirrored_clans(a: int, b: int, skew: bool, anti_reflexive: bool) -> list[Cl
     # m; or numbers pairing i with an open j and m with L-1-j.  Only a sign
     # fits the middle position of an odd length, where i == m.
     size = a + b
-    symbols: list[Optional[Symbol]] = [None] * size
+    mates: list[Optional[Symbol]] = [None] * size
     results: list[Clan] = []
 
-    def fill(pos: int, a_left: int, b_left: int, next_label: int) -> None:
-        while pos < size and symbols[pos] is not None:
+    def fill(pos: int, a_left: int, b_left: int) -> None:
+        while pos < size and mates[pos] is not None:
             pos += 1
         if pos == size:
-            results.append(Clan._trusted(_canonical(symbols)))
+            results.append(Clan._trusted(tuple(mates)))
             return
         mirror_pos = size - 1 - pos
         if pos == mirror_pos:
             # the last open position: exactly one budget unit is left
-            symbols[pos] = PLUS if a_left else MINUS
-            fill(pos + 1, 0, 0, next_label)
-            symbols[pos] = None
+            mates[pos] = PLUS if a_left else MINUS
+            fill(pos + 1, 0, 0)
+            mates[pos] = None
             return
         for sign in (PLUS, MINUS):
             pair = (sign, _OPPOSITE[sign] if skew else sign)
             a_use = pair.count(PLUS)
             if a_use <= a_left and 2 - a_use <= b_left:
-                symbols[pos], symbols[mirror_pos] = pair
-                fill(pos + 1, a_left - a_use, b_left - 2 + a_use, next_label)
-        symbols[pos] = symbols[mirror_pos] = None
+                mates[pos], mates[mirror_pos] = pair
+                fill(pos + 1, a_left - a_use, b_left - 2 + a_use)
+        mates[pos] = mates[mirror_pos] = None
         if a_left and b_left and not anti_reflexive:
-            symbols[pos] = symbols[mirror_pos] = next_label
-            fill(pos + 1, a_left - 1, b_left - 1, next_label + 1)
-            symbols[pos] = symbols[mirror_pos] = None
+            mates[pos], mates[mirror_pos] = mirror_pos + 1, pos + 1
+            fill(pos + 1, a_left - 1, b_left - 1)
+            mates[pos] = mates[mirror_pos] = None
         if a_left >= 2 and b_left >= 2:
             for mate in range(pos + 1, size):
                 mate_mirror = size - 1 - mate
-                if symbols[mate] is None and mate not in (mirror_pos, mate_mirror):
-                    symbols[pos] = symbols[mate] = next_label
-                    symbols[mirror_pos] = symbols[mate_mirror] = next_label + 1
-                    fill(pos + 1, a_left - 2, b_left - 2, next_label + 2)
-                    symbols[pos] = symbols[mate] = None
-                    symbols[mirror_pos] = symbols[mate_mirror] = None
+                if mates[mate] is None and mate not in (mirror_pos, mate_mirror):
+                    mates[pos], mates[mate] = mate + 1, pos + 1
+                    mates[mirror_pos], mates[mate_mirror] = mate_mirror + 1, mirror_pos + 1
+                    fill(pos + 1, a_left - 2, b_left - 2)
+                    mates[pos] = mates[mate] = None
+                    mates[mirror_pos] = mates[mate_mirror] = None
 
-    fill(0, a, b, 1)
+    fill(0, a, b)
     return results
 
 

@@ -38,11 +38,12 @@ from .orbits import (
     RootStatus,
     WeakEdge,
     WeakOrderGraph,
+    _finish_graph,
     _involution_status,
+    _level_error,
     _value_swap,
     build_weak_order_graph,
     closed_orbits,
-    enumerate_orbits,
     parse_orbit_parameter,
 )
 from .pairs import (
@@ -346,10 +347,10 @@ def _subgroup_roots(pair: SymmetricPair) -> set[tuple[int, ...]]:
     return roots
 
 
-def _plus_where_low(symbols, w: SignedPermutation, p: int) -> bool:
-    """The + positions of the clan symbols are the positions i with |w(i)| <= p."""
-    plus_positions = {i for i, s in enumerate(symbols, start=1) if s == PLUS}
-    low = {i for i in range(1, len(symbols) + 1) if abs(w.images[i - 1]) <= p}
+def _plus_where_low(mates, w: SignedPermutation, p: int) -> bool:
+    """The + positions among the clan's mates are the positions i with |w(i)| <= p."""
+    plus_positions = {i for i, s in enumerate(mates, start=1) if s == PLUS}
+    low = {i for i in range(1, len(mates) + 1) if abs(w.images[i - 1]) <= p}
     return low == plus_positions
 
 
@@ -365,18 +366,18 @@ def _member_involution(pair, param, w) -> bool:
 
 def _member_blocks(pair, param, w) -> bool:
     # the whole clan in type A, its first half otherwise
-    return _plus_where_low(param.symbols[: pair.n], w, pair.p)
+    return _plus_where_low(param.mates[: pair.n], w, pair.p)
 
 
 def _member_gl(pair, param, w) -> bool:
-    signs = param.symbols[: pair.n]
+    signs = param.mates[: pair.n]
     return all((v > 0) == (s == PLUS) for v, s in zip(w.images, signs))
 
 
 def _member_oo_odd(pair, param, w) -> bool:
     n = pair.n
     return abs(w.images[n - 1]) == pair.p + 1 and _plus_where_low(
-        param.symbols[: n - 1], w, pair.p
+        param.mates[: n - 1], w, pair.p
     )
 
 
@@ -511,14 +512,14 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
     ``classify_simple_root`` independently.
     """
     n = pair.n
-    closed = closed_orbits(pair)
+    closed = [param for param, _ in closed_orbits(pair)]
     classes: dict[OrbitParameter, EquivariantClass] = {}
     level: dict[OrbitParameter, int] = {}
     edges: list[WeakEdge] = []
-    for param, _ in closed:
+    for param in closed:
         classes[param] = closed_orbit_class(pair, param)
         level[param] = 0
-    frontier = sorted((p for p, _ in closed), key=lambda p: p.sort_key())
+    frontier = closed
     depth = 0
     while frontier:
         next_frontier = []
@@ -564,26 +565,14 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
                     next_frontier.append(target)
                 else:
                     if level[target] != depth + 1:
-                        raise InternalError("inconsistent level in split graph")
+                        raise _level_error(pair, param, i, target, level[target], depth + 1)
                     if not equal_via_localization(stored, cand):
                         raise InternalError(
                             f"paths into {target} disagree under localization"
                         )
-        frontier = sorted(set(next_frontier), key=lambda p: p.sort_key())
+        frontier = next_frontier
         depth += 1
-    expected = enumerate_orbits(pair)
-    if sorted(level, key=lambda p: p.sort_key()) != expected:
-        raise InternalError("split graph did not reach every orbit")
-    sources = {edge.source for edge in edges}
-    maximal = [p for p in expected if p not in sources]
-    if len(maximal) != 1:
-        raise InternalError(f"expected one dense orbit, found {maximal}")
-    edges.sort(key=lambda e: (level[e.source], e.source.sort_key(), e.root_index))
-    nodes = tuple(sorted(level, key=lambda p: (level[p], p.sort_key())))
-    graph = WeakOrderGraph(
-        pair, nodes, tuple(edges), tuple(p for p, _ in closed), maximal[0], level
-    )
-    return graph, classes
+    return _finish_graph(pair, closed, level, edges), classes
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ and is empty otherwise.  The module builds the weak-order
 graph by breadth-first raising from the closed orbits, classifies simple
 roots (complex / non-compact imaginary of type I or II), exposes the
 monoid action on twisted involutions, a closure-order comparator and DOT
-emission.  Every clan move is the type A move at one or two windows: at
+emission.  The graph takes its order from the sorted enumeration, and
+clan moves read and write a clan's mates without renumbering.  Every
+clan move is the type A move at one or two windows: at
 positions (i, i+1) and, for i < n, at their mirror images.  Type D's
 alpha_n is the alpha_{n-1} move seen through the diagram flip that swaps
 positions n and n+1.  Only type B's alpha_n and the degree-two raises of
@@ -142,7 +144,7 @@ def _has_fixed_point(images: tuple[int, ...]) -> bool:
 
 
 def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
-    """All orbit parameters of the pair, sorted deterministically."""
+    """All orbit parameters of the pair, in the order of their sort keys."""
     rule, policy = pair.kind.clan_rule, pair.kind.involutions
     if rule is not None:
         clans = enumerate_clans(
@@ -157,7 +159,8 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
             params.append(InvolutionOrbit(inv, MINUS))
         elif not (fixed and policy == "fixed-point-free"):
             params.append(InvolutionOrbit(inv))
-    return sorted(params, key=lambda p: p.sort_key())
+    # involutions() is in lexicographic order, and components "" < "+" < "-"
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def _sign_strings(n: int, p: int):
 def _closed_glpq(pair: SymmetricPair):
     for signs in _sign_strings(pair.n, pair.p):
         images = _sign_string_images(signs, pair.p)
-        yield Clan.of(signs), SignedPermutation("A", images)
+        yield Clan(signs), SignedPermutation("A", images)
 
 
 def _closed_longest(pair: SymmetricPair):
@@ -215,7 +218,7 @@ def _closed_blocks(pair: SymmetricPair):
     # the odd-length (type B) clans carry a minus sign in the middle
     middle = [MINUS] if pair.root_family() == "B" else []
     for half in _sign_strings(pair.n, pair.p):
-        clan = Clan.of(half + middle + half[::-1])
+        clan = Clan(half + middle + half[::-1])
         images = _sign_string_images(half, pair.p)
         yield clan, SignedPermutation(pair.kind.ambient, images)
 
@@ -227,7 +230,7 @@ def _closed_gl(pair: SymmetricPair):
             continue
         symbols = list(signs) + [PLUS if s == MINUS else MINUS for s in reversed(signs)]
         images = tuple(i if s == PLUS else -i for i, s in enumerate(signs, start=1))
-        yield Clan.of(symbols), SignedPermutation(family, images)
+        yield Clan(symbols), SignedPermutation(family, images)
 
 
 def _closed_oo_odd(pair: SymmetricPair):
@@ -235,7 +238,7 @@ def _closed_oo_odd(pair: SymmetricPair):
     for half in _sign_strings(n - 1, p):
         # position n goes to p+1, between the two blocks
         images = _sign_string_images(half, p + 1) + (p + 1,)
-        yield Clan.of(half + [1, 1] + half[::-1]), SignedPermutation("D", images)
+        yield Clan(half + [1, 1] + half[::-1]), SignedPermutation("D", images)
 
 
 _CLOSED_ORBITS = {
@@ -268,26 +271,25 @@ def _value_swap(w: SignedPermutation, n: int) -> SignedPermutation:
 
 
 def _fresh_pair(clan: Clan, positions: Sequence[int]) -> Clan:
-    label = clan.fresh_label()
+    """Each two consecutive positions joined into a number pair."""
     updates = {}
-    for offset, pos_pair in enumerate(zip(positions[::2], positions[1::2])):
-        for pos in pos_pair:
-            updates[pos] = label + offset
+    for p, q in zip(positions[::2], positions[1::2]):
+        updates[p], updates[q] = q, p
     return clan.replace(updates)
 
 
 def _adjacent_kind(clan: Clan, i: int, j: int) -> Optional[str]:
     """The type A move rule at positions i < j: "complex", "noncompact_I"
     (two different signs) or None (no raise)."""
-    c1, c2 = clan.symbols[i - 1], clan.symbols[j - 1]
-    s1, s2 = c1 in (PLUS, MINUS), c2 in (PLUS, MINUS)
+    m1, m2 = clan.mates[i - 1], clan.mates[j - 1]
+    s1, s2 = m1 in (PLUS, MINUS), m2 in (PLUS, MINUS)
     if s1 and s2:
-        return "noncompact_I" if c1 != c2 else None
+        return "noncompact_I" if m1 != m2 else None
     if s1:
-        return "complex" if clan.mate(j) > j else None
+        return "complex" if m2 > j else None
     if s2:
-        return "complex" if clan.mate(i) < i else None
-    return "complex" if c1 != c2 and clan.mate(i) < clan.mate(j) else None
+        return "complex" if m1 < i else None
+    return "complex" if m1 != j and m1 < m2 else None
 
 
 def _adjacent_status(clan: Clan, *windows: tuple[int, int]) -> RootStatus:
@@ -314,11 +316,10 @@ def _clan_status_mirrored(clan: Clan, i: int, with_type_ii: bool) -> RootStatus:
     """
     size = len(clan)
     mi, mi1 = size - i, size + 1 - i
-    if not (clan.is_sign(i) or clan.is_sign(i + 1)):
-        if clan.mate(i) == mi and clan.mate(i + 1) == mi1:
-            if with_type_ii:
-                return RootStatus("noncompact_II", clan.swap(i, i + 1))
-            return NO_RAISE
+    if clan.mates[i - 1] == mi and clan.mates[i] == mi1:
+        if with_type_ii:
+            return RootStatus("noncompact_II", clan.swap(i, i + 1))
+        return NO_RAISE
     return _adjacent_status(clan, (i, i + 1), (mi, mi1))
 
 
@@ -330,11 +331,10 @@ def _clan_status_b_last(clan: Clan, n: int) -> RootStatus:
     status = _adjacent_status(clan, (n, n + 2))
     if status.raises:
         return status
-    cn, mid = clan.symbols[n - 1], clan.symbols[n]
-    if clan.is_sign(n) and clan.is_sign(n + 1) and cn != mid:
-        label = clan.fresh_label()
+    cn, mid = clan.mates[n - 1], clan.mates[n]
+    if cn in (PLUS, MINUS) and mid in (PLUS, MINUS) and cn != mid:
         flipped = PLUS if mid == MINUS else MINUS
-        target = clan.replace({n: label, n + 2: label, n + 1: flipped})
+        target = clan.replace({n: n + 2, n + 2: n, n + 1: flipped})
         return RootStatus("noncompact_II", target)
     return NO_RAISE
 
@@ -476,15 +476,11 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
 def cross_action(pair: SymmetricPair, w: SignedPermutation, param: OrbitParameter) -> OrbitParameter:
     """The Weyl-group cross action on orbit parameters."""
     if isinstance(param, Clan):
-        clan = param
-        if pair.ambient_family()[0] == "A":
-            sigma = w
-        else:
-            sigma = w.embed_as_permutation(len(clan))
-        moved = [None] * len(clan)
-        for pos in range(1, len(clan) + 1):
-            moved[sigma.images[pos - 1] - 1] = clan.symbols[pos - 1]
-        return Clan.of(moved)  # type: ignore[arg-type]
+        sigma = w if pair.ambient_family()[0] == "A" else w.embed_as_permutation(len(param))
+        moved = [None] * len(param)
+        for image, sym in zip(sigma.images, param.symbols):
+            moved[image - 1] = sym
+        return Clan(moved)  # type: ignore[arg-type]
     inv = SignedPermutation("A", param.involution)
     conjugated = (w * inv) * w.inverse()
     # a tagged component moves with the representative; callers that need
@@ -527,14 +523,13 @@ class WeakOrderGraph(Record):
 def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
     """Breadth-first weak-order graph built up from the closed orbits.
 
-    Edges come sorted by the level of their source, so walking them in
-    order visits every source after all of its own in-edges.  The graph is
-    cached per pair and shared by all callers.
+    Walking the edges in order visits every source after all of its own
+    in-edges.  The graph is cached per pair and shared by all callers.
     """
     closed = [param for param, _ in closed_orbits(pair)]
     level = {param: 0 for param in closed}
     edges: list[WeakEdge] = []
-    frontier = sorted(closed, key=lambda p: p.sort_key())
+    frontier = closed
     depth = 0
     while frontier:
         next_frontier: list[OrbitParameter] = []
@@ -550,24 +545,40 @@ def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
                     level[target] = depth + 1
                     next_frontier.append(target)
                 elif level[target] != depth + 1:
-                    raise InternalError(
-                        f"inconsistent level for {target}: "
-                        f"{level[target]} vs {depth + 1}"
-                    )
-        frontier = sorted(set(next_frontier), key=lambda p: p.sort_key())
+                    raise _level_error(pair, param, i, target, level[target], depth + 1)
+        frontier = next_frontier
         depth += 1
+    return _finish_graph(pair, closed, level, edges)
+
+
+def _level_error(pair, source, i: int, target, found: int, want: int) -> InternalError:
+    return InternalError(
+        f"{pair.spec_string()}: inconsistent level for {target}, raised "
+        f"from {source} by alpha_{i}: {found} vs {want}"
+    )
+
+
+def _finish_graph(pair: SymmetricPair, closed: list, level: dict, edges: list) -> WeakOrderGraph:
+    """The graph of a finished breadth-first walk, once it is checked to
+    reach every orbit and to have one dense orbit.  Nodes are ordered by
+    level, then as ``enumerate_orbits`` lists them; edges by the position
+    of their source in that order, then by root."""
     expected = enumerate_orbits(pair)
-    if sorted(level, key=lambda p: p.sort_key()) != expected:
+    if len(level) != len(expected) or not all(param in level for param in expected):
         raise InternalError(
-            f"weak order graph of {pair.describe()} reached {len(level)} "
+            f"weak order graph of {pair.spec_string()} reached {len(level)} "
             f"of {len(expected)} orbit parameters"
         )
     sources = {edge.source for edge in edges}
     maximal = [param for param in expected if param not in sources]
     if len(maximal) != 1:
-        raise InternalError(f"expected one dense orbit, found {maximal}")
-    edges.sort(key=lambda e: (level[e.source], e.source.sort_key(), e.root_index))
-    nodes = tuple(sorted(level, key=lambda p: (level[p], p.sort_key())))
+        raise InternalError(
+            f"{pair.spec_string()}: expected one dense orbit, found "
+            + ", ".join(map(str, maximal))
+        )
+    nodes = tuple(sorted(expected, key=level.__getitem__))  # a stable sort
+    rank = {param: idx for idx, param in enumerate(nodes)}
+    edges.sort(key=lambda e: (rank[e.source], e.root_index))
     return WeakOrderGraph(
         pair, nodes, tuple(edges), tuple(closed), maximal[0], types.MappingProxyType(level)
     )

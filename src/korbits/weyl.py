@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 from .algebra import PlanEntry
 from .errors import ContractViolation, UsageError
-from .pairs import SymmetricPair
+from .pairs import SymmetricPair, parse_decimal
 from .records import Record, set_field
 
 #: Restriction targets per y-index: None for zero, else (sign, x_index).
@@ -209,10 +209,8 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
     for chunk in text.replace(")(", ")|(").split("|"):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise UsageError(f"bad cycle {chunk!r}")
-        try:
-            entries = [int(v) for v in chunk[1:-1].split(",")]
-        except ValueError:
-            raise UsageError(f"cycle entries must be integers in {chunk!r}") from None
+        # decimal digits only, with spaces around them as in the clan grammar
+        entries = [parse_decimal(v.strip(), "cycle entry") for v in chunk[1:-1].split(",")]
         for a, b in zip(entries, entries[1:] + entries[:1]):
             if not 1 <= a <= n:
                 raise UsageError(f"cycle entry {a} outside 1..{n}")

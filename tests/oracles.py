@@ -8,6 +8,8 @@ fixed point, with each plan built from the restriction map rather than from
 the library's per-pair plan table.  ``group_images_reference`` is the
 former element order of ``enumerate_group``, and ``restriction_assignment``
 the assignment dict that restriction substituted before the plan tables.
+``canonical_symbols`` is the renumbering that every clan move ran when
+clans were stored by their printed numbers rather than by their mates.
 """
 
 import itertools
@@ -196,3 +198,18 @@ def restriction_assignment(pair, w):
             sign, idx = target
             assignment[j] = (sign if v > 0 else -sign, "x", idx)
     return assignment
+
+
+def canonical_symbols(symbols):
+    """Clan symbols with the numbers renamed 1, 2, ... in order of first
+    occurrence."""
+    rename = {}
+    out = []
+    for sym in symbols:
+        if sym in ("+", "-"):
+            out.append(sym)
+        else:
+            if sym not in rename:
+                rename[sym] = len(rename) + 1
+            out.append(rename[sym])
+    return tuple(out)

@@ -8,21 +8,32 @@ from korbits.pairs import parse_pair_spec
 
 
 def test_canonicalize_renumbers_by_first_occurrence():
-    assert Clan.of([5, 7, 5, 7]).symbols == (1, 2, 1, 2)
-    assert Clan.of(["+", "-"]).symbols == ("+", "-")
-    assert Clan.of([2, 1, 1, 2]).symbols == (1, 2, 2, 1)
+    assert Clan([5, 7, 5, 7]).symbols == (1, 2, 1, 2)
+    assert Clan(["+", "-"]).symbols == ("+", "-")
+    assert Clan([2, 1, 1, 2]).symbols == (1, 2, 2, 1)
+
+
+def test_clan_is_stored_by_its_mates():
+    # any numbering names the same clan; each position holds its sign or
+    # the position of its partner
+    clan = Clan(("+", 7, 5, 7, 5, "-"))
+    assert clan.mates == ("+", 4, 5, 2, 3, "-") and clan == Clan(("+", 1, 2, 1, 2, "-"))
+    assert Clan((2, 2)) == Clan((1, 1)) and hash(Clan((2, 2))) == hash(Clan((1, 1)))
+    assert str(clan) == "(+,1,2,1,2,-)" and clan.mate(2) == 4
+    assert clan.swap(2, 3).mates == ("+", 5, 4, 3, 2, "-")
+    assert clan.swap(1, 2).mates == (4, "+", 5, 1, 3, "-")
 
 
 def test_canonicalize_idempotent():
     for clan in enumerate_clans(2, 2):
-        assert Clan.of(clan.symbols) == clan
+        assert Clan(clan.symbols) == clan
 
 
 def test_rejects_unpaired_numbers():
     with pytest.raises(ContractViolation):
-        Clan.of([1, "+", "-"])
+        Clan([1, "+", "-"])
     with pytest.raises(ContractViolation):
-        Clan.of([1, 1, 1, "+"])
+        Clan([1, 1, 1, "+"])
 
 
 def _clan_count(p, q):

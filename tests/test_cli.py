@@ -247,6 +247,9 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (("orbits", "A:glpq:+1,1"), None),
         (("count", "B:0_3"), None),
         (("count", "B:3", "--max-n", "1_0"), None),
+        (("chern", "A:so:3", "(+1,3)"), None),
+        (None, SO3 + "(+1,3) := -2*(y1+y2)*(y2+y3)"),
+        (("chern", "A:so:3", "(1_0,3)"), None),
     ],
     ids=[
         "zero-denominator",
@@ -278,6 +281,9 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "signed-descriptor-number",
         "underscore-in-rank",
         "underscore-in-max-n",
+        "signed-cycle-entry",
+        "signed-cycle-entry-in-fixture",
+        "underscore-in-cycle-entry",
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):

@@ -1,7 +1,8 @@
 import pytest
 
+import korbits.orbits
 from korbits.clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
-from korbits.errors import UsageError
+from korbits.errors import InternalError, UsageError
 from korbits.orbits import (
     NO_RAISE,
     InvolutionOrbit,
@@ -545,3 +546,77 @@ def test_parameter_strings_round_trip(spec):
             fixed_point_free = all(v != i for i, v in enumerate(param.involution, start=1))
             split = pair.case == "A_SO_EVEN" and fixed_point_free
             assert bool(param.component) == split, (spec, str(param))
+
+
+@pytest.mark.parametrize("spec", list(_pair_specs(3)))
+def test_graph_orders_nodes_and_edges_by_level_and_sort_key(spec):
+    graph = build_weak_order_graph(parse_pair_spec(spec))
+    level = graph.level
+    assert list(graph.nodes) == sorted(graph.nodes, key=lambda p: (level[p], p.sort_key()))
+    assert list(graph.edges) == sorted(
+        graph.edges, key=lambda e: (level[e.source], e.source.sort_key(), e.root_index)
+    )
+
+
+@pytest.mark.parametrize("spec", list(_pair_specs(4)))
+def test_enumerate_orbits_comes_sorted(spec):
+    params = enumerate_orbits(parse_pair_spec(spec))
+    assert params == sorted(params, key=lambda p: p.sort_key())
+
+
+def _engine_error(monkeypatch, spec, classify):
+    monkeypatch.setattr(korbits.orbits, "classify_simple_root", classify)
+    build_weak_order_graph.cache_clear()
+    try:
+        with pytest.raises(InternalError) as info:
+            build_weak_order_graph(parse_pair_spec(spec))
+    finally:
+        build_weak_order_graph.cache_clear()
+    return str(info.value)
+
+
+def test_engine_errors_name_the_pair_and_the_edge(monkeypatch):
+    # A:glpq:1,1 has the closed orbits (+,-), (-,+) under the dense (1,1)
+    plus_minus, minus_plus = Clan(("+", "-")), Clan(("-", "+"))
+
+    def back_to_closed(pair, param, i):
+        if param == minus_plus:
+            return RootStatus("complex", plus_minus)
+        return classify_simple_root(pair, param, i)
+
+    def stuck(pair, param, i):
+        return NO_RAISE
+
+    def one_closed_stuck(pair, param, i):
+        return NO_RAISE if param == minus_plus else classify_simple_root(pair, param, i)
+
+    assert _engine_error(monkeypatch, "A:glpq:1,1", back_to_closed) == (
+        "A:glpq:1,1: inconsistent level for (+,-), raised from (-,+) by alpha_1: 0 vs 1"
+    )
+    assert _engine_error(monkeypatch, "A:glpq:1,1", stuck) == (
+        "weak order graph of A:glpq:1,1 reached 2 of 3 orbit parameters"
+    )
+    assert _engine_error(monkeypatch, "A:glpq:1,1", one_closed_stuck) == (
+        "A:glpq:1,1: expected one dense orbit, found (-,+), (1,1)"
+    )
+
+
+def test_graph_engine_sorts_only_inside_the_enumerations(monkeypatch):
+    # the engine orders its nodes and edges from the enumeration; the only
+    # sort keys computed are those of the own sorts of enumerate_clans (one
+    # per clan) and closed_orbits (one per closed orbit)
+    calls = []
+    for cls in (Clan, InvolutionOrbit):
+        monkeypatch.setattr(
+            cls, "sort_key", lambda self, key=cls.sort_key: calls.append(1) or key(self)
+        )
+    for spec, count in (("D:oo:3,3", 1391), ("A:so-even:6", 2)):
+        pair = parse_pair_spec(spec)
+        build_weak_order_graph.cache_clear()
+        calls.clear()
+        try:
+            graph = build_weak_order_graph(pair)
+        finally:
+            build_weak_order_graph.cache_clear()
+        clans = len(graph.nodes) if pair.is_clan_case() else 0
+        assert len(calls) == count == clans + len(graph.closed)

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 
 import pytest
+from oracles import canonical_symbols
 
 from korbits.algebra import VariableSpace
 from korbits.clans import Clan
@@ -18,6 +19,7 @@ from korbits.orbits import (
     InvolutionOrbit,
     RootStatus,
     WeakEdge,
+    _fresh_pair,
     build_weak_order_graph,
     classify_simple_root,
     enumerate_orbits,
@@ -52,7 +54,7 @@ class TwinSignedPermutation:
 
 @frozen
 class TwinClan:
-    symbols: tuple
+    mates: tuple
 
 
 @frozen
@@ -78,7 +80,7 @@ def twin(record):
     if isinstance(record, SignedPermutation):
         return TwinSignedPermutation(record.family, record.images)
     if isinstance(record, Clan):
-        return TwinClan(record.symbols)
+        return TwinClan(record.mates)
     if isinstance(record, InvolutionOrbit):
         return TwinInvolutionOrbit(record.involution, record.component)
     if isinstance(record, WeakEdge):
@@ -179,6 +181,7 @@ def test_records_of_different_classes_never_compare_equal():
         (KINDS["D_GL"], "clan_rule"),
         (RootStatus("complex"), "kind"),
         (VariableSpace(1, 0).x(1), "terms"),
+        (Clan(("+", 1, 1)), "mates"),
     ],
 )
 def test_records_refuse_assignment_and_deletion(record, field):
@@ -218,7 +221,6 @@ def test_records_refuse_assignment_and_deletion(record, field):
         (lambda: Clan((0, 0)), ContractViolation, "bad clan symbol 0"),
         (lambda: Clan(("x",)), ContractViolation, "bad clan symbol 'x'"),
         (lambda: Clan((1, "+")), ContractViolation, "number 1 appears 1 times"),
-        (lambda: Clan((2, 2)), ContractViolation, "clan symbols are not in canonical form"),
         (lambda: InvolutionOrbit((2, 1), "x"), ContractViolation, "component tag must be + or -"),
         (
             lambda: InvolutionOrbit((1, 2), "+"),
@@ -243,27 +245,37 @@ def test_keyword_construction_and_defaults():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_clan_swap_matches_validating_constructor(n):
-    # swap, replace and the clan generators build their results without
-    # validation; every swap of every clan node of the pairs of rank n,
-    # every generated clan and every raised target (the noncompact ones
-    # come from replace) equals the validating Clan.of
-    swaps = targets = 0
+    # swap, replace and the clan generators build their mates without
+    # validation; on every clan node of the pairs of rank n, the validating
+    # constructor, every swap and every fresh pair over two sign positions
+    # agree with the former renumbering of the printed symbols, and every
+    # raised target (the noncompact ones come from replace) equals the
+    # validating Clan
+    swaps = fresh = targets = 0
     for pair in pairs_of_rank(n):
         if not pair.is_clan_case():
             continue
         for param in enumerate_orbits(pair):
             clan = param
-            assert clan == Clan.of(clan.symbols) and type(clan.symbols) is tuple
+            assert clan == Clan(clan.symbols) and type(clan.mates) is tuple
+            assert clan.symbols == canonical_symbols(clan.symbols)
             for i, j in itertools.combinations(range(1, len(clan) + 1), 2):
                 symbols = list(clan.symbols)
                 symbols[i - 1], symbols[j - 1] = symbols[j - 1], symbols[i - 1]
                 got = clan.swap(i, j)
-                assert got == Clan.of(symbols) and type(got.symbols) is tuple
+                assert got.symbols == canonical_symbols(symbols)
+                assert got == Clan(symbols) and type(got.mates) is tuple
                 swaps += 1
+                if clan.is_sign(i) and clan.is_sign(j):
+                    label = max((s for s in clan.symbols if isinstance(s, int)), default=0) + 1
+                    symbols = list(clan.symbols)
+                    symbols[i - 1] = symbols[j - 1] = label
+                    assert _fresh_pair(clan, (i, j)).symbols == canonical_symbols(symbols)
+                    fresh += 1
             for i in range(1, pair.num_simple_roots() + 1):
                 status = classify_simple_root(pair, param, i)
                 if status.kind.startswith("noncompact"):
                     got = status.target
-                    assert got == Clan.of(got.symbols) and type(got.symbols) is tuple
+                    assert got == Clan(got.symbols) and type(got.mates) is tuple
                     targets += 1
-    assert swaps > 0 and targets > 0
+    assert swaps > 0 and fresh > 0 and targets > 0

@@ -1,7 +1,7 @@
 import pytest
 from oracles import group_images_reference
 
-from korbits.errors import ContractViolation
+from korbits.errors import ContractViolation, UsageError
 from korbits.pairs import parse_pair_spec
 from korbits.weyl import (
     SignedPermutation,
@@ -155,3 +155,12 @@ def test_cycle_string_round_trip():
     w = parse_cycles("(1,3)(2,4)", 4)
     assert w.cycle_string() == "(1,3)(2,4)"
     assert parse_cycles("id", 3).is_identity()
+
+
+def test_cycle_entries_are_decimal_numerals():
+    # spaces around an entry are allowed, as in the clan grammar; a sign or
+    # an underscore, which int() would read, is not
+    assert parse_cycles("( 1 , 3 )", 3) == parse_cycles("(1,3)", 3)
+    for text in ("(+1,3)", "(1_0,3)", "(1,-3)", "(1,,3)"):
+        with pytest.raises(UsageError, match="cycle entry must be a decimal integer"):
+            parse_cycles(text, 3)
