@@ -18,6 +18,7 @@ from .classes import (
     closed_orbit_class,
     equal_via_localization,
     first_disagreement,
+    propagate,
     propagate_all,
     restrict_at,
     to_chern_basis,
@@ -62,6 +63,7 @@ __all__ = [
     "parse_pair_spec",
     "parse_polynomial",
     "poly_determinant",
+    "propagate",
     "propagate_all",
     "restrict_at",
     "restriction_map",

@@ -14,7 +14,7 @@ restrictions directly from root data, independently of the formulas.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import (
     Polynomial,
@@ -452,33 +452,65 @@ def weight_product_oracle(
 # propagation up the weak order
 
 
-def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]:
-    """Classes for every orbit, seeded at the closed orbits.
+def propagate(pair: SymmetricPair) -> Iterator[tuple[OrbitParameter, EquivariantClass]]:
+    """(orbit, class) for every orbit, in ``graph.nodes`` order, seeded at
+    the closed orbits.
 
-    Walks the weak-order edges in level order.  Nodes with several
-    incoming edges keep the first arrival; every later arrival is checked
-    against it by localization.
+    Each class is yielded once every edge into it has been walked, which
+    the graph's order guarantees: nodes go by level, every raise goes up
+    one level, and edges go by their source.  Then the node's own edges
+    are walked and its class is dropped, so only about two levels of
+    classes are alive at a time.  A node with several incoming edges keeps
+    the first arrival; every later arrival is checked against it by
+    localization.
     """
     graph = build_weak_order_graph(pair)
-    classes = {param: closed_orbit_class(pair, param) for param in graph.closed}
-    for edge in graph.edges:
-        poly = divided_difference(
-            classes[edge.source].polynomial, pair.root_action(edge.root_index)
-        )
-        if edge.degree == 2:
-            poly = poly / 2
-        candidate = EquivariantClass(pair, poly)
-        stored = classes.get(edge.target)
-        if stored is None:
-            classes[edge.target] = candidate
-        elif (w := first_disagreement(stored, candidate)) is not None:
-            raise InternalError(
-                f"{pair.spec_string()}: paths into {edge.target} disagree under"
-                f" localization: edge {edge.source} -> {edge.target} by"
-                f" alpha_{edge.root_index} (degree {edge.degree}) differs from the"
-                f" stored class at fixed point w = {w}"
-            )
-    return classes
+    spec = pair.spec_string()
+    actions = [pair.root_action(i) for i in range(1, pair.num_simple_roots() + 1)]
+    live = {param: closed_orbit_class(pair, param) for param in graph.closed}
+    done: set = set()
+    edges, k = graph.edges, 0
+    for node in graph.nodes:
+        cls = live.pop(node)
+        yield node, cls
+        done.add(node)
+        while k < len(edges) and edges[k].source == node:
+            edge = edges[k]
+            k += 1
+            target = edge.target
+            if target in done:
+                raise InternalError(
+                    f"{spec}: edge {_edge_text(edge)} reaches {target}, whose class"
+                    " the walk has already yielded"
+                )
+            poly = divided_difference(cls.polynomial, actions[edge.root_index - 1])
+            if edge.degree == 2:
+                poly = poly / 2
+            candidate = EquivariantClass(pair, poly)
+            stored = live.get(target)
+            if stored is None:
+                live[target] = candidate
+            elif (w := first_disagreement(stored, candidate)) is not None:
+                raise _path_error(spec, edge, w)
+
+
+def propagate_all(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]:
+    """Classes for every orbit, in ``graph.nodes`` order."""
+    return dict(propagate(pair))
+
+
+def _edge_text(edge: WeakEdge) -> str:
+    return (
+        f"{edge.source} -> {edge.target} by alpha_{edge.root_index}"
+        f" (degree {edge.degree})"
+    )
+
+
+def _path_error(spec: str, edge: WeakEdge, w) -> InternalError:
+    return InternalError(
+        f"{spec}: paths into {edge.target} disagree under localization: edge"
+        f" {_edge_text(edge)} differs from the stored class at fixed point w = {w}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +551,19 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
     for param in closed:
         classes[param] = closed_orbit_class(pair, param)
         level[param] = 0
+    spec = pair.spec_string()
+    actions = [pair.root_action(i) for i in range(1, pair.num_simple_roots() + 1)]
     frontier = closed
     depth = 0
     while frontier:
         next_frontier = []
         for param in frontier:
             inv = param.involution  # type: ignore[union-attr]
-            for i in range(1, pair.num_simple_roots() + 1):
+            for i, action in enumerate(actions, start=1):
                 move = _involution_status(inv, i)
                 if move is None:
                     continue
                 target_inv, degree_two = move
-                action = pair.root_action(i)
                 poly = divided_difference(classes[param].polynomial, action)
                 if degree_two:
                     if param.component:
@@ -542,21 +575,21 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
                 elif not param.component:
                     st = RootStatus("complex", InvolutionOrbit(target_inv))
                 else:
-                    chosen = None
+                    chosen = []
                     for tag, rep in _component_representatives(target_inv, n).items():
-                        value = restrict_at(EquivariantClass(pair, poly), rep.images)
-                        if not value.is_zero:
-                            if chosen is not None:
-                                raise InternalError(
-                                    "both candidate components have nonzero restriction"
-                                )
-                            chosen = tag
-                    if chosen is None:
-                        raise InternalError("no candidate component matches")
-                    st = RootStatus("complex", InvolutionOrbit(target_inv, chosen))
+                        if not restrict_at(EquivariantClass(pair, poly), rep.images).is_zero:
+                            chosen.append(tag)
+                    if len(chosen) != 1:
+                        raise InternalError(
+                            f"{spec}: raising {param} by alpha_{i}, {len(chosen)} of the"
+                            f" two components of {InvolutionOrbit(target_inv)} restrict"
+                            " to nonzero at their representatives; want one"
+                        )
+                    st = RootStatus("complex", InvolutionOrbit(target_inv, chosen[0]))
                 target = st.target
                 assert target is not None
-                edges.append(WeakEdge(param, target, i, st.degree))
+                edge = WeakEdge(param, target, i, st.degree)
+                edges.append(edge)
                 cand = EquivariantClass(pair, poly)
                 stored = classes.get(target)
                 if stored is None:
@@ -566,10 +599,8 @@ def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
                 else:
                     if level[target] != depth + 1:
                         raise _level_error(pair, param, i, target, level[target], depth + 1)
-                    if not equal_via_localization(stored, cand):
-                        raise InternalError(
-                            f"paths into {target} disagree under localization"
-                        )
+                    if (w := first_disagreement(stored, cand)) is not None:
+                        raise _path_error(spec, edge, w)
         frontier = next_frontier
         depth += 1
     return _finish_graph(pair, closed, level, edges), classes
@@ -676,23 +707,26 @@ def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
 
 def format_table(
     pair: SymmetricPair,
-    classes: dict[OrbitParameter, EquivariantClass],
-    fmt: str = "table",
-) -> str:
-    graph = build_weak_order_graph(pair)
-    memo: dict = {}  # one text per monomial for the whole table
-    rows = [
-        (str(param), format_polynomial(classes[param].polynomial, memo=memo))
-        for param in graph.nodes
-    ]
+    items: Iterable[tuple[OrbitParameter, EquivariantClass]],
+    fmt: str,
+    write: Callable[[str], object],
+) -> None:
+    """Write one row per (orbit, class) item, as soon as the item comes,
+    in the ``table``, ``csv`` or ``machine`` format.  The table's first
+    column is as wide as the longest orbit of the pair's graph."""
     if fmt == "machine":
-        return "".join(f"{param} := {poly}\n" for param, poly in rows)
-    if fmt == "csv":
-        return "parameter,formula\n" + "".join(f'"{param}","{poly}"\n' for param, poly in rows)
-    if fmt == "table":
-        width = max(len(param) for param, _ in rows)
-        return "\n".join(f"{param:<{width}}  {poly}" for param, poly in rows) + "\n"
-    raise UsageError(f"unknown table format {fmt!r}")
+        row = "{} := {}\n".format
+    elif fmt == "csv":
+        write("parameter,formula\n")
+        row = '"{}","{}"\n'.format
+    elif fmt == "table":
+        width = max(len(str(param)) for param in build_weak_order_graph(pair).nodes)
+        row = f"{{!s:<{width}}}  {{}}\n".format
+    else:
+        raise UsageError(f"unknown table format {fmt!r}")
+    memo: dict = {}  # one text per monomial for the whole table
+    for param, cls in items:
+        write(row(param, format_polynomial(cls.polynomial, memo=memo)))
 
 
 def parse_fixture(text: str) -> tuple[Optional[str], list[tuple[str, str]]]:

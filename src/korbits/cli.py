@@ -17,6 +17,7 @@ from .classes import (
     class_for_parameter,
     format_table,
     parse_fixture,
+    propagate,
     propagate_all,
     to_chern_basis,
     verify_rows,
@@ -55,7 +56,7 @@ def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
 def _cmd_orbits(args) -> int:
     pair = parse_pair_spec(args.pair)
     graph = build_weak_order_graph(pair)
-    params = sorted(graph.nodes, key=lambda p: p.sort_key())
+    params = graph.level  # keyed in enumerate_orbits order
     closed, dense = set(graph.closed), graph.dense
     if args.format == "json":
         import json
@@ -89,8 +90,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_classes(args) -> int:
     pair = parse_pair_spec(args.pair)
-    classes = propagate_all(pair)
-    print(format_table(pair, classes, args.format), end="")
+    format_table(pair, propagate(pair), args.format, sys.stdout.write)
     return 0
 
 
@@ -223,7 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader took what it wanted (as `| head` does): send the rest of
+        # the output nowhere and succeed, as the Python docs recommend
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -562,9 +562,11 @@ def _finish_graph(pair: SymmetricPair, closed: list, level: dict, edges: list) -
     """The graph of a finished breadth-first walk, once it is checked to
     reach every orbit and to have one dense orbit.  Nodes are ordered by
     level, then as ``enumerate_orbits`` lists them; edges by the position
-    of their source in that order, then by root."""
+    of their source in that order, then by root.  ``level`` is keyed in
+    ``enumerate_orbits`` order."""
     expected = enumerate_orbits(pair)
-    if len(level) != len(expected) or not all(param in level for param in expected):
+    ordered = {param: level[param] for param in expected if param in level}
+    if len(ordered) != len(level) or len(level) != len(expected):
         raise InternalError(
             f"weak order graph of {pair.spec_string()} reached {len(level)} "
             f"of {len(expected)} orbit parameters"
@@ -576,11 +578,11 @@ def _finish_graph(pair: SymmetricPair, closed: list, level: dict, edges: list) -
             f"{pair.spec_string()}: expected one dense orbit, found "
             + ", ".join(map(str, maximal))
         )
-    nodes = tuple(sorted(expected, key=level.__getitem__))  # a stable sort
+    nodes = tuple(sorted(expected, key=ordered.__getitem__))  # a stable sort
     rank = {param: idx for idx, param in enumerate(nodes)}
     edges.sort(key=lambda e: (rank[e.source], e.root_index))
     return WeakOrderGraph(
-        pair, nodes, tuple(edges), tuple(closed), maximal[0], types.MappingProxyType(level)
+        pair, nodes, tuple(edges), tuple(closed), maximal[0], types.MappingProxyType(ordered)
     )
 
 

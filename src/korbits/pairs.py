@@ -162,7 +162,8 @@ KINDS = {
 
 
 class SymmetricPair(Record):
-    __slots__ = ("case", "n", "p", "q")
+    # ambient: (family, size) of the ambient Weyl group, derived from the rest
+    __slots__ = ("case", "n", "p", "q", "ambient")
 
     def __init__(self, case: str, n: int, p: int = 0, q: int = 0) -> None:
         set_field(self, "case", case)
@@ -172,6 +173,8 @@ class SymmetricPair(Record):
         kind = KINDS.get(case)
         if kind is None:
             raise UsageError(f"unknown case {case!r}")
+        size = {ODD: 2 * n + 1, EVEN: 2 * n}.get(kind.form, n)
+        set_field(self, "ambient", (kind.ambient, size))
         if self.n < 1:
             raise UsageError("rank must be at least 1")
         if kind.form == PQ:
@@ -202,17 +205,14 @@ class SymmetricPair(Record):
 
     def ambient_family(self) -> tuple[str, int]:
         """(family, size): family "A" with S_N, or "BC"/"D" signed rank n."""
-        kind = self.kind
-        if kind.form == ODD:
-            return kind.ambient, 2 * self.n + 1
-        return kind.ambient, 2 * self.n if kind.form == EVEN else self.n
+        return self.ambient
 
     def root_family(self) -> str:
         """Root-system family of G, for divided difference operators."""
         return self.kind.roots
 
     def num_simple_roots(self) -> int:
-        family, size = self.ambient_family()
+        family, size = self.ambient
         return size - 1 if family == "A" else size
 
     def variable_space(self) -> VariableSpace:

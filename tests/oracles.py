@@ -10,6 +10,8 @@ former element order of ``enumerate_group``, and ``restriction_assignment``
 the assignment dict that restriction substituted before the plan tables.
 ``canonical_symbols`` is the renumbering that every clan move ran when
 clans were stored by their printed numbers rather than by their mates.
+``propagate_all_reference`` is the former class walk, which keeps every
+class of the table alive until the walk ends.
 """
 
 import itertools
@@ -29,9 +31,12 @@ from korbits.algebra import (
     _power,
     _tokenize,
     compile_terms,
+    divided_difference,
     substitute_terms,
 )
-from korbits.errors import UsageError
+from korbits.classes import EquivariantClass, closed_orbit_class, first_disagreement
+from korbits.errors import InternalError, UsageError
+from korbits.orbits import build_weak_order_graph
 from korbits.weyl import enumerate_group, restriction_map
 
 
@@ -213,3 +218,24 @@ def canonical_symbols(symbols):
                 rename[sym] = len(rename) + 1
             out.append(rename[sym])
     return tuple(out)
+
+
+def propagate_all_reference(pair):
+    """Classes for every orbit: the weak-order edges walked in order, the
+    first arrival at each node kept and every later one checked against it,
+    and every class held until the end."""
+    graph = build_weak_order_graph(pair)
+    classes = {param: closed_orbit_class(pair, param) for param in graph.closed}
+    for edge in graph.edges:
+        poly = divided_difference(
+            classes[edge.source].polynomial, pair.root_action(edge.root_index)
+        )
+        if edge.degree == 2:
+            poly = poly / 2
+        candidate = EquivariantClass(pair, poly)
+        stored = classes.get(edge.target)
+        if stored is None:
+            classes[edge.target] = candidate
+        elif first_disagreement(stored, candidate) is not None:
+            raise InternalError(f"paths into {edge.target} disagree under localization")
+    return classes

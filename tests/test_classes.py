@@ -1,7 +1,12 @@
 from pathlib import Path
 
 import pytest
-from oracles import first_disagreement_reference, restriction_assignment
+from oracles import (
+    first_disagreement_reference,
+    propagate_all_reference,
+    restriction_assignment,
+)
+from test_orbits import _pair_specs
 
 from korbits.algebra import (
     VariableSpace,
@@ -18,6 +23,7 @@ from korbits.classes import (
     equal_via_localization,
     first_disagreement,
     staircase_determinant,
+    propagate,
     propagate_all,
     restrict_at,
     split_orbit_data,
@@ -26,6 +32,8 @@ from korbits.classes import (
 )
 from korbits.errors import ContractViolation, InternalError
 from korbits.orbits import (
+    WeakEdge,
+    WeakOrderGraph,
     build_weak_order_graph,
     closed_orbits,
     parse_orbit_parameter,
@@ -222,6 +230,44 @@ def test_propagation_grading_and_dense(spec):
         else:
             assert cls.polynomial.homogeneous_degree() == expected
     assert classes[graph.dense].polynomial == pair.variable_space().one()
+
+
+def assert_stream_matches_reference(pair):
+    streamed = [(param, cls.polynomial) for param, cls in propagate(pair)]
+    kept = propagate_all_reference(pair)
+    nodes = build_weak_order_graph(pair).nodes
+    assert len(kept) == len(streamed)
+    assert streamed == [(param, kept[param].polynomial) for param in nodes]
+
+
+@pytest.mark.parametrize("spec", list(_pair_specs(3)))
+def test_stream_matches_all_classes_walk(spec):
+    assert_stream_matches_reference(parse_pair_spec(spec))
+
+
+def test_stream_matches_all_classes_walk_on_sweep_pairs(workloads):
+    for spec in workloads.CLASSES_PAIRS:
+        assert_stream_matches_reference(parse_pair_spec(spec))
+
+
+def test_stream_drops_classes_after_their_last_raise():
+    import collections
+    import tracemalloc
+
+    pair = parse_pair_spec("A:so-even:6")
+    propagate_all(pair)  # the graph and the per-pair tables are cached from here on
+
+    def peak(walk) -> int:
+        tracemalloc.start()
+        try:
+            walk()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: collections.deque(propagate(pair), maxlen=0))
+    kept = peak(lambda: propagate_all_reference(pair))
+    assert streamed < kept / 2, (streamed, kept)
 
 
 def test_sweep_classes_store_integral_coefficients_as_ints(workloads):
@@ -724,3 +770,69 @@ def test_path_disagreement_names_pair_edge_and_fixed_point(monkeypatch):
         f"w = {w}",
     ):
         assert field in message
+
+
+def test_walk_refuses_an_edge_into_a_yielded_class(monkeypatch, capsys):
+    import korbits.classes
+    from korbits.cli import main
+
+    pair = parse_pair_spec("A:glpq:2,2")
+    graph = build_weak_order_graph(pair)
+    first, second = graph.nodes[:2]
+    edges = list(graph.edges)
+    index = next(k for k, edge in enumerate(edges) if edge.source == second)
+    late = WeakEdge(second, first, edges[index].root_index, edges[index].degree)
+    edges[index] = late
+    bad = WeakOrderGraph(pair, graph.nodes, tuple(edges), graph.closed, graph.dense, graph.level)
+    monkeypatch.setattr(korbits.classes, "build_weak_order_graph", lambda _: bad)
+    with pytest.raises(InternalError) as failure:
+        list(propagate(pair))
+    message = str(failure.value)
+    want = f"A:glpq:2,2: edge {second} -> {first} by alpha_{late.root_index} (degree {late.degree})"
+    assert message.startswith(want) and f"reaches {first}, whose class" in message
+    assert main(["classes", "A:glpq:2,2", "--format", "machine"]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+@pytest.mark.parametrize("value, count", [(1, 2), (0, 0)])
+def test_split_component_errors_name_pair_and_raise(monkeypatch, value, count):
+    import korbits.classes
+
+    pair = parse_pair_spec("A:so-even:4")
+    space = pair.variable_space()
+    monkeypatch.setattr(korbits.classes, "restrict_at", lambda cls, images: space.const(value))
+    with pytest.raises(InternalError) as failure:
+        split_orbit_data(pair)
+    message = str(failure.value)
+    assert message.startswith("A:so-even:4: raising ") and " by alpha_" in message
+    assert f", {count} of the two components of " in message
+
+
+def test_split_walk_disagreement_names_pair_edge_and_fixed_point(monkeypatch):
+    import korbits.classes
+
+    pair = parse_pair_spec("A:so-even:4")
+    graph = build_weak_order_graph(pair)
+    good = propagate_all(pair)
+    into = {}
+    for edge in graph.edges:
+        into.setdefault(edge.target, []).append(edge)
+    target, edges = next((t, es) for t, es in into.items() if len(es) > 1)
+    doubled = edges[-1]
+    source_poly = good[doubled.source].polynomial
+    action = pair.root_action(doubled.root_index)
+    original = korbits.classes.divided_difference
+
+    def doubled_on_one_edge(f, act):
+        result = original(f, act)
+        return 2 * result if f == source_poly and act == action else result
+
+    monkeypatch.setattr(korbits.classes, "divided_difference", doubled_on_one_edge)
+    with pytest.raises(InternalError) as failure:
+        split_orbit_data(pair)
+    stored = good[target]
+    w = first_disagreement(stored, EquivariantClass(pair, 2 * stored.polynomial))
+    message = str(failure.value)
+    assert message.startswith(f"A:so-even:4: paths into {target} disagree under localization")
+    assert any(f"edge {e.source} -> {e.target} by alpha_{e.root_index}" in message for e in edges)
+    assert message.endswith(f"at fixed point w = {w}")

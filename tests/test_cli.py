@@ -442,6 +442,31 @@ def test_cli_import_loads_every_traced_module_and_no_unneeded_stdlib(trace_child
     assert not unneeded, sorted(unneeded)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "A:glpq:3,3", "--format", "machine"),
+        ("graph", "C:gl:5"),
+        ("orbits", "C:gl:6"),
+    ],
+)
+def test_reader_that_stops_early_is_no_error(argv):
+    # as `korbits ... | head -c 100`: each output is larger than a pipe buffer
+    # and a write block together, so the command still writes after the
+    # reader has closed the pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "korbits.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+    assert err == b""
+
+
 CLASSES_PINS = Path(__file__).with_name("classes_pins.json")
 
 

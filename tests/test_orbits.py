@@ -2,7 +2,7 @@ import pytest
 
 import korbits.orbits
 from korbits.clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
-from korbits.errors import InternalError, UsageError
+from korbits.errors import ContractViolation, InternalError, UsageError
 from korbits.orbits import (
     NO_RAISE,
     InvolutionOrbit,
@@ -552,6 +552,7 @@ def test_parameter_strings_round_trip(spec):
 def test_graph_orders_nodes_and_edges_by_level_and_sort_key(spec):
     graph = build_weak_order_graph(parse_pair_spec(spec))
     level = graph.level
+    assert list(level) == enumerate_orbits(parse_pair_spec(spec))
     assert list(graph.nodes) == sorted(graph.nodes, key=lambda p: (level[p], p.sort_key()))
     assert list(graph.edges) == sorted(
         graph.edges, key=lambda e: (level[e.source], e.source.sort_key(), e.root_index)
@@ -562,6 +563,26 @@ def test_graph_orders_nodes_and_edges_by_level_and_sort_key(spec):
 def test_enumerate_orbits_comes_sorted(spec):
     params = enumerate_orbits(parse_pair_spec(spec))
     assert params == sorted(params, key=lambda p: p.sort_key())
+
+
+def test_orbits_listing_computes_no_sort_key(monkeypatch):
+    from korbits.cli import main
+
+    for spec in ("D:oo:2,2", "A:so-even:6"):
+        build_weak_order_graph(parse_pair_spec(spec))
+        calls = []
+        for cls in (Clan, InvolutionOrbit):
+            monkeypatch.setattr(cls, "sort_key", lambda self: calls.append(1))
+        assert main(["orbits", spec]) == 0 and calls == []
+        monkeypatch.undo()
+
+
+def test_root_index_range_is_checked():
+    pair = parse_pair_spec("A:glpq:2,2")
+    param = enumerate_orbits(pair)[0]
+    for i in (0, 4):
+        with pytest.raises(ContractViolation, match=f"root index {i} out of range for"):
+            classify_simple_root(pair, param, i)
 
 
 def _engine_error(monkeypatch, spec, classify):
