@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -39,7 +39,7 @@ from .errors import ContractViolation, InternalError, UsageError
 from .records import Record, set_field, set_fields
 
 Monomial = int  # packed, see the module docstring
-Scalar = Union[int, Fraction]
+Scalar = numbers.Rational  # an int, else a Fraction; ``fractions`` loads only to make one
 
 FIELD_BITS = 8
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -124,7 +124,7 @@ class VariableSpace(Record):
         return self.const(1)
 
     def const(self, value: Scalar) -> "Polynomial":
-        return Polynomial(self, {0: Fraction(value)})
+        return Polynomial(self, {0: value})
 
     def x(self, i: int) -> "Polynomial":
         return self._variable(self.x_slot(i))
@@ -157,8 +157,8 @@ def _coeff(value: Scalar) -> Scalar:
     """Coefficients are stored as plain ints whenever integral; int and
     Fraction mix transparently (equality, hashing and printing agree), and
     integer arithmetic is far cheaper.  The exact type test skips the
-    abstract-base-class machinery behind isinstance(value, Fraction)."""
-    if type(value) is Fraction and value.denominator == 1:
+    abstract-base-class machinery behind isinstance(value, numbers.Rational)."""
+    if type(value) is not int and value.denominator == 1:
         return value.numerator
     return value
 
@@ -182,7 +182,7 @@ def _multiply_terms(f: dict, g: dict) -> dict:
 def _ints(terms: dict) -> dict:
     """Store every integral Fraction value of ``terms`` as an int, in place."""
     for mono, c in terms.items():
-        if type(c) is Fraction and c.denominator == 1:
+        if type(c) is not int and c.denominator == 1:
             terms[mono] = c.numerator
     return terms
 
@@ -211,7 +211,7 @@ class Polynomial(Record):
             if other.space != self.space:
                 raise ContractViolation("polynomials live in different variable spaces")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             return self.space.const(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -259,12 +259,14 @@ class Polynomial(Record):
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Polynomial":
-        if not isinstance(scalar, (int, Fraction)) or scalar == 0:
+        if not isinstance(scalar, numbers.Rational) or scalar == 0:
             raise ContractViolation("polynomials divide only by nonzero scalars")
+        terms = self.terms
+        if type(scalar) is int and all(type(c) is int and not c % scalar for c in terms.values()):
+            return Polynomial._from_clean(self.space, {m: c // scalar for m, c in terms.items()})
+        from fractions import Fraction
         inv = Fraction(1, 1) / Fraction(scalar)
-        return Polynomial._from_clean(
-            self.space, {m: _coeff(c * inv) for m, c in self.terms.items()}
-        )
+        return Polynomial._from_clean(self.space, {m: _coeff(c * inv) for m, c in terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -272,10 +274,10 @@ class Polynomial(Record):
         return _power(self, exponent, Polynomial.__mul__, self.space.one())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.space.const(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, numbers.Rational):
+                return NotImplemented
+            other = self.space.const(other)
         return self.space == other.space and self.terms == other.terms
 
     def __hash__(self) -> int:
@@ -531,6 +533,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     bug.  Leading terms are tracked with a lazy heap, so each reduction step
     costs O(|g| log T) instead of a full scan.
     """
+    from fractions import Fraction
     if g.is_zero:
         raise ContractViolation("division by the zero polynomial")
     space = f.space
@@ -886,6 +889,7 @@ class _Parser:
                 denominator = _numeral(dtext)
                 if denominator == 0:
                     raise UsageError("fraction has a zero denominator")
+                from fractions import Fraction
                 value = Fraction(value, denominator)
             return 0, value
         if kind == "var":

@@ -39,6 +39,7 @@ from .orbits import (
     WeakEdge,
     WeakOrderGraph,
     _finish_graph,
+    _has_fixed_point,
     _involution_status,
     _level_error,
     _value_swap,
@@ -46,19 +47,7 @@ from .orbits import (
     closed_orbits,
     parse_orbit_parameter,
 )
-from .pairs import (
-    A_GLPQ,
-    A_SO_EVEN,
-    A_SO_ODD,
-    A_SP,
-    B_OO,
-    C_GL,
-    C_SPSP,
-    D_GL,
-    D_OO,
-    D_OO_ODD,
-    SymmetricPair,
-)
+from .pairs import SymmetricPair
 from .records import Record, set_fields
 from .weyl import (
     SignedPermutation,
@@ -187,17 +176,15 @@ def _closed_oo_odd(pair, param, rep, space) -> EquivariantClass:
     return EquivariantClass.from_factors(pair, factors)
 
 
+# keyed by the pair kind's closed-orbit rule
 _CLOSED_CLASSES = {
-    A_GLPQ: _closed_glpq,
-    A_SO_ODD: _closed_so_odd,
-    A_SP: _closed_sp,
-    A_SO_EVEN: _closed_so_even,
-    B_OO: _closed_blocks,
-    C_SPSP: _closed_blocks,
-    D_OO: _closed_blocks,
-    C_GL: _closed_gl,
-    D_GL: _closed_gl,
-    D_OO_ODD: _closed_oo_odd,
+    "glpq": _closed_glpq,
+    "so_odd": _closed_so_odd,
+    "sp": _closed_sp,
+    "so_even": _closed_so_even,
+    "blocks": _closed_blocks,
+    "gl": _closed_gl,
+    "oo_odd": _closed_oo_odd,
 }
 
 
@@ -224,7 +211,7 @@ def closed_orbit_class(
         rep = found
     elif not _closed_member(pair, param, rep):
         raise ContractViolation("representative does not lie in the orbit")
-    return _CLOSED_CLASSES[pair.case](pair, param, rep, pair.variable_space())
+    return _CLOSED_CLASSES[pair.kind.closed](pair, param, rep, pair.variable_space())
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,22 +369,19 @@ def _member_oo_odd(pair, param, w) -> bool:
 
 
 _MEMBERS = {
-    A_GLPQ: _member_blocks,
-    A_SO_ODD: _member_involution,
-    A_SP: _member_involution,
-    A_SO_EVEN: _member_involution,
-    B_OO: _member_blocks,
-    C_SPSP: _member_blocks,
-    D_OO: _member_blocks,
-    C_GL: _member_gl,
-    D_GL: _member_gl,
-    D_OO_ODD: _member_oo_odd,
+    "glpq": _member_blocks,
+    "so_odd": _member_involution,
+    "sp": _member_involution,
+    "so_even": _member_involution,
+    "blocks": _member_blocks,
+    "gl": _member_gl,
+    "oo_odd": _member_oo_odd,
 }
 
 
 def _closed_member(pair: SymmetricPair, param: OrbitParameter, w: SignedPermutation) -> bool:
     """Is the fixed point of w contained in the given closed orbit?"""
-    return _MEMBERS[pair.case](pair, param, w)
+    return _MEMBERS[pair.kind.closed](pair, param, w)
 
 
 def weight_product_oracle(
@@ -439,7 +423,10 @@ def weight_product_oracle(
         if count <= 0:
             continue
         if weight == zero:
-            raise InternalError("zero normal weight at a supposed member point")
+            raise InternalError(
+                f"{pair.spec_string()}: zero normal weight at the fixed point w = {w.images},"
+                f" supposedly in the closed orbit {param}"
+            )
         linear = space.zero()
         for idx, coeff in enumerate(weight, start=1):
             if coeff:
@@ -750,24 +737,40 @@ def parse_fixture(text: str) -> tuple[Optional[str], list[tuple[str, str]]]:
     return pair_spec, rows
 
 
+def _summands(pair: SymmetricPair, param: OrbitParameter) -> tuple:
+    """The orbits whose classes add up to the parameter's: the two
+    components of an untagged split involution, else the orbit itself."""
+    split = pair.kind.involutions == "split" and not param.component
+    if split and not _has_fixed_point(param.involution):
+        return tuple(InvolutionOrbit(param.involution, tag) for tag in (PLUS, MINUS))
+    return (param,)
+
+
 def class_for_parameter(
-    pair: SymmetricPair,
-    classes: dict[OrbitParameter, EquivariantClass],
-    param_text: str,
+    pair: SymmetricPair, classes: dict[OrbitParameter, EquivariantClass], param_text: str
 ) -> EquivariantClass:
     """Look up a parameter string, treating an untagged split involution
     as the union of its two components (their classes add)."""
-    param = parse_orbit_parameter(pair, param_text, allow_union=True)
-    if param in classes:
-        return classes[param]
-    if pair.kind.involutions == "split" and not param.component:
-        plus = InvolutionOrbit(param.involution, PLUS)
-        minus = InvolutionOrbit(param.involution, MINUS)
-        if plus in classes and minus in classes:
-            return EquivariantClass(
-                pair, classes[plus].polynomial + classes[minus].polynomial
-            )
-    raise UsageError(f"unknown orbit parameter {param_text!r}")
+    parts = _summands(pair, parse_orbit_parameter(pair, param_text, allow_union=True))
+    if not all(part in classes for part in parts):
+        raise UsageError(f"unknown orbit parameter {param_text!r}")
+    if len(parts) == 1:
+        return classes[parts[0]]
+    return EquivariantClass(pair, classes[parts[0]].polynomial + classes[parts[1]].polynomial)
+
+
+def orbit_class(pair: SymmetricPair, param_text: str) -> EquivariantClass:
+    """The class ``class_for_parameter`` reads for one parameter string,
+    walking ``propagate`` only until the classes it adds are yielded.  Every
+    path check into an orbit is done by the time its class is yielded."""
+    parts = set(_summands(pair, parse_orbit_parameter(pair, param_text, allow_union=True)))
+    found = {}
+    for node, cls in propagate(pair):
+        if node in parts:
+            found[node] = cls
+            if len(found) == len(parts):
+                break
+    return class_for_parameter(pair, found, param_text)
 
 
 def verify_rows(

@@ -14,13 +14,7 @@ import os
 import sys
 
 from .classes import (
-    class_for_parameter,
-    format_table,
-    parse_fixture,
-    propagate,
-    propagate_all,
-    to_chern_basis,
-    verify_rows,
+    format_table, orbit_class, parse_fixture, propagate, to_chern_basis, verify_rows,
 )
 from .counting import INNER_CLASSES, count_report
 from .errors import ContractViolation, InternalError, UsageError, VerificationFailure
@@ -160,9 +154,7 @@ def _cmd_chern(args) -> int:
     pair = parse_pair_spec(args.pair)
     if pair.root_family() != "A":
         raise UsageError("Chern rewriting is supported for type A pairs only")
-    classes = propagate_all(pair)
-    cls = class_for_parameter(pair, classes, args.parameter)
-    print(to_chern_basis(cls))
+    print(to_chern_basis(orbit_class(pair, args.parameter)))
     return 0
 
 

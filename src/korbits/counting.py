@@ -102,16 +102,13 @@ def count_report(inner_class: str, n: int) -> list[CountRow]:
         k = _fixed_low(sigma, n)
         return 2 ** (k + 1) if inner.doubled and not _mirrored_swap(sigma, n) else 2 ** k
 
-    buckets: dict[tuple[int, ...], int] = {}
+    buckets = dict.fromkeys([sigma.images for sigma in taus], 0)
     for clan in clans:
-        key = clan.position_involution().images
-        buckets[key] = buckets.get(key, 0) + 1
-    rows = [
-        CountRow(sigma.cycle_string(), buckets.get(sigma.images, 0), fiber(sigma))
-        for sigma in taus
-    ]
-    if sum(row.clan_count for row in rows) != len(clans):
-        raise InternalError(
-            "some clans sit over involutions outside the enumerated inner class"
-        )
-    return rows
+        sigma = clan.position_involution()
+        if sigma.images not in buckets:
+            raise InternalError(
+                f"inner class {inner_class}:{n}: clan {clan} sits over the involution"
+                f" {sigma.cycle_string()}, outside the enumerated inner class"
+            )
+        buckets[sigma.images] += 1
+    return [CountRow(sigma.cycle_string(), buckets[sigma.images], fiber(sigma)) for sigma in taus]

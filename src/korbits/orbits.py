@@ -26,19 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from .errors import ContractViolation, InternalError, UsageError
-from .pairs import (
-    A_GLPQ,
-    A_SO_EVEN,
-    A_SO_ODD,
-    A_SP,
-    B_OO,
-    C_GL,
-    C_SPSP,
-    D_GL,
-    D_OO,
-    D_OO_ODD,
-    SymmetricPair,
-)
+from .pairs import SymmetricPair
 from .records import Record, set_field, set_fields
 from .weyl import SignedPermutation, involutions, parse_cycles
 
@@ -241,23 +229,21 @@ def _closed_oo_odd(pair: SymmetricPair):
         yield Clan(half + [1, 1] + half[::-1]), SignedPermutation("D", images)
 
 
+# keyed by the pair kind's closed-orbit rule
 _CLOSED_ORBITS = {
-    A_GLPQ: _closed_glpq,
-    A_SO_ODD: _closed_longest,
-    A_SP: _closed_longest,
-    A_SO_EVEN: _closed_split,
-    B_OO: _closed_blocks,
-    C_SPSP: _closed_blocks,
-    D_OO: _closed_blocks,
-    C_GL: _closed_gl,
-    D_GL: _closed_gl,
-    D_OO_ODD: _closed_oo_odd,
+    "glpq": _closed_glpq,
+    "so_odd": _closed_longest,
+    "sp": _closed_longest,
+    "so_even": _closed_split,
+    "blocks": _closed_blocks,
+    "gl": _closed_gl,
+    "oo_odd": _closed_oo_odd,
 }
 
 
 def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
     """Closed orbits with one torus-fixed representative each."""
-    return sorted(_CLOSED_ORBITS[pair.case](pair), key=lambda pr: pr[0].sort_key())
+    return sorted(_CLOSED_ORBITS[pair.kind.closed](pair), key=lambda pr: pr[0].sort_key())
 
 
 def _value_swap(w: SignedPermutation, n: int) -> SignedPermutation:

@@ -4,10 +4,11 @@ A pair is a case tag plus its rank data (n, and the block sizes p, q).
 Everything the library knows about a case is written down once, in that
 case's :class:`PairKind` record in ``KINDS``: its descriptor and
 description, the ambient Weyl group and root system of G, the rule saying
-which clans or involutions label its orbits, its restriction map to the
-small torus, the root blocks of K, its Chern form and its inner class.
-Pair descriptors are parsed from strings like ``A:glpq:2,2`` or
-``D:oo-odd:1,2``.
+which clans or involutions label its orbits, the name of its closed-orbit
+rule (the key of the per-rule tables in ``orbits`` and ``classes``), its
+restriction map to the small torus, the root blocks of K, its Chern form
+and its inner class.  Pair descriptors are parsed from strings like
+``A:glpq:2,2`` or ``D:oo-odd:1,2``.
 """
 
 from __future__ import annotations
@@ -15,18 +16,6 @@ from __future__ import annotations
 from .algebra import SimpleRootAction, VariableSpace, simple_root_action
 from .errors import UsageError
 from .records import Record, set_field, set_fields
-
-# Case tags.  "A_*" pairs live inside SL(N); the rest inside SO/Sp.
-A_GLPQ = "A_GLPQ"        # (SL(p+q), S(GL(p) x GL(q)))
-A_SO_ODD = "A_SO_ODD"    # (SL(2n+1), SO(2n+1))
-A_SO_EVEN = "A_SO_EVEN"  # (SL(2n), SO(2n))
-A_SP = "A_SP"            # (SL(2n), Sp(2n))
-B_OO = "B_OO"            # (SO(2n+1), S(O(2p) x O(2q+1)))
-C_SPSP = "C_SPSP"        # (Sp(2n), Sp(2p) x Sp(2q))
-C_GL = "C_GL"            # (Sp(2n), GL(n))
-D_OO = "D_OO"            # (SO(2n), S(O(2p) x O(2q)))
-D_GL = "D_GL"            # (SO(2n), GL(n))
-D_OO_ODD = "D_OO_ODD"    # (SO(2n), S(O(2p+1) x O(2q-1)))
 
 # Descriptor parameter forms.
 PQ = "p,q"        # the two block sizes; n = p + q
@@ -83,6 +72,7 @@ class PairKind(Record):
         "roots",  # root family of G: "A", "B", "C" or "D"
         # root families of K's blocks: one block x_1..x_r, or two split after x_p
         "subgroup",
+        "closed",  # closed-orbit rule: the key of the tables in orbits and classes
         # y_j -> x_j ("identity"); y_j -> x_j, y_{N+1-j} -> -x_j and any middle
         # y -> 0 ("fold"); y_{p+1} -> 0 and the later x-labels close up ("drop")
         "restriction",
@@ -96,11 +86,12 @@ class PairKind(Record):
     )
 
     def __init__(
-        self, tag, descriptor, form, template, ambient, roots, subgroup, restriction="identity",
-        signature=None, clan_rule=None, involutions=None, chern=None, inner_class=None,
+        self, tag, descriptor, form, template, ambient, roots, subgroup, closed,
+        restriction="identity", signature=None, clan_rule=None, involutions=None, chern=None,
+        inner_class=None,
     ) -> None:
         set_fields(
-            self, tag, descriptor, form, template, ambient, roots, subgroup, restriction,
+            self, tag, descriptor, form, template, ambient, roots, subgroup, closed, restriction,
             signature, clan_rule, involutions, chern, inner_class,
         )
 
@@ -111,50 +102,50 @@ KINDS = {
     kind.tag: kind
     for kind in (
         PairKind(
-            A_GLPQ, "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A", "A", ("A", "A"),
-            signature=lambda n, p, q: (p, q), clan_rule=ClanRule(), chern="blocks",
+            "A_GLPQ", "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A", "A", ("A", "A"),
+            closed="glpq", signature=lambda n, p, q: (p, q), clan_rule=ClanRule(), chern="blocks",
         ),
         PairKind(
-            A_SO_ODD, "A:so", ODD, "(SL({N}), SO({N}))", "A", "A", ("B",),
-            restriction="fold", involutions="all", chern="euler",
+            "A_SO_ODD", "A:so", ODD, "(SL({N}), SO({N}))", "A", "A", ("B",),
+            closed="so_odd", restriction="fold", involutions="all", chern="euler",
         ),
         PairKind(
-            A_SO_EVEN, "A:so-even", EVEN, "(SL({N}), SO({N}))", "A", "A", ("D",),
-            restriction="fold", involutions="split", chern="euler",
+            "A_SO_EVEN", "A:so-even", EVEN, "(SL({N}), SO({N}))", "A", "A", ("D",),
+            closed="so_even", restriction="fold", involutions="split", chern="euler",
         ),
         PairKind(
-            A_SP, "A:sp", EVEN, "(SL({N}), Sp({N}))", "A", "A", ("C",),
-            restriction="fold", involutions="fixed-point-free", chern="euler",
+            "A_SP", "A:sp", EVEN, "(SL({N}), Sp({N}))", "A", "A", ("C",),
+            closed="sp", restriction="fold", involutions="fixed-point-free", chern="euler",
         ),
         PairKind(
-            B_OO, "B:oo", PQ, _ORTHOGONAL_BLOCKS, "BC", "B", ("D", "B"),
-            signature=lambda n, p, q: (2 * p, 2 * q + 1),
+            "B_OO", "B:oo", PQ, _ORTHOGONAL_BLOCKS, "BC", "B", ("D", "B"),
+            closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q + 1),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_B,
         ),
         PairKind(
-            C_SPSP, "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "BC", "C", ("C", "C"),
-            signature=lambda n, p, q: (2 * p, 2 * q),
+            "C_SPSP", "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "BC", "C", ("C", "C"),
+            closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q),
             clan_rule=ClanRule("symmetric", anti_reflexive=True), inner_class=INNER_C,
         ),
         PairKind(
-            C_GL, "C:gl", RANK, "(Sp({N}), GL({n}))", "BC", "C", ("A",),
-            signature=lambda n, p, q: (n, n),
+            "C_GL", "C:gl", RANK, "(Sp({N}), GL({n}))", "BC", "C", ("A",),
+            closed="gl", signature=lambda n, p, q: (n, n),
             clan_rule=ClanRule("skew"), inner_class=INNER_C,
         ),
         PairKind(
-            D_OO, "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("D", "D"),
-            signature=lambda n, p, q: (2 * p, 2 * q),
+            "D_OO", "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("D", "D"),
+            closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_D_COMPACT,
         ),
         PairKind(
-            D_GL, "D:gl", RANK, "(SO({N}), GL({n}))", "D", "D", ("A",),
-            signature=lambda n, p, q: (n, n),
+            "D_GL", "D:gl", RANK, "(SO({N}), GL({n}))", "D", "D", ("A",),
+            closed="gl", signature=lambda n, p, q: (n, n),
             clan_rule=ClanRule("skew", anti_reflexive=True, even_front=True),
             inner_class=INNER_D_COMPACT,
         ),
         PairKind(
-            D_OO_ODD, "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("B", "B"),
-            restriction="drop", signature=lambda n, p, q: (2 * p + 1, 2 * q - 1),
+            "D_OO_ODD", "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("B", "B"),
+            closed="oo_odd", restriction="drop", signature=lambda n, p, q: (2 * p + 1, 2 * q - 1),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_D_UNEQUAL,
         ),
     )

@@ -193,6 +193,23 @@ def test_oracle_zero_off_orbit():
     assert weight_product_oracle(pair, param, off).is_zero
 
 
+def test_oracle_zero_weight_names_pair_orbit_and_fixed_point(monkeypatch):
+    import korbits.classes
+
+    # a restriction that kills every y leaves every normal weight zero
+    monkeypatch.setattr(
+        korbits.classes, "restriction_map", lambda pair: [None] * pair.variable_space().y_count
+    )
+    pair = parse_pair_spec("A:glpq:2,1")
+    param, rep = closed_orbits(pair)[0]
+    with pytest.raises(InternalError) as failure:
+        weight_product_oracle(pair, param, rep)
+    assert str(failure.value) == (
+        f"A:glpq:2,1: zero normal weight at the fixed point w = {rep.images},"
+        f" supposedly in the closed orbit {param}"
+    )
+
+
 # -- propagation --------------------------------------------------------------------
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from korbits.classes import class_for_parameter, propagate_all, to_chern_basis
 from korbits.cli import main
 from korbits.orbits import build_weak_order_graph
+from korbits.pairs import parse_pair_spec
 
 
 def run(capsys, *argv):
@@ -144,6 +146,44 @@ def test_chern_split_component_uses_euler(capsys):
     code, out, _ = run(capsys, "chern", "A:so-even:4", "+(1,3)(2,4)")
     assert code == 0
     assert "e" in out.replace("y", "").replace("z", "")
+
+
+def _chern_parameters(spec: str) -> list[str]:
+    """Every orbit of the pair, then each untagged split involution."""
+    texts = [str(param) for param in build_weak_order_graph(parse_pair_spec(spec)).nodes]
+    return texts + sorted({text[1:] for text in texts if text[0] in "+-"})
+
+
+def test_chern_on_every_orbit_is_unchanged(capsys):
+    # each rewrite equals the one read from the whole propagated table, and
+    # the outputs hash as they did when chern propagated the whole table
+    digest = hashlib.sha256()
+    for spec in ("A:glpq:2,2", "A:so-even:4", "A:sp:6"):
+        pair = parse_pair_spec(spec)
+        classes = propagate_all(pair)
+        for text in _chern_parameters(spec):
+            code, out, err = run(capsys, "chern", spec, "--", text)
+            want = to_chern_basis(class_for_parameter(pair, classes, text))
+            assert (code, out, err) == (0, f"{want}\n", ""), (spec, text)
+            digest.update(f"{spec} {text} {code}\n{out}".encode())
+    assert digest.hexdigest() == "a80c12850e3babcbffab622b801a9567a560a3307fd0fd8bc3cb8064990a6d7a"
+
+
+def test_chern_of_a_closed_orbit_stops_the_walk(capsys, monkeypatch):
+    import korbits.classes
+
+    yielded, propagate = [], korbits.classes.propagate
+
+    def counted(pair):
+        for node, cls in propagate(pair):
+            yielded.append(node)
+            yield node, cls
+
+    monkeypatch.setattr(korbits.classes, "propagate", counted)
+    code, out, _ = run(capsys, "chern", "A:glpq:3,3", "(+,+,+,-,-,-)")
+    assert code == 0 and out
+    table = build_weak_order_graph(parse_pair_spec("A:glpq:3,3")).nodes
+    assert 0 < len(yielded) < len(table)
 
 
 def test_fixture_env_override(tmp_path, capsys, monkeypatch):
@@ -438,8 +478,24 @@ def test_cli_import_loads_every_traced_module_and_no_unneeded_stdlib(trace_child
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert {f"korbits.{module}" for module, _, _ in trace_child.SPANS} <= loaded
-    unneeded = loaded & {"dataclasses", "inspect", "json", "importlib.resources"}
-    assert not unneeded, sorted(unneeded)
+    unneeded = {"dataclasses", "inspect", "json", "importlib.resources", "fractions", "decimal"}
+    assert not loaded & unneeded, sorted(loaded & unneeded)
+
+
+def test_integer_table_never_loads_fractions():
+    # every class of A:glpq has integer coefficients, so no rational is made
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import io, sys, contextlib\nfrom korbits.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['classes', 'A:glpq:2,2'])\n"
+        "print(code, 'fractions' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 False\n", "")
 
 
 @pytest.mark.parametrize(

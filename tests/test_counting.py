@@ -1,5 +1,7 @@
 import pytest
 
+import korbits.counting
+from korbits.cli import main
 from korbits.counting import _involutions, count_report
 from korbits.errors import UsageError
 from korbits.weyl import enumerate_group
@@ -64,3 +66,17 @@ def test_involutions_match_squaring_every_element(family, parity, n):
         and (parity == "any" or w.sign_changes() % 2 == (parity == "odd"))
     ]
     assert list(_involutions(family, n, parity)) == expected
+
+
+def test_stray_clan_is_reported_with_its_involution(capsys, monkeypatch):
+    # drop the identity from the enumerated inner class: the clans of all
+    # signs sit over it, and the first of them is named
+    def without_identity(*args, **kwargs):
+        return [w for w in _involutions(*args, **kwargs) if not w.is_identity()]
+
+    monkeypatch.setattr(korbits.counting, "_involutions", without_identity)
+    assert main(["count", "B:2"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: inner class B:2: clan (-,-,-,-,-) sits over the involution id,"
+        " outside the enumerated inner class\n"
+    )

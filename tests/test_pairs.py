@@ -74,15 +74,26 @@ def test_bad_descriptor_is_usage_error(spec):
         parse_pair_spec(spec)
 
 
+# a read of a pair's case, or a case tag named
+_CASE = re.compile(rf"\.case\b|\b({'|'.join(KINDS)})\b")
+
+
 def test_no_case_chains_outside_pairs():
     # case facts live in the pair-kind records; other modules read them
-    # through pair.kind or look them up in a table keyed by the case
-    chain = re.compile(r"\.case\s*(==|!=|in\b|not\s+in\b)")
+    # through pair.kind, and key per-rule tables by a field of the kind, so
+    # no other module reads a pair's case or names a case tag
     offenders = [
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted((ROOT / "src" / "korbits").glob("*.py"))
         if path.name != "pairs.py"
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-        if chain.search(line)
+        if _CASE.search(line)
     ]
     assert offenders == []
+
+
+def test_case_guard_catches_a_case_read_and_a_tag():
+    hits = ["table[pair.case]", 'if kind == "D_OO_ODD":', "from .pairs import A_SP"]
+    misses = ["pair.kind.closed", "pair.cases", "A_SPX = 1", "lowercase"]
+    assert all(_CASE.search(line) for line in hits)
+    assert not any(_CASE.search(line) for line in misses)
