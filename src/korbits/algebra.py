@@ -20,8 +20,10 @@ On top of the ring operations the module provides composition (x's
 replaced by polynomials, y's passed through), elementary symmetric
 polynomials, determinants of polynomial matrices by cofactor expansion,
 exact division, divided difference operators for the classical root
-systems, and a text grammar used by fixtures and the CLI.  Every
-substitution of variables runs through the one loop
+systems, and a text grammar used by fixtures and the CLI.  A divided
+difference applies the closed form of its root's shape, which with the
+root's variables is all that a :class:`SimpleRootAction` records.
+Every substitution of variables runs through the one loop
 :func:`substitute_terms`.  It is the only module that reads the term
 dict.
 """
@@ -179,14 +181,6 @@ def _multiply_terms(f: dict, g: dict) -> dict:
     return terms
 
 
-def _ints(terms: dict) -> dict:
-    """Store every integral Fraction value of ``terms`` as an int, in place."""
-    for mono, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[mono] = c.numerator
-    return terms
-
-
 class Polynomial(Record):
     """Immutable sparse polynomial over a :class:`VariableSpace`."""
 
@@ -194,7 +188,10 @@ class Polynomial(Record):
 
     def __init__(self, space: VariableSpace, terms: Mapping[Monomial, Scalar]):
         set_field(self, "space", space)
-        set_field(self, "terms", _ints({m: c for m, c in terms.items() if c}))
+        set_field(self, "terms", {
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c
+        })
 
     @classmethod
     def _from_clean(cls, space: VariableSpace, terms: dict) -> "Polynomial":
@@ -254,7 +251,7 @@ class Polynomial(Record):
             return self.space.zero()
         if self.total_degree() + other.total_degree() > MAX_DEGREE:
             raise ContractViolation(f"a product of degree above {MAX_DEGREE} does not pack")
-        return Polynomial._from_clean(self.space, _ints(_multiply_terms(self.terms, other.terms)))
+        return Polynomial(self.space, _multiply_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -331,17 +328,6 @@ class Polynomial(Record):
                 plan[j - 1] = (sign, space.shifts[slot])
         return Polynomial(space, substitute_terms(compile_terms(self), plan))
 
-    def map_y(self, images: Sequence[tuple[int, int]]) -> "Polynomial":
-        """Apply a signed permutation to the y-bank.
-
-        ``images[j-1] = (sign, k)`` sends y_j to sign*y_k.  x-variables are
-        untouched.  Used for the reflections of :func:`reflect` and to
-        translate the general-linear closed classes.
-        """
-        space = self.space
-        plan = [(sign, space.shifts[space.y_slot(k)]) for sign, k in images]
-        return Polynomial(space, substitute_terms(compile_terms(self), plan))
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -414,9 +400,10 @@ def substitute_terms(compiled: Sequence[CompiledTerm], plan: Sequence[PlanEntry]
     returning the raw term dict, whose values may be 0 or integral
     Fractions (``Polynomial`` drops the one and converts the other).
 
-    The one substitution loop: :meth:`Polynomial.substitute`,
-    :meth:`Polynomial.map_y` and the localization code all build a plan
-    and call it.
+    The one substitution loop: :meth:`Polynomial.substitute`, the
+    general-linear closed classes (a signed permutation of the y-bank, on
+    terms compiled once per pair) and the localization code all build a
+    plan and call it.
     """
     terms: dict[Monomial, Scalar] = {}
     get = terms.get
@@ -609,19 +596,15 @@ def _det_cofactor(space: VariableSpace, m: list[list[Polynomial]]) -> Polynomial
 
 
 class SimpleRootAction(Record):
-    """A simple reflection on the y-bank together with its root.
-
-    ``reflection[j-1] = (sign, k)`` gives the image of y_j; ``root`` is the
-    simple root as a polynomial in the y-variables.  ``shape`` names the
-    root's form for :func:`divided_difference`: "A" (u - v), "B" (u),
-    "C" (2u) or "D" (u + v), where u sits at exponent slot ``slot`` and v,
-    for A and D, at ``slot + 1``.
+    """What :func:`divided_difference` needs of a simple root: its space,
+    its ``shape``, "A" (u - v), "B" (u), "C" (2u) or "D" (u + v), and the
+    exponent ``slot`` of u; v, for A and D, sits at ``slot + 1``.
     """
 
-    __slots__ = ("space", "reflection", "root", "shape", "slot")
+    __slots__ = ("space", "shape", "slot")
 
-    def __init__(self, space: VariableSpace, reflection, root: Polynomial, shape: str, slot: int):
-        set_fields(self, space, reflection, root, shape, slot)
+    def __init__(self, space: VariableSpace, shape: str, slot: int):
+        set_fields(self, space, shape, slot)
 
 
 def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootAction:
@@ -629,42 +612,23 @@ def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootA
 
     Families use the positive-system conventions of the classical groups:
     type A has alpha_i = y_i - y_{i+1}; types B/C/D share those for i < n
-    and end with alpha_n = y_n, 2*y_n, y_{n-1}+y_n respectively (type D's
-    last reflection sends y_{n-1} to -y_n).  n is the y-bank size.
+    and end with alpha_n = y_n, 2*y_n, y_{n-1}+y_n respectively.  n is the
+    y-bank size.
     """
     m = space.y_count
-    identity = [(1, j) for j in range(1, m + 1)]
     if family == "A" or i < m:
         if not 1 <= i <= m - 1:
             raise ContractViolation(f"alpha_{i} out of range for type A rank {m - 1}")
-        images = list(identity)
-        images[i - 1], images[i] = images[i], images[i - 1]
-        root = space.y(i) - space.y(i + 1)
-        return SimpleRootAction(space, tuple(images), root, "A", space.y_slot(i))
+        return SimpleRootAction(space, "A", space.y_slot(i))
     if i != m:
         raise ContractViolation(f"alpha_{i} out of range for rank {m}")
-    if family == "B":
-        images = list(identity)
-        images[m - 1] = (-1, m)
-        return SimpleRootAction(space, tuple(images), space.y(m), "B", space.y_slot(m))
-    if family == "C":
-        images = list(identity)
-        images[m - 1] = (-1, m)
-        root = 2 * space.y(m)
-        return SimpleRootAction(space, tuple(images), root, "C", space.y_slot(m))
+    if family in ("B", "C"):
+        return SimpleRootAction(space, family, space.y_slot(m))
     if family == "D":
         if m < 2:
             raise ContractViolation("type D needs rank >= 2")
-        images = list(identity)
-        images[m - 2] = (-1, m)
-        images[m - 1] = (-1, m - 1)
-        root = space.y(m - 1) + space.y(m)
-        return SimpleRootAction(space, tuple(images), root, "D", space.y_slot(m - 1))
+        return SimpleRootAction(space, "D", space.y_slot(m - 1))
     raise ContractViolation(f"unknown family {family!r}")
-
-
-def reflect(f: Polynomial, action: SimpleRootAction) -> Polynomial:
-    return f.map_y(action.reflection)
 
 
 def divided_difference(f: Polynomial, action: SimpleRootAction) -> Polynomial:
@@ -730,7 +694,7 @@ def parse_polynomial(text: str, space: VariableSpace) -> Polynomial:
     terms = parser.expression()
     if parser.peek() != "end":
         raise UsageError(f"trailing input near {parser.tokens[parser.pos][1]!r}")
-    return Polynomial._from_clean(space, _ints(terms))
+    return Polynomial(space, terms)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:

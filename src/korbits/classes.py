@@ -17,6 +17,7 @@ import functools
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import (
+    CompiledTerm,
     Polynomial,
     VariableSpace,
     compile_terms,
@@ -154,13 +155,13 @@ def _closed_blocks(pair, param, rep, space) -> EquivariantClass:
 
 def _closed_gl(pair, param, rep, space) -> EquivariantClass:
     """The staircase determinant at the identity, with each y_k sent to
-    the signed y of rep^{-1}(k)."""
+    the signed y of rep^{-1}(k): one substitution of its compiled terms.
+    The sign is (-1)^(f+g), which is D:gl's (-1)^g as f is even in type D."""
     _, count, shift = sign_stats(rep)
-    half = pair.kind.ambient == "D"
-    sign = (-1) ** shift if half else (-1) ** (count + shift)
-    base = staircase_determinant(space, pair.n, half)
-    images = [(1 if v > 0 else -1, abs(v)) for v in rep.inverse().images]
-    return EquivariantClass(pair, sign * base.map_y(images))
+    plan = [(1 if v > 0 else -1, space.shifts[space.y_slot(abs(v))]) for v in rep.inverse().images]
+    compiled = _staircase_terms(space, pair.n, pair.kind.ambient == "D")
+    poly = Polynomial(space, substitute_terms(compiled, plan))
+    return EquivariantClass(pair, -poly if (count + shift) % 2 else poly)
 
 
 def _closed_oo_odd(pair, param, rep, space) -> EquivariantClass:
@@ -235,6 +236,12 @@ def staircase_determinant(space: VariableSpace, n: int, half: bool) -> Polynomia
     top = n if half else n + 1
     entries = [[c(top + (j + 1) - 2 * (i + 1)) for j in range(size)] for i in range(size)]
     return poly_determinant(entries) / 2**size if half else poly_determinant(entries)
+
+
+@functools.lru_cache(maxsize=None)
+def _staircase_terms(space: VariableSpace, n: int, half: bool) -> list[CompiledTerm]:
+    """The staircase determinant compiled for substitution, once per pair."""
+    return compile_terms(staircase_determinant(space, n, half))
 
 
 # ---------------------------------------------------------------------------

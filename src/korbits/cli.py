@@ -160,10 +160,17 @@ def _cmd_chern(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Rejects a command line with a one-line usage error (exit 2), not
-    argparse's usage block; ``--help`` still prints help and exits 0."""
+    argparse's usage block; ``--help`` still prints help and exits 0.
+    An argument starting with ``-(`` is an orbit parameter as ``orbits``
+    prints it, such as ``-(1,3)(2,4)``, never an option."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-("):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

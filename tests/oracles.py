@@ -12,6 +12,15 @@ the assignment dict that restriction substituted before the plan tables.
 clans were stored by their printed numbers rather than by their mates.
 ``propagate_all_reference`` is the former class walk, which keeps every
 class of the table alive until the walk ends.
+
+``reflection_images``, ``simple_root`` and ``reflect`` are the simple
+reflections and roots that the library's divided differences no longer
+carry, built from the generator conventions of ``weyl``'s docstring, so
+the reference operator (f - s f) / alpha takes neither s nor alpha from
+the code it checks.  ``map_y`` is the former ``Polynomial.map_y``, on
+exponent tuples, and ``closed_gl_reference`` the former general-linear
+closed class built with it: the pair's staircase determinant relabelled,
+then multiplied by its sign through the generic product.
 """
 
 import itertools
@@ -32,12 +41,18 @@ from korbits.algebra import (
     _tokenize,
     compile_terms,
     divided_difference,
+    exact_divide,
     substitute_terms,
 )
-from korbits.classes import EquivariantClass, closed_orbit_class, first_disagreement
+from korbits.classes import (
+    EquivariantClass,
+    closed_orbit_class,
+    first_disagreement,
+    staircase_determinant,
+)
 from korbits.errors import InternalError, UsageError
 from korbits.orbits import build_weak_order_graph
-from korbits.weyl import enumerate_group, restriction_map
+from korbits.weyl import enumerate_group, restriction_map, sign_stats
 
 
 def parse_polynomial_reference(text: str, space: VariableSpace) -> Polynomial:
@@ -239,3 +254,61 @@ def propagate_all_reference(pair):
         elif first_disagreement(stored, candidate) is not None:
             raise InternalError(f"paths into {edge.target} disagree under localization")
     return classes
+
+
+def reflection_images(family: str, n: int, i: int) -> tuple[tuple[int, int], ...]:
+    """(sign, k) per y_j with s_i(y_j) = sign * y_k, for s_i of the family
+    on y1..yn: s_i swaps i and i+1, except that the last generator negates
+    n in types B and C and swaps and negates n-1 and n in type D."""
+    images = [(1, k) for k in range(1, n + 1)]
+    if family == "A" or i < n:
+        images[i - 1], images[i] = images[i], images[i - 1]
+    elif family in ("B", "C"):
+        images[n - 1] = (-1, n)
+    else:
+        images[n - 2], images[n - 1] = (-1, n), (-1, n - 1)
+    return tuple(images)
+
+
+def simple_root(space: VariableSpace, family: str, i: int) -> Polynomial:
+    """alpha_i = y_i - y_{i+1}, and alpha_n = y_n, 2*y_n or y_{n-1} + y_n
+    in types B, C and D, with n the size of the y-bank."""
+    n = space.y_count
+    if family == "A" or i < n:
+        return space.y(i) - space.y(i + 1)
+    if family == "D":
+        return space.y(n - 1) + space.y(n)
+    return space.y(n) * (2 if family == "C" else 1)
+
+
+def map_y(poly: Polynomial, images) -> Polynomial:
+    """y_j -> sign * y_k for ``images[j-1] = (sign, k)``; the x's pass through."""
+    space = poly.space
+    r = space.x_count
+    terms = {}
+    for mono, coeff in poly.terms.items():
+        exponents = space.exponents(mono)
+        moved = list(exponents[:r]) + [0] * space.y_count
+        for e, (sign, k) in zip(exponents[r:], images):
+            moved[r + k - 1] = e
+            coeff *= sign**e
+        terms[space.pack(moved)] = coeff
+    return Polynomial(space, terms)
+
+
+def reflect(f: Polynomial, family: str, i: int) -> Polynomial:
+    return map_y(f, reflection_images(family, f.space.y_count, i))
+
+
+def divided_difference_by_division(f: Polynomial, family: str, i: int) -> Polynomial:
+    """Reference operator: form f - s_i(f) and divide by alpha_i."""
+    return exact_divide(f - reflect(f, family, i), simple_root(f.space, family, i))
+
+
+def closed_gl_reference(pair, rep) -> Polynomial:
+    """The closed class of a general-linear pair at the fixed point rep."""
+    _, count, shift = sign_stats(rep)
+    half = pair.kind.ambient == "D"
+    sign = (-1) ** shift if half else (-1) ** (count + shift)
+    base = staircase_determinant(pair.variable_space(), pair.n, half)
+    return sign * map_y(base, [(1 if v > 0 else -1, abs(v)) for v in rep.inverse().images])

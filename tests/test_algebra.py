@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import parse_polynomial_reference
+from oracles import (
+    divided_difference_by_division,
+    parse_polynomial_reference,
+    reflect,
+    reflection_images,
+    simple_root,
+)
 from test_fuzz import POLYNOMIALS
 
 from korbits.algebra import (
@@ -22,7 +28,6 @@ from korbits.algebra import (
     parse_polynomial,
     poly_determinant,
     product,
-    reflect,
     simple_root_action,
     split_leading_x,
 )
@@ -386,11 +391,12 @@ def test_nilpotence_and_leibniz(family, m):
     for _ in range(30):
         f = random_polynomial(sp, rng)
         g = random_polynomial(sp, rng)
-        for act in acts:
+        for i, act in enumerate(acts, start=1):
             once = divided_difference(f, act)
             assert divided_difference(once, act).is_zero
             lhs = divided_difference(f * g, act)
-            rhs = divided_difference(f, act) * g + reflect(f, act) * divided_difference(g, act)
+            s_f = reflect(f, family, i)
+            rhs = divided_difference(f, act) * g + s_f * divided_difference(g, act)
             assert lhs == rhs
 
 
@@ -476,11 +482,6 @@ def test_degree_drop():
 # -- closed forms against the division-based operator --------------------------
 
 
-def divided_difference_by_division(f, act):
-    """Reference operator: form f - s(f) and divide by the root."""
-    return exact_divide(f - reflect(f, act), act.root)
-
-
 coefficients = st.one_of(
     st.integers(-5, 5),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -503,8 +504,8 @@ FAMILY_RANKS = [(family, m) for family in "ABCD" for m in (2, 3, 4)]
 def test_closed_forms_match_division(family, m, data):
     sp = VariableSpace(1, m)
     f = data.draw(polynomials(sp))
-    for act in actions_for(family, sp):
-        assert divided_difference(f, act) == divided_difference_by_division(f, act)
+    for i, act in enumerate(actions_for(family, sp), start=1):
+        assert divided_difference(f, act) == divided_difference_by_division(f, family, i)
 
 
 RANK_TWO_PAIRS = [
@@ -530,7 +531,9 @@ def test_closed_forms_match_division_on_every_edge(spec):
     for edge in edges:
         f = classes[edge.source].polynomial
         act = pair.root_action(edge.root_index)
-        assert divided_difference(f, act) == divided_difference_by_division(f, act)
+        assert divided_difference(f, act) == divided_difference_by_division(
+            f, pair.root_family(), edge.root_index
+        )
 
 
 @pytest.mark.parametrize("family", "ABCD")
@@ -540,15 +543,15 @@ def test_closed_forms_match_sympy(family):
     symbols = sympy.symbols("x1 y1 y2 y3")
 
     rng = random.Random(7)
-    for act in actions_for(family, sp):
+    for i, act in enumerate(actions_for(family, sp), start=1):
         images = {
             symbols[1 + j]: sign * symbols[k]
-            for j, (sign, k) in enumerate(act.reflection)
+            for j, (sign, k) in enumerate(reflection_images(family, sp.y_count, i))
         }
         for _ in range(15):
             f = random_polynomial(sp, rng, terms=5, max_exp=4)
             g = sympy_form(sympy, symbols, f)
-            root = sympy_form(sympy, symbols, act.root)
+            root = sympy_form(sympy, symbols, simple_root(sp, family, i))
             want = sympy.cancel((g - g.subs(images, simultaneous=True)) / root)
             got = sympy_form(sympy, symbols, divided_difference(f, act))
             assert sympy.expand(want - got) == 0

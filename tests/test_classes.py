@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    closed_gl_reference,
     first_disagreement_reference,
     propagate_all_reference,
     restriction_assignment,
@@ -565,8 +566,14 @@ def test_gl_closed_classes_match_per_orbit_determinant(spec):
     half = pair.kind.ambient == "D"
     space = pair.variable_space()
     for param, rep in closed_orbits(pair):
-        want = per_orbit_staircase(space, pair.n, rep, half)
-        assert closed_orbit_class(pair, param).polynomial == want
+        got = closed_orbit_class(pair, param).polynomial
+        assert got == per_orbit_staircase(space, pair.n, rep, half)
+        # and the former relabelling of the cached staircase, coefficient types included
+        relabelled = closed_gl_reference(pair, rep)
+        assert got == relabelled
+        assert {m: type(c) for m, c in got.terms.items()} == {
+            m: type(c) for m, c in relabelled.terms.items()
+        }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -584,6 +591,7 @@ def test_propagate_all_expands_one_determinant_per_pair(monkeypatch):
     import korbits.classes
 
     staircase_determinant.cache_clear()
+    korbits.classes._staircase_terms.cache_clear()
     calls = []
 
     def counted(entries):

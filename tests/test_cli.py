@@ -169,6 +169,18 @@ def test_chern_on_every_orbit_is_unchanged(capsys):
     assert digest.hexdigest() == "a80c12850e3babcbffab622b801a9567a560a3307fd0fd8bc3cb8064990a6d7a"
 
 
+def test_chern_takes_each_parameter_as_orbits_prints_it(capsys):
+    # a parameter such as -(1,3)(2,4) needs no "--" before it
+    _, listing, _ = run(capsys, "orbits", "A:so-even:4")
+    texts = [line.split("  [")[0] for line in listing.splitlines()[:-1]]
+    assert "-(1,3)(2,4)" in texts and "-(1,4)(2,3)" in texts
+    for text in texts:
+        got = run(capsys, "chern", "A:so-even:4", text)
+        assert got[0] == 0 and got == run(capsys, "chern", "A:so-even:4", "--", text), text
+    code, out, err = run(capsys, "chern", "A:so-even:4", "--bogus", "x")
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_chern_of_a_closed_orbit_stops_the_walk(capsys, monkeypatch):
     import korbits.classes
 
