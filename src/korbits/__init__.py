@@ -12,7 +12,7 @@ from .algebra import (
     poly_determinant,
     simple_root_action,
 )
-from .clans import Clan, clan_to_signed_involution, enumerate_clans, pair_validity
+from .clans import Clan, enumerate_clans, pair_validity
 from .classes import (
     EquivariantClass,
     closed_orbit_class,
@@ -30,12 +30,10 @@ from .orbits import (
     classify_simple_root,
     closed_orbits,
     closure_compare,
-    cross_action,
     enumerate_orbits,
-    twisted_involution_action,
 )
 from .pairs import SymmetricPair, parse_pair_spec
-from .weyl import SignedPermutation, enumerate_group, restriction_map
+from .weyl import SignedPermutation, restriction_map
 
 __all__ = [
     "Clan",
@@ -46,16 +44,13 @@ __all__ = [
     "SymmetricPair",
     "VariableSpace",
     "build_weak_order_graph",
-    "clan_to_signed_involution",
     "classify_simple_root",
     "closed_orbit_class",
     "closed_orbits",
     "closure_compare",
-    "cross_action",
     "divided_difference",
     "elementary_symmetric",
     "enumerate_clans",
-    "enumerate_group",
     "enumerate_orbits",
     "equal_via_localization",
     "first_disagreement",
@@ -69,7 +64,6 @@ __all__ = [
     "restriction_map",
     "simple_root_action",
     "to_chern_basis",
-    "twisted_involution_action",
     "weight_product_oracle",
 ]
 

@@ -120,16 +120,6 @@ class Clan(Record):
         pairs = (len(self.mates) - plus - minus) // 2
         return (plus + pairs, minus + pairs)
 
-    def is_sign(self, i: int) -> bool:
-        return self.mates[i - 1] in (PLUS, MINUS)
-
-    def mate(self, i: int) -> int:
-        """Position of the partner of the number at position i (1-based)."""
-        mate = self.mates[i - 1]
-        if mate in (PLUS, MINUS):
-            raise ContractViolation(f"position {i} holds a sign")
-        return mate
-
     def replace(self, updates: dict[int, Symbol]) -> "Clan":
         """Mate entries at some positions replaced by a sign or a partner's
         position; the caller keeps every pairing mutual."""
@@ -181,9 +171,6 @@ class Clan(Record):
         """Mates of the reversed clan, its signs mapped through ``signs``."""
         end = len(self.mates) + 1
         return tuple(signs[m] if m in signs else end - m for m in reversed(self.mates))
-
-    def reverse(self) -> "Clan":
-        return Clan._trusted(self._mirror_image(_SAME))
 
     def is_symmetric(self) -> bool:
         return self._mirror_image(_SAME) == self.mates
@@ -335,13 +322,3 @@ def pair_validity(clan: Clan, pair: SymmetricPair) -> bool:
         )
     return rule.admits(clan)
 
-
-def clan_to_signed_involution(clan: Clan) -> SignedPermutation:
-    """Position involution of a symmetric or skew-symmetric clan.
-
-    For those clans the result is a signed element of the ambient
-    symmetric group (it commutes with position reversal).
-    """
-    if not (clan.is_symmetric() or clan.is_skew_symmetric()):
-        raise ContractViolation("clan is neither symmetric nor skew-symmetric")
-    return clan.position_involution()

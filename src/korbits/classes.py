@@ -201,18 +201,22 @@ def closed_orbit_class(
     point of the same orbit must give the same polynomial, which the
     tests exercise.
     """
-    found = None
-    for closed_param, closed_rep in closed_orbits(pair):
-        if closed_param == param:
-            found = closed_rep
-            break
-    if found is None:
-        raise ContractViolation(f"{param} is not a closed orbit of {pair.describe()}")
+    found = _closed_representative(pair, param)
     if rep is None:
         rep = found
     elif not _closed_member(pair, param, rep):
         raise ContractViolation("representative does not lie in the orbit")
     return _CLOSED_CLASSES[pair.kind.closed](pair, param, rep, pair.variable_space())
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_representative(pair: SymmetricPair, param: OrbitParameter) -> SignedPermutation:
+    """The stored fixed point of a closed orbit; any other orbit is refused.
+    Cached, as the weight-product oracle asks once per fixed point."""
+    for closed_param, closed_rep in closed_orbits(pair):
+        if closed_param == param:
+            return closed_rep
+    raise ContractViolation(f"{param} is not a closed orbit of {pair.describe()}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,7 +254,12 @@ def _staircase_terms(space: VariableSpace, n: int, half: bool) -> list[CompiledT
 
 def restrict_at(cls: EquivariantClass, images: tuple[int, ...]) -> Polynomial:
     """Restriction at the fixed point of the w with these images: substitute
-    each y by the image of its w-translate in the small torus."""
+    each y by the image of its w-translate in the small torus.  The images
+    must be those of an element of the pair's ambient Weyl group."""
+    family, size = cls.pair.ambient_family()
+    if len(images) != size:
+        raise ContractViolation(f"restriction needs {size} images, got {images}")
+    SignedPermutation(family, tuple(images))  # refuses a non-element
     table = signed_targets(cls.pair)
     plan = [table[v] for v in images]
     space = cls.pair.variable_space()
@@ -263,7 +272,8 @@ def restrict_at(cls: EquivariantClass, images: tuple[int, ...]) -> Polynomial:
 
 
 def ambient_weyl(pair: SymmetricPair):
-    """The image tuples of the fixed points, in ``enumerate_group`` order."""
+    """The image tuples of the fixed points, in ``group_images`` order:
+    every element of the pair's ambient Weyl group."""
     return group_images(*pair.ambient_family())
 
 
@@ -398,8 +408,10 @@ def weight_product_oracle(
 
     Computed purely from root data: push the positive system through w,
     restrict to the small torus, and strike each subgroup root once.  Off
-    the orbit the result is zero, matching the class's vanishing.
+    the orbit the result is zero, matching the class's vanishing.  Only
+    closed orbits are accepted.
     """
+    _closed_representative(pair, param)
     space = pair.variable_space()
     if not _closed_member(pair, param, w):
         return space.zero()
@@ -639,10 +651,6 @@ class ChernExpression(Record):
             for k in range(1, len(block) + 1)
         ]
         return zs + [product(space, xs)]
-
-    def expand(self) -> Polynomial:
-        """Substitute the generators back; inverse of the rewrite."""
-        return compose(self.polynomial, self.generators())
 
 
 def to_chern_basis(cls: EquivariantClass) -> ChernExpression:

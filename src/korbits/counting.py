@@ -38,7 +38,7 @@ class CountRow(Record):
 
 
 def _involutions(family: str, n: int, parity: str = "any"):
-    """The involutions of the signed group, in ``enumerate_group`` order.
+    """The involutions of the signed group, in ``group_images`` order.
 
     w(i) = s_i * pi(i) squares to the identity exactly when pi does and
     s_i = s_pi(i), so only involutive pi get a sign loop and only sign

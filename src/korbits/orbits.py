@@ -6,11 +6,10 @@ symmetric group whose component "+" or "-" tags one of the two halves of
 a split fixed-point-free involution of the even special-orthogonal pair
 and is empty otherwise.  The module builds the weak-order
 graph by breadth-first raising from the closed orbits, classifies simple
-roots (complex / non-compact imaginary of type I or II), exposes the
-monoid action on twisted involutions, a closure-order comparator and DOT
-emission.  The graph takes its order from the sorted enumeration, and
-clan moves read and write a clan's mates without renumbering.  Every
-clan move is the type A move at one or two windows: at
+roots (complex / non-compact imaginary of type I or II), and provides a
+closure-order comparator and DOT emission.  The graph takes its order
+from the sorted enumeration, and clan moves read and write a clan's
+mates without renumbering.  Every clan move is the type A move at one or two windows: at
 positions (i, i+1) and, for i < n, at their mirror images.  Type D's
 alpha_n is the alpha_{n-1} move seen through the diagram flip that swaps
 positions n and n+1.  Only type B's alpha_n and the degree-two raises of
@@ -22,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import types
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
 from .errors import ContractViolation, InternalError, UsageError
@@ -389,45 +388,8 @@ def _conjugate_by_transposition(images: tuple[int, ...], i: int) -> tuple[int, .
     return tuple(out)
 
 
-def twisted_involution_action(
-    a: SignedPermutation, i: int, theta: Callable[[SignedPermutation], SignedPermutation]
-) -> SignedPermutation:
-    """The monoid action m(s_i) * a on twisted involutions.
-
-    ``theta`` is the ambient twist; ``a`` must satisfy theta(a) = a^{-1}.
-    The three branches: drop (no move), left product (when the twisted
-    action fixes a), twisted conjugation otherwise.
-    """
-    if theta(a) != a.inverse():
-        raise ContractViolation("not a twisted involution for this twist")
-    s = _transposition(a.n, i)
-    sa = s * a
-    if sa.length() < a.length():
-        return a
-    twisted = (s * a) * theta(s).inverse()
-    if twisted == a:
-        return sa
-    return twisted
-
-
-def _transposition(n: int, i: int) -> SignedPermutation:
-    images = list(range(1, n + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return SignedPermutation("A", tuple(images))
-
-
-def conjugation_by_longest(n: int) -> Callable[[SignedPermutation], SignedPermutation]:
-    """The twist w -> w0 w w0 used by all type A non-equal-rank pairs."""
-    w0 = SignedPermutation("A", tuple(range(n, 0, -1)))
-
-    def theta(w: SignedPermutation) -> SignedPermutation:
-        return (w0 * w) * w0
-
-    return theta
-
-
 # ---------------------------------------------------------------------------
-# classification and the cross action
+# classification
 
 
 def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> RootStatus:
@@ -457,21 +419,6 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
         # symplectic orbit set: no edge
         return NO_RAISE
     return RootStatus("noncompact_II", InvolutionOrbit(target))
-
-
-def cross_action(pair: SymmetricPair, w: SignedPermutation, param: OrbitParameter) -> OrbitParameter:
-    """The Weyl-group cross action on orbit parameters."""
-    if isinstance(param, Clan):
-        sigma = w if pair.ambient_family()[0] == "A" else w.embed_as_permutation(len(param))
-        moved = [None] * len(param)
-        for image, sym in zip(sigma.images, param.symbols):
-            moved[image - 1] = sym
-        return Clan(moved)  # type: ignore[arg-type]
-    inv = SignedPermutation("A", param.involution)
-    conjugated = (w * inv) * w.inverse()
-    # a tagged component moves with the representative; callers that need
-    # the precise tag use the localization machinery instead
-    return InvolutionOrbit(conjugated.images, param.component)
 
 
 # ---------------------------------------------------------------------------

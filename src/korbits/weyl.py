@@ -40,14 +40,6 @@ class SignedPermutation(Record):
         if family not in ("A", "BC", "D"):
             raise ContractViolation(f"unknown family {family!r}")
 
-    @classmethod
-    def _trusted(cls, family: str, images: tuple[int, ...]) -> "SignedPermutation":
-        """Wrap images already known to form an element of the family."""
-        obj = object.__new__(cls)
-        set_field(obj, "family", family)
-        set_field(obj, "images", images)
-        return obj
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -70,9 +62,6 @@ class SignedPermutation(Record):
 
     def sign_changes(self) -> int:
         return sum(1 for v in self.images if v < 0)
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
     @classmethod
     def identity(cls, family: str, n: int) -> "SignedPermutation":
@@ -100,43 +89,6 @@ class SignedPermutation(Record):
     def absolute(self) -> "SignedPermutation":
         """The underlying unsigned permutation, as a type A element."""
         return SignedPermutation("A", tuple(abs(v) for v in self.images))
-
-    # -- Coxeter structure -------------------------------------------------
-
-    def length(self) -> int:
-        """Coxeter length: positive roots sent negative.
-
-        A root +-e_a +- e_b is negative exactly when the coefficient of
-        the smaller index is negative; a short root +-e_a by its sign.
-        """
-        count = 0
-        for i in range(1, self.n + 1):
-            vi = self.images[i - 1]
-            if self.family == "BC" and vi < 0:
-                count += 1
-            for j in range(i + 1, self.n + 1):
-                vj = self.images[j - 1]
-                for eps in ((-1,) if self.family == "A" else (-1, 1)):
-                    if abs(vi) < abs(vj):
-                        lead = vi
-                    else:
-                        lead = eps * vj
-                    if lead < 0:
-                        count += 1
-        return count
-
-    def times_generator(self, i: int) -> "SignedPermutation":
-        """Right multiplication by s_i (acts on positions)."""
-        imgs = list(self.images)
-        if 1 <= i < self.n:
-            imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
-        elif i == self.n and self.family == "BC":
-            imgs[-1] = -imgs[-1]
-        elif i == self.n and self.family == "D":
-            imgs[-2], imgs[-1] = -imgs[-1], -imgs[-2]
-        else:
-            raise ContractViolation(f"generator s_{i} out of range")
-        return SignedPermutation(self.family, tuple(imgs))
 
     # -- embeddings ---------------------------------------------------------
 
@@ -219,15 +171,6 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
             seen.add(a)
             images[a - 1] = b
     return SignedPermutation("A", tuple(images))
-
-
-def enumerate_group(family: str, n: int) -> Iterator[SignedPermutation]:
-    """All elements: n! for A, 2^n n! for BC, 2^(n-1) n! for D, in the
-    order of :func:`group_images`.
-
-    Elements are valid by construction, so they skip the validation of
-    ``SignedPermutation``."""
-    return map(functools.partial(SignedPermutation._trusted, family), group_images(family, n))
 
 
 def group_images(family: str, n: int) -> Iterator[tuple[int, ...]]:

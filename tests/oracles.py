@@ -1,4 +1,5 @@
-"""Test-only reference implementations replaced by faster library code.
+"""Test-only reference implementations: code the library replaced with
+faster code, and code that only the tests call.
 
 ``parse_polynomial_reference`` is the former recursive-descent parser, which
 builds a ``Polynomial`` for every atom and every partial sum and product.
@@ -6,8 +7,8 @@ builds a ``Polynomial`` for every atom and every partial sum and product.
 ``SignedPermutation``, one substitution plan and one ``Polynomial`` per
 fixed point, with each plan built from the restriction map rather than from
 the library's per-pair plan table.  ``group_images_reference`` is the
-former element order of ``enumerate_group``, and ``restriction_assignment``
-the assignment dict that restriction substituted before the plan tables.
+former order of ``group_images``, and ``restriction_assignment`` the
+assignment dict that restriction substituted before the plan tables.
 ``canonical_symbols`` is the renumbering that every clan move ran when
 clans were stored by their printed numbers rather than by their mates.
 ``propagate_all_reference`` is the former class walk, which keeps every
@@ -21,14 +22,28 @@ the code it checks.  ``map_y`` is the former ``Polynomial.map_y``, on
 exponent tuples, and ``closed_gl_reference`` the former general-linear
 closed class built with it: the pair's staircase determinant relabelled,
 then multiplied by its sign through the generic product.
+
+``enumerate_group`` wraps each image tuple of ``weyl.group_images`` in a
+``SignedPermutation`` without validating it again, for the tests that need
+elements; the library walks the image tuples alone.  ``is_identity``,
+``coxeter_length`` (positive roots sent negative) and ``times_generator``
+(right multiplication by s_i) are former ``SignedPermutation`` methods.
+``conjugation_by_longest`` is the twist w -> w0 w w0 of the type A pairs,
+``twisted_involution_action`` the monoid action of the simple reflections
+on twisted involutions, and ``cross_action`` the Weyl-group cross action
+on orbit parameters: the tests check the involution moves of
+``classify_simple_root`` against the first two, and that a raise has
+degree two exactly when the cross action of its reflection fixes the orbit.
+``chern_expand`` substitutes a ``ChernExpression``'s generators back, the
+inverse of ``to_chern_basis``.
 """
 
 import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
-from typing import Optional
+from functools import partial, reduce
+from typing import Callable, Optional
 
 from korbits.algebra import (
     MAX_EXPONENT,
@@ -40,19 +55,24 @@ from korbits.algebra import (
     _power,
     _tokenize,
     compile_terms,
+    compose,
     divided_difference,
     exact_divide,
     substitute_terms,
 )
+from korbits.clans import Clan
 from korbits.classes import (
+    ChernExpression,
     EquivariantClass,
     closed_orbit_class,
     first_disagreement,
     staircase_determinant,
 )
-from korbits.errors import InternalError, UsageError
-from korbits.orbits import build_weak_order_graph
-from korbits.weyl import enumerate_group, restriction_map, sign_stats
+from korbits.errors import ContractViolation, InternalError, UsageError
+from korbits.orbits import InvolutionOrbit, OrbitParameter, build_weak_order_graph
+from korbits.pairs import SymmetricPair
+from korbits.records import set_field
+from korbits.weyl import SignedPermutation, group_images, restriction_map, sign_stats
 
 
 def parse_polynomial_reference(text: str, space: VariableSpace) -> Polynomial:
@@ -312,3 +332,112 @@ def closed_gl_reference(pair, rep) -> Polynomial:
     sign = (-1) ** shift if half else (-1) ** (count + shift)
     base = staircase_determinant(pair.variable_space(), pair.n, half)
     return sign * map_y(base, [(1 if v > 0 else -1, abs(v)) for v in rep.inverse().images])
+
+
+def _trusted(family: str, images: tuple[int, ...]) -> SignedPermutation:
+    """Wrap images already known to form an element of the family."""
+    obj = object.__new__(SignedPermutation)
+    set_field(obj, "family", family)
+    set_field(obj, "images", images)
+    return obj
+
+
+def enumerate_group(family: str, n: int):
+    """All elements: n! for A, 2^n n! for BC, 2^(n-1) n! for D, in the
+    order of ``group_images``.  Elements are valid by construction, so they
+    skip the validation of ``SignedPermutation``."""
+    return map(partial(_trusted, family), group_images(family, n))
+
+
+def is_identity(w: SignedPermutation) -> bool:
+    return all(v == i + 1 for i, v in enumerate(w.images))
+
+
+def coxeter_length(w: SignedPermutation) -> int:
+    """Coxeter length: positive roots sent negative.
+
+    A root +-e_a +- e_b is negative exactly when the coefficient of the
+    smaller index is negative; a short root +-e_a by its sign.
+    """
+    count = 0
+    for i in range(1, w.n + 1):
+        vi = w.images[i - 1]
+        if w.family == "BC" and vi < 0:
+            count += 1
+        for j in range(i + 1, w.n + 1):
+            vj = w.images[j - 1]
+            for eps in ((-1,) if w.family == "A" else (-1, 1)):
+                lead = vi if abs(vi) < abs(vj) else eps * vj
+                if lead < 0:
+                    count += 1
+    return count
+
+
+def times_generator(w: SignedPermutation, i: int) -> SignedPermutation:
+    """Right multiplication by s_i (acts on positions)."""
+    imgs = list(w.images)
+    if 1 <= i < w.n:
+        imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
+    elif i == w.n and w.family == "BC":
+        imgs[-1] = -imgs[-1]
+    elif i == w.n and w.family == "D":
+        imgs[-2], imgs[-1] = -imgs[-1], -imgs[-2]
+    else:
+        raise ContractViolation(f"generator s_{i} out of range")
+    return SignedPermutation(w.family, tuple(imgs))
+
+
+def conjugation_by_longest(n: int) -> Callable[[SignedPermutation], SignedPermutation]:
+    """The twist w -> w0 w w0 used by all type A non-equal-rank pairs."""
+    w0 = SignedPermutation("A", tuple(range(n, 0, -1)))
+
+    def theta(w: SignedPermutation) -> SignedPermutation:
+        return (w0 * w) * w0
+
+    return theta
+
+
+def _transposition(n: int, i: int) -> SignedPermutation:
+    images = list(range(1, n + 1))
+    images[i - 1], images[i] = images[i], images[i - 1]
+    return SignedPermutation("A", tuple(images))
+
+
+def twisted_involution_action(
+    a: SignedPermutation, i: int, theta: Callable[[SignedPermutation], SignedPermutation]
+) -> SignedPermutation:
+    """The monoid action m(s_i) * a on twisted involutions.
+
+    ``theta`` is the ambient twist; ``a`` must satisfy theta(a) = a^{-1}.
+    The three branches: drop (no move), left product (when the twisted
+    action fixes a), twisted conjugation otherwise.
+    """
+    if theta(a) != a.inverse():
+        raise ContractViolation("not a twisted involution for this twist")
+    s = _transposition(a.n, i)
+    sa = s * a
+    if coxeter_length(sa) < coxeter_length(a):
+        return a
+    twisted = sa * theta(s).inverse()
+    return sa if twisted == a else twisted
+
+
+def cross_action(
+    pair: SymmetricPair, w: SignedPermutation, param: OrbitParameter
+) -> OrbitParameter:
+    """The Weyl-group cross action on orbit parameters.  A tagged
+    component moves with the representative."""
+    if isinstance(param, Clan):
+        sigma = w if pair.ambient_family()[0] == "A" else w.embed_as_permutation(len(param))
+        moved = [None] * len(param)
+        for image, sym in zip(sigma.images, param.symbols):
+            moved[image - 1] = sym
+        return Clan(moved)
+    inv = SignedPermutation("A", param.involution)
+    conjugated = (w * inv) * w.inverse()
+    return InvolutionOrbit(conjugated.images, param.component)
+
+
+def chern_expand(expr: ChernExpression) -> Polynomial:
+    """Substitute the generators back; inverse of the Chern rewrite."""
+    return compose(expr.polynomial, expr.generators())

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import reflect
+from oracles import enumerate_group, reflect
 
 from korbits.algebra import (
     VariableSpace,
@@ -38,7 +38,7 @@ from korbits.orbits import (
     parse_orbit_parameter,
 )
 from korbits.pairs import SymmetricPair, parse_pair_spec
-from korbits.weyl import SignedPermutation, enumerate_group
+from korbits.weyl import SignedPermutation
 
 
 def report(number: int, text: str) -> None:

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import chern_expand
 
 from korbits.algebra import Polynomial, VariableSpace, parse_polynomial
 from korbits.classes import (
@@ -143,7 +144,7 @@ def test_chern_rewrite_matches_reference_on_every_class(spec):
     for param, cls in propagate_all(pair).items():
         expr = to_chern_basis(cls)
         assert expr.polynomial == reference_chern(cls), param
-        assert expr.expand() == cls.polynomial, param
+        assert chern_expand(expr) == cls.polynomial, param
 
 
 @pytest.mark.parametrize(
@@ -203,7 +204,7 @@ def test_chern_round_trip():
     classes = propagate_all(pair)
     for param, cls in classes.items():
         expr = to_chern_basis(cls)
-        assert expr.expand() == cls.polynomial
+        assert chern_expand(expr) == cls.polynomial
 
 
 def test_chern_no_x_content_unchanged():
@@ -211,7 +212,7 @@ def test_chern_no_x_content_unchanged():
     cls = EquivariantClass(pair, parse_polynomial("y1*y2+y3", pair.variable_space()))
     expr = to_chern_basis(cls)
     assert str(expr) == "y1*y2 + y3"
-    assert expr.expand() == cls.polynomial
+    assert chern_expand(expr) == cls.polynomial
 
 
 def test_chern_euler_substitution():
@@ -224,7 +225,7 @@ def test_chern_euler_substitution():
     expr = to_chern_basis(cls)
     text = str(expr)
     assert "e" in text and "x" not in text
-    assert expr.expand() == cls.polynomial
+    assert chern_expand(expr) == cls.polynomial
 
 
 def test_chern_euler_for_every_split_class():
@@ -232,7 +233,7 @@ def test_chern_euler_for_every_split_class():
     classes = propagate_all(pair)
     for param, cls in classes.items():
         expr = to_chern_basis(cls)
-        assert expr.expand() == cls.polynomial
+        assert chern_expand(expr) == cls.polynomial
 
 
 def test_chern_rejects_unsupported_x_content():

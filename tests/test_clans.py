@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from korbits.clans import Clan, clan_to_signed_involution, enumerate_clans, pair_validity
+from korbits.clans import Clan, enumerate_clans, pair_validity
 from korbits.errors import ContractViolation, UsageError
 from korbits.pairs import parse_pair_spec
 
@@ -19,7 +19,7 @@ def test_clan_is_stored_by_its_mates():
     clan = Clan(("+", 7, 5, 7, 5, "-"))
     assert clan.mates == ("+", 4, 5, 2, 3, "-") and clan == Clan(("+", 1, 2, 1, 2, "-"))
     assert Clan((2, 2)) == Clan((1, 1)) and hash(Clan((2, 2))) == hash(Clan((1, 1)))
-    assert str(clan) == "(+,1,2,1,2,-)" and clan.mate(2) == 4
+    assert str(clan) == "(+,1,2,1,2,-)"
     assert clan.swap(2, 3).mates == ("+", 5, 4, 3, 2, "-")
     assert clan.swap(1, 2).mates == (4, "+", 5, 1, 3, "-")
 
@@ -97,7 +97,7 @@ def test_symmetry_predicates():
 def test_symmetry_consistency_under_reversal():
     for clan in enumerate_clans(2, 3):
         if clan.is_symmetric():
-            assert clan.reverse() == clan
+            assert Clan(clan.symbols[::-1]) == clan
 
 
 def test_mirror_generation_matches_filtered_enumeration():
@@ -134,13 +134,11 @@ def test_pair_validity():
         pair_validity(Clan.parse("(+,-)"), spsp)
 
 
-def test_clan_to_signed_involution():
-    assert clan_to_signed_involution(Clan.parse("(1,-,+,-,1)")).cycle_string() == "(1,5)"
-    assert (
-        clan_to_signed_involution(Clan.parse("(1,2,-,1,2)")).cycle_string()
-        == "(1,4)(2,5)"
-    )
-    assert clan_to_signed_involution(Clan.parse("(+,-,+)")).is_identity()
+def test_position_involution():
+    # the 2-cycles are the mate-position pairs; count reads them
+    assert Clan.parse("(1,-,+,-,1)").position_involution().cycle_string() == "(1,5)"
+    assert Clan.parse("(1,2,-,1,2)").position_involution().cycle_string() == "(1,4)(2,5)"
+    assert Clan.parse("(+,-,+)").position_involution().cycle_string() == "id"
 
 
 def test_parse_rejects_garbage():

@@ -3,7 +3,9 @@ from pathlib import Path
 import pytest
 from oracles import (
     closed_gl_reference,
+    enumerate_group,
     first_disagreement_reference,
+    is_identity,
     propagate_all_reference,
     restriction_assignment,
 )
@@ -37,12 +39,12 @@ from korbits.orbits import (
     WeakOrderGraph,
     build_weak_order_graph,
     closed_orbits,
+    enumerate_orbits,
     parse_orbit_parameter,
 )
 from korbits.pairs import parse_pair_spec
 from korbits.weyl import (
     SignedPermutation,
-    enumerate_group,
     restriction_map,
     sign_stats,
 )
@@ -96,6 +98,19 @@ def test_closed_class_rejects_non_closed():
     pair = parse_pair_spec("A:glpq:2,2")
     with pytest.raises(ContractViolation):
         closed_orbit_class(pair, parse_orbit_parameter(pair, "(1,1,2,2)"))
+    # the weight-product oracle refuses them too, even at a fixed point of
+    # a closed orbit
+    for spec in _pair_specs(2):
+        pair = parse_pair_spec(spec)
+        closed = dict(closed_orbits(pair))
+        rep = next(iter(closed.values()))
+        for param in enumerate_orbits(pair):
+            if param in closed:
+                continue
+            with pytest.raises(ContractViolation):
+                closed_orbit_class(pair, param)
+            with pytest.raises(ContractViolation):
+                weight_product_oracle(pair, param, rep)
 
 
 def test_closed_class_independent_of_representative():
@@ -126,6 +141,23 @@ def test_restriction_values_at_split_candidates():
     assert at_first == 4 * sp.x(1) * sp.x(2) * (sp.x(1) + sp.x(2))
     at_second = restrict_at(cls, (1, 3, 4, 2))
     assert at_second.is_zero
+
+
+@pytest.mark.parametrize(
+    "spec,images",
+    [
+        ("C:gl:2", (3, 1)),
+        ("C:gl:2", (1, 1)),
+        ("C:gl:2", (1, 2, 3)),
+        ("C:gl:2", (2,)),
+        ("D:oo:1,1", (1, -2)),  # an odd number of sign changes
+    ],
+)
+def test_restriction_refuses_non_elements(spec, images):
+    pair = parse_pair_spec(spec)
+    cls = closed_orbit_class(pair, closed_orbits(pair)[0][0])
+    with pytest.raises(ContractViolation):
+        restrict_at(cls, images)
 
 
 def test_restriction_of_constant():
@@ -653,18 +685,17 @@ def test_closed_class_rejects_foreign_representative():
 
 
 def test_rank_zero_group_conventions():
-    from korbits.weyl import enumerate_group, group_order
+    from korbits.weyl import group_order
 
     for family in ("A", "BC", "D"):
         assert group_order(family, 0) == 1
         elements = list(enumerate_group(family, 0))
-        assert len(elements) == 1 and elements[0].is_identity()
+        assert len(elements) == 1 and is_identity(elements[0])
 
 
 def test_membership_predicate_matches_coset_enumeration():
     # the structural member test agrees with explicit subgroup cosets
     from korbits.classes import _closed_member
-    from korbits.weyl import enumerate_group
 
     cases = {
         "A:glpq:2,1": lambda pair, s: all(
