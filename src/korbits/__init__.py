@@ -12,7 +12,7 @@ from .algebra import (
     poly_determinant,
     simple_root_action,
 )
-from .clans import Clan, enumerate_clans, pair_validity
+from .clans import Clan, enumerate_clans
 from .classes import (
     EquivariantClass,
     closed_orbit_class,
@@ -54,7 +54,6 @@ __all__ = [
     "enumerate_orbits",
     "equal_via_localization",
     "first_disagreement",
-    "pair_validity",
     "parse_pair_spec",
     "parse_polynomial",
     "poly_determinant",

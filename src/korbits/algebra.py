@@ -37,7 +37,7 @@ import operator
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ContractViolation, InternalError, UsageError
+from .errors import ContractViolation, InternalError, UsageError, parse_decimal
 from .records import Record, set_field, set_fields
 
 Monomial = int  # packed, see the module docstring
@@ -730,15 +730,6 @@ MAX_EXPONENT = 64
 MAX_TERMS = 10**6
 
 
-def _numeral(text: str) -> int:
-    if not text.isdecimal():  # a digit such as a superscript, which int() refuses
-        raise UsageError(f"numeral {text!r} is not a decimal integer")
-    try:
-        return int(text)
-    except ValueError:  # longer than the interpreter's int-string digit limit
-        raise UsageError(f"numeral of {len(text)} digits is too long") from None
-
-
 class _Parser:
     """Recursive descent straight into packed terms.  A value of at most
     one term is a (key, coefficient) pair, coefficient 0 for zero, so a
@@ -813,9 +804,9 @@ class _Parser:
             if kind != "num":
                 raise UsageError("exponent must be a nonnegative integer")
             # the length test keeps int() off numerals past its digit limit
-            if len(text) > 6 or max(self.degree(base), 1) * _numeral(text) > MAX_EXPONENT:
+            exponent = parse_decimal(text, "exponent") if len(text) <= 6 else MAX_EXPONENT + 1
+            if max(self.degree(base), 1) * exponent > MAX_EXPONENT:
                 raise UsageError(f"a power may have degree at most {MAX_EXPONENT}")
-            exponent = int(text)
             # a field of the bitwise or of all monomials is nonzero when some term uses its slot
             keys = base if type(base) is dict else [base[0]] * (base[1] != 0)
             used = sum(map(bool, self.space.exponents(reduce(operator.or_, keys, 0))))
@@ -844,20 +835,20 @@ class _Parser:
                 raise UsageError("unbalanced parentheses")
             return value if len(value) > 1 else next(iter(value.items()), (0, 0))
         if kind == "num":
-            value = _numeral(text)
+            value = parse_decimal(text, "numeral")
             if self.peek() == "/":
                 self.pos += 1
                 dkind, dtext = self.take()
                 if dkind != "num":
                     raise UsageError("fraction denominator must be an integer")
-                denominator = _numeral(dtext)
+                denominator = parse_decimal(dtext, "denominator")
                 if denominator == 0:
                     raise UsageError("fraction has a zero denominator")
                 from fractions import Fraction
                 value = Fraction(value, denominator)
             return 0, value
         if kind == "var":
-            index = _numeral(text[1:])
+            index = parse_decimal(text[1:], "variable index")
             slot = self.space.x_slot(index) if text[0] == "x" else self.space.y_slot(index)
             return (1 << self.space.shifts[slot]) + (1 << self.space.degree_shift), 1
         raise UsageError(f"unexpected token {text!r}")

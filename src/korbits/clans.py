@@ -7,19 +7,20 @@ stored by its mates: each position holds its sign or the position of the
 other end of its pair.  The numbers exist only in printed text, as 1, 2,
 ... in order of first occurrence.  On top of the type itself the module
 provides enumeration, the counting invariants gamma(i;+), gamma(i;-),
-gamma(i;j), the symmetry predicates used outside type A, the test of a
-clan against a pair's clan rule (kept with the pair, in ``pairs.KINDS``),
-and the position involution attached to a clan.  Symmetric and
-skew-symmetric clans are generated directly, a position and its mirror at
-a time, rather than filtered out of all clans.
+gamma(i;j), the even-front parity of D:gl's clan rule, and the position
+involution attached to a clan.  The rest of each pair's clan rule (kept
+with the pair, in ``pairs.KINDS``) is applied by the generator: symmetric
+and skew-symmetric clans are generated directly, a position and its
+mirror at a time, and an anti-reflexive rule never places a number at a
+mirrored pair of positions.  A clan read from input is checked against
+the pair's orbit set, in ``orbits.parse_orbit_parameter``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from .errors import ContractViolation, UsageError
-from .pairs import SymmetricPair
+from .errors import ContractViolation, UsageError, parse_decimal
 from .records import Record, set_field
 from .weyl import SignedPermutation
 
@@ -28,7 +29,6 @@ Symbol = Union[str, int]
 PLUS = "+"
 MINUS = "-"
 _OPPOSITE = {PLUS: MINUS, MINUS: PLUS}
-_SAME = {PLUS: PLUS, MINUS: MINUS}
 
 
 class Clan(Record):
@@ -76,10 +76,7 @@ class Clan(Record):
             elif token == MINUS:
                 symbols.append(MINUS)
             elif token.isdigit():
-                try:
-                    symbols.append(int(token))
-                except ValueError:  # a digit int() refuses, or past its digit limit
-                    raise UsageError(f"bad clan number of {len(token)} digits") from None
+                symbols.append(parse_decimal(token, "clan number"))
             else:
                 raise UsageError(f"bad clan symbol {token!r}")
         if not symbols:
@@ -165,24 +162,7 @@ class Clan(Record):
             raise ContractViolation("need 1 <= i < j <= n")
         return sum(1 for mate in self.mates[:i] if mate not in (PLUS, MINUS) and mate > j)
 
-    # -- symmetry -------------------------------------------------------------
-
-    def _mirror_image(self, signs: dict[str, str]) -> tuple[Symbol, ...]:
-        """Mates of the reversed clan, its signs mapped through ``signs``."""
-        end = len(self.mates) + 1
-        return tuple(signs[m] if m in signs else end - m for m in reversed(self.mates))
-
-    def is_symmetric(self) -> bool:
-        return self._mirror_image(_SAME) == self.mates
-
-    def is_skew_symmetric(self) -> bool:
-        """Equal to its reverse with every sign flipped."""
-        return self._mirror_image(_OPPOSITE) == self.mates
-
-    def is_anti_reflexive(self) -> bool:
-        """No number sits at a pair of mirrored positions (i, L+1-i)."""
-        end = len(self.mates) + 1
-        return not any(mate == end - pos for pos, mate in enumerate(self.mates, start=1))
+    # -- the even-front rule ----------------------------------------------------
 
     def front_parity_even(self) -> bool:
         """Minus signs plus complete pairs among the first half, mod 2."""
@@ -308,17 +288,3 @@ def _mirrored_clans(a: int, b: int, skew: bool, anti_reflexive: bool) -> list[Cl
 
     fill(0, a, b)
     return results
-
-
-def pair_validity(clan: Clan, pair: SymmetricPair) -> bool:
-    """True when the clan labels an orbit of the given symmetric pair."""
-    rule = pair.kind.clan_rule
-    if rule is None:
-        raise ContractViolation(f"{pair.spec_string()} is not clan-parametrized")
-    if clan.signature() != pair.clan_signature():
-        raise ContractViolation(
-            f"clan {clan} has signature {clan.signature()}, "
-            f"pair needs {pair.clan_signature()}"
-        )
-    return rule.admits(clan)
-

@@ -762,13 +762,12 @@ def _summands(pair: SymmetricPair, param: OrbitParameter) -> tuple:
 
 
 def class_for_parameter(
-    pair: SymmetricPair, classes: dict[OrbitParameter, EquivariantClass], param_text: str
+    pair: SymmetricPair, classes: dict[OrbitParameter, EquivariantClass], param: OrbitParameter
 ) -> EquivariantClass:
-    """Look up a parameter string, treating an untagged split involution
-    as the union of its two components (their classes add)."""
-    parts = _summands(pair, parse_orbit_parameter(pair, param_text, allow_union=True))
-    if not all(part in classes for part in parts):
-        raise UsageError(f"unknown orbit parameter {param_text!r}")
+    """The class of a parameter parsed with ``allow_union``, an untagged
+    split involution being the union of its two components (their classes
+    add)."""
+    parts = _summands(pair, param)
     if len(parts) == 1:
         return classes[parts[0]]
     return EquivariantClass(pair, classes[parts[0]].polynomial + classes[parts[1]].polynomial)
@@ -778,14 +777,15 @@ def orbit_class(pair: SymmetricPair, param_text: str) -> EquivariantClass:
     """The class ``class_for_parameter`` reads for one parameter string,
     walking ``propagate`` only until the classes it adds are yielded.  Every
     path check into an orbit is done by the time its class is yielded."""
-    parts = set(_summands(pair, parse_orbit_parameter(pair, param_text, allow_union=True)))
+    param = parse_orbit_parameter(pair, param_text, allow_union=True)
+    parts = set(_summands(pair, param))
     found = {}
     for node, cls in propagate(pair):
         if node in parts:
             found[node] = cls
             if len(found) == len(parts):
                 break
-    return class_for_parameter(pair, found, param_text)
+    return class_for_parameter(pair, found, param)
 
 
 def verify_rows(
@@ -795,15 +795,17 @@ def verify_rows(
 ) -> list[tuple[str, bool]]:
     """Check fixture rows against propagated classes.
 
-    Default comparison is localization equality, one walk over the fixed
-    points for all rows; ``literal`` demands the exact canonical polynomial.
+    Every parameter is parsed before any class is computed.  Default
+    comparison is localization equality, one walk over the fixed points for
+    all rows; ``literal`` demands the exact canonical polynomial.
     """
     space = pair.variable_space()
+    params = [parse_orbit_parameter(pair, text, allow_union=True) for text, _ in rows]
     classes = propagate_all(pair)
     differences = []
-    for param_text, poly_text in rows:
+    for param, (_, poly_text) in zip(params, rows):
         expected = parse_polynomial(poly_text, space)
-        differences.append(class_for_parameter(pair, classes, param_text).polynomial - expected)
+        differences.append(class_for_parameter(pair, classes, param).polynomial - expected)
     if literal:
         checks = [not diff for diff in differences]
     else:

@@ -17,9 +17,11 @@ from .classes import (
     format_table, orbit_class, parse_fixture, propagate, to_chern_basis, verify_rows,
 )
 from .counting import INNER_CLASSES, count_report
-from .errors import ContractViolation, InternalError, UsageError, VerificationFailure
+from .errors import (
+    ContractViolation, InternalError, UsageError, VerificationFailure, parse_decimal,
+)
 from .orbits import build_weak_order_graph, to_dot
-from .pairs import SymmetricPair, parse_decimal, parse_pair_spec
+from .pairs import SymmetricPair, parse_pair_spec
 from .weyl import group_order
 
 FIXTURE_ENV = "KORBITS_FIXTURES"

@@ -1,7 +1,7 @@
 """Orbit parametrizations and the weak closure order.
 
-An orbit parameter is the label itself: a ``Clan`` (with per-pair
-validity filters) or an ``InvolutionOrbit``, an involution of the ambient
+An orbit parameter is the label itself: a ``Clan`` (of the pair's clan
+rule) or an ``InvolutionOrbit``, an involution of the ambient
 symmetric group whose component "+" or "-" tags one of the two halves of
 a split fixed-point-free involution of the even special-orthogonal pair
 and is empty otherwise.  The module builds the weak-order
@@ -23,7 +23,7 @@ import itertools
 import types
 from typing import Mapping, Optional, Sequence, Union
 
-from .clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
+from .clans import MINUS, PLUS, Clan, enumerate_clans
 from .errors import ContractViolation, InternalError, UsageError
 from .pairs import SymmetricPair
 from .records import Record, set_field, set_fields
@@ -92,17 +92,18 @@ def parse_orbit_parameter(
 ) -> OrbitParameter:
     """Parse a printed orbit parameter for the given pair.
 
-    With ``allow_union`` a bare fixed-point-free involution is accepted for
-    the even orthogonal pair, denoting the union of its two components.
+    A clan is accepted when it is a node of the pair's weak-order graph,
+    whose node set is checked against ``enumerate_orbits``; an involution
+    when the pair's involution policy allows it.  With ``allow_union`` a
+    bare fixed-point-free involution is accepted for the even orthogonal
+    pair, denoting the union of its two components.
     """
     text = text.strip()
     if pair.is_clan_case():
-        clan = Clan.parse(text)
-        try:
-            valid = pair_validity(clan, pair)
-        except ContractViolation as exc:
-            raise UsageError(str(exc)) from None
-        if not valid:
+        clan, want = Clan.parse(text), pair.clan_signature()
+        if clan.signature() != want:
+            raise UsageError(f"clan {clan} has signature {clan.signature()}, pair needs {want}")
+        if clan not in build_weak_order_graph(pair).level:
             raise UsageError(f"clan {clan} does not label an orbit of {pair.describe()}")
         return clan
     policy, size = pair.kind.involutions, pair.ambient_family()[1]

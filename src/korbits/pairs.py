@@ -14,7 +14,7 @@ and its inner class.  Pair descriptors are parsed from strings like
 from __future__ import annotations
 
 from .algebra import SimpleRootAction, VariableSpace, simple_root_action
-from .errors import UsageError
+from .errors import UsageError, parse_decimal
 from .records import Record, set_field, set_fields
 
 # Descriptor parameter forms.
@@ -25,21 +25,17 @@ EVEN = "even N"   # the matrix size N = 2n
 
 
 class ClanRule(Record):
-    """Which clans of a pair's signature label its orbits (Matsuki-Oshima)."""
+    """Which clans of a pair's signature label its orbits (Matsuki-Oshima):
+    those equal to their reverse ("symmetric") or negated reverse
+    ("skew"), with no number at a mirrored pair of positions when
+    ``anti_reflexive``, and with an even front when ``even_front``.  It is
+    applied only by generating clans (``enumerate_orbits``, ``count``); a
+    parsed clan is looked up among the pair's orbits instead."""
 
     __slots__ = ("mirror", "anti_reflexive", "even_front")
 
     def __init__(self, mirror=None, anti_reflexive=False, even_front=False) -> None:
-        set_fields(self, mirror, anti_reflexive, even_front)  # mirror: "symmetric" or "skew"
-
-    def admits(self, clan) -> bool:
-        if self.mirror == "symmetric" and not clan.is_symmetric():
-            return False
-        if self.mirror == "skew" and not clan.is_skew_symmetric():
-            return False
-        if self.anti_reflexive and not clan.is_anti_reflexive():
-            return False
-        return not self.even_front or clan.front_parity_even()
+        set_fields(self, mirror, anti_reflexive, even_front)
 
 
 class InnerClass(Record):
@@ -245,17 +241,6 @@ class SymmetricPair(Record):
 
 
 _BY_DESCRIPTOR = {kind.descriptor: kind for kind in KINDS.values()}
-
-
-def parse_decimal(text: str, what: str) -> int:
-    """A numeral of the descriptor grammar: decimal digits only, never the
-    sign, underscores or spaces that int() also reads."""
-    if not text.isdecimal():
-        raise UsageError(f"{what} must be a decimal integer, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # longer than the interpreter's int-string digit limit
-        raise UsageError(f"{what} of {len(text)} digits is too long") from None
 
 
 def _parse_pq(text: str) -> tuple[int, int]:

@@ -16,8 +16,8 @@ import operator
 from typing import Iterator, Optional
 
 from .algebra import PlanEntry
-from .errors import ContractViolation, UsageError
-from .pairs import SymmetricPair, parse_decimal
+from .errors import ContractViolation, UsageError, parse_decimal
+from .pairs import SymmetricPair
 from .records import Record, set_field
 
 #: Restriction targets per y-index: None for zero, else (sign, x_index).

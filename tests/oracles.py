@@ -11,6 +11,10 @@ former order of ``group_images``, and ``restriction_assignment`` the
 assignment dict that restriction substituted before the plan tables.
 ``canonical_symbols`` is the renumbering that every clan move ran when
 clans were stored by their printed numbers rather than by their mates.
+``is_symmetric``, ``is_skew_symmetric`` and ``is_anti_reflexive`` test a
+clan against its mirror image, and ``clan_rule_admits`` combines them into
+the filter form of a pair's clan rule, the reference for the generator and
+for the clans that ``parse_orbit_parameter`` accepts.
 ``propagate_all_reference`` is the former class walk, which keeps every
 class of the table alive until the walk ends.
 
@@ -51,7 +55,6 @@ from korbits.algebra import (
     MAX_TERMS,
     Polynomial,
     VariableSpace,
-    _numeral,
     _power,
     _tokenize,
     compile_terms,
@@ -68,7 +71,7 @@ from korbits.classes import (
     first_disagreement,
     staircase_determinant,
 )
-from korbits.errors import ContractViolation, InternalError, UsageError
+from korbits.errors import ContractViolation, InternalError, UsageError, parse_decimal
 from korbits.orbits import InvolutionOrbit, OrbitParameter, build_weak_order_graph
 from korbits.pairs import SymmetricPair
 from korbits.records import set_field
@@ -150,9 +153,10 @@ class _Parser:
             if kind != "num":
                 raise UsageError("exponent must be a nonnegative integer")
             # the length test keeps int() off numerals past its digit limit
-            if len(text) > 6 or max(base.total_degree(), 1) * int(text) > MAX_EXPONENT:
+            exponent = parse_decimal(text, "exponent") if len(text) <= 6 else MAX_EXPONENT + 1
+            if max(base.total_degree(), 1) * exponent > MAX_EXPONENT:
                 raise UsageError(f"a power may have degree at most {MAX_EXPONENT}")
-            base = self.power(base, int(text))
+            base = self.power(base, exponent)
         return base
 
     def nested(self, parse):
@@ -168,19 +172,19 @@ class _Parser:
         if kind == "-":
             return -self.nested(self.parse_primary)
         if kind == "num":
-            value = Fraction(_numeral(text))
+            value = Fraction(parse_decimal(text, "numeral"))
             if self.peek() == "/":
                 self.take()
                 dkind, dtext = self.take()
                 if dkind != "num":
                     raise UsageError("fraction denominator must be an integer")
-                denominator = _numeral(dtext)
+                denominator = parse_decimal(dtext, "denominator")
                 if denominator == 0:
                     raise UsageError("fraction has a zero denominator")
                 value = value / denominator
             return self.space.const(value)
         if kind == "var":
-            index = _numeral(text[1:])
+            index = parse_decimal(text[1:], "variable index")
             return self.space.x(index) if text[0] == "x" else self.space.y(index)
         if kind == "(":
             inner = self.nested(self.parse_expression)
@@ -253,6 +257,38 @@ def canonical_symbols(symbols):
                 rename[sym] = len(rename) + 1
             out.append(rename[sym])
     return tuple(out)
+
+
+def _mirror_image(clan: Clan, signs: dict) -> tuple:
+    """Mates of the reversed clan, its signs mapped through ``signs``."""
+    end = len(clan) + 1
+    return tuple(signs[m] if m in signs else end - m for m in reversed(clan.mates))
+
+
+def is_symmetric(clan: Clan) -> bool:
+    return _mirror_image(clan, {"+": "+", "-": "-"}) == clan.mates
+
+
+def is_skew_symmetric(clan: Clan) -> bool:
+    """Equal to its reverse with every sign flipped."""
+    return _mirror_image(clan, {"+": "-", "-": "+"}) == clan.mates
+
+
+def is_anti_reflexive(clan: Clan) -> bool:
+    """No number sits at a pair of mirrored positions (i, L+1-i)."""
+    end = len(clan) + 1
+    return not any(mate == end - pos for pos, mate in enumerate(clan.mates, start=1))
+
+
+def clan_rule_admits(pair: SymmetricPair, clan: Clan) -> bool:
+    """The pair's clan rule as a test of one clan of its signature."""
+    rule = pair.kind.clan_rule
+    return (
+        (rule.mirror != "symmetric" or is_symmetric(clan))
+        and (rule.mirror != "skew" or is_skew_symmetric(clan))
+        and (not rule.anti_reflexive or is_anti_reflexive(clan))
+        and (not rule.even_front or clan.front_parity_even())
+    )
 
 
 def propagate_all_reference(pair):

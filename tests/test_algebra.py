@@ -754,6 +754,7 @@ MALFORMED = [
     "1/",
     "x1^",
     "x1^-2",
+    "x1^\u00b2",
     "x1^y1",
     "(x1",
     "(x1]",

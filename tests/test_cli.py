@@ -9,7 +9,7 @@ import pytest
 
 from korbits.classes import class_for_parameter, propagate_all, to_chern_basis
 from korbits.cli import main
-from korbits.orbits import build_weak_order_graph
+from korbits.orbits import build_weak_order_graph, parse_orbit_parameter
 from korbits.pairs import parse_pair_spec
 
 
@@ -163,7 +163,8 @@ def test_chern_on_every_orbit_is_unchanged(capsys):
         classes = propagate_all(pair)
         for text in _chern_parameters(spec):
             code, out, err = run(capsys, "chern", spec, "--", text)
-            want = to_chern_basis(class_for_parameter(pair, classes, text))
+            param = parse_orbit_parameter(pair, text, allow_union=True)
+            want = to_chern_basis(class_for_parameter(pair, classes, param))
             assert (code, out, err) == (0, f"{want}\n", ""), (spec, text)
             digest.update(f"{spec} {text} {code}\n{out}".encode())
     assert digest.hexdigest() == "a80c12850e3babcbffab622b801a9567a560a3307fd0fd8bc3cb8064990a6d7a"

@@ -1,5 +1,5 @@
 import pytest
-from oracles import enumerate_group, is_identity
+from oracles import enumerate_group, is_identity, is_symmetric
 
 import korbits.counting
 from korbits.cli import main
@@ -44,7 +44,7 @@ def test_totals_are_partitioned_by_fibers():
         1
         for p in range(4)
         for c in enumerate_clans(2 * p, 2 * (3 - p) + 1)
-        if c.is_symmetric()
+        if is_symmetric(c)
     )
     assert total == want
 

@@ -1,5 +1,6 @@
 import pytest
 from oracles import (
+    clan_rule_admits,
     conjugation_by_longest,
     cross_action,
     is_identity,
@@ -8,7 +9,8 @@ from oracles import (
 )
 
 import korbits.orbits
-from korbits.clans import MINUS, PLUS, Clan, enumerate_clans, pair_validity
+from korbits.clans import MINUS, PLUS, Clan, enumerate_clans
+from korbits.cli import main
 from korbits.errors import ContractViolation, InternalError, UsageError
 from korbits.orbits import (
     NO_RAISE,
@@ -65,12 +67,37 @@ def _clan_pair_specs(max_rank):
 
 @pytest.mark.parametrize("spec", list(_clan_pair_specs(4)))
 def test_clan_orbits_match_filtered_enumeration(spec):
-    # filtering every clan of the signature by pair_validity is the
+    # filtering every clan of the signature by the pair's clan rule is the
     # reference for the mirror-aware enumeration
     pair = parse_pair_spec(spec)
     clans = enumerate_clans(*pair.clan_signature())
-    want = [c for c in clans if pair_validity(c, pair)]
+    want = [c for c in clans if clan_rule_admits(pair, c)]
     assert enumerate_orbits(pair) == want
+
+
+def test_clans_parse_exactly_when_the_rule_admits(tmp_path, capsys):
+    # every clan of the signature parses exactly when the filter form of the
+    # pair's clan rule admits it; the first refused clan of each pair also
+    # goes through verify, which exits 2 with one error line; a clan of
+    # another signature is refused for its signature
+    fixture = tmp_path / "row.txt"
+    for spec in _clan_pair_specs(3):
+        pair = parse_pair_spec(spec)
+        refused = []
+        for clan in enumerate_clans(*pair.clan_signature()):
+            if clan_rule_admits(pair, clan):
+                assert parse_orbit_parameter(pair, str(clan)) == clan, (spec, str(clan))
+                continue
+            with pytest.raises(UsageError, match="does not label an orbit"):
+                parse_orbit_parameter(pair, str(clan))
+            refused.append(clan)
+        for clan in refused[:1]:
+            fixture.write_text(f"# pair: {spec}\n{clan} := 0\n")
+            assert main(["verify", str(fixture)]) == 2, (spec, str(clan))
+            refusal = f"error: clan {clan} does not label an orbit of {pair.describe()}\n"
+            assert capsys.readouterr() == ("", refusal), spec
+    with pytest.raises(UsageError, match=r"has signature \(1, 1\), pair needs \(2, 2\)"):
+        parse_orbit_parameter(parse_pair_spec("C:spsp:1,1"), "(+,-)")
 
 
 @pytest.mark.parametrize(
