@@ -36,14 +36,9 @@ from .errors import ContractViolation, InternalError, UsageError
 from .orbits import (
     InvolutionOrbit,
     OrbitParameter,
-    RootStatus,
     WeakEdge,
-    WeakOrderGraph,
-    _finish_graph,
+    _component_representatives,
     _has_fixed_point,
-    _involution_status,
-    _level_error,
-    _value_swap,
     build_weak_order_graph,
     closed_orbits,
     parse_orbit_parameter,
@@ -520,96 +515,29 @@ def _path_error(spec: str, edge: WeakEdge, w) -> InternalError:
 
 
 # ---------------------------------------------------------------------------
-# reference oracle for the even orthogonal pair (used by the tests):
-# component resolution by localization
+# the component tag rule of the even orthogonal pair, checked by localization
 
 
-def _component_representatives(inv: tuple[int, ...], n: int):
-    """Fixed-point representatives of the two components of a split orbit.
+def split_orbit_data(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]:
+    """Classes of (SL(2n), SO(2n)), with the tag rule of
+    ``classify_simple_root`` checked independently.
 
-    The k-th two-cycle (i, j), i < j, of the fixed-point-free involution
-    takes the coordinate pair (e_k, e_{2n+1-k}): the + representative
-    sends i to k and j to 2n+1-k, the - one also swaps the values n, n+1.
+    The class of each component of a split orbit must restrict to nonzero
+    at its own component's representative and to zero at the other's.
     """
-    images = [0] * (2 * n)
-    k = 0
-    for i, j in enumerate(inv, start=1):
-        if j > i:
-            k += 1
-            images[i - 1], images[j - 1] = k, 2 * n + 1 - k
-    plus = SignedPermutation("A", tuple(images))
-    return {PLUS: plus, MINUS: _value_swap(plus, n)}
-
-
-def split_orbit_data(pair: SymmetricPair) -> tuple[WeakOrderGraph, dict]:
-    """Joint weak-order graph and classes for (SL(2n), SO(2n)).
-
-    When a raise connects two split orbits, the propagated class is
-    restricted at a fixed point of each candidate component, and the
-    nonzero one is the target.  This checks the tag rule of
-    ``classify_simple_root`` independently.
-    """
-    n = pair.n
-    closed = [param for param, _ in closed_orbits(pair)]
-    classes: dict[OrbitParameter, EquivariantClass] = {}
-    level: dict[OrbitParameter, int] = {}
-    edges: list[WeakEdge] = []
-    for param in closed:
-        classes[param] = closed_orbit_class(pair, param)
-        level[param] = 0
-    spec = pair.spec_string()
-    actions = [pair.root_action(i) for i in range(1, pair.num_simple_roots() + 1)]
-    frontier = closed
-    depth = 0
-    while frontier:
-        next_frontier = []
-        for param in frontier:
-            inv = param.involution  # type: ignore[union-attr]
-            for i, action in enumerate(actions, start=1):
-                move = _involution_status(inv, i)
-                if move is None:
-                    continue
-                target_inv, degree_two = move
-                poly = divided_difference(classes[param].polynomial, action)
-                if degree_two:
-                    if param.component:
-                        # each component covers the unsplit target once
-                        st = RootStatus("noncompact_I", InvolutionOrbit(target_inv))
-                    else:
-                        st = RootStatus("noncompact_II", InvolutionOrbit(target_inv))
-                        poly = poly / 2
-                elif not param.component:
-                    st = RootStatus("complex", InvolutionOrbit(target_inv))
-                else:
-                    chosen = []
-                    for tag, rep in _component_representatives(target_inv, n).items():
-                        if not restrict_at(EquivariantClass(pair, poly), rep.images).is_zero:
-                            chosen.append(tag)
-                    if len(chosen) != 1:
-                        raise InternalError(
-                            f"{spec}: raising {param} by alpha_{i}, {len(chosen)} of the"
-                            f" two components of {InvolutionOrbit(target_inv)} restrict"
-                            " to nonzero at their representatives; want one"
-                        )
-                    st = RootStatus("complex", InvolutionOrbit(target_inv, chosen[0]))
-                target = st.target
-                assert target is not None
-                edge = WeakEdge(param, target, i, st.degree)
-                edges.append(edge)
-                cand = EquivariantClass(pair, poly)
-                stored = classes.get(target)
-                if stored is None:
-                    classes[target] = cand
-                    level[target] = depth + 1
-                    next_frontier.append(target)
-                else:
-                    if level[target] != depth + 1:
-                        raise _level_error(pair, param, i, target, level[target], depth + 1)
-                    if (w := first_disagreement(stored, cand)) is not None:
-                        raise _path_error(spec, edge, w)
-        frontier = next_frontier
-        depth += 1
-    return _finish_graph(pair, closed, level, edges), classes
+    classes = propagate_all(pair)
+    for param, cls in classes.items():
+        if not param.component:
+            continue
+        for tag, rep in _component_representatives(param.involution, pair.n).items():
+            zero = restrict_at(cls, rep.images).is_zero
+            if zero == (tag == param.component):
+                raise InternalError(
+                    f"{pair.spec_string()}: the class of {param} restricts to"
+                    f" {'zero' if zero else 'nonzero'} at the {tag} component's"
+                    f" representative w = {rep.images}"
+                )
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,9 @@ def _max_n(text: str) -> int:
 
 
 def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
-    import math
-
     # the hyperoctahedral order at max-n; every ambient Weyl group of size N
     # has order at most N! 2^N, so max-n past N changes no outcome
-    bound = min(max_n, pair.ambient_family()[1])
-    limit = math.factorial(bound) << bound
+    limit = group_order("BC", min(max_n, pair.ambient_family()[1]))
     order = group_order(*pair.ambient_family())
     if order > limit:
         raise UsageError(

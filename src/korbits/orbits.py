@@ -195,11 +195,30 @@ def _closed_longest(pair: SymmetricPair):
 
 
 def _closed_split(pair: SymmetricPair):
-    size = pair.ambient_family()[1]
-    w0 = _longest_involution(size)
-    identity = SignedPermutation.identity("A", size)
-    yield InvolutionOrbit(w0, PLUS), identity
-    yield InvolutionOrbit(w0, MINUS), _value_swap(identity, pair.n)
+    w0 = _longest_involution(2 * pair.n)
+    for tag, rep in _component_representatives(w0, pair.n).items():
+        yield InvolutionOrbit(w0, tag), rep
+
+
+def _component_representatives(inv: tuple[int, ...], n: int) -> dict[str, SignedPermutation]:
+    """Fixed-point representatives of the two components of a split orbit.
+
+    The k-th two-cycle (i, j), i < j, of the fixed-point-free involution
+    takes the coordinate pair (e_k, e_{2n+1-k}): the + representative
+    sends i to k and j to 2n+1-k, the - one also swaps the values n, n+1.
+    On the longest involution they are the identity and that value swap.
+    """
+    images = [0] * (2 * n)
+    k = 0
+    for i, j in enumerate(inv, start=1):
+        if j > i:
+            k += 1
+            images[i - 1], images[j - 1] = k, 2 * n + 1 - k
+    swap = {n: n + 1, n + 1: n}
+    return {
+        PLUS: SignedPermutation("A", tuple(images)),
+        MINUS: SignedPermutation("A", tuple(swap.get(v, v) for v in images)),
+    }
 
 
 def _closed_blocks(pair: SymmetricPair):
@@ -244,12 +263,6 @@ _CLOSED_ORBITS = {
 def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
     """Closed orbits with one torus-fixed representative each."""
     return sorted(_CLOSED_ORBITS[pair.kind.closed](pair), key=lambda pr: pr[0].sort_key())
-
-
-def _value_swap(w: SignedPermutation, n: int) -> SignedPermutation:
-    """Left-multiply by the transposition of the values n, n+1."""
-    swap = {n: n + 1, n + 1: n}
-    return SignedPermutation(w.family, tuple(swap.get(v, v) for v in w.images))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +380,6 @@ def _involution_status(images: tuple[int, ...], i: int) -> Optional[tuple[tuple[
     involution; conjugation gives a degree-one cover when it moves the
     involution, otherwise the target is the left product (degree two).
     """
-    n = len(images)
-    if not 1 <= i <= n - 1:
-        raise ContractViolation(f"root index {i} out of range")
     pos_i = images.index(i) + 1
     pos_i1 = images.index(i + 1) + 1
     if pos_i < pos_i1:  # l(s_i b) > l(b): no raise
@@ -405,7 +415,7 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
     target, degree_two = move
     if not degree_two:
         # A complex raise keeps the component tag.  In the coordinate basis
-        # of classes._component_representatives, where the k-th two-cycle
+        # of _component_representatives, where the k-th two-cycle
         # takes the pair (e_k, e_{2n+1-k}), swapping the vectors at i and
         # i+1 of the + representative gives the + representative of the
         # conjugated involution, up to an SO(2n) permutation of those
@@ -479,17 +489,13 @@ def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
                     level[target] = depth + 1
                     next_frontier.append(target)
                 elif level[target] != depth + 1:
-                    raise _level_error(pair, param, i, target, level[target], depth + 1)
+                    raise InternalError(
+                        f"{pair.spec_string()}: inconsistent level for {target}, raised"
+                        f" from {param} by alpha_{i}: {level[target]} vs {depth + 1}"
+                    )
         frontier = next_frontier
         depth += 1
     return _finish_graph(pair, closed, level, edges)
-
-
-def _level_error(pair, source, i: int, target, found: int, want: int) -> InternalError:
-    return InternalError(
-        f"{pair.spec_string()}: inconsistent level for {target}, raised "
-        f"from {source} by alpha_{i}: {found} vs {want}"
-    )
 
 
 def _finish_graph(pair: SymmetricPair, closed: list, level: dict, edges: list) -> WeakOrderGraph:

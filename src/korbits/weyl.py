@@ -68,11 +68,13 @@ class SignedPermutation(Record):
         return cls(family, tuple(range(1, n + 1)))
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """(self * other)(i) = self(other(i))."""
+        """(self * other)(i) = self(other(i)), within one family."""
         if other.n != self.n:
             raise ContractViolation("size mismatch in composition")
+        if other.family != self.family:
+            raise ContractViolation(f"cannot compose {self.family} with {other.family}")
         images = tuple(self(other(i)) for i in range(1, self.n + 1))
-        return SignedPermutation(_join_family(self.family, other.family), images)
+        return SignedPermutation(self.family, images)
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return self.compose(other)
@@ -136,17 +138,6 @@ class SignedPermutation(Record):
         if not cycles:
             return "id"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
-
-
-def _join_family(a: str, b: str) -> str:
-    if a == b:
-        return a
-    if "BC" in (a, b):
-        return "BC"
-    if "D" in (a, b):
-        # product of a D element with a plain permutation stays even
-        return "D" if "A" in (a, b) else "BC"
-    return "A"
 
 
 def parse_cycles(text: str, n: int) -> SignedPermutation:

@@ -33,6 +33,7 @@ from korbits.classes import (
     verify_rows,
     weight_product_oracle,
 )
+from korbits.clans import MINUS, PLUS
 from korbits.errors import ContractViolation, InternalError
 from korbits.orbits import (
     WeakEdge,
@@ -767,15 +768,49 @@ def test_split_components_halve_the_fixed_points():
 @pytest.mark.parametrize("size", [2, 4, 6])
 def test_tag_rule_matches_split_oracle(size):
     pair = parse_pair_spec(f"A:so-even:{size}")
-    graph = build_weak_order_graph(pair)
-    oracle_graph, oracle_classes = split_orbit_data(pair)
-    assert graph.nodes == oracle_graph.nodes
-    assert graph.edges == oracle_graph.edges
-    assert graph.level == oracle_graph.level
-    classes = propagate_all(pair)
+    classes = split_orbit_data(pair)
+    assert list(classes) == list(build_weak_order_graph(pair).nodes)
     assert {p: c.polynomial for p, c in classes.items()} == {
-        p: c.polynomial for p, c in oracle_classes.items()
+        p: c.polynomial for p, c in propagate_all_reference(pair).items()
     }
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_split_check_catches_a_flipped_tag(monkeypatch, size):
+    import korbits.orbits
+    from korbits.orbits import InvolutionOrbit, RootStatus, _component_representatives
+
+    original = korbits.orbits.classify_simple_root
+    flip = {PLUS: MINUS, MINUS: PLUS}
+
+    def flipped(pair, param, i):
+        status = original(pair, param, i)
+        if status.kind != "complex" or not status.target.component:
+            return status
+        target = status.target
+        return RootStatus("complex", InvolutionOrbit(target.involution, flip[target.component]))
+
+    spec = f"A:so-even:{size}"
+    pair = parse_pair_spec(spec)
+    graph = build_weak_order_graph(pair)
+    # tagged orbits are reached by complex raises alone, so the flip swaps
+    # the labels of the two components at every odd level; the first such
+    # label in node order is the first the check reaches, a + component
+    # that now carries the - component's class
+    wrong = next(p for p in graph.nodes if p.component and graph.level[p] % 2)
+    assert wrong.component == PLUS
+    monkeypatch.setattr(korbits.orbits, "classify_simple_root", flipped)
+    build_weak_order_graph.cache_clear()
+    try:
+        with pytest.raises(InternalError) as failure:
+            split_orbit_data(pair)
+    finally:
+        build_weak_order_graph.cache_clear()
+    rep = _component_representatives(wrong.involution, pair.n)[PLUS]
+    assert str(failure.value) == (
+        f"{spec}: the class of {wrong} restricts to zero at the + component's"
+        f" representative w = {rep.images}"
+    )
 
 
 def test_graph_needs_no_classes(monkeypatch):
@@ -857,12 +892,18 @@ def test_split_component_errors_name_pair_and_raise(monkeypatch, value, count):
 
     pair = parse_pair_spec("A:so-even:4")
     space = pair.variable_space()
+    # every restriction is the constant value: nonzero at count of the two
+    # representatives
     monkeypatch.setattr(korbits.classes, "restrict_at", lambda cls, images: space.const(value))
     with pytest.raises(InternalError) as failure:
         split_orbit_data(pair)
-    message = str(failure.value)
-    assert message.startswith("A:so-even:4: raising ") and " by alpha_" in message
-    assert f", {count} of the two components of " in message
+    # the first tagged orbit is the closed + component, whose representative
+    # is the identity and the other's the swap of the values 2, 3
+    found, tag, rep = ("nonzero", MINUS, (1, 3, 2, 4)) if count else ("zero", PLUS, (1, 2, 3, 4))
+    assert str(failure.value) == (
+        f"A:so-even:4: the class of +(1,4)(2,3) restricts to {found} at the"
+        f" {tag} component's representative w = {rep}"
+    )
 
 
 def test_split_walk_disagreement_names_pair_edge_and_fixed_point(monkeypatch):

@@ -388,7 +388,9 @@ def test_twisted_action_matches_involution_rules():
     assert raised.cycle_string() == "(1,2)(3,4)"
 
 
-@pytest.mark.parametrize("spec", ["A:so:3", "A:so:5", "A:sp:4", "A:sp:6"])
+@pytest.mark.parametrize(
+    "spec", ["A:so:3", "A:so:5", "A:sp:4", "A:sp:6", "A:so-even:4", "A:so-even:6"]
+)
 def test_m_action_agrees_with_classification(spec):
     pair = parse_pair_spec(spec)
     _, size = pair.ambient_family()

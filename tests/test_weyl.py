@@ -59,6 +59,12 @@ def test_group_laws_small():
     assert ((a * b) * c).images == (a * (b * c)).images
 
 
+def test_composition_stays_in_one_family():
+    with pytest.raises(ContractViolation, match="cannot compose D with A"):
+        perm("D", 2, 1, 3) * perm("A", 2, 1, 3)
+    assert perm("D", 2, 1, 3) * perm("D", 2, 1, 3) == SignedPermutation.identity("D", 3)
+
+
 def test_validation():
     with pytest.raises(ContractViolation):
         perm("A", 1, -2, 3)
