@@ -731,10 +731,8 @@ MAX_TERMS = 10**6
 
 
 class _Parser:
-    """Recursive descent straight into packed terms.  A value of at most
-    one term is a (key, coefficient) pair, coefficient 0 for zero, so a
-    product of numerals and variables is one key add and one multiply per
-    factor; a value of more terms is a term dict."""
+    """Recursive descent straight into packed term dicts: ``{}`` for zero,
+    ``{0: c}`` for a numeral, ``{key: 1}`` for a variable."""
 
     def __init__(self, tokens: list[tuple[str, str]], space: VariableSpace):
         self.tokens = tokens + [("end", "")]
@@ -752,18 +750,15 @@ class _Parser:
         self.pos += 1
         return token
 
-    def degree(self, value) -> int:
-        if type(value) is dict:
-            return max(value) >> self.space.degree_shift
-        return value[0] >> self.space.degree_shift if value[1] else -1
+    def degree(self, terms: dict) -> int:
+        return max(terms) >> self.space.degree_shift if terms else -1
 
     def expression(self) -> dict:
         terms: dict = {}
         get = terms.get
         op = self.take()[0] if self.peek() in ("+", "-") else "+"
         while True:
-            value = self.term()
-            for key, coeff in value.items() if type(value) is dict else [value] * (value[1] != 0):
+            for key, coeff in self.term().items():
                 total = get(key, 0) + coeff if op == "+" else get(key, 0) - coeff
                 if total:
                     terms[key] = total
@@ -773,30 +768,24 @@ class _Parser:
                 return terms
             op = self.take()[0]
 
-    def term(self):
+    def term(self) -> dict:
         result = self.factor()
         while self.tokens[self.pos][0] == "*":
             self.pos += 1
             result = self.product(result, self.factor())
         return result
 
-    def product(self, f, g):
+    def product(self, f: dict, g: dict) -> dict:
         if self.degree(f) + self.degree(g) > MAX_EXPONENT:
             raise UsageError(f"a product may have degree at most {MAX_EXPONENT}")
-        if type(f) is tuple and type(g) is tuple:
-            return f[0] + g[0], f[1] * g[1]
-        m, n = [len(v) if type(v) is dict else int(v[1] != 0) for v in (f, g)]
+        m, n = len(f), len(g)
         if m * n > MAX_TERMS:
             raise UsageError(
                 f"a product of {m} by {n} terms makes {m * n} term pairs, more than {MAX_TERMS}"
             )
-        if type(f) is tuple:
-            f, g = g, f
-        if type(g) is dict:
-            return _multiply_terms(f, g)
-        return {k + g[0]: c * g[1] for k, c in f.items()} if g[1] else (0, 0)
+        return _multiply_terms(f, g)
 
-    def factor(self):
+    def factor(self) -> dict:
         base = self.primary()
         while self.tokens[self.pos][0] == "^":
             self.pos += 1
@@ -808,18 +797,14 @@ class _Parser:
             if max(self.degree(base), 1) * exponent > MAX_EXPONENT:
                 raise UsageError(f"a power may have degree at most {MAX_EXPONENT}")
             # a field of the bitwise or of all monomials is nonzero when some term uses its slot
-            keys = base if type(base) is dict else [base[0]] * (base[1] != 0)
-            used = sum(map(bool, self.space.exponents(reduce(operator.or_, keys, 0))))
+            used = sum(map(bool, self.space.exponents(reduce(operator.or_, base, 0))))
             bound = math.comb(max(self.degree(base), 0) * exponent + used, used)
             if bound > MAX_TERMS:
                 raise UsageError(f"a power may have up to {bound} terms, more than {MAX_TERMS}")
-            if type(base) is tuple:
-                base = base[0] * exponent, base[1] ** exponent
-            else:
-                base = _power(base, exponent, self.product, (0, 1))
+            base = _power(base, exponent, self.product, {0: 1})
         return base
 
-    def primary(self):
+    def primary(self) -> dict:
         kind, text = self.take()
         if kind in ("-", "("):
             self.depth += 1
@@ -827,13 +812,11 @@ class _Parser:
                 raise UsageError(f"polynomial nests deeper than {MAX_NESTING} levels")
             value = self.primary() if kind == "-" else self.expression()
             self.depth -= 1
-            if kind == "-" and type(value) is tuple:
-                return value[0], -value[1]
             if kind == "-":
                 return {k: -c for k, c in value.items()}
             if self.take()[0] != ")":
                 raise UsageError("unbalanced parentheses")
-            return value if len(value) > 1 else next(iter(value.items()), (0, 0))
+            return value
         if kind == "num":
             value = parse_decimal(text, "numeral")
             if self.peek() == "/":
@@ -846,9 +829,9 @@ class _Parser:
                     raise UsageError("fraction has a zero denominator")
                 from fractions import Fraction
                 value = Fraction(value, denominator)
-            return 0, value
+            return {0: value} if value else {}
         if kind == "var":
             index = parse_decimal(text[1:], "variable index")
             slot = self.space.x_slot(index) if text[0] == "x" else self.space.y_slot(index)
-            return (1 << self.space.shifts[slot]) + (1 << self.space.degree_shift), 1
+            return {(1 << self.space.shifts[slot]) + (1 << self.space.degree_shift): 1}
         raise UsageError(f"unexpected token {text!r}")

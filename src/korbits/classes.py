@@ -286,10 +286,18 @@ def _first_nonzero(pair: SymmetricPair, differences: list[Polynomial]) -> list:
     """For each polynomial, the images of the first fixed point where it
     restricts to nonzero, or None: two classes differ at w exactly when their
     difference does, restriction being a ring homomorphism.  One walk over
-    the fixed points tests each difference until it is nonzero somewhere."""
+    the fixed points tests each difference until it is nonzero somewhere.
+    When some torus coordinate restricts to zero (A:so, D:oo-odd), so do
+    y1...ym and its multiples at every fixed point: those terms are dropped
+    first, and a difference made of them alone is zero without a walk."""
     found: list = [None] * len(differences)
-    pending = [(k, compile_terms(diff)) for k, diff in enumerate(differences) if diff]
     table = signed_targets(pair)
+    every_y = pair.variable_space().y_count if 0 in table else -1
+    pending = [
+        (k, terms)
+        for k, diff in enumerate(differences)
+        if (terms := [term for term in compile_terms(diff) if len(term[1]) != every_y])
+    ]
     for images in ambient_weyl(pair) if pending else ():
         plan = [table[v] for v in images]
         for k, diff in pending:
@@ -689,31 +697,26 @@ def _summands(pair: SymmetricPair, param: OrbitParameter) -> tuple:
     return (param,)
 
 
-def class_for_parameter(
-    pair: SymmetricPair, classes: dict[OrbitParameter, EquivariantClass], param: OrbitParameter
-) -> EquivariantClass:
-    """The class of a parameter parsed with ``allow_union``, an untagged
+def parameter_classes(pair: SymmetricPair, params: list[OrbitParameter]) -> list[EquivariantClass]:
+    """The class of each parameter parsed with ``allow_union``, an untagged
     split involution being the union of its two components (their classes
-    add)."""
-    parts = _summands(pair, param)
-    if len(parts) == 1:
-        return classes[parts[0]]
-    return EquivariantClass(pair, classes[parts[0]].polynomial + classes[parts[1]].polynomial)
-
-
-def orbit_class(pair: SymmetricPair, param_text: str) -> EquivariantClass:
-    """The class ``class_for_parameter`` reads for one parameter string,
-    walking ``propagate`` only until the classes it adds are yielded.  Every
-    path check into an orbit is done by the time its class is yielded."""
-    param = parse_orbit_parameter(pair, param_text, allow_union=True)
-    parts = set(_summands(pair, param))
+    add).  ``propagate`` is walked only until every class they add is
+    yielded; every path check into an orbit is done by then."""
+    summands = [_summands(pair, param) for param in params]
+    wanted = {part for parts in summands for part in parts}
     found = {}
     for node, cls in propagate(pair):
-        if node in parts:
+        if node in wanted:
             found[node] = cls
-            if len(found) == len(parts):
+            if len(found) == len(wanted):
                 break
-    return class_for_parameter(pair, found, param)
+    classes = []
+    for first, *rest in summands:
+        cls = found[first]
+        for part in rest:
+            cls = EquivariantClass(pair, cls.polynomial + found[part].polynomial)
+        classes.append(cls)
+    return classes
 
 
 def verify_rows(
@@ -723,17 +726,16 @@ def verify_rows(
 ) -> list[tuple[str, bool]]:
     """Check fixture rows against propagated classes.
 
-    Every parameter is parsed before any class is computed.  Default
-    comparison is localization equality, one walk over the fixed points for
-    all rows; ``literal`` demands the exact canonical polynomial.
+    Every parameter, then every polynomial, is parsed before any class is
+    computed.  Default comparison is localization equality, one walk over
+    the fixed points for all rows; ``literal`` demands the exact canonical
+    polynomial.
     """
     space = pair.variable_space()
     params = [parse_orbit_parameter(pair, text, allow_union=True) for text, _ in rows]
-    classes = propagate_all(pair)
-    differences = []
-    for param, (_, poly_text) in zip(params, rows):
-        expected = parse_polynomial(poly_text, space)
-        differences.append(class_for_parameter(pair, classes, param).polynomial - expected)
+    expected = [parse_polynomial(text, space) for _, text in rows]
+    classes = parameter_classes(pair, params)
+    differences = [cls.polynomial - poly for cls, poly in zip(classes, expected)]
     if literal:
         checks = [not diff for diff in differences]
     else:

@@ -14,13 +14,13 @@ import os
 import sys
 
 from .classes import (
-    format_table, orbit_class, parse_fixture, propagate, to_chern_basis, verify_rows,
+    format_table, parameter_classes, parse_fixture, propagate, to_chern_basis, verify_rows,
 )
 from .counting import INNER_CLASSES, count_report
 from .errors import (
     ContractViolation, InternalError, UsageError, VerificationFailure, parse_decimal,
 )
-from .orbits import build_weak_order_graph, to_dot
+from .orbits import build_weak_order_graph, parse_orbit_parameter, to_dot
 from .pairs import SymmetricPair, parse_pair_spec
 from .weyl import group_order
 
@@ -153,7 +153,8 @@ def _cmd_chern(args) -> int:
     pair = parse_pair_spec(args.pair)
     if pair.root_family() != "A":
         raise UsageError("Chern rewriting is supported for type A pairs only")
-    print(to_chern_basis(orbit_class(pair, args.parameter)))
+    param = parse_orbit_parameter(pair, args.parameter, allow_union=True)
+    print(to_chern_basis(parameter_classes(pair, [param])[0]))
     return 0
 
 

@@ -21,10 +21,10 @@ from korbits.algebra import (
 from korbits.classes import (
     EquivariantClass,
     ambient_weyl,
-    class_for_parameter,
     closed_orbit_class,
     equal_via_localization,
     first_disagreement,
+    parameter_classes,
     staircase_determinant,
     propagate,
     propagate_all,
@@ -48,6 +48,7 @@ from korbits.weyl import (
     SignedPermutation,
     restriction_map,
     sign_stats,
+    signed_targets,
 )
 
 
@@ -462,11 +463,9 @@ def test_walk_matches_reference_walk_on_verify_tables(verify_tables):
         pair = parse_pair_spec(spec)
         if index < shipped:
             rows = rows + [(param, f"({text})+y1-x1") for param, text in rows]
-        classes = propagate_all(pair)
+        params = [parse_orbit_parameter(pair, param, allow_union=True) for param, _ in rows]
         want = []
-        for param, text in rows:
-            parsed = parse_orbit_parameter(pair, param, allow_union=True)
-            computed = class_for_parameter(pair, classes, parsed)
+        for (param, text), computed in zip(rows, parameter_classes(pair, params)):
             given = EquivariantClass(pair, poly(pair, text))
             w = first_disagreement_reference(computed, given)
             assert first_disagreement(computed, given) == w, (spec, param, text)
@@ -474,6 +473,46 @@ def test_walk_matches_reference_walk_on_verify_tables(verify_tables):
         assert verify_rows(pair, rows) == want, spec
         if index < shipped:
             assert not any(ok for _, ok in want[len(rows) // 2 :]), spec
+
+
+@pytest.mark.parametrize(
+    "spec", ["D:oo-odd:1,2", "D:oo-odd:2,2", "D:oo-odd:2,3", "D:oo-odd:3,2", "D:oo-odd:1,4"]
+)
+def test_kernel_certificate_keeps_every_path_check_witness(monkeypatch, spec):
+    # one torus coordinate of D:oo-odd restricts to zero, so first_disagreement
+    # drops the multiples of y1*...*ym before its walk: at every later arrival
+    # of the reference walk it still names the reference's fixed point
+    import oracles
+
+    localized = []
+
+    def compared(stored, candidate):
+        w = first_disagreement(stored, candidate)
+        assert w == first_disagreement_reference(stored, candidate), (spec, str(stored))
+        localized.append(stored.polynomial != candidate.polynomial)
+        return w
+
+    monkeypatch.setattr(oracles, "first_disagreement", compared)
+    propagate_all_reference(parse_pair_spec(spec))
+    assert any(localized)
+
+
+@pytest.mark.parametrize("spec", ["A:so:5", "D:oo-odd:1,2", "A:glpq:2,2"])
+def test_kernel_certificate_only_where_a_coordinate_restricts_to_zero(spec):
+    # y1*...*ym restricts to zero at every fixed point exactly when the plan
+    # table holds a 0 (A:so, D:oo-odd; not A:glpq).  A multiple of it plus
+    # one term that does not vanish, y2*...*ym*x1, names the reference's witness
+    pair = parse_pair_spec(spec)
+    space = pair.variable_space()
+    kernel = 0 in signed_targets(pair)
+    assert kernel == (spec != "A:glpq:2,2")
+    all_but_y1 = product(space, (space.y(j) for j in range(2, space.y_count + 1)))
+    multiple = space.y(1) * all_but_y1 * (space.x(1) + space.y(2))
+    zero = EquivariantClass(pair, space.zero())
+    for poly, vanishes in ((multiple, kernel), (multiple + space.x(1) * all_but_y1, False)):
+        cls = EquivariantClass(pair, poly)
+        w = first_disagreement_reference(cls, zero)
+        assert first_disagreement(cls, zero) == w and (w is None) == vanishes, (spec, str(poly))
 
 
 def test_localization_identifies_ideal_shifts():

@@ -7,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from korbits.classes import class_for_parameter, propagate_all, to_chern_basis
+from korbits.algebra import format_polynomial
+from korbits.clans import MINUS, PLUS
+from korbits.classes import EquivariantClass, closed_orbit_class, propagate_all, to_chern_basis
 from korbits.cli import main
-from korbits.orbits import build_weak_order_graph, parse_orbit_parameter
+from korbits.orbits import (
+    InvolutionOrbit, build_weak_order_graph, closed_orbits, parse_orbit_parameter,
+)
 from korbits.pairs import parse_pair_spec
 
 
@@ -155,8 +159,9 @@ def _chern_parameters(spec: str) -> list[str]:
 
 
 def test_chern_on_every_orbit_is_unchanged(capsys):
-    # each rewrite equals the one read from the whole propagated table, and
-    # the outputs hash as they did when chern propagated the whole table
+    # each rewrite equals the one read from the whole propagated table, an
+    # untagged split involution adding its two components' classes, and the
+    # outputs hash as they did when chern propagated the whole table
     digest = hashlib.sha256()
     for spec in ("A:glpq:2,2", "A:so-even:4", "A:sp:6"):
         pair = parse_pair_spec(spec)
@@ -164,7 +169,11 @@ def test_chern_on_every_orbit_is_unchanged(capsys):
         for text in _chern_parameters(spec):
             code, out, err = run(capsys, "chern", spec, "--", text)
             param = parse_orbit_parameter(pair, text, allow_union=True)
-            want = to_chern_basis(class_for_parameter(pair, classes, param))
+            parts = [param] if param in classes else [
+                InvolutionOrbit(param.involution, tag) for tag in (PLUS, MINUS)
+            ]
+            polys = [classes[part].polynomial for part in parts]
+            want = to_chern_basis(EquivariantClass(pair, sum(polys[1:], polys[0])))
             assert (code, out, err) == (0, f"{want}\n", ""), (spec, text)
             digest.update(f"{spec} {text} {code}\n{out}".encode())
     assert digest.hexdigest() == "a80c12850e3babcbffab622b801a9567a560a3307fd0fd8bc3cb8064990a6d7a"
@@ -182,21 +191,48 @@ def test_chern_takes_each_parameter_as_orbits_prints_it(capsys):
     assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
 
 
-def test_chern_of_a_closed_orbit_stops_the_walk(capsys, monkeypatch):
+@pytest.fixture
+def yielded(monkeypatch):
+    """The nodes the class walk yields, in order."""
     import korbits.classes
 
-    yielded, propagate = [], korbits.classes.propagate
+    nodes, propagate = [], korbits.classes.propagate
 
     def counted(pair):
         for node, cls in propagate(pair):
-            yielded.append(node)
+            nodes.append(node)
             yield node, cls
 
     monkeypatch.setattr(korbits.classes, "propagate", counted)
+    return nodes
+
+
+def test_chern_of_a_closed_orbit_stops_the_walk(capsys, yielded):
     code, out, _ = run(capsys, "chern", "A:glpq:3,3", "(+,+,+,-,-,-)")
     assert code == 0 and out
     table = build_weak_order_graph(parse_pair_spec("A:glpq:3,3")).nodes
     assert 0 < len(yielded) < len(table)
+
+
+def test_verify_of_closed_rows_stops_the_walk(capsys, tmp_path, yielded):
+    # the closed orbits come first in the walk, so nothing above them is computed
+    pair = parse_pair_spec("A:glpq:3,3")
+    lines = [f"# pair: {pair.spec_string()}"] + [
+        f"{param} := {format_polynomial(closed_orbit_class(pair, param).polynomial)}"
+        for param, _ in closed_orbits(pair)
+    ]
+    fixture = tmp_path / "closed.txt"
+    fixture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(fixture))
+    assert code == 0 and out.endswith("20/20 rows verified (localization)\n")
+    assert 0 < len(yielded) < len(build_weak_order_graph(pair).nodes)
+
+
+def test_verify_refuses_a_bad_polynomial_before_the_walk(capsys, tmp_path, yielded):
+    fixture = tmp_path / "bad.txt"
+    fixture.write_text("# pair: C:gl:5\n(1,2,3,4,5,5,4,3,2,1) := x1^\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(fixture))
+    assert (code, err, yielded) == (2, "error: unexpected end of polynomial\n", [])
 
 
 def test_fixture_env_override(tmp_path, capsys, monkeypatch):
@@ -427,14 +463,24 @@ def test_verify_localize_outputs_match_workload(capsys, tmp_path, workloads, see
         assert hashlib.sha256(out.encode()).hexdigest() == call.sha256, call.args
 
 
-def test_traced_verify_counts_fixed_points_and_parses(tmp_path):
+def test_traced_verify_counts_fixed_points_and_parses(tmp_path, workloads):
     # the benchmark's tracer counts fixed points through
     # classes.ambient_weyl and parses through algebra.parse_polynomial;
-    # a walk or a parser that bypassed either would zero its metric
+    # a walk or a parser that bypassed either would zero its metric.  Each
+    # shipped row differs from its class by a multiple of y1*y2*y3, which
+    # the kernel certificate settles without a walk, so the table adds the
+    # benchmark's W-invariant to every row: it restricts to zero at every
+    # fixed point, and only a walk over all of them shows it
     from korbits.classes import parse_fixture
+    from korbits.weyl import restriction_map
 
     root = Path(__file__).resolve().parents[1]
-    fixture = root / "src" / "korbits" / "fixtures" / "d-oo-odd-1-2.txt"
+    shipped = root / "src" / "korbits" / "fixtures" / "d-oo-odd-1-2.txt"
+    spec, rows = parse_fixture(shipped.read_text(encoding="utf-8"))
+    invariant = workloads._invariant_text(restriction_map(parse_pair_spec(spec)))
+    fixture = tmp_path / "d-oo-odd-1-2.txt"
+    lines = [f"# pair: {spec}"] + [f"{param} := ({text})+({invariant})" for param, text in rows]
+    fixture.write_text("\n".join(lines) + "\n", encoding="utf-8")
     trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     tracer = root / "perfbench" / "trace_child.py"
@@ -444,7 +490,6 @@ def test_traced_verify_counts_fixed_points_and_parses(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(trace.read_text())
-    rows = parse_fixture(fixture.read_text(encoding="utf-8"))[1]
     assert report["counters"]["weyl.fixed_points"] > 0
     assert report["spans"]["algebra.parse_polynomial"]["calls"] == len(rows)
 
