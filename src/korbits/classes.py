@@ -1,8 +1,9 @@
 """Equivariant fundamental classes of orbit closures.
 
-Closed orbits get explicit polynomial representatives (products of linear
-forms, or for the two general-linear subgroup cases signed y-permutations
-of one determinant of elementary-symmetric entries).  Every other class
+Closed orbits get explicit polynomial representatives, read off the orbit
+parameter (products of linear forms, or for the two general-linear
+subgroup cases signed y-permutations of one determinant of
+elementary-symmetric entries).  Every other class
 is produced by divided difference operators walking up the weak order,
 dividing by the cover degree on degree-two edges.  Correctness is checked
 against localization: restriction at a torus fixed point is polynomial
@@ -45,15 +46,7 @@ from .orbits import (
 )
 from .pairs import SymmetricPair
 from .records import Record, set_fields
-from .weyl import (
-    SignedPermutation,
-    group_images,
-    l_p,
-    restriction_map,
-    sign_stats,
-    signed_targets,
-    unequal_rank_stats,
-)
+from .weyl import SignedPermutation, group_images, restriction_map, signed_targets
 
 
 class EquivariantClass(Record):
@@ -81,10 +74,17 @@ class EquivariantClass(Record):
 # closed orbit formulas
 
 
-def _signed_y(space: VariableSpace, w: SignedPermutation, j: int) -> Polynomial:
-    """y_{w^{-1}(j)} with the sign convention for signed permutations."""
-    v = w.inverse().images[j - 1]
-    return space.y(v) if v > 0 else -space.y(-v)
+def _sign_split(signs) -> tuple[int, list[int], list[int]]:
+    """The number of pairs i < j with signs (-, +), the + positions and
+    the - positions of a sign string, counting positions from 1."""
+    inversions, plus, minus = 0, [], []
+    for i, sign in enumerate(signs, start=1):
+        if sign == PLUS:
+            plus.append(i)
+            inversions += len(minus)
+        else:
+            minus.append(i)
+    return inversions, plus, minus
 
 
 def _cross_sums(space: VariableSpace, n: int, size: int) -> list[Polynomial]:
@@ -97,18 +97,15 @@ def _cross_sums(space: VariableSpace, n: int, size: int) -> list[Polynomial]:
     ]
 
 
-def _closed_glpq(pair, param, rep, space) -> EquivariantClass:
-    n, p = pair.n, pair.p
-    inv = rep.inverse()
-    factors = [space.const((-1) ** l_p(rep, p))] + [
-        space.x(i) - space.y(inv.images[j - 1])
-        for i in range(1, p + 1)
-        for j in range(p + 1, n + 1)
+def _closed_glpq(pair, param, space) -> EquivariantClass:
+    inversions, _, minus = _sign_split(param.mates)
+    factors = [space.const((-1) ** inversions)] + [
+        space.x(i) - space.y(j) for i in range(1, pair.p + 1) for j in minus
     ]
     return EquivariantClass.from_factors(pair, factors)
 
 
-def _closed_so_odd(pair, param, rep, space) -> EquivariantClass:
+def _closed_so_odd(pair, param, space) -> EquivariantClass:
     n = pair.n
     factors = [space.const((-2) ** n)]
     for i in range(1, n + 1):
@@ -118,11 +115,11 @@ def _closed_so_odd(pair, param, rep, space) -> EquivariantClass:
     return EquivariantClass.from_factors(pair, factors)
 
 
-def _closed_sp(pair, param, rep, space) -> EquivariantClass:
+def _closed_sp(pair, param, space) -> EquivariantClass:
     return EquivariantClass.from_factors(pair, _cross_sums(space, pair.n, 2 * pair.n))
 
 
-def _closed_so_even(pair, param, rep, space) -> EquivariantClass:
+def _closed_so_even(pair, param, space) -> EquivariantClass:
     n = pair.n
     x_mono = product(space, (space.x(i) for i in range(1, n + 1)))
     y_mono = product(space, (space.y(i) for i in range(1, n + 1)))
@@ -134,41 +131,39 @@ def _closed_so_even(pair, param, rep, space) -> EquivariantClass:
     return EquivariantClass.from_factors(pair, factors)
 
 
-def _closed_blocks(pair, param, rep, space) -> EquivariantClass:
-    n, p = pair.n, pair.p
-    factors = [space.const((-1) ** l_p(rep.absolute(), p))]
+def _closed_blocks(pair, param, space) -> EquivariantClass:
+    inversions, plus, minus = _sign_split(param.mates[: pair.n])
+    factors = [space.const((-1) ** inversions)]
     if pair.root_family() == "B":
-        inv_abs = rep.absolute().inverse()
-        factors += [space.y(inv_abs.images[k - 1]) for k in range(1, p + 1)]
-    for i in range(1, p + 1):
-        for j in range(p + 1, n + 1):
-            yj = _signed_y(space, rep, j)
-            factors.append(space.x(i) - yj)
-            factors.append(space.x(i) + yj)
+        factors += [space.y(k) for k in plus]
+    for i in range(1, pair.p + 1):
+        for j in minus:
+            factors.append(space.x(i) - space.y(j))
+            factors.append(space.x(i) + space.y(j))
     return EquivariantClass.from_factors(pair, factors)
 
 
-def _closed_gl(pair, param, rep, space) -> EquivariantClass:
-    """The staircase determinant at the identity, with each y_k sent to
-    the signed y of rep^{-1}(k): one substitution of its compiled terms.
-    The sign is (-1)^(f+g), which is D:gl's (-1)^g as f is even in type D."""
-    _, count, shift = sign_stats(rep)
-    plan = [(1 if v > 0 else -1, space.shifts[space.y_slot(abs(v))]) for v in rep.inverse().images]
-    compiled = _staircase_terms(space, pair.n, pair.kind.ambient == "D")
+def _closed_gl(pair, param, space) -> EquivariantClass:
+    """The staircase determinant at the identity, with y_k negated at each
+    - position k of the clan's first half: one substitution of its compiled
+    terms.  The sign is (-1)^(f+g) over those positions, f their number and
+    g the sum of n - k, which is D:gl's (-1)^g as f is even in type D."""
+    n = pair.n
+    _, _, minus = _sign_split(param.mates[:n])
+    plan = [(-1 if k in minus else 1, space.shifts[space.y_slot(k)]) for k in range(1, n + 1)]
+    compiled = _staircase_terms(space, n, pair.kind.ambient == "D")
     poly = Polynomial(space, substitute_terms(compiled, plan))
-    return EquivariantClass(pair, -poly if (count + shift) % 2 else poly)
+    return EquivariantClass(pair, -poly if sum(n + 1 - k for k in minus) % 2 else poly)
 
 
-def _closed_oo_odd(pair, param, rep, space) -> EquivariantClass:
-    n, p = pair.n, pair.p
-    _, _, f = unequal_rank_stats(rep, p)
-    factors = [space.const((-1) ** f)] + [space.y(k) for k in range(1, n)]
-    inv = rep.inverse()
-    for i in range(1, p + 1):
-        for j in range(p + 2, n + 1):
-            yj = space.y(inv.images[j - 1])
-            factors.append(space.x(i) + yj)
-            factors.append(space.x(i) - yj)
+def _closed_oo_odd(pair, param, space) -> EquivariantClass:
+    n = pair.n
+    inversions, _, minus = _sign_split(param.mates[: n - 1])
+    factors = [space.const((-1) ** inversions)] + [space.y(k) for k in range(1, n)]
+    for i in range(1, pair.p + 1):
+        for j in minus:
+            factors.append(space.x(i) + space.y(j))
+            factors.append(space.x(i) - space.y(j))
     return EquivariantClass.from_factors(pair, factors)
 
 
@@ -184,34 +179,20 @@ _CLOSED_CLASSES = {
 }
 
 
-def closed_orbit_class(
-    pair: SymmetricPair,
-    param: OrbitParameter,
-    rep: Optional[SignedPermutation] = None,
-) -> EquivariantClass:
+def closed_orbit_class(pair: SymmetricPair, param: OrbitParameter) -> EquivariantClass:
     """The explicit class of a closed orbit (disconnected subgroups get
-    the whole-orbit formula, i.e. the sum over components).
-
-    The stored representative is used by default; passing another fixed
-    point of the same orbit must give the same polynomial, which the
-    tests exercise.
-    """
-    found = _closed_representative(pair, param)
-    if rep is None:
-        rep = found
-    elif not _closed_member(pair, param, rep):
-        raise ContractViolation("representative does not lie in the orbit")
-    return _CLOSED_CLASSES[pair.kind.closed](pair, param, rep, pair.variable_space())
+    the whole-orbit formula, i.e. the sum over components), read off the
+    orbit parameter alone.  Any other orbit is refused."""
+    _require_closed(pair, param)
+    return _CLOSED_CLASSES[pair.kind.closed](pair, param, pair.variable_space())
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_representative(pair: SymmetricPair, param: OrbitParameter) -> SignedPermutation:
-    """The stored fixed point of a closed orbit; any other orbit is refused.
-    Cached, as the weight-product oracle asks once per fixed point."""
-    for closed_param, closed_rep in closed_orbits(pair):
-        if closed_param == param:
-            return closed_rep
-    raise ContractViolation(f"{param} is not a closed orbit of {pair.describe()}")
+def _require_closed(pair: SymmetricPair, param: OrbitParameter) -> None:
+    """Refuse an orbit that is not closed.  Cached, as the weight-product
+    oracle asks once per fixed point."""
+    if all(param != closed for closed, _ in closed_orbits(pair)):
+        raise ContractViolation(f"{param} is not a closed orbit of {pair.describe()}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,7 +395,7 @@ def weight_product_oracle(
     the orbit the result is zero, matching the class's vanishing.  Only
     closed orbits are accepted.
     """
-    _closed_representative(pair, param)
+    _require_closed(pair, param)
     space = pair.variable_space()
     if not _closed_member(pair, param, w):
         return space.zero()

@@ -54,8 +54,6 @@ def _involutions(family: str, n: int, parity: str = "any"):
                 continue
             if parity == "odd" and changes % 2 == 0:
                 continue
-            if parity == "even" and changes % 2:
-                continue
             yield SignedPermutation(family, images)
 
 

@@ -445,16 +445,6 @@ class WeakEdge(Record):
         set_field(self, "root_index", root_index)
         set_field(self, "degree", degree)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.source, self.target, self.root_index, self.degree) == (
-            other.source, other.target, other.root_index, other.degree
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.root_index, self.degree))
-
 
 class WeakOrderGraph(Record):
     __slots__ = ("pair", "nodes", "edges", "closed", "dense", "level")

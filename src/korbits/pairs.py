@@ -40,7 +40,7 @@ class ClanRule(Record):
 
 class InnerClass(Record):
     """An inner class of involutions of the signed group ``family`` (with
-    the given sign-change ``parity``).  The one-sided fiber over a twisted
+    the sign-change ``parity`` "any" or "odd").  The one-sided fiber over a twisted
     involution has 2^k points, k its positive fixed points, or 2^(k+1) when
     ``doubled`` and no position is swapped with its mirror."""
 

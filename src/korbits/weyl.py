@@ -6,6 +6,8 @@ any number of sign changes, "D" signed permutations with an even number.
 Generator conventions (fixed once, all other modules depend on them):
 s_i swaps positions i, i+1; the last BC generator negates n; the last D
 generator swaps and negates n-1, n.
+No statistic of an element lives here: the signs of the closed-orbit
+formulas are read off the clans' sign strings, in ``classes``.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class SignedPermutation(Record):
         if family not in ("A", "BC", "D"):
             raise ContractViolation(f"unknown family {family!r}")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.images == other.images and self.family == other.family
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.images))
-
     # -- basics -----------------------------------------------------------
 
     @property
@@ -79,19 +73,6 @@ class SignedPermutation(Record):
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return self.compose(other)
 
-    def inverse(self) -> "SignedPermutation":
-        images = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            if v > 0:
-                images[v - 1] = i
-            else:
-                images[-v - 1] = -i
-        return SignedPermutation(self.family, tuple(images))
-
-    def absolute(self) -> "SignedPermutation":
-        """The underlying unsigned permutation, as a type A element."""
-        return SignedPermutation("A", tuple(abs(v) for v in self.images))
-
     # -- embeddings ---------------------------------------------------------
 
     def embed_as_permutation(self, ambient: int) -> "SignedPermutation":
@@ -113,10 +94,7 @@ class SignedPermutation(Record):
             images[ambient - i] = ambient + 1 - images[i - 1]
         return SignedPermutation("A", tuple(images))
 
-    # -- statistics -----------------------------------------------------------
-
-    def neg_set(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.images, start=1) if v < 0)
+    # -- printing -------------------------------------------------------------
 
     def cycle_string(self) -> str:
         """Cycle notation for plain permutations (used for involutions)."""
@@ -211,53 +189,6 @@ def group_order(family: str, n: int) -> int:
     if family == "BC":
         return base << n
     return base << max(n - 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# statistics used in sign prefactors
-
-
-def l_p(w: SignedPermutation, p: int) -> int:
-    """Count pairs i < j with w(j) <= p < w(i), for a plain permutation."""
-    if w.family != "A":
-        raise ContractViolation("l_p is a statistic of plain permutations")
-    if not 0 <= p <= w.n:
-        raise ContractViolation("p out of range")
-    count = 0
-    for i in range(w.n):
-        for j in range(i + 1, w.n):
-            if w.images[j] <= p < w.images[i]:
-                count += 1
-    return count
-
-
-def sign_stats(w: SignedPermutation) -> tuple[tuple[int, ...], int, int]:
-    """(Neg(w), f(w), g(w)) with g = sum of (n - i) over i in Neg(w)."""
-    neg = w.neg_set()
-    return neg, len(neg), sum(w.n - i for i in neg)
-
-
-def unequal_rank_stats(w: SignedPermutation, p: int) -> tuple[tuple[int, ...], dict[int, int], int]:
-    """(I_w, C, f) for a standard representative in the unequal-rank split.
-
-    Requires: w plain, w(n) = p+1, and the preimages of 1..p and of
-    p+2..n appear in increasing order.
-    """
-    n = w.n
-    if any(v < 0 for v in w.images):
-        raise ContractViolation("standard representatives change no signs")
-    if w.images[-1] != p + 1:
-        raise ContractViolation("standard representative must send n to p+1")
-    inv = w.inverse()
-    low = [inv.images[v - 1] for v in range(1, p + 1)]
-    high = [inv.images[v - 1] for v in range(p + 2, n + 1)]
-    if low != sorted(low) or high != sorted(high):
-        raise ContractViolation("standard representative has scrambled blocks")
-    i_set = tuple(i for i in range(1, n) if w.images[i - 1] > p + 1)
-    c_map = {
-        i: sum(1 for j in range(i + 1, n) if w.images[j - 1] <= p) for i in i_set
-    }
-    return i_set, c_map, sum(c_map.values())
 
 
 # ---------------------------------------------------------------------------

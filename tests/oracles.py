@@ -26,6 +26,11 @@ the code it checks.  ``map_y`` is the former ``Polynomial.map_y``, on
 exponent tuples, and ``closed_gl_reference`` the former general-linear
 closed class built with it: the pair's staircase determinant relabelled,
 then multiplied by its sign through the generic product.
+``closed_class_reference`` is the former representative-based form of
+every closed-orbit formula, read off a torus-fixed point through ``l_p``,
+``sign_stats`` and ``unequal_rank_stats``, the statistics the library now
+reads off the clan's sign string; ``inverse`` and ``absolute`` are former
+``SignedPermutation`` methods.
 
 ``enumerate_group`` wraps each image tuple of ``weyl.group_images`` in a
 ``SignedPermutation`` without validating it again, for the tests that need
@@ -61,12 +66,14 @@ from korbits.algebra import (
     compose,
     divided_difference,
     exact_divide,
+    product,
     substitute_terms,
 )
 from korbits.clans import Clan
 from korbits.classes import (
     ChernExpression,
     EquivariantClass,
+    _staircase_terms,
     closed_orbit_class,
     first_disagreement,
     staircase_determinant,
@@ -75,7 +82,7 @@ from korbits.errors import ContractViolation, InternalError, UsageError, parse_d
 from korbits.orbits import InvolutionOrbit, OrbitParameter, build_weak_order_graph
 from korbits.pairs import SymmetricPair
 from korbits.records import set_field
-from korbits.weyl import SignedPermutation, group_images, restriction_map, sign_stats
+from korbits.weyl import SignedPermutation, group_images, restriction_map
 
 
 def parse_polynomial_reference(text: str, space: VariableSpace) -> Polynomial:
@@ -361,13 +368,113 @@ def divided_difference_by_division(f: Polynomial, family: str, i: int) -> Polyno
     return exact_divide(f - reflect(f, family, i), simple_root(f.space, family, i))
 
 
+def inverse(w: SignedPermutation) -> SignedPermutation:
+    images = [0] * w.n
+    for i, v in enumerate(w.images, start=1):
+        images[abs(v) - 1] = i if v > 0 else -i
+    return SignedPermutation(w.family, tuple(images))
+
+
+def absolute(w: SignedPermutation) -> SignedPermutation:
+    """The underlying unsigned permutation, as a type A element."""
+    return SignedPermutation("A", tuple(abs(v) for v in w.images))
+
+
+def l_p(w: SignedPermutation, p: int) -> int:
+    """Count pairs i < j with w(j) <= p < w(i), for a plain permutation."""
+    if w.family != "A":
+        raise ContractViolation("l_p is a statistic of plain permutations")
+    if not 0 <= p <= w.n:
+        raise ContractViolation("p out of range")
+    count = 0
+    for i in range(w.n):
+        for j in range(i + 1, w.n):
+            if w.images[j] <= p < w.images[i]:
+                count += 1
+    return count
+
+
+def sign_stats(w: SignedPermutation) -> tuple[tuple[int, ...], int, int]:
+    """(Neg(w), f(w), g(w)) with g = sum of (n - i) over i in Neg(w)."""
+    neg = tuple(i for i, v in enumerate(w.images, start=1) if v < 0)
+    return neg, len(neg), sum(w.n - i for i in neg)
+
+
+def unequal_rank_stats(w: SignedPermutation, p: int) -> tuple[tuple[int, ...], dict[int, int], int]:
+    """(I_w, C, f) for a standard representative in the unequal-rank split.
+
+    Requires: w plain, w(n) = p+1, and the preimages of 1..p and of
+    p+2..n appear in increasing order.
+    """
+    n = w.n
+    if any(v < 0 for v in w.images):
+        raise ContractViolation("standard representatives change no signs")
+    if w.images[-1] != p + 1:
+        raise ContractViolation("standard representative must send n to p+1")
+    inv = inverse(w)
+    low = [inv.images[v - 1] for v in range(1, p + 1)]
+    high = [inv.images[v - 1] for v in range(p + 2, n + 1)]
+    if low != sorted(low) or high != sorted(high):
+        raise ContractViolation("standard representative has scrambled blocks")
+    i_set = tuple(i for i in range(1, n) if w.images[i - 1] > p + 1)
+    c_map = {
+        i: sum(1 for j in range(i + 1, n) if w.images[j - 1] <= p) for i in i_set
+    }
+    return i_set, c_map, sum(c_map.values())
+
+
+def closed_class_reference(pair: SymmetricPair, param: OrbitParameter, rep) -> Polynomial:
+    """The closed class of ``param`` read off a torus-fixed point ``rep``
+    of the orbit, as the paper writes it: a product of linear forms in
+    y_{rep^{-1}(j)}, signed by l_p, Neg or the unequal-rank count f, or for
+    the general-linear pairs ``closed_gl_reference``.  The three
+    involution rules never read a fixed point, so the library's class is
+    their reference.  Raises ``ContractViolation`` at a fixed point that a
+    statistic does not accept."""
+    space = pair.variable_space()
+    n, p, rule = pair.n, pair.p, pair.kind.closed
+    if rule == "gl":
+        _, count, shift = sign_stats(rep)
+        plan = [(1 if v > 0 else -1, space.shifts[space.y_slot(abs(v))]) for v in inverse(rep).images]
+        compiled = _staircase_terms(space, n, pair.kind.ambient == "D")
+        poly = Polynomial(space, substitute_terms(compiled, plan))
+        return -poly if (count + shift) % 2 else poly
+    if rule not in ("glpq", "blocks", "oo_odd"):
+        return closed_orbit_class(pair, param).polynomial
+    inv = inverse(rep)
+
+    def signed_y(j):
+        v = inv.images[j - 1]
+        return space.y(v) if v > 0 else -space.y(-v)
+
+    if rule == "glpq":
+        factors = [space.const((-1) ** l_p(rep, p))] + [
+            space.x(i) - signed_y(j) for i in range(1, p + 1) for j in range(p + 1, n + 1)
+        ]
+    elif rule == "blocks":
+        factors = [space.const((-1) ** l_p(absolute(rep), p))]
+        if pair.root_family() == "B":
+            inv_abs = inverse(absolute(rep))
+            factors += [space.y(inv_abs.images[k - 1]) for k in range(1, p + 1)]
+        for i in range(1, p + 1):
+            for j in range(p + 1, n + 1):
+                factors += [space.x(i) - signed_y(j), space.x(i) + signed_y(j)]
+    else:
+        f = unequal_rank_stats(rep, p)[2]
+        factors = [space.const((-1) ** f)] + [space.y(k) for k in range(1, n)]
+        for i in range(1, p + 1):
+            for j in range(p + 2, n + 1):
+                factors += [space.x(i) + signed_y(j), space.x(i) - signed_y(j)]
+    return product(space, factors)
+
+
 def closed_gl_reference(pair, rep) -> Polynomial:
     """The closed class of a general-linear pair at the fixed point rep."""
     _, count, shift = sign_stats(rep)
     half = pair.kind.ambient == "D"
     sign = (-1) ** shift if half else (-1) ** (count + shift)
     base = staircase_determinant(pair.variable_space(), pair.n, half)
-    return sign * map_y(base, [(1 if v > 0 else -1, abs(v)) for v in rep.inverse().images])
+    return sign * map_y(base, [(1 if v > 0 else -1, abs(v)) for v in inverse(rep).images])
 
 
 def _trusted(family: str, images: tuple[int, ...]) -> SignedPermutation:
@@ -448,13 +555,13 @@ def twisted_involution_action(
     The three branches: drop (no move), left product (when the twisted
     action fixes a), twisted conjugation otherwise.
     """
-    if theta(a) != a.inverse():
+    if theta(a) != inverse(a):
         raise ContractViolation("not a twisted involution for this twist")
     s = _transposition(a.n, i)
     sa = s * a
     if coxeter_length(sa) < coxeter_length(a):
         return a
-    twisted = sa * theta(s).inverse()
+    twisted = sa * inverse(theta(s))
     return sa if twisted == a else twisted
 
 
@@ -470,7 +577,7 @@ def cross_action(
             moved[image - 1] = sym
         return Clan(moved)
     inv = SignedPermutation("A", param.involution)
-    conjugated = (w * inv) * w.inverse()
+    conjugated = (w * inv) * inverse(w)
     return InvolutionOrbit(conjugated.images, param.component)
 
 

