@@ -16,11 +16,11 @@ leading-term extraction and exact division.  A monomial product is one
 integer add; every product checks first that its degree stays within
 ``MAX_DEGREE``, so no field can carry.
 
-On top of the ring operations the module provides composition (x's
-replaced by polynomials, y's passed through), elementary symmetric
-polynomials, determinants of polynomial matrices by cofactor expansion,
-exact division, divided difference operators for the classical root
-systems, and a text grammar used by fixtures and the CLI.  A divided
+On top of the ring operations the module provides the carrying of a
+y-polynomial to another x-bank, elementary symmetric polynomials,
+determinants of polynomial matrices by cofactor expansion, exact
+division, divided difference operators for the classical root systems,
+and a text grammar used by fixtures and the CLI.  A divided
 difference applies the closed form of its root's shape, which with the
 root's variables is all that a :class:`SimpleRootAction` records.
 Every substitution of variables runs through the one loop
@@ -436,40 +436,16 @@ def product(space: VariableSpace, factors: Iterable[Polynomial]) -> Polynomial:
     return result
 
 
-def compose(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Replace each x-variable of ``poly`` by its image; the y's pass through.
-
-    ``images[i-1]`` is the image of x_i.  The images share one space, which
-    the result lives in and whose y-bank matches that of ``poly``.  Each
-    x-part is expanded once, and the terms accumulate in one dict, so the
-    cost is linear in the terms of ``poly``.
-    """
-    r, m = poly.space.x_count, poly.space.y_count
-    if len(images) != r or not images:
-        raise ContractViolation("compose needs one image per x-variable")
-    space = images[0].space
-    if any(image.space != space for image in images) or space.y_count != m:
-        raise ContractViolation("images must share one space with the same y-bank")
-    source, ybits = poly.space, FIELD_BITS * m
-    # degree and x-fields of a term -> (image of its x-part, its y-degree field)
-    parts: dict[Monomial, tuple] = {}
-    terms: dict[Monomial, Scalar] = {}
-    get = terms.get
-    for mono, coeff in poly.terms.items():
-        part = parts.get(mono >> ybits)
-        if part is None:
-            xs = source.exponents(mono)[:r]
-            image = product(space, (images[i] ** e for i, e in enumerate(xs) if e))
-            ydegree = (mono >> source.degree_shift) - sum(xs)
-            if image.total_degree() + ydegree > MAX_DEGREE:
-                raise ContractViolation(f"a composite of degree above {MAX_DEGREE} does not pack")
-            part = parts[mono >> ybits] = (image.terms.items(), ydegree << space.degree_shift)
-        image, ys = part
-        ys += mono & ((1 << ybits) - 1)
-        for key, c in image:
-            key += ys
-            terms[key] = get(key, 0) + coeff * c
-    return Polynomial(space, terms)
+def lift_y(poly: Polynomial, space: VariableSpace) -> Polynomial:
+    """A polynomial in the y's alone, carried to ``space``, whose y-bank
+    is the same: each term keeps its degree and its y-fields."""
+    source, ybits = poly.space, FIELD_BITS * poly.space.y_count
+    xfields = (1 << source.degree_shift) - (1 << ybits)
+    if space.y_count != source.y_count or any(mono & xfields for mono in poly.terms):
+        raise ContractViolation("lift_y carries a y-polynomial to a space with its y-bank")
+    ys, shift = (1 << ybits) - 1, space.degree_shift
+    terms = {(m >> source.degree_shift << shift) + (m & ys): c for m, c in poly.terms.items()}
+    return Polynomial._from_clean(space, terms)
 
 
 def split_leading_x(poly: Polynomial) -> tuple[tuple[int, ...], Polynomial]:

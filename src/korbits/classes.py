@@ -22,27 +22,25 @@ from .algebra import (
     Polynomial,
     VariableSpace,
     compile_terms,
-    compose,
     divided_difference,
     elementary_symmetric,
     format_polynomial,
+    lift_y,
     parse_polynomial,
     poly_determinant,
     product,
     split_leading_x,
     substitute_terms,
 )
-from .clans import MINUS, PLUS
+from .clans import PLUS
 from .errors import ContractViolation, InternalError, UsageError
 from .orbits import (
-    InvolutionOrbit,
     OrbitParameter,
     WeakEdge,
     _component_representatives,
-    _has_fixed_point,
     build_weak_order_graph,
-    closed_orbits,
     parse_orbit_parameter,
+    split_components,
 )
 from .pairs import SymmetricPair
 from .records import Record, set_fields
@@ -187,11 +185,9 @@ def closed_orbit_class(pair: SymmetricPair, param: OrbitParameter) -> Equivarian
     return _CLOSED_CLASSES[pair.kind.closed](pair, param, pair.variable_space())
 
 
-@functools.lru_cache(maxsize=None)
 def _require_closed(pair: SymmetricPair, param: OrbitParameter) -> None:
-    """Refuse an orbit that is not closed.  Cached, as the weight-product
-    oracle asks once per fixed point."""
-    if all(param != closed for closed, _ in closed_orbits(pair)):
+    """Refuse an orbit that is not closed in the pair's cached graph."""
+    if param not in build_weak_order_graph(pair).closed:
         raise ContractViolation(f"{param} is not a closed orbit of {pair.describe()}")
 
 
@@ -452,16 +448,23 @@ def propagate(pair: SymmetricPair) -> Iterator[tuple[OrbitParameter, Equivariant
     are walked and its class is dropped, so only about two levels of
     classes are alive at a time.  A node with several incoming edges keeps
     the first arrival; every later arrival is checked against it by
-    localization.
+    localization.  The class of the dense orbit, whose closure is G/B,
+    must be 1, which also catches a fault that every path carries alike.
     """
     graph = build_weak_order_graph(pair)
     spec = pair.spec_string()
     actions = [pair.root_action(i) for i in range(1, pair.num_simple_roots() + 1)]
     live = {param: closed_orbit_class(pair, param) for param in graph.closed}
+    unit = EquivariantClass(pair, pair.variable_space().one())
     done: set = set()
     edges, k = graph.edges, 0
     for node in graph.nodes:
         cls = live.pop(node)
+        if node == graph.dense and (w := first_disagreement(cls, unit)) is not None:
+            raise InternalError(
+                f"{spec}: the class of the dense orbit {node} is not 1: it differs"
+                f" from 1 at fixed point w = {w}"
+            )
         yield node, cls
         done.add(node)
         while k < len(edges) and edges[k].source == node:
@@ -599,8 +602,6 @@ def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
     space = pair.variable_space()
     out = VariableSpace(p + q + 1, space.y_count)
     generators = ChernExpression(pair, blocks, out.zero()).generators()
-    # c is a polynomial in the y's alone, so this carries it to the output space
-    lift = [out.zero()] * space.x_count
     result, work = out.zero(), cls.polynomial
     while work:
         a, c = split_leading_x(work)
@@ -611,11 +612,11 @@ def to_chern_basis(cls: EquivariantClass) -> ChernExpression:
             for start, stop in ((0, p), (p, p + q))
             for k in range(start, stop)
         ]
-        monomial = out.monomial(zs + [0 if p + q else min(a)] + [0] * out.y_count)
-        expansion = compose(monomial, generators)
+        exponents = zs + [0 if p + q else min(a)]
+        expansion = product(space, (g**e for g, e in zip(generators, exponents) if e))
         if split_leading_x(expansion)[0] != a:
             raise ContractViolation(message)
-        result = result + compose(c, lift) * monomial
+        result = result + lift_y(c, out) * out.monomial(exponents + [0] * out.y_count)
         work = work - c * expansion
     return ChernExpression(pair, blocks, result)
 
@@ -670,12 +671,10 @@ def parse_fixture(text: str) -> tuple[Optional[str], list[tuple[str, str]]]:
 
 
 def _summands(pair: SymmetricPair, param: OrbitParameter) -> tuple:
-    """The orbits whose classes add up to the parameter's: the two
-    components of an untagged split involution, else the orbit itself."""
-    split = pair.kind.involutions == "split" and not param.component
-    if split and not _has_fixed_point(param.involution):
-        return tuple(InvolutionOrbit(param.involution, tag) for tag in (PLUS, MINUS))
-    return (param,)
+    """The orbits whose classes add up to the parameter's: the orbit
+    itself when it is a node of the pair's graph, else the two components
+    of an untagged split involution."""
+    return (param,) if param in build_weak_order_graph(pair).level else split_components(param)
 
 
 def parameter_classes(pair: SymmetricPair, params: list[OrbitParameter]) -> list[EquivariantClass]:

@@ -1,19 +1,21 @@
 """Orbit parametrizations and the weak closure order.
 
 An orbit parameter is the label itself: a ``Clan`` (of the pair's clan
-rule) or an ``InvolutionOrbit``, an involution of the ambient
-symmetric group whose component "+" or "-" tags one of the two halves of
-a split fixed-point-free involution of the even special-orthogonal pair
-and is empty otherwise.  The module builds the weak-order
-graph by breadth-first raising from the closed orbits, classifies simple
-roots (complex / non-compact imaginary of type I or II), and provides a
-closure-order comparator and DOT emission.  The graph takes its order
-from the sorted enumeration, and clan moves read and write a clan's
-mates without renumbering.  Every clan move is the type A move at one or two windows: at
-positions (i, i+1) and, for i < n, at their mirror images.  Type D's
-alpha_n is the alpha_{n-1} move seen through the diagram flip that swaps
-positions n and n+1.  Only type B's alpha_n and the degree-two raises of
-the orthogonal pairs add a rule of their own.
+rule) or an ``InvolutionOrbit``, an involution of the ambient symmetric
+group whose component "+" or "-" tags one of the two halves of a split
+fixed-point-free involution of the even special-orthogonal pair and is
+empty otherwise.  The module builds the weak-order graph by
+breadth-first raising from the closed orbits, classifies simple roots
+(complex / non-compact imaginary of type I or II), and provides a
+closure-order comparator and DOT emission.  The cached graph, walked a
+frontier at a time in the sorted enumeration's order, is the one record
+of which parameters exist and which are closed; the parser accepts its
+nodes.  Clan moves read and write a clan's mates without renumbering:
+each is the type A move at one or two windows, at positions (i, i+1)
+and, for i < n, at their mirror images.  Type D's alpha_n is the
+alpha_{n-1} move seen through the diagram flip that swaps positions n
+and n+1.  Only type B's alpha_n and the degree-two raises of the
+orthogonal pairs add a rule of their own.
 """
 
 from __future__ import annotations
@@ -92,35 +94,34 @@ def parse_orbit_parameter(
 ) -> OrbitParameter:
     """Parse a printed orbit parameter for the given pair.
 
-    A clan is accepted when it is a node of the pair's weak-order graph,
-    whose node set is checked against ``enumerate_orbits``; an involution
-    when the pair's involution policy allows it.  With ``allow_union`` a
-    bare fixed-point-free involution is accepted for the even orthogonal
-    pair, denoting the union of its two components.
+    A clan or an involution, with its component tag if any, is accepted
+    when it is a node of the pair's weak-order graph, whose node set is
+    checked against ``enumerate_orbits``.  With ``allow_union`` an
+    untagged involution is also accepted when its two split components
+    are both nodes; it denotes their union.
     """
     text = text.strip()
+    level = build_weak_order_graph(pair).level
     if pair.is_clan_case():
         clan, want = Clan.parse(text), pair.clan_signature()
         if clan.signature() != want:
             raise UsageError(f"clan {clan} has signature {clan.signature()}, pair needs {want}")
-        if clan not in build_weak_order_graph(pair).level:
+        if clan not in level:
             raise UsageError(f"clan {clan} does not label an orbit of {pair.describe()}")
         return clan
-    policy, size = pair.kind.involutions, pair.ambient_family()[1]
-    tag = text[0] if policy == "split" and text[:1] in (PLUS, MINUS) else ""
-    perm = parse_cycles(text[len(tag):], size)
-    _require_involution(perm)
-    fixed = _has_fixed_point(perm.images)
-    if policy == "fixed-point-free" and fixed:
-        raise UsageError(f"{text!r} has fixed points; not an orbit of {pair.describe()}")
-    if policy == "split" and not (fixed or tag or allow_union):
-        raise UsageError(f"{text!r} needs a +/- component tag for {pair.describe()}")
-    return InvolutionOrbit(perm.images, tag)
+    tag = text[:1] if text[:1] in (PLUS, MINUS) else ""
+    param = InvolutionOrbit(parse_cycles(text[len(tag):], pair.ambient_family()[1]).images, tag)
+    parts = split_components(param) if allow_union and param not in level else (param,)
+    if not all(part in level for part in parts):
+        raise UsageError(f"{text!r} does not label an orbit of {pair.describe()}")
+    return param
 
 
-def _require_involution(perm: SignedPermutation) -> None:
-    if (perm * perm).images != tuple(range(1, perm.n + 1)):
-        raise UsageError(f"{perm.cycle_string()} is not an involution")
+def split_components(param: InvolutionOrbit) -> tuple[InvolutionOrbit, ...]:
+    """The two components of an untagged fixed-point-free involution, else itself."""
+    if param.component or _has_fixed_point(param.involution):
+        return (param,)
+    return (InvolutionOrbit(param.involution, PLUS), InvolutionOrbit(param.involution, MINUS))
 
 
 def _has_fixed_point(images: tuple[int, ...]) -> bool:
@@ -455,17 +456,27 @@ class WeakOrderGraph(Record):
 
 @functools.lru_cache(maxsize=None)
 def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
-    """Breadth-first weak-order graph built up from the closed orbits.
+    """Breadth-first weak-order graph built up from the closed orbits,
+    checked to reach every orbit of ``enumerate_orbits`` and to have one
+    dense orbit.
 
-    Walking the edges in order visits every source after all of its own
-    in-edges.  The graph is cached per pair and shared by all callers.
+    Each frontier is walked in ``enumerate_orbits`` order, so the nodes
+    go by level, then in that order, and the edges by the position of
+    their source, then by root: walking the edges in order visits every
+    source after all of its own in-edges.  ``level`` is keyed in
+    ``enumerate_orbits`` order.  The graph is cached per pair and shared
+    by all callers.
     """
-    closed = [param for param, _ in closed_orbits(pair)]
-    level = {param: 0 for param in closed}
+    expected = enumerate_orbits(pair)
+    position = {param: k for k, param in enumerate(expected)}
+    closed = tuple(param for param, _ in closed_orbits(pair))
+    level = dict.fromkeys(closed, 0)
+    nodes: list[OrbitParameter] = []
     edges: list[WeakEdge] = []
-    frontier = closed
-    depth = 0
+    frontier, depth = list(closed), 0
     while frontier:
+        frontier.sort(key=lambda param: position.get(param, -1))
+        nodes += frontier
         next_frontier: list[OrbitParameter] = []
         for param in frontier:
             for i in range(1, pair.num_simple_roots() + 1):
@@ -485,18 +496,7 @@ def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
                     )
         frontier = next_frontier
         depth += 1
-    return _finish_graph(pair, closed, level, edges)
-
-
-def _finish_graph(pair: SymmetricPair, closed: list, level: dict, edges: list) -> WeakOrderGraph:
-    """The graph of a finished breadth-first walk, once it is checked to
-    reach every orbit and to have one dense orbit.  Nodes are ordered by
-    level, then as ``enumerate_orbits`` lists them; edges by the position
-    of their source in that order, then by root.  ``level`` is keyed in
-    ``enumerate_orbits`` order."""
-    expected = enumerate_orbits(pair)
-    ordered = {param: level[param] for param in expected if param in level}
-    if len(ordered) != len(level) or len(level) != len(expected):
+    if level.keys() != position.keys():
         raise InternalError(
             f"weak order graph of {pair.spec_string()} reached {len(level)} "
             f"of {len(expected)} orbit parameters"
@@ -508,12 +508,8 @@ def _finish_graph(pair: SymmetricPair, closed: list, level: dict, edges: list) -
             f"{pair.spec_string()}: expected one dense orbit, found "
             + ", ".join(map(str, maximal))
         )
-    nodes = tuple(sorted(expected, key=ordered.__getitem__))  # a stable sort
-    rank = {param: idx for idx, param in enumerate(nodes)}
-    edges.sort(key=lambda e: (rank[e.source], e.root_index))
-    return WeakOrderGraph(
-        pair, nodes, tuple(edges), tuple(closed), maximal[0], types.MappingProxyType(ordered)
-    )
+    ordered = types.MappingProxyType({param: level[param] for param in expected})
+    return WeakOrderGraph(pair, tuple(nodes), tuple(edges), closed, maximal[0], ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ from korbits.algebra import (
     _power,
     _tokenize,
     compile_terms,
-    compose,
     divided_difference,
     exact_divide,
     product,
@@ -582,5 +581,14 @@ def cross_action(
 
 
 def chern_expand(expr: ChernExpression) -> Polynomial:
-    """Substitute the generators back; inverse of the Chern rewrite."""
-    return compose(expr.polynomial, expr.generators())
+    """Substitute the generators back, term by term; inverse of the Chern
+    rewrite."""
+    source, space = expr.polynomial.space, expr.pair.variable_space()
+    generators = expr.generators()
+    total = space.zero()
+    for mono, coeff in expr.polynomial.terms.items():
+        exponents = source.exponents(mono)
+        xs, ys = exponents[: source.x_count], exponents[source.x_count :]
+        expansion = product(space, (g**e for g, e in zip(generators, xs) if e))
+        total = total + coeff * expansion * space.monomial((0,) * space.x_count + ys)
+    return total

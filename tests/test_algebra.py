@@ -21,10 +21,10 @@ from korbits.algebra import (
     MAX_NESTING,
     Polynomial,
     VariableSpace,
-    compose,
     divided_difference,
     elementary_symmetric,
     exact_divide,
+    lift_y,
     parse_polynomial,
     poly_determinant,
     product,
@@ -220,24 +220,24 @@ def test_elementary_symmetric_basic():
     assert elementary_symmetric(0, [], sp) == sp.one()
 
 
-# -- composition and leading x-parts -----------------------------------------
+# -- lifting y-polynomials and leading x-parts -------------------------------
 
 
-def test_compose_substitutes_the_x_bank_and_passes_y_through():
-    small, big = VariableSpace(1, 2), VariableSpace(2, 2)
-    f = 3 * small.x(1) ** 2 * small.y(2) - small.y(1) + 5
-    image = big.x(1) + big.x(2) * big.y(2)
-    want = 3 * image ** 2 * big.y(2) - big.y(1) + 5
-    assert compose(f, [image]) == want
+def test_lift_y_carries_a_y_polynomial_to_another_x_bank():
+    small, big = VariableSpace(1, 2), VariableSpace(3, 2)
+    f = 3 * small.y(1) ** 2 * small.y(2) - small.y(2) + 5
+    assert lift_y(f, big) == 3 * big.y(1) ** 2 * big.y(2) - big.y(2) + 5
+    assert lift_y(small.zero(), big).is_zero
 
 
-def test_compose_contract():
-    with pytest.raises(ContractViolation):
-        compose(SP.x(1), [SP.x(1)])  # one image for two x-slots
-    with pytest.raises(ContractViolation):
-        compose(SP.x(1), [SP.x(1), VariableSpace(2, 3).x(1)])
-    with pytest.raises(ContractViolation):
-        compose(SP.x(1), [VariableSpace(2, 3).x(1)] * 2)  # y-banks differ
+def test_lift_y_contract():
+    small = VariableSpace(1, 2)
+    for poly, space in (
+        (small.x(1) * small.y(1) + small.y(2), VariableSpace(3, 2)),  # x-content
+        (small.y(1), VariableSpace(1, 3)),  # another y-bank
+    ):
+        with pytest.raises(ContractViolation, match="carries a y-polynomial"):
+            lift_y(poly, space)
 
 
 def test_split_leading_x_and_monomial():
@@ -255,7 +255,7 @@ def test_split_leading_x_and_monomial():
 
 def test_no_term_dict_reads_outside_algebra():
     # the monomial format is algebra.py's alone; other modules use its
-    # ring operations, compose and split_leading_x
+    # ring operations, lift_y and split_leading_x
     src = Path(__file__).resolve().parents[1] / "src" / "korbits"
     offenders = [
         f"{path.name}:{lineno}: {line.strip()}"
@@ -636,7 +636,6 @@ def test_degree_past_a_packed_field_is_a_contract_violation():
         lambda: top * sp.y(1),
         lambda: sp.y(1) ** (MAX_DEGREE + 1),
         lambda: sp.monomial((MAX_DEGREE, 1)),
-        lambda: compose(sp.x(1) ** 2 * sp.y(1) ** 200, [sp.x(1) ** 28]),
     ):
         with pytest.raises(ContractViolation):
             make()

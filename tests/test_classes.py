@@ -790,10 +790,14 @@ def test_planted_closed_class_fault_fails_the_walk(spec, fault, monkeypatch, cap
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("spec", ["A:so:5", "A:so:7", "A:sp:4", "A:sp:6"])
-def test_planted_fault_at_a_single_closed_orbit_fails_the_weight_products(spec, fault, monkeypatch):
+def test_planted_fault_at_a_single_closed_orbit_fails_the_weight_products(
+    spec, fault, monkeypatch, capsys
+):
     # with one closed orbit every path starts from the same class, so the
-    # walk cannot see it negated (nor, on A:sp:4, short of a factor); the
-    # weight-product comparison of acceptance criterion 4 can
+    # walk's path checks cannot see it negated (nor, on A:sp:4, short of a
+    # factor); the weight-product comparison of acceptance criterion 4 can,
+    # and so can the walk's check that the dense orbit's class is 1, which
+    # then makes the one error line
     pair = parse_pair_spec(spec)
     param = _plant(monkeypatch, pair, fault)
     cls = closed_orbit_class(pair, param)
@@ -801,6 +805,63 @@ def test_planted_fault_at_a_single_closed_orbit_fails_the_weight_products(spec, 
         restrict_at(cls, w.images) != weight_product_oracle(pair, param, w)
         for w in fixed_points(pair)
     )
+    assert main(["classes", spec, "--format", "machine"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    dense = re.escape(str(build_weak_order_graph(pair).dense))
+    assert len(lines) == 1 and lines[0].startswith(f"internal error: {spec}: "), lines
+    assert (fault == "short" and spec != "A:sp:4") or re.fullmatch(
+        rf"internal error: {re.escape(spec)}: the class of the dense orbit {dense} is not 1:"
+        r" it differs from 1 at fixed point w = \(-?\d+(, -?\d+)*\)",
+        lines[0],
+    ), lines[0]
+
+
+@pytest.mark.parametrize("spec", ["C:spsp:1,1", "A:sp:4", "B:oo:1,1", "C:gl:2", "D:oo-odd:1,2"])
+def test_planted_cover_degree_flip_fails_the_walk(spec, monkeypatch):
+    # serve the walk a graph with one edge's degree flipped, for every edge;
+    # a flip on the only edge into the dense orbit (C:spsp:1,1, A:sp:4) is
+    # seen by the dense orbit's class alone
+    import korbits.classes
+
+    pair = parse_pair_spec(spec)
+    graph = build_weak_order_graph(pair)
+    for k, edge in enumerate(graph.edges):
+        flipped = WeakEdge(edge.source, edge.target, edge.root_index, 3 - edge.degree)
+        edges = graph.edges[:k] + (flipped,) + graph.edges[k + 1 :]
+        served = WeakOrderGraph(pair, graph.nodes, edges, graph.closed, graph.dense, graph.level)
+        monkeypatch.setattr(korbits.classes, "build_weak_order_graph", lambda _pair: served)
+        with pytest.raises(InternalError, match=re.escape(spec)):
+            list(propagate(pair))
+
+
+# planted broken clan moves, through the type A move rule at one window
+BROKEN_MOVES = {
+    "no complex raise at alpha_1": lambda kind, i: None if (kind, i) == ("complex", 1) else kind,
+    "noncompact_I as complex": lambda kind, i: "complex" if kind == "noncompact_I" else kind,
+}
+
+
+@pytest.mark.parametrize("move", sorted(BROKEN_MOVES))
+@pytest.mark.parametrize(
+    "spec", ["A:glpq:2,2", "B:oo:2,1", "C:gl:3", "D:oo:2,2", "D:gl:3", "C:spsp:2,1"]
+)
+def test_planted_broken_clan_move_fails_classes(spec, move, monkeypatch, capsys):
+    import korbits.orbits
+
+    rule = korbits.orbits._adjacent_kind
+    broken = BROKEN_MOVES[move]
+    monkeypatch.setattr(
+        korbits.orbits, "_adjacent_kind", lambda clan, i, j: broken(rule(clan, i, j), i)
+    )
+    build_weak_order_graph.cache_clear()
+    try:
+        code = main(["classes", spec, "--format", "machine"])
+    finally:
+        build_weak_order_graph.cache_clear()
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(lines) == 1
+    assert lines[0].startswith("internal error: ") and spec in lines[0], lines[0]
 
 
 def test_rank_zero_group_conventions():

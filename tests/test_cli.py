@@ -117,7 +117,7 @@ def test_verify_unknown_parameter(tmp_path, capsys):
     fixture.write_text("# pair: A:sp:4\n(1,2) := 1\n")
     code, _, err = run(capsys, "verify", str(fixture))
     assert code == 2
-    assert "fixed points" in err
+    assert err == "error: '(1,2)' does not label an orbit of (SL(4), Sp(4))\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -28,7 +28,7 @@ from korbits.orbits import (
     to_dot,
 )
 from korbits.pairs import parse_pair_spec
-from korbits.weyl import SignedPermutation, parse_cycles
+from korbits.weyl import SignedPermutation, involutions, parse_cycles
 
 COUNTS = {
     "A:glpq:2,2": 21,
@@ -99,6 +99,65 @@ def test_clans_parse_exactly_when_the_rule_admits(tmp_path, capsys):
             assert capsys.readouterr() == ("", refusal), spec
     with pytest.raises(UsageError, match=r"has signature \(1, 1\), pair needs \(2, 2\)"):
         parse_orbit_parameter(parse_pair_spec("C:spsp:1,1"), "(+,-)")
+
+
+INVOLUTION_PAIR_SPECS = [
+    *(f"A:so:{n}" for n in (3, 5, 7)),
+    *(f"{kind}:{n}" for kind in ("A:so-even", "A:sp") for n in (2, 4, 6)),
+]
+
+
+def _policy_admits(pair, inv, tag, allow_union):
+    """The involution policy of the pair kind, written out: A:so takes every
+    involution, A:sp the fixed-point-free ones, and A:so-even those with a
+    fixed point untagged and the others tagged, or untagged for their union."""
+    policy = pair.kind.involutions
+    fixed = any(v == i for i, v in enumerate(inv, start=1))
+    if policy == "all":
+        return not tag
+    if policy == "fixed-point-free":
+        return not tag and not fixed
+    return bool(tag) != fixed or (allow_union and not tag)
+
+
+@pytest.mark.parametrize("allow_union", [False, True])
+def test_involutions_parse_exactly_when_the_graph_admits(allow_union, tmp_path, capsys):
+    # every involution of S_N, untagged and with each tag, parses exactly
+    # when it is a node of the pair's graph or, with allow_union, an
+    # untagged involution whose two components are both nodes; that rule
+    # agrees with the policy written out above.  A tag on an involution with
+    # a fixed point breaks InvolutionOrbit's contract.  The first refusal of
+    # each pair also goes through verify, which exits 2 with one error line
+    fixture = tmp_path / "row.txt"
+    for spec in INVOLUTION_PAIR_SPECS:
+        pair = parse_pair_spec(spec)
+        level = build_weak_order_graph(pair).level
+        refused = []
+        for inv in involutions(pair.ambient_family()[1]):
+            fixed = any(v == i for i, v in enumerate(inv, start=1))
+            for tag in ("", PLUS, MINUS):
+                text = tag + SignedPermutation("A", inv).cycle_string()
+                if tag and fixed:
+                    with pytest.raises(ContractViolation, match="only fixed-point-free"):
+                        parse_orbit_parameter(pair, text, allow_union)
+                    refused.append((text, "only fixed-point-free involutions split"))
+                    continue
+                param = InvolutionOrbit(inv, tag)
+                union = allow_union and not (tag or fixed) and all(
+                    InvolutionOrbit(inv, part) in level for part in (PLUS, MINUS)
+                )
+                if _policy_admits(pair, inv, tag, allow_union):
+                    assert param in level or union, (spec, text)
+                    assert parse_orbit_parameter(pair, text, allow_union) == param
+                    continue
+                assert param not in level and not union, (spec, text)
+                with pytest.raises(UsageError, match="does not label an orbit"):
+                    parse_orbit_parameter(pair, text, allow_union)
+                refused.append((text, f"{text!r} does not label an orbit of {pair.describe()}"))
+        text, message = refused[0]
+        fixture.write_text(f"# pair: {spec}\n{text} := 0\n")
+        assert main(["verify", str(fixture), "--max-n", "7"]) == 2, (spec, text)
+        assert capsys.readouterr() == ("", f"error: {message}\n"), (spec, text)
 
 
 @pytest.mark.parametrize(

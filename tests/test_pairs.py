@@ -1,5 +1,6 @@
 """The pair-kind table: descriptors, names, and where cases are dispatched."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -97,3 +98,40 @@ def test_case_guard_catches_a_case_read_and_a_tag():
     misses = ["pair.kind.closed", "pair.cases", "A_SPX = 1", "lowercase"]
     assert all(_CASE.search(line) for line in hits)
     assert not any(_CASE.search(line) for line in misses)
+
+
+# a read of the pair kind's involution policy
+_POLICY = re.compile(r"\.involutions\b")
+# the functions that generate and classify the involution-labelled orbits
+_POLICY_READERS = {("orbits.py", "enumerate_orbits"), ("orbits.py", "classify_simple_root")}
+
+
+def _policy_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every line that reads the policy."""
+    source = path.read_text()
+    spans = [
+        (node.lineno, node.end_lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    return {
+        (path.name, next((name for lo, hi, name in spans if lo <= lineno <= hi), "<module>"))
+        for lineno, line in enumerate(source.splitlines(), start=1)
+        if _POLICY.search(line)
+    }
+
+
+def test_involution_policy_is_read_only_where_orbits_are_made():
+    # which involutions label orbits is decided where the orbits are
+    # generated and classified; every other reader asks the weak-order graph
+    reads = set().union(*map(_policy_reads, sorted((ROOT / "src" / "korbits").glob("*.py"))))
+    assert reads == _POLICY_READERS
+
+
+def test_policy_guard_catches_a_policy_read():
+    hits = ["pair.kind.involutions", 'if kind.involutions == "split":', "k.involutions)"]
+    misses = [
+        "involutions(size)", "from .weyl import involutions", "k.involutions_x", '"involutions",'
+    ]
+    assert all(_POLICY.search(line) for line in hits)
+    assert not any(_POLICY.search(line) for line in misses)
