@@ -9,7 +9,8 @@ dividing by the cover degree on degree-two edges.  Correctness is checked
 against localization: restriction at a torus fixed point is polynomial
 substitution, and two classes are equal exactly when all their
 restrictions agree.  A weight-product oracle recomputes closed-orbit
-restrictions directly from root data, independently of the formulas.
+restrictions directly from root data, independently of the formulas; which
+fixed points a closed orbit contains it asks ``orbits``' membership test.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import ContractViolation, InternalError, UsageError
 from .orbits import (
     OrbitParameter,
     WeakEdge,
+    _closed_member,
     _component_representatives,
     build_weak_order_graph,
     parse_orbit_parameter,
@@ -329,56 +331,6 @@ def _subgroup_roots(pair: SymmetricPair) -> set[tuple[int, ...]]:
             roots.add(row)
             roots.add(tuple(-c for c in row))
     return roots
-
-
-def _plus_where_low(mates, w: SignedPermutation, p: int) -> bool:
-    """The + positions among the clan's mates are the positions i with |w(i)| <= p."""
-    plus_positions = {i for i, s in enumerate(mates, start=1) if s == PLUS}
-    low = {i for i in range(1, len(mates) + 1) if abs(w.images[i - 1]) <= p}
-    return low == plus_positions
-
-
-def _member_involution(pair, param, w) -> bool:
-    size, n = w.n, pair.n
-    if any(w.images[size - i] != size + 1 - w.images[i - 1] for i in range(1, size + 1)):
-        return False
-    if param.component:
-        crossings = sum(1 for i in range(1, n + 1) if w.images[i - 1] > n)
-        return crossings % 2 == (0 if param.component == PLUS else 1)
-    return True
-
-
-def _member_blocks(pair, param, w) -> bool:
-    # the whole clan in type A, its first half otherwise
-    return _plus_where_low(param.mates[: pair.n], w, pair.p)
-
-
-def _member_gl(pair, param, w) -> bool:
-    signs = param.mates[: pair.n]
-    return all((v > 0) == (s == PLUS) for v, s in zip(w.images, signs))
-
-
-def _member_oo_odd(pair, param, w) -> bool:
-    n = pair.n
-    return abs(w.images[n - 1]) == pair.p + 1 and _plus_where_low(
-        param.mates[: n - 1], w, pair.p
-    )
-
-
-_MEMBERS = {
-    "glpq": _member_blocks,
-    "so_odd": _member_involution,
-    "sp": _member_involution,
-    "so_even": _member_involution,
-    "blocks": _member_blocks,
-    "gl": _member_gl,
-    "oo_odd": _member_oo_odd,
-}
-
-
-def _closed_member(pair: SymmetricPair, param: OrbitParameter, w: SignedPermutation) -> bool:
-    """Is the fixed point of w contained in the given closed orbit?"""
-    return _MEMBERS[pair.kind.closed](pair, param, w)
 
 
 def weight_product_oracle(

@@ -7,21 +7,23 @@ fixed-point-free involution of the even special-orthogonal pair and is
 empty otherwise.  The module builds the weak-order graph by
 breadth-first raising from the closed orbits, classifies simple roots
 (complex / non-compact imaginary of type I or II), and provides a
-closure-order comparator and DOT emission.  The cached graph, walked a
-frontier at a time in the sorted enumeration's order, is the one record
-of which parameters exist and which are closed; the parser accepts its
-nodes.  Clan moves read and write a clan's mates without renumbering:
-each is the type A move at one or two windows, at positions (i, i+1)
-and, for i < n, at their mirror images.  Type D's alpha_n is the
-alpha_{n-1} move seen through the diagram flip that swaps positions n
-and n+1.  Only type B's alpha_n and the degree-two raises of the
-orthogonal pairs add a rule of their own.
+closure-order comparator and DOT emission.  The closed orbits, the
+minimal elements of the weak order, are picked out of the enumeration by
+one closedness test, and their torus-fixed points by one membership test
+per closed-orbit rule.  The cached graph, walked a frontier at a time in
+the sorted enumeration's order, is the one record of which parameters
+exist and which are closed; the parser accepts its nodes.  Clan moves
+read and write a clan's mates without renumbering: each is the type A
+move at one or two windows, at positions (i, i+1) and, for i < n, at
+their mirror images.  Type D's alpha_n is the alpha_{n-1} move seen
+through the diagram flip that swaps positions n and n+1.  Only type B's
+alpha_n and the degree-two raises of the orthogonal pairs add a rule of
+their own.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import types
 from typing import Mapping, Optional, Sequence, Union
 
@@ -29,7 +31,7 @@ from .clans import MINUS, PLUS, Clan, enumerate_clans
 from .errors import ContractViolation, InternalError, UsageError
 from .pairs import SymmetricPair
 from .records import Record, set_field, set_fields
-from .weyl import SignedPermutation, involutions, parse_cycles
+from .weyl import SignedPermutation, group_images, involutions, parse_cycles
 
 # ---------------------------------------------------------------------------
 # orbit parameters
@@ -153,52 +155,21 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
 
 
 # ---------------------------------------------------------------------------
-# closed orbits and their torus-fixed representatives
+# closed orbits and their torus-fixed points
 
 
-def _sign_string_images(signs: Sequence[str], p: int) -> tuple[int, ...]:
-    """Images of the plain permutation sending + positions to 1..p and -
-    positions to p+1, p+2, ..., each in increasing order."""
-    images = [0] * len(signs)
-    plus_seen = minus_seen = 0
-    for idx, sign in enumerate(signs):
-        if sign == PLUS:
-            plus_seen += 1
-            images[idx] = plus_seen
-        else:
-            minus_seen += 1
-            images[idx] = p + minus_seen
-    return tuple(images)
-
-
-def _longest_involution(size: int) -> tuple[int, ...]:
-    return tuple(range(size, 0, -1))
-
-
-def _sign_strings(n: int, p: int):
-    """Sign lists of length n with p plus signs, in combination order."""
-    for plus_positions in itertools.combinations(range(n), p):
-        signs = [MINUS] * n
-        for idx in plus_positions:
-            signs[idx] = PLUS
-        yield signs
-
-
-def _closed_glpq(pair: SymmetricPair):
-    for signs in _sign_strings(pair.n, pair.p):
-        images = _sign_string_images(signs, pair.p)
-        yield Clan(signs), SignedPermutation("A", images)
-
-
-def _closed_longest(pair: SymmetricPair):
-    size = pair.ambient_family()[1]
-    yield InvolutionOrbit(_longest_involution(size)), SignedPermutation.identity("A", size)
-
-
-def _closed_split(pair: SymmetricPair):
-    w0 = _longest_involution(2 * pair.n)
-    for tag, rep in _component_representatives(w0, pair.n).items():
-        yield InvolutionOrbit(w0, tag), rep
+def _is_closed(pair: SymmetricPair, param: OrbitParameter) -> bool:
+    """Is the orbit closed, a minimal element of the weak order?  An
+    involution orbit is closed at the longest involution; a clan when it
+    has no number pair, except that the closed clans of the unequal-rank
+    orthogonal pair have exactly one, at the centre (n, n+1)."""
+    if isinstance(param, InvolutionOrbit):
+        return param.involution == tuple(range(len(param.involution), 0, -1))
+    mates = param.mates
+    numbers = len(mates) - mates.count(PLUS) - mates.count(MINUS)
+    if pair.kind.closed == "oo_odd":
+        return numbers == 2 and mates[pair.n - 1] == pair.n + 1
+    return numbers == 0
 
 
 def _component_representatives(inv: tuple[int, ...], n: int) -> dict[str, SignedPermutation]:
@@ -222,48 +193,66 @@ def _component_representatives(inv: tuple[int, ...], n: int) -> dict[str, Signed
     }
 
 
-def _closed_blocks(pair: SymmetricPair):
-    # the odd-length (type B) clans carry a minus sign in the middle
-    middle = [MINUS] if pair.root_family() == "B" else []
-    for half in _sign_strings(pair.n, pair.p):
-        clan = Clan(half + middle + half[::-1])
-        images = _sign_string_images(half, pair.p)
-        yield clan, SignedPermutation(pair.kind.ambient, images)
+def _plus_where_low(mates, w: SignedPermutation, p: int) -> bool:
+    """The + positions among the clan's mates are the positions i with |w(i)| <= p."""
+    plus_positions = {i for i, s in enumerate(mates, start=1) if s == PLUS}
+    low = {i for i in range(1, len(mates) + 1) if abs(w.images[i - 1]) <= p}
+    return low == plus_positions
 
 
-def _closed_gl(pair: SymmetricPair):
-    family = pair.kind.ambient
-    for signs in itertools.product((PLUS, MINUS), repeat=pair.n):
-        if family == "D" and signs.count(MINUS) % 2:
-            continue
-        symbols = list(signs) + [PLUS if s == MINUS else MINUS for s in reversed(signs)]
-        images = tuple(i if s == PLUS else -i for i, s in enumerate(signs, start=1))
-        yield Clan(symbols), SignedPermutation(family, images)
+def _member_involution(pair, param, w) -> bool:
+    size, n = w.n, pair.n
+    if any(w.images[size - i] != size + 1 - w.images[i - 1] for i in range(1, size + 1)):
+        return False
+    if param.component:
+        crossings = sum(1 for i in range(1, n + 1) if w.images[i - 1] > n)
+        return crossings % 2 == (0 if param.component == PLUS else 1)
+    return True
 
 
-def _closed_oo_odd(pair: SymmetricPair):
-    n, p = pair.n, pair.p
-    for half in _sign_strings(n - 1, p):
-        # position n goes to p+1, between the two blocks
-        images = _sign_string_images(half, p + 1) + (p + 1,)
-        yield Clan(half + [1, 1] + half[::-1]), SignedPermutation("D", images)
+def _member_blocks(pair, param, w) -> bool:
+    # the whole clan in type A, its first half otherwise
+    return _plus_where_low(param.mates[: pair.n], w, pair.p)
+
+
+def _member_gl(pair, param, w) -> bool:
+    signs = param.mates[: pair.n]
+    return all((v > 0) == (s == PLUS) for v, s in zip(w.images, signs))
+
+
+def _member_oo_odd(pair, param, w) -> bool:
+    n = pair.n
+    return abs(w.images[n - 1]) == pair.p + 1 and _plus_where_low(
+        param.mates[: n - 1], w, pair.p
+    )
 
 
 # keyed by the pair kind's closed-orbit rule
-_CLOSED_ORBITS = {
-    "glpq": _closed_glpq,
-    "so_odd": _closed_longest,
-    "sp": _closed_longest,
-    "so_even": _closed_split,
-    "blocks": _closed_blocks,
-    "gl": _closed_gl,
-    "oo_odd": _closed_oo_odd,
+_MEMBERS = {
+    "glpq": _member_blocks,
+    "so_odd": _member_involution,
+    "sp": _member_involution,
+    "so_even": _member_involution,
+    "blocks": _member_blocks,
+    "gl": _member_gl,
+    "oo_odd": _member_oo_odd,
 }
 
 
+def _closed_member(pair: SymmetricPair, param: OrbitParameter, w: SignedPermutation) -> bool:
+    """Is the fixed point of w contained in the given closed orbit?"""
+    return _MEMBERS[pair.kind.closed](pair, param, w)
+
+
 def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
-    """Closed orbits with one torus-fixed representative each."""
-    return sorted(_CLOSED_ORBITS[pair.kind.closed](pair), key=lambda pr: pr[0].sort_key())
+    """The closed orbits of the cached graph, each with its first
+    torus-fixed point in ``group_images`` order."""
+    family, size = pair.ambient_family()
+    found = []
+    for param in build_weak_order_graph(pair).closed:
+        members = (SignedPermutation(family, images) for images in group_images(family, size))
+        found.append((param, next(w for w in members if _closed_member(pair, param, w))))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +446,10 @@ class WeakOrderGraph(Record):
 @functools.lru_cache(maxsize=None)
 def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
     """Breadth-first weak-order graph built up from the closed orbits,
-    checked to reach every orbit of ``enumerate_orbits`` and to have one
-    dense orbit.
+    the orbits of ``enumerate_orbits`` that ``_is_closed`` accepts, checked
+    to reach every orbit and to have one dense orbit.  A closed orbit
+    left out goes unreached, and another orbit let in is raised onto a
+    level above its place, so a wrong closedness test is caught here.
 
     Each frontier is walked in ``enumerate_orbits`` order, so the nodes
     go by level, then in that order, and the edges by the position of
@@ -469,7 +460,7 @@ def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
     """
     expected = enumerate_orbits(pair)
     position = {param: k for k, param in enumerate(expected)}
-    closed = tuple(param for param, _ in closed_orbits(pair))
+    closed = tuple(param for param in expected if _is_closed(pair, param))
     level = dict.fromkeys(closed, 0)
     nodes: list[OrbitParameter] = []
     edges: list[WeakEdge] = []

@@ -48,30 +48,8 @@ class SignedPermutation(Record):
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        """Signed evaluation: w(-i) = -w(i)."""
-        if i > 0:
-            return self.images[i - 1]
-        return -self.images[-i - 1]
-
     def sign_changes(self) -> int:
         return sum(1 for v in self.images if v < 0)
-
-    @classmethod
-    def identity(cls, family: str, n: int) -> "SignedPermutation":
-        return cls(family, tuple(range(1, n + 1)))
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """(self * other)(i) = self(other(i)), within one family."""
-        if other.n != self.n:
-            raise ContractViolation("size mismatch in composition")
-        if other.family != self.family:
-            raise ContractViolation(f"cannot compose {self.family} with {other.family}")
-        images = tuple(self(other(i)) for i in range(1, self.n + 1))
-        return SignedPermutation(self.family, images)
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        return self.compose(other)
 
     # -- embeddings ---------------------------------------------------------
 
@@ -122,7 +100,7 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
     """Parse cycle notation like "(1,3)(2,4)" or "id" into S_n."""
     text = text.strip()
     images = list(range(1, n + 1))
-    if text in ("id", "e", "1", ""):
+    if text in ("id", "e", "1"):
         return SignedPermutation("A", tuple(images))
     if not text.startswith("("):
         raise UsageError(f"bad cycle notation {text!r}")

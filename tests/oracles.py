@@ -29,8 +29,12 @@ then multiplied by its sign through the generic product.
 ``closed_class_reference`` is the former representative-based form of
 every closed-orbit formula, read off a torus-fixed point through ``l_p``,
 ``sign_stats`` and ``unequal_rank_stats``, the statistics the library now
-reads off the clan's sign string; ``inverse`` and ``absolute`` are former
-``SignedPermutation`` methods.
+reads off the clan's sign string; ``inverse``, ``absolute``, ``identity``,
+``evaluate`` (w(i), with w(-i) = -w(i)) and ``compose`` are former
+``SignedPermutation`` methods.  ``closed_orbits_reference`` is the former
+per-rule generator of the closed orbits, each built by hand with a
+torus-fixed representative, which the library now reads off the orbit set
+and the membership test.
 
 ``enumerate_group`` wraps each image tuple of ``weyl.group_images`` in a
 ``SignedPermutation`` without validating it again, for the tests that need
@@ -68,7 +72,7 @@ from korbits.algebra import (
     product,
     substitute_terms,
 )
-from korbits.clans import Clan
+from korbits.clans import MINUS, PLUS, Clan
 from korbits.classes import (
     ChernExpression,
     EquivariantClass,
@@ -78,7 +82,12 @@ from korbits.classes import (
     staircase_determinant,
 )
 from korbits.errors import ContractViolation, InternalError, UsageError, parse_decimal
-from korbits.orbits import InvolutionOrbit, OrbitParameter, build_weak_order_graph
+from korbits.orbits import (
+    InvolutionOrbit,
+    OrbitParameter,
+    _component_representatives,
+    build_weak_order_graph,
+)
 from korbits.pairs import SymmetricPair
 from korbits.records import set_field
 from korbits.weyl import SignedPermutation, group_images, restriction_map
@@ -367,11 +376,113 @@ def divided_difference_by_division(f: Polynomial, family: str, i: int) -> Polyno
     return exact_divide(f - reflect(f, family, i), simple_root(f.space, family, i))
 
 
+def _sign_string_images(signs, p: int) -> tuple[int, ...]:
+    """Images of the plain permutation sending + positions to 1..p and -
+    positions to p+1, p+2, ..., each in increasing order."""
+    images = [0] * len(signs)
+    plus_seen = minus_seen = 0
+    for idx, sign in enumerate(signs):
+        if sign == PLUS:
+            plus_seen += 1
+            images[idx] = plus_seen
+        else:
+            minus_seen += 1
+            images[idx] = p + minus_seen
+    return tuple(images)
+
+
+def _sign_strings(n: int, p: int):
+    """Sign lists of length n with p plus signs, in combination order."""
+    for plus_positions in itertools.combinations(range(n), p):
+        signs = [MINUS] * n
+        for idx in plus_positions:
+            signs[idx] = PLUS
+        yield signs
+
+
+def _closed_glpq(pair):
+    for signs in _sign_strings(pair.n, pair.p):
+        yield Clan(signs), SignedPermutation("A", _sign_string_images(signs, pair.p))
+
+
+def _closed_longest(pair):
+    size = pair.ambient_family()[1]
+    yield InvolutionOrbit(tuple(range(size, 0, -1))), identity("A", size)
+
+
+def _closed_split(pair):
+    w0 = tuple(range(2 * pair.n, 0, -1))
+    for tag, rep in _component_representatives(w0, pair.n).items():
+        yield InvolutionOrbit(w0, tag), rep
+
+
+def _closed_blocks(pair):
+    # the odd-length (type B) clans carry a minus sign in the middle
+    middle = [MINUS] if pair.root_family() == "B" else []
+    for half in _sign_strings(pair.n, pair.p):
+        images = _sign_string_images(half, pair.p)
+        yield Clan(half + middle + half[::-1]), SignedPermutation(pair.kind.ambient, images)
+
+
+def _closed_gl(pair):
+    family = pair.kind.ambient
+    for signs in itertools.product((PLUS, MINUS), repeat=pair.n):
+        if family == "D" and signs.count(MINUS) % 2:
+            continue
+        symbols = list(signs) + [PLUS if s == MINUS else MINUS for s in reversed(signs)]
+        images = tuple(i if s == PLUS else -i for i, s in enumerate(signs, start=1))
+        yield Clan(symbols), SignedPermutation(family, images)
+
+
+def _closed_oo_odd(pair):
+    n, p = pair.n, pair.p
+    for half in _sign_strings(n - 1, p):
+        # position n goes to p+1, between the two blocks
+        images = _sign_string_images(half, p + 1) + (p + 1,)
+        yield Clan(half + [1, 1] + half[::-1]), SignedPermutation("D", images)
+
+
+_CLOSED_ORBITS = {
+    "glpq": _closed_glpq,
+    "so_odd": _closed_longest,
+    "sp": _closed_longest,
+    "so_even": _closed_split,
+    "blocks": _closed_blocks,
+    "gl": _closed_gl,
+    "oo_odd": _closed_oo_odd,
+}
+
+
+def closed_orbits_reference(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
+    """Closed orbits with one torus-fixed representative each, built by
+    hand per closed-orbit rule and sorted by parameter."""
+    return sorted(_CLOSED_ORBITS[pair.kind.closed](pair), key=lambda pr: pr[0].sort_key())
+
+
 def inverse(w: SignedPermutation) -> SignedPermutation:
     images = [0] * w.n
     for i, v in enumerate(w.images, start=1):
         images[abs(v) - 1] = i if v > 0 else -i
     return SignedPermutation(w.family, tuple(images))
+
+
+def identity(family: str, n: int) -> SignedPermutation:
+    return SignedPermutation(family, tuple(range(1, n + 1)))
+
+
+def evaluate(w: SignedPermutation, i: int) -> int:
+    """Signed evaluation: w(-i) = -w(i)."""
+    return w.images[i - 1] if i > 0 else -w.images[-i - 1]
+
+
+def compose(w: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
+    """(w * v)(i) = w(v(i)), within one family."""
+    if v.n != w.n:
+        raise ContractViolation("size mismatch in composition")
+    if v.family != w.family:
+        raise ContractViolation(f"cannot compose {w.family} with {v.family}")
+    images = tuple(evaluate(w, evaluate(v, i)) for i in range(1, w.n + 1))
+    return SignedPermutation(w.family, images)
 
 
 def absolute(w: SignedPermutation) -> SignedPermutation:
@@ -534,7 +645,7 @@ def conjugation_by_longest(n: int) -> Callable[[SignedPermutation], SignedPermut
     w0 = SignedPermutation("A", tuple(range(n, 0, -1)))
 
     def theta(w: SignedPermutation) -> SignedPermutation:
-        return (w0 * w) * w0
+        return compose(compose(w0, w), w0)
 
     return theta
 
@@ -557,10 +668,10 @@ def twisted_involution_action(
     if theta(a) != inverse(a):
         raise ContractViolation("not a twisted involution for this twist")
     s = _transposition(a.n, i)
-    sa = s * a
+    sa = compose(s, a)
     if coxeter_length(sa) < coxeter_length(a):
         return a
-    twisted = sa * inverse(theta(s))
+    twisted = compose(sa, inverse(theta(s)))
     return sa if twisted == a else twisted
 
 
@@ -576,7 +687,7 @@ def cross_action(
             moved[image - 1] = sym
         return Clan(moved)
     inv = SignedPermutation("A", param.involution)
-    conjugated = (w * inv) * inverse(w)
+    conjugated = compose(compose(w, inv), inverse(w))
     return InvolutionOrbit(conjugated.images, param.component)
 
 

@@ -5,8 +5,10 @@ import pytest
 from oracles import (
     closed_class_reference,
     closed_gl_reference,
+    compose,
     enumerate_group,
     first_disagreement_reference,
+    identity,
     inverse,
     is_identity,
     propagate_all_reference,
@@ -214,7 +216,7 @@ def test_oracle_weight_values():
     pair = parse_pair_spec("A:glpq:2,2")
     sp = pair.variable_space()
     param = parse_orbit_parameter(pair, "(+,+,-,-)")
-    value = weight_product_oracle(pair, param, SignedPermutation.identity("A", 4))
+    value = weight_product_oracle(pair, param, identity("A", 4))
     want = product(
         sp, [sp.x(i) - sp.x(j) for i in (1, 2) for j in (3, 4)]
     )
@@ -654,7 +656,7 @@ def test_half_staircase_over_integers_matches_halved_entries(n):
     # the integer expansion divided once by 2^(n-1) against the expansion
     # of the halved entries, coefficient types included
     space = parse_pair_spec(f"D:gl:{n}").variable_space()
-    want = per_orbit_staircase(space, n, SignedPermutation.identity("D", n), half=True)
+    want = per_orbit_staircase(space, n, identity("D", n), half=True)
     got = staircase_determinant(space, n, half=True)
     assert got == want
     assert {m: type(c) for m, c in got.terms.items()} == {m: type(c) for m, c in want.terms.items()}
@@ -893,7 +895,7 @@ def test_membership_predicate_matches_coset_enumeration():
         family, size = pair.ambient_family()
         for param, rep in closed_orbits(pair):
             coset = {
-                (s * rep).images
+                compose(s, rep).images
                 for s in enumerate_group(family, size)
                 if in_subgroup(pair, s)
             }

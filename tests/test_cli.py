@@ -339,6 +339,8 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         (("chern", "A:so:3", "(+1,3)"), None),
         (None, SO3 + "(+1,3) := -2*(y1+y2)*(y2+y3)"),
         (("chern", "A:so:3", "(1_0,3)"), None),
+        (("chern", "A:so:3", ""), None),
+        (None, SO3 + " := 1"),
     ],
     ids=[
         "zero-denominator",
@@ -373,6 +375,8 @@ SIX = "(x1+x2+y1+y2+y3+y4)"
         "signed-cycle-entry",
         "signed-cycle-entry-in-fixture",
         "underscore-in-cycle-entry",
+        "empty-parameter",
+        "empty-parameter-in-fixture",
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text):

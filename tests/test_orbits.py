@@ -1,8 +1,11 @@
 import pytest
 from oracles import (
     clan_rule_admits,
+    closed_orbits_reference,
+    compose,
     conjugation_by_longest,
     cross_action,
+    identity,
     inverse,
     is_identity,
     times_generator,
@@ -430,12 +433,12 @@ def test_twisted_involution_action():
     theta = conjugation_by_longest(3)
     w0 = parse_cycles("(1,3)", 3)
     # twisted involutions here are b*w0 for honest involutions b
-    a = parse_cycles("(2,3)", 3) * w0
+    a = compose(parse_cycles("(2,3)", 3), w0)
     assert theta(a) == inverse(a)
     raised = twisted_involution_action(a, 2, theta)
-    assert raised * inverse(w0) == parse_cycles("id", 3) * parse_cycles("id", 3)
+    assert compose(raised, inverse(w0)) == compose(parse_cycles("id", 3), parse_cycles("id", 3))
     # the no-raise branch returns the input
-    low = parse_cycles("id", 3) * w0  # the twisted involution of the dense orbit
+    low = compose(parse_cycles("id", 3), w0)  # the twisted involution of the dense orbit
     assert twisted_involution_action(low, 1, theta) == low
 
 
@@ -444,7 +447,7 @@ def test_twisted_action_matches_involution_rules():
     theta = conjugation_by_longest(4)
     w0 = SignedPermutation("A", (4, 3, 2, 1))
     b = parse_cycles("(1,3)(2,4)", 4)
-    raised = twisted_involution_action(b * w0, 2, theta) * inverse(w0)
+    raised = compose(twisted_involution_action(compose(b, w0), 2, theta), inverse(w0))
     assert raised.cycle_string() == "(1,2)(3,4)"
 
 
@@ -460,16 +463,16 @@ def test_m_action_agrees_with_classification(spec):
         b = SignedPermutation("A", param.involution)
         for i in range(1, size):
             status = classify_simple_root(pair, param, i)
-            image = twisted_involution_action(b * w0, i, theta)
+            image = twisted_involution_action(compose(b, w0), i, theta)
             if status.raises:
-                assert image == SignedPermutation("A", status.target.involution) * w0
+                assert image == compose(SignedPermutation("A", status.target.involution), w0)
             else:
-                moved = image != b * w0
+                moved = image != compose(b, w0)
                 if moved:
                     # the monoid raises the twisted involution, but for the
                     # symplectic pair the image leaves the orbit set
                     assert pair.case == "A_SP"
-                    target = image * inverse(w0)
+                    target = compose(image, inverse(w0))
                     assert any(
                         target.images[k] == k + 1 for k in range(size)
                     )
@@ -616,7 +619,7 @@ def test_degree_two_exactly_when_cross_action_fixes(spec):
             status = classify_simple_root(pair, param, i)
             if not status.raises:
                 continue
-            s_i = times_generator(SignedPermutation.identity(family, size), i)
+            s_i = times_generator(identity(family, size), i)
             fixed = cross_action(pair, s_i, param) == param
             assert fixed == (status.kind == "noncompact_II"), (spec, str(param), i)
 
@@ -625,6 +628,21 @@ def _pair_specs(max_rank):
     yield from _clan_pair_specs(max_rank)
     for n in range(1, max_rank + 1):
         yield from (f"A:so:{2 * n + 1}", f"A:so-even:{2 * n}", f"A:sp:{2 * n}")
+
+
+@pytest.mark.parametrize("spec", list(_pair_specs(4)))
+def test_closed_orbits_match_the_hand_built_generators(spec):
+    # the closed orbits read off the orbit set, each with its first member
+    # fixed point, are the parameters and representatives that the former
+    # per-rule generators built by hand, in the same order
+    pair = parse_pair_spec(spec)
+    assert closed_orbits(pair) == closed_orbits_reference(pair)
+
+
+def test_closed_orbits_match_the_hand_built_generators_on_the_sweep_pairs(workloads):
+    for spec in workloads.CLASSES_PAIRS:
+        pair = parse_pair_spec(spec)
+        assert closed_orbits(pair) == closed_orbits_reference(pair), spec
 
 
 @pytest.mark.parametrize("spec", list(_pair_specs(4)))
@@ -678,8 +696,8 @@ def test_root_index_range_is_checked():
             classify_simple_root(pair, param, i)
 
 
-def _engine_error(monkeypatch, spec, classify):
-    monkeypatch.setattr(korbits.orbits, "classify_simple_root", classify)
+def _engine_error(monkeypatch, spec, fake, name="classify_simple_root"):
+    monkeypatch.setattr(korbits.orbits, name, fake)
     build_weak_order_graph.cache_clear()
     try:
         with pytest.raises(InternalError) as info:
@@ -715,16 +733,43 @@ def test_engine_errors_name_the_pair_and_the_edge(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "spec", ["A:glpq:2,2", "B:oo:2,1", "C:gl:3", "D:oo-odd:1,2", "A:so-even:4", "A:sp:4"]
+)
+def test_a_wrong_closedness_test_is_caught(monkeypatch, spec):
+    # no raise reaches a closed orbit, so one left out is never reached (nor
+    # what lies only above it); a non-closed orbit let in is also raised
+    # onto, a level above its source
+    pair = parse_pair_spec(spec)
+    params, is_closed = enumerate_orbits(pair), korbits.orbits._is_closed
+    dropped = next(param for param in params if is_closed(pair, param))
+    added = next(param for param in params if not is_closed(pair, param))
+
+    def drop_one(pair, param):
+        return param != dropped and is_closed(pair, param)
+
+    def add_one(pair, param):
+        return param == added or is_closed(pair, param)
+
+    reached = _engine_error(monkeypatch, spec, drop_one, "_is_closed")
+    prefix, suffix = f"weak order graph of {spec} reached ", f" of {len(params)} orbit parameters"
+    assert reached.startswith(prefix) and reached.endswith(suffix)
+    assert int(reached[len(prefix) : -len(suffix)]) < len(params)
+    assert _engine_error(monkeypatch, spec, add_one, "_is_closed").startswith(
+        f"{spec}: inconsistent level for "
+    )
+
+
 def test_graph_engine_sorts_only_inside_the_enumerations(monkeypatch):
-    # the engine orders its nodes and edges from the enumeration; the only
-    # sort keys computed are those of the own sorts of enumerate_clans (one
-    # per clan) and closed_orbits (one per closed orbit)
+    # the engine orders its nodes and edges from the enumeration and reads
+    # the closed orbits off it; the only sort keys computed are those of the
+    # own sort of enumerate_clans (one per clan)
     calls = []
     for cls in (Clan, InvolutionOrbit):
         monkeypatch.setattr(
             cls, "sort_key", lambda self, key=cls.sort_key: calls.append(1) or key(self)
         )
-    for spec, count in (("D:oo:3,3", 1391), ("A:so-even:6", 2)):
+    for spec, count in (("D:oo:3,3", 1371), ("A:so-even:6", 0)):
         pair = parse_pair_spec(spec)
         build_weak_order_graph.cache_clear()
         calls.clear()
@@ -733,4 +778,4 @@ def test_graph_engine_sorts_only_inside_the_enumerations(monkeypatch):
         finally:
             build_weak_order_graph.cache_clear()
         clans = len(graph.nodes) if pair.is_clan_case() else 0
-        assert len(calls) == count == clans + len(graph.closed)
+        assert len(calls) == count == clans

@@ -106,26 +106,28 @@ _POLICY = re.compile(r"\.involutions\b")
 _POLICY_READERS = {("orbits.py", "enumerate_orbits"), ("orbits.py", "classify_simple_root")}
 
 
-def _policy_reads(path: Path) -> set[tuple[str, str]]:
-    """(module, top-level definition) of every line that reads the policy."""
-    source = path.read_text()
-    spans = [
-        (node.lineno, node.end_lineno, node.name)
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    ]
-    return {
-        (path.name, next((name for lo, hi, name in spans if lo <= lineno <= hi), "<module>"))
-        for lineno, line in enumerate(source.splitlines(), start=1)
-        if _POLICY.search(line)
-    }
+def _reads(pattern: re.Pattern) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every library line that matches the pattern."""
+    found = set()
+    for path in sorted((ROOT / "src" / "korbits").glob("*.py")):
+        source = path.read_text()
+        spans = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        found |= {
+            (path.name, next((name for lo, hi, name in spans if lo <= lineno <= hi), "<module>"))
+            for lineno, line in enumerate(source.splitlines(), start=1)
+            if pattern.search(line)
+        }
+    return found
 
 
 def test_involution_policy_is_read_only_where_orbits_are_made():
     # which involutions label orbits is decided where the orbits are
     # generated and classified; every other reader asks the weak-order graph
-    reads = set().union(*map(_policy_reads, sorted((ROOT / "src" / "korbits").glob("*.py"))))
-    assert reads == _POLICY_READERS
+    assert _reads(_POLICY) == _POLICY_READERS
 
 
 def test_policy_guard_catches_a_policy_read():
@@ -135,3 +137,26 @@ def test_policy_guard_catches_a_policy_read():
     ]
     assert all(_POLICY.search(line) for line in hits)
     assert not any(_POLICY.search(line) for line in misses)
+
+
+# a read of the pair kind's closed-orbit rule
+_CLOSED_RULE = re.compile(r"\bkind\.closed\b")
+# the class formulas, the membership test and the closedness test
+_CLOSED_RULE_READERS = {
+    ("classes.py", "closed_orbit_class"),
+    ("orbits.py", "_closed_member"),
+    ("orbits.py", "_is_closed"),
+}
+
+
+def test_closed_orbit_rule_is_read_only_where_closed_orbits_are_decided():
+    # which orbits are closed, their fixed points and their classes are
+    # decided by these three; every other reader asks the weak-order graph
+    assert _reads(_CLOSED_RULE) == _CLOSED_RULE_READERS
+
+
+def test_closed_rule_guard_catches_a_rule_read():
+    hits = ["_MEMBERS[pair.kind.closed]", 'if kind.closed == "oo_odd":', "(k.kind.closed)"]
+    misses = ["graph.closed", "build_weak_order_graph(pair).closed", "kind.closed_x", "'closed'"]
+    assert all(_CLOSED_RULE.search(line) for line in hits)
+    assert not any(_CLOSED_RULE.search(line) for line in misses)
