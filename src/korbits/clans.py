@@ -9,11 +9,10 @@ other end of its pair.  The numbers exist only in printed text, as 1, 2,
 provides enumeration, the counting invariants gamma(i;+), gamma(i;-),
 gamma(i;j), the even-front parity of D:gl's clan rule, and the position
 involution attached to a clan.  The rest of each pair's clan rule (kept
-with the pair, in ``pairs.KINDS``) is applied by the generator: symmetric
-and skew-symmetric clans are generated directly, a position and its
-mirror at a time, and an anti-reflexive rule never places a number at a
-mirrored pair of positions.  A clan read from input is checked against
-the pair's orbit set, in ``orbits.parse_orbit_parameter``.
+with the pair, in ``pairs.KINDS``) is applied by the generator: one fill
+serves every rule, placing a position and its image (its mirror under a
+symmetric or skew rule) at a time.  A clan read from input is checked
+against the pair's orbit set, in ``orbits.parse_orbit_parameter``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ Symbol = Union[str, int]
 
 PLUS = "+"
 MINUS = "-"
-_OPPOSITE = {PLUS: MINUS, MINUS: PLUS}
 
 
 class Clan(Record):
@@ -187,104 +185,59 @@ def enumerate_clans(
     ``mirror="symmetric"`` keeps only clans equal to their reverse,
     ``mirror="skew"`` only clans equal to their negated reverse, and
     ``anti_reflexive`` only clans with no number at a mirrored pair of
-    positions.  Clans of either mirror kind are generated a position and
-    its mirror at a time, so the work grows with the clans returned, not
-    with all clans of the signature.
+    positions.  Every rule is generated directly, a position and its image
+    at a time, so the work grows with the clans returned, not with all
+    clans of the signature.
     """
     if a < 0 or b < 0:
         raise ContractViolation("signature parts must be nonnegative")
     if mirror not in (None, "symmetric", "skew"):
         raise ContractViolation(f"unknown mirror kind {mirror!r}")
-    if mirror is None:
-        clans = _plain_clans(a, b, anti_reflexive)
-    elif mirror == "skew" and (a + b) % 2:
-        # the middle position would need a sign equal to its own opposite
-        # or a number mated with itself
-        clans = []
-    else:
-        clans = _mirrored_clans(a, b, mirror == "skew", anti_reflexive)
+    # A position's image is its mirror L-1-pos under a mirror rule and
+    # itself otherwise; the open positions stay closed under it.  The
+    # smallest open position i and its image m are filled together: a sign
+    # at i and its image sign (the same, or the opposite under a skew rule)
+    # at m, where i == m takes only a sign equal to its image; or numbers
+    # pairing i with an open j and m with j's image, where j is no middle
+    # position, nor i's mirror under an anti-reflexive rule.  A sign uses
+    # one unit of its side of the (a, b) budget and a number pair one of
+    # each, so every leaf has used the budget exactly; a pair writes at each
+    # end the position of the other, so a leaf is a finished mate tuple.
+    size = a + b
+    image = [size - 1 - pos if mirror else pos for pos in range(size)]
+    flip = {PLUS: MINUS, MINUS: PLUS} if mirror == "skew" else {PLUS: PLUS, MINUS: MINUS}
+    # (sign at i, sign at m, a used, b used), for i != m and for i == m
+    signs = (
+        [(s, flip[s], (s, flip[s]).count(PLUS), (s, flip[s]).count(MINUS)) for s in flip],
+        [(s, s, int(s == PLUS), int(s == MINUS)) for s in flip if flip[s] == s],
+    )
+    # partners[i]: (j, j's image, units of each side used) for each j that may pair with i
+    partners = [
+        [(j, image[j], 1 if image[i] in (i, j) else 2) for j in range(i + 1, size)
+         if not (mirror and image[j] == j or anti_reflexive and j == size - 1 - i)]
+        for i in range(size)
+    ]
+    mates: list[Optional[Symbol]] = [None] * size
+    clans: list[Clan] = []
+
+    def fill(pos: int, a_left: int, b_left: int) -> None:
+        while pos < size and mates[pos] is not None:
+            pos += 1
+        if pos == size:
+            clans.append(Clan._trusted(tuple(mates)))
+            return
+        pos_image = image[pos]
+        for sign, image_sign, a_use, b_use in signs[pos == pos_image]:
+            if a_use <= a_left and b_use <= b_left:
+                mates[pos], mates[pos_image] = sign, image_sign
+                fill(pos + 1, a_left - a_use, b_left - b_use)
+        mates[pos] = mates[pos_image] = None
+        for mate, mate_image, use in partners[pos]:
+            if mates[mate] is None and use <= a_left and use <= b_left:
+                mates[pos], mates[mate] = mate + 1, pos + 1
+                mates[pos_image], mates[mate_image] = mate_image + 1, pos_image + 1
+                fill(pos + 1, a_left - use, b_left - use)
+                mates[pos] = mates[mate] = mates[pos_image] = mates[mate_image] = None
+
+    fill(0, a, b)
     return sorted(clans, key=Clan.sort_key)
-
-
-# Both generators fill the smallest open position next.  A sign uses one
-# unit of its own side of the (a, b) budget and a number pair one unit of
-# each, so the budgets left always add up to the open positions and every
-# leaf has used them exactly.  A number pair writes at each end the
-# position of the other, so a leaf is a finished mate tuple.
-
-
-def _plain_clans(a: int, b: int, anti_reflexive: bool) -> list[Clan]:
-    size = a + b
-    mates: list[Optional[Symbol]] = [None] * size
-    results: list[Clan] = []
-
-    def fill(pos: int, a_left: int, b_left: int) -> None:
-        while pos < size and mates[pos] is not None:
-            pos += 1
-        if pos == size:
-            results.append(Clan._trusted(tuple(mates)))
-            return
-        if a_left:
-            mates[pos] = PLUS
-            fill(pos + 1, a_left - 1, b_left)
-        if b_left:
-            mates[pos] = MINUS
-            fill(pos + 1, a_left, b_left - 1)
-        mates[pos] = None
-        if a_left and b_left:
-            for mate in range(pos + 1, size):
-                if mates[mate] is None and not (anti_reflexive and mate == size - 1 - pos):
-                    mates[pos], mates[mate] = mate + 1, pos + 1
-                    fill(pos + 1, a_left - 1, b_left - 1)
-                    mates[pos] = mates[mate] = None
-
-    fill(0, a, b)
-    return results
-
-
-def _mirrored_clans(a: int, b: int, skew: bool, anti_reflexive: bool) -> list[Clan]:
-    # The open positions stay closed under i -> L-1-i, so the smallest open
-    # position i and its mirror m are filled together: a sign at i and the
-    # same (symmetric) or opposite (skew) sign at m; a number pairing i with
-    # m; or numbers pairing i with an open j and m with L-1-j.  Only a sign
-    # fits the middle position of an odd length, where i == m.
-    size = a + b
-    mates: list[Optional[Symbol]] = [None] * size
-    results: list[Clan] = []
-
-    def fill(pos: int, a_left: int, b_left: int) -> None:
-        while pos < size and mates[pos] is not None:
-            pos += 1
-        if pos == size:
-            results.append(Clan._trusted(tuple(mates)))
-            return
-        mirror_pos = size - 1 - pos
-        if pos == mirror_pos:
-            # the last open position: exactly one budget unit is left
-            mates[pos] = PLUS if a_left else MINUS
-            fill(pos + 1, 0, 0)
-            mates[pos] = None
-            return
-        for sign in (PLUS, MINUS):
-            pair = (sign, _OPPOSITE[sign] if skew else sign)
-            a_use = pair.count(PLUS)
-            if a_use <= a_left and 2 - a_use <= b_left:
-                mates[pos], mates[mirror_pos] = pair
-                fill(pos + 1, a_left - a_use, b_left - 2 + a_use)
-        mates[pos] = mates[mirror_pos] = None
-        if a_left and b_left and not anti_reflexive:
-            mates[pos], mates[mirror_pos] = mirror_pos + 1, pos + 1
-            fill(pos + 1, a_left - 1, b_left - 1)
-            mates[pos] = mates[mirror_pos] = None
-        if a_left >= 2 and b_left >= 2:
-            for mate in range(pos + 1, size):
-                mate_mirror = size - 1 - mate
-                if mates[mate] is None and mate not in (mirror_pos, mate_mirror):
-                    mates[pos], mates[mate] = mate + 1, pos + 1
-                    mates[mirror_pos], mates[mate_mirror] = mate_mirror + 1, mirror_pos + 1
-                    fill(pos + 1, a_left - 2, b_left - 2)
-                    mates[pos] = mates[mate] = None
-                    mates[mirror_pos] = mates[mate_mirror] = None
-
-    fill(0, a, b)
-    return results

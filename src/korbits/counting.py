@@ -7,8 +7,8 @@ when no position is swapped with its mirror).  Summing clans over all
 symmetric subgroups in the inner class and grouping them by their
 position involution must reproduce these fiber sizes.  The subgroups of
 an inner class are the pair kinds that name it; the clans of each come
-straight from the mirror-aware generator under that kind's clan rule, so
-no clan outside the inner class is ever built.
+straight from the clan generator, which builds only the clans of that
+kind's rule, so no clan outside the inner class is ever built.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ former order of ``group_images``, and ``restriction_assignment`` the
 assignment dict that restriction substituted before the plan tables.
 ``canonical_symbols`` is the renumbering that every clan move ran when
 clans were stored by their printed numbers rather than by their mates.
+``clans_reference`` builds every clan of a signature from its number
+positions, their matching and its plus positions, independently of the
+library's generator.
 ``is_symmetric``, ``is_skew_symmetric`` and ``is_anti_reflexive`` test a
 clan against its mirror image, and ``clan_rule_admits`` combines them into
 the filter form of a pair's clan rule, the reference for the generator and
@@ -272,6 +275,37 @@ def canonical_symbols(symbols):
                 rename[sym] = len(rename) + 1
             out.append(rename[sym])
     return tuple(out)
+
+
+def _perfect_matchings(points: tuple) -> list[tuple]:
+    """Every way to split ``points`` into pairs."""
+    if not points:
+        return [()]
+    first, rest = points[0], points[1:]
+    return [
+        ((first, partner),) + matching
+        for k, partner in enumerate(rest)
+        for matching in _perfect_matchings(rest[:k] + rest[k + 1 :])
+    ]
+
+
+def clans_reference(a: int, b: int) -> list[Clan]:
+    """All clans of signature (a, b), sorted: for each k, 2k positions
+    for the numbers, each perfect matching of them, then the a - k plus
+    signs among the other positions."""
+    size = a + b
+    clans = []
+    for k in range(min(a, b) + 1):
+        for paired in itertools.combinations(range(size), 2 * k):
+            rest = [pos for pos in range(size) if pos not in paired]
+            for matching in _perfect_matchings(paired):
+                for plus in itertools.combinations(rest, a - k):
+                    symbols: list = ["+" if pos in plus else "-" for pos in range(size)]
+                    for label, ends in enumerate(matching, start=1):
+                        for pos in ends:
+                            symbols[pos] = label
+                    clans.append(Clan(symbols))
+    return sorted(clans, key=Clan.sort_key)
 
 
 def _mirror_image(clan: Clan, signs: dict) -> tuple:

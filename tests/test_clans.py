@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from oracles import is_anti_reflexive, is_skew_symmetric, is_symmetric
+from oracles import clans_reference, is_anti_reflexive, is_skew_symmetric, is_symmetric
 
 from korbits.clans import Clan, enumerate_clans
 from korbits.errors import ContractViolation, UsageError
@@ -114,6 +114,20 @@ def test_mirror_generation_matches_filtered_enumeration():
                 assert enumerate_clans(a, b, mirror=mirror) == want
                 want = [c for c in want if is_anti_reflexive(c)]
                 assert enumerate_clans(a, b, mirror=mirror, anti_reflexive=True) == want
+
+
+def test_generation_matches_the_reference_in_every_mode():
+    # the plain mode shares the generator's fill with the mirror modes, so
+    # every mode is checked against clans built without that fill
+    keeps = {None: lambda c: True, "symmetric": is_symmetric, "skew": is_skew_symmetric}
+    for size in range(9):
+        for a in range(size + 1):
+            reference = clans_reference(a, size - a)
+            for mirror, keep in keeps.items():
+                want = [c for c in reference if keep(c)]
+                assert enumerate_clans(a, size - a, mirror=mirror) == want
+                want = [c for c in want if is_anti_reflexive(c)]
+                assert enumerate_clans(a, size - a, mirror=mirror, anti_reflexive=True) == want
 
 
 def test_enumerate_rejects_unknown_mirror():
