@@ -134,7 +134,7 @@ def _closed_so_even(pair, param, space) -> EquivariantClass:
 def _closed_blocks(pair, param, space) -> EquivariantClass:
     inversions, plus, minus = _sign_split(param.mates[: pair.n])
     factors = [space.const((-1) ** inversions)]
-    if pair.root_family() == "B":
+    if pair.kind.roots == "B":
         factors += [space.y(k) for k in plus]
     for i in range(1, pair.p + 1):
         for j in minus:
@@ -151,7 +151,7 @@ def _closed_gl(pair, param, space) -> EquivariantClass:
     n = pair.n
     _, _, minus = _sign_split(param.mates[:n])
     plan = [(-1 if k in minus else 1, space.shifts[space.y_slot(k)]) for k in range(1, n + 1)]
-    compiled = _staircase_terms(space, n, pair.kind.ambient == "D")
+    compiled = _staircase_terms(space, n, pair.kind.roots == "D")
     poly = Polynomial(space, substitute_terms(compiled, plan))
     return EquivariantClass(pair, -poly if sum(n + 1 - k for k in minus) % 2 else poly)
 
@@ -230,7 +230,7 @@ def restrict_at(cls: EquivariantClass, images: tuple[int, ...]) -> Polynomial:
     """Restriction at the fixed point of the w with these images: substitute
     each y by the image of its w-translate in the small torus.  The images
     must be those of an element of the pair's ambient Weyl group."""
-    family, size = cls.pair.ambient_family()
+    family, size = cls.pair.ambient
     if len(images) != size:
         raise ContractViolation(f"restriction needs {size} images, got {images}")
     SignedPermutation(family, tuple(images))  # refuses a non-element
@@ -248,7 +248,7 @@ def restrict_at(cls: EquivariantClass, images: tuple[int, ...]) -> Polynomial:
 def ambient_weyl(pair: SymmetricPair):
     """The image tuples of the fixed points, in ``group_images`` order:
     every element of the pair's ambient Weyl group."""
-    return group_images(*pair.ambient_family())
+    return group_images(*pair.ambient)
 
 
 def first_disagreement(c1: EquivariantClass, c2: EquivariantClass) -> Optional[tuple[int, ...]]:
@@ -348,7 +348,7 @@ def weight_product_oracle(
     if not _closed_member(pair, param, w):
         return space.zero()
     rho = restriction_map(pair)
-    family = pair.root_family()
+    family = pair.kind.roots
     m = space.y_count
     restricted: dict[tuple[int, ...], int] = {}
     for root in _positive_roots(family, m):

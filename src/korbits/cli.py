@@ -37,8 +37,8 @@ def _max_n(text: str) -> int:
 def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
     # the hyperoctahedral order at max-n; every ambient Weyl group of size N
     # has order at most N! 2^N, so max-n past N changes no outcome
-    limit = group_order("BC", min(max_n, pair.ambient_family()[1]))
-    order = group_order(*pair.ambient_family())
+    limit = group_order("BC", min(max_n, pair.ambient[1]))
+    order = group_order(*pair.ambient)
     if order > limit:
         raise UsageError(
             f"localization would enumerate {order} fixed points, beyond the "
@@ -151,7 +151,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_chern(args) -> int:
     pair = parse_pair_spec(args.pair)
-    if pair.root_family() != "A":
+    if pair.kind.roots != "A":
         raise UsageError("Chern rewriting is supported for type A pairs only")
     param = parse_orbit_parameter(pair, args.parameter, allow_union=True)
     print(to_chern_basis(parameter_classes(pair, [param])[0]))

@@ -112,7 +112,7 @@ def parse_orbit_parameter(
             raise UsageError(f"clan {clan} does not label an orbit of {pair.describe()}")
         return clan
     tag = text[:1] if text[:1] in (PLUS, MINUS) else ""
-    param = InvolutionOrbit(parse_cycles(text[len(tag):], pair.ambient_family()[1]).images, tag)
+    param = InvolutionOrbit(parse_cycles(text[len(tag):], pair.ambient[1]).images, tag)
     parts = split_components(param) if allow_union and param not in level else (param,)
     if not all(part in level for part in parts):
         raise UsageError(f"{text!r} does not label an orbit of {pair.describe()}")
@@ -143,7 +143,7 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
         )
         return [c for c in clans if not rule.even_front or c.front_parity_even()]
     params: list[OrbitParameter] = []
-    for inv in involutions(pair.ambient_family()[1]):
+    for inv in involutions(pair.ambient[1]):
         fixed = _has_fixed_point(inv)
         if policy == "split" and not fixed:
             params.append(InvolutionOrbit(inv, PLUS))
@@ -247,7 +247,7 @@ def _closed_member(pair: SymmetricPair, param: OrbitParameter, w: SignedPermutat
 def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
     """The closed orbits of the cached graph, each with its first
     torus-fixed point in ``group_images`` order."""
-    family, size = pair.ambient_family()
+    family, size = pair.ambient
     found = []
     for param in build_weak_order_graph(pair).closed:
         members = (SignedPermutation(family, images) for images in group_images(family, size))

@@ -1,13 +1,13 @@
 """The ten symmetric pairs (G, K) handled by the library.
 
-A pair is a case tag plus its rank data (n, and the block sizes p, q).
-Everything the library knows about a case is written down once, in that
-case's :class:`PairKind` record in ``KINDS``: its descriptor and
-description, the ambient Weyl group and root system of G, the rule saying
-which clans or involutions label its orbits, the name of its closed-orbit
-rule (the key of the per-rule tables in ``orbits`` and ``classes``), its
-restriction map to the small torus, the root blocks of K, its Chern form
-and its inner class.  Pair descriptors are parsed from strings like
+A pair is its kind record plus its rank data (n, and the block sizes p, q).
+Everything the library knows about a kind of pair is written down once, in
+its :class:`PairKind` record in ``KINDS``, keyed by its descriptor: its
+description, the root system of G (which fixes the ambient Weyl group),
+the rule saying which clans or involutions label its orbits, the name of
+its closed-orbit rule (the key of the per-rule tables in ``orbits`` and
+``classes``), its restriction map to the small torus, the root blocks of
+K, its Chern form and its inner class.  Pairs are parsed from strings like
 ``A:glpq:2,2`` or ``D:oo-odd:1,2``.
 """
 
@@ -57,15 +57,13 @@ INNER_D_UNEQUAL = InnerClass("D-unequal", "BC", parity="odd")
 
 
 class PairKind(Record):
-    """Everything that depends on a pair's case alone."""
+    """Everything that depends on a pair's kind alone."""
 
     __slots__ = (
-        "tag",
-        "descriptor",  # "TYPE:case", before the parameters
+        "descriptor",  # "TYPE:case", before the parameters; the key in KINDS
         "form",  # parameter form: PQ, RANK, ODD or EVEN
         "template",  # describe() over N (matrix size), n and the signature a, b
-        "ambient",  # Weyl family of G: "A", "BC" or "D"
-        "roots",  # root family of G: "A", "B", "C" or "D"
+        "roots",  # root family of G: "A", "B", "C" or "D" (Weyl family "BC" for B and C)
         # root families of K's blocks: one block x_1..x_r, or two split after x_p
         "subgroup",
         "closed",  # closed-orbit rule: the key of the tables in orbits and classes
@@ -82,65 +80,67 @@ class PairKind(Record):
     )
 
     def __init__(
-        self, tag, descriptor, form, template, ambient, roots, subgroup, closed,
-        restriction="identity", signature=None, clan_rule=None, involutions=None, chern=None,
-        inner_class=None,
+        self, descriptor, form, template, roots, subgroup, closed, restriction="identity",
+        signature=None, clan_rule=None, involutions=None, chern=None, inner_class=None,
     ) -> None:
         set_fields(
-            self, tag, descriptor, form, template, ambient, roots, subgroup, closed, restriction,
-            signature, clan_rule, involutions, chern, inner_class,
+            self, descriptor, form, template, roots, subgroup, closed, restriction, signature,
+            clan_rule, involutions, chern, inner_class,
         )
+
+    def __repr__(self) -> str:  # a pair's repr names its kind, not every field
+        return f"KINDS[{self.descriptor!r}]"
 
 
 _ORTHOGONAL_BLOCKS = "(SO({N}), S(O({a}) x O({b})))"
 
 KINDS = {
-    kind.tag: kind
+    kind.descriptor: kind
     for kind in (
         PairKind(
-            "A_GLPQ", "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A", "A", ("A", "A"),
+            "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A", ("A", "A"),
             closed="glpq", signature=lambda n, p, q: (p, q), clan_rule=ClanRule(), chern="blocks",
         ),
         PairKind(
-            "A_SO_ODD", "A:so", ODD, "(SL({N}), SO({N}))", "A", "A", ("B",),
+            "A:so", ODD, "(SL({N}), SO({N}))", "A", ("B",),
             closed="so_odd", restriction="fold", involutions="all", chern="euler",
         ),
         PairKind(
-            "A_SO_EVEN", "A:so-even", EVEN, "(SL({N}), SO({N}))", "A", "A", ("D",),
+            "A:so-even", EVEN, "(SL({N}), SO({N}))", "A", ("D",),
             closed="so_even", restriction="fold", involutions="split", chern="euler",
         ),
         PairKind(
-            "A_SP", "A:sp", EVEN, "(SL({N}), Sp({N}))", "A", "A", ("C",),
+            "A:sp", EVEN, "(SL({N}), Sp({N}))", "A", ("C",),
             closed="sp", restriction="fold", involutions="fixed-point-free", chern="euler",
         ),
         PairKind(
-            "B_OO", "B:oo", PQ, _ORTHOGONAL_BLOCKS, "BC", "B", ("D", "B"),
+            "B:oo", PQ, _ORTHOGONAL_BLOCKS, "B", ("D", "B"),
             closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q + 1),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_B,
         ),
         PairKind(
-            "C_SPSP", "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "BC", "C", ("C", "C"),
+            "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "C", ("C", "C"),
             closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q),
             clan_rule=ClanRule("symmetric", anti_reflexive=True), inner_class=INNER_C,
         ),
         PairKind(
-            "C_GL", "C:gl", RANK, "(Sp({N}), GL({n}))", "BC", "C", ("A",),
+            "C:gl", RANK, "(Sp({N}), GL({n}))", "C", ("A",),
             closed="gl", signature=lambda n, p, q: (n, n),
             clan_rule=ClanRule("skew"), inner_class=INNER_C,
         ),
         PairKind(
-            "D_OO", "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("D", "D"),
+            "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D", ("D", "D"),
             closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_D_COMPACT,
         ),
         PairKind(
-            "D_GL", "D:gl", RANK, "(SO({N}), GL({n}))", "D", "D", ("A",),
+            "D:gl", RANK, "(SO({N}), GL({n}))", "D", ("A",),
             closed="gl", signature=lambda n, p, q: (n, n),
             clan_rule=ClanRule("skew", anti_reflexive=True, even_front=True),
             inner_class=INNER_D_COMPACT,
         ),
         PairKind(
-            "D_OO_ODD", "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D", "D", ("B", "B"),
+            "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D", ("B", "B"),
             closed="oo_odd", restriction="drop", signature=lambda n, p, q: (2 * p + 1, 2 * q - 1),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_D_UNEQUAL,
         ),
@@ -150,18 +150,18 @@ KINDS = {
 
 class SymmetricPair(Record):
     # ambient: (family, size) of the ambient Weyl group, derived from the rest
-    __slots__ = ("case", "n", "p", "q", "ambient")
+    __slots__ = ("kind", "n", "p", "q", "ambient")
 
-    def __init__(self, case: str, n: int, p: int = 0, q: int = 0) -> None:
-        set_field(self, "case", case)
+    def __init__(self, descriptor: str, n: int, p: int = 0, q: int = 0) -> None:
+        kind = KINDS.get(descriptor)
+        if kind is None:
+            raise UsageError(f"unknown case {descriptor!r}")
+        set_field(self, "kind", kind)
         set_field(self, "n", n)
         set_field(self, "p", p)
         set_field(self, "q", q)
-        kind = KINDS.get(case)
-        if kind is None:
-            raise UsageError(f"unknown case {case!r}")
         size = {ODD: 2 * n + 1, EVEN: 2 * n}.get(kind.form, n)
-        set_field(self, "ambient", (kind.ambient, size))
+        set_field(self, "ambient", ("BC" if kind.roots in ("B", "C") else kind.roots, size))
         if self.n < 1:
             raise UsageError("rank must be at least 1")
         if kind.form == PQ:
@@ -172,31 +172,19 @@ class SymmetricPair(Record):
                     f"{self.spec_string()} has clan signature {self.clan_signature()}; "
                     f"the odd orthogonal split needs q >= 1"
                 )
-        if kind.ambient == "D" and self.n < 2:
+        if kind.roots == "D" and self.n < 2:
             raise UsageError("type D pairs need n >= 2")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         same = self.n == other.n and self.p == other.p and self.q == other.q
-        return same and self.case == other.case
+        return same and self.kind is other.kind
 
     def __hash__(self) -> int:
-        return hash((self.case, self.n, self.p, self.q))
+        return hash((self.kind.descriptor, self.n, self.p, self.q))
 
     # -- descriptive data -------------------------------------------------
-
-    @property
-    def kind(self) -> PairKind:
-        return KINDS[self.case]
-
-    def ambient_family(self) -> tuple[str, int]:
-        """(family, size): family "A" with S_N, or "BC"/"D" signed rank n."""
-        return self.ambient
-
-    def root_family(self) -> str:
-        """Root-system family of G, for divided difference operators."""
-        return self.kind.roots
 
     def num_simple_roots(self) -> int:
         family, size = self.ambient
@@ -206,10 +194,10 @@ class SymmetricPair(Record):
         """x's for K's torus (one fewer when the restriction drops a
         coordinate) and one y per ambient coordinate."""
         x_count = self.n - 1 if self.kind.restriction == "drop" else self.n
-        return VariableSpace(x_count, self.ambient_family()[1])
+        return VariableSpace(x_count, self.ambient[1])
 
     def root_action(self, i: int) -> SimpleRootAction:
-        return simple_root_action(self.variable_space(), self.root_family(), i)
+        return simple_root_action(self.variable_space(), self.kind.roots, i)
 
     def is_clan_case(self) -> bool:
         return self.kind.clan_rule is not None
@@ -225,7 +213,7 @@ class SymmetricPair(Record):
         """N with G inside SL(N), SO(N) or Sp(N)."""
         if self.is_clan_case():
             return sum(self.clan_signature())
-        return self.ambient_family()[1]
+        return self.ambient[1]
 
     def describe(self) -> str:
         a, b = self.clan_signature() if self.is_clan_case() else (0, 0)
@@ -238,9 +226,6 @@ class SymmetricPair(Record):
         else:
             params = str(self.n if kind.form == RANK else self.matrix_size())
         return f"{kind.descriptor}:{params}"
-
-
-_BY_DESCRIPTOR = {kind.descriptor: kind for kind in KINDS.values()}
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -256,16 +241,16 @@ def parse_pair_spec(text: str) -> SymmetricPair:
     if len(parts) != 3:
         raise UsageError(f"pair descriptor {text!r} is not TYPE:case:params")
     descriptor = f"{parts[0].upper()}:{parts[1].lower()}"
-    kind = _BY_DESCRIPTOR.get(descriptor)
+    kind = KINDS.get(descriptor)
     if kind is None:
         raise UsageError(f"unknown pair descriptor {text!r}")
     if kind.form == PQ:
         p, q = _parse_pq(parts[2])
-        return SymmetricPair(kind.tag, p + q, p, q)
+        return SymmetricPair(descriptor, p + q, p, q)
     if kind.form == RANK:
-        return SymmetricPair(kind.tag, parse_decimal(parts[2], "n"))
+        return SymmetricPair(descriptor, parse_decimal(parts[2], "n"))
     size = parse_decimal(parts[2], "N")
     odd = kind.form == ODD
     if size < 2 + odd or size % 2 != odd:
         raise UsageError(f"{descriptor}:N needs {kind.form} >= {2 + odd}")
-    return SymmetricPair(kind.tag, size // 2)
+    return SymmetricPair(descriptor, size // 2)

@@ -177,7 +177,7 @@ def restriction_map(pair: SymmetricPair) -> RestrictionMap:
     """The per-pair map sending each torus coordinate Y_j into the small
     torus: entries are (sign, x_index) or None for the coordinate that
     restricts to zero."""
-    n, size = pair.n, pair.ambient_family()[1]
+    n, size = pair.n, pair.ambient[1]
     rule = pair.kind.restriction
     if rule == "fold":
         return tuple(

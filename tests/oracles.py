@@ -222,7 +222,7 @@ def first_disagreement_reference(c1, c2) -> Optional[tuple[int, ...]]:
     space = pair.variable_space()
     rho = restriction_map(pair)
     diff = compile_terms(c1.polynomial - c2.polynomial)
-    for w in enumerate_group(*pair.ambient_family()):
+    for w in enumerate_group(*pair.ambient):
         plan = []
         for v in w.images:
             target = rho[abs(v) - 1]
@@ -440,7 +440,7 @@ def _closed_glpq(pair):
 
 
 def _closed_longest(pair):
-    size = pair.ambient_family()[1]
+    size = pair.ambient[1]
     yield InvolutionOrbit(tuple(range(size, 0, -1))), identity("A", size)
 
 
@@ -452,14 +452,14 @@ def _closed_split(pair):
 
 def _closed_blocks(pair):
     # the odd-length (type B) clans carry a minus sign in the middle
-    middle = [MINUS] if pair.root_family() == "B" else []
+    middle = [MINUS] if pair.kind.roots == "B" else []
     for half in _sign_strings(pair.n, pair.p):
         images = _sign_string_images(half, pair.p)
-        yield Clan(half + middle + half[::-1]), SignedPermutation(pair.kind.ambient, images)
+        yield Clan(half + middle + half[::-1]), SignedPermutation(pair.ambient[0], images)
 
 
 def _closed_gl(pair):
-    family = pair.kind.ambient
+    family = pair.ambient[0]
     for signs in itertools.product((PLUS, MINUS), repeat=pair.n):
         if family == "D" and signs.count(MINUS) % 2:
             continue
@@ -580,7 +580,7 @@ def closed_class_reference(pair: SymmetricPair, param: OrbitParameter, rep) -> P
     if rule == "gl":
         _, count, shift = sign_stats(rep)
         plan = [(1 if v > 0 else -1, space.shifts[space.y_slot(abs(v))]) for v in inverse(rep).images]
-        compiled = _staircase_terms(space, n, pair.kind.ambient == "D")
+        compiled = _staircase_terms(space, n, pair.kind.roots == "D")
         poly = Polynomial(space, substitute_terms(compiled, plan))
         return -poly if (count + shift) % 2 else poly
     if rule not in ("glpq", "blocks", "oo_odd"):
@@ -597,7 +597,7 @@ def closed_class_reference(pair: SymmetricPair, param: OrbitParameter, rep) -> P
         ]
     elif rule == "blocks":
         factors = [space.const((-1) ** l_p(absolute(rep), p))]
-        if pair.root_family() == "B":
+        if pair.kind.roots == "B":
             inv_abs = inverse(absolute(rep))
             factors += [space.y(inv_abs.images[k - 1]) for k in range(1, p + 1)]
         for i in range(1, p + 1):
@@ -615,7 +615,7 @@ def closed_class_reference(pair: SymmetricPair, param: OrbitParameter, rep) -> P
 def closed_gl_reference(pair, rep) -> Polynomial:
     """The closed class of a general-linear pair at the fixed point rep."""
     _, count, shift = sign_stats(rep)
-    half = pair.kind.ambient == "D"
+    half = pair.kind.roots == "D"
     sign = (-1) ** shift if half else (-1) ** (count + shift)
     base = staircase_determinant(pair.variable_space(), pair.n, half)
     return sign * map_y(base, [(1 if v > 0 else -1, abs(v)) for v in inverse(rep).images])
@@ -715,7 +715,7 @@ def cross_action(
     """The Weyl-group cross action on orbit parameters.  A tagged
     component moves with the representative."""
     if isinstance(param, Clan):
-        sigma = w if pair.ambient_family()[0] == "A" else w.embed_as_permutation(len(param))
+        sigma = w if pair.ambient[0] == "A" else w.embed_as_permutation(len(param))
         moved = [None] * len(param)
         for image, sym in zip(sigma.images, param.symbols):
             moved[image - 1] = sym

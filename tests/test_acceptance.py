@@ -186,7 +186,7 @@ def test_criterion_4_closed_orbit_oracle():
     for pair in _pairs_up_to_rank(3):
         for param, _ in closed_orbits(pair):
             cls = closed_orbit_class(pair, param)
-            for w in enumerate_group(*pair.ambient_family()):
+            for w in enumerate_group(*pair.ambient):
                 assert restrict_at(cls, w.images) == weight_product_oracle(pair, param, w), (
                     f"{pair.spec_string()} {param} at {w.images}"
                 )

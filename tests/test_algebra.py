@@ -532,7 +532,7 @@ def test_closed_forms_match_division_on_every_edge(spec):
         f = classes[edge.source].polynomial
         act = pair.root_action(edge.root_index)
         assert divided_difference(f, act) == divided_difference_by_division(
-            f, pair.root_family(), edge.root_index
+            f, pair.kind.roots, edge.root_index
         )
 
 

@@ -64,7 +64,7 @@ def poly(pair, text):
 def fixed_points(pair):
     """The ambient Weyl group as ``SignedPermutation`` elements, in the
     order of ``ambient_weyl``'s image tuples."""
-    return enumerate_group(*pair.ambient_family())
+    return enumerate_group(*pair.ambient)
 
 
 # -- closed orbit formulas -------------------------------------------------------
@@ -638,7 +638,7 @@ def per_orbit_staircase(space, n, w, half):
 @pytest.mark.parametrize("spec", ["C:gl:2", "C:gl:3", "C:gl:4", "D:gl:2", "D:gl:3", "D:gl:4"])
 def test_gl_closed_classes_match_per_orbit_determinant(spec):
     pair = parse_pair_spec(spec)
-    half = pair.kind.ambient == "D"
+    half = pair.kind.roots == "D"
     space = pair.variable_space()
     for param, rep in closed_orbits(pair):
         got = closed_orbit_class(pair, param).polynomial
@@ -892,7 +892,7 @@ def test_membership_predicate_matches_coset_enumeration():
     }
     for spec, in_subgroup in cases.items():
         pair = parse_pair_spec(spec)
-        family, size = pair.ambient_family()
+        family, size = pair.ambient
         for param, rep in closed_orbits(pair):
             coset = {
                 compose(s, rep).images

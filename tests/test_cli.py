@@ -390,6 +390,22 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, fixture_text)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("chern", "A:so:5", "(1,2"), "bad cycle '(1,2'"),
+        (("chern", "A:so:5", "(1,9)"), "cycle entry 9 outside 1..5"),
+        (("count", "B3"), "inner class spec looks like B:3 or D-compact:2"),
+        (("verify", "nosuch.txt"), "fixture 'nosuch.txt' not found"),
+        (("chern", "B:oo:1,1", "(+,-,+)"), "Chern rewriting is supported for type A pairs only"),
+    ],
+    ids=["unclosed-cycle", "cycle-entry-past-n", "inner-class-without-colon", "missing-fixture",
+         "chern-outside-type-a"],
+)
+def test_refusal_prints_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_unreadable_fixture_is_usage_error(tmp_path, capsys):
     # a directory, and a file that is not UTF-8 text: one line naming the path
     latin1 = tmp_path / "latin1.txt"

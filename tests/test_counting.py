@@ -28,8 +28,6 @@ def test_c_case_split():
 @pytest.mark.parametrize("name", ["B", "C", "D-compact", "D-unequal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_counts_match_fibers(name, n):
-    if name.startswith("D") and n < 2:
-        pytest.skip("type D needs rank 2")
     rows = count_report(name, n)
     assert rows, "no twisted involutions found"
     assert all(r.ok for r in rows)

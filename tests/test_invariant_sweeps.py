@@ -39,23 +39,23 @@ def pairs_of_rank(n):
 def expected_closed_count(pair):
     n, p, q = pair.n, pair.p, pair.q
     return {
-        "A_GLPQ": math.comb(n, p),
-        "A_SO_ODD": 1,
-        "A_SO_EVEN": 2,
-        "A_SP": 1,
-        "B_OO": math.comb(n, p),
-        "C_SPSP": math.comb(n, p),
-        "C_GL": 2 ** n,
-        "D_OO": math.comb(n, p),
-        "D_GL": 2 ** (n - 1),
-        "D_OO_ODD": math.comb(n - 1, p),
-    }[pair.case]
+        "A:glpq": math.comb(n, p),
+        "A:so": 1,
+        "A:so-even": 2,
+        "A:sp": 1,
+        "B:oo": math.comb(n, p),
+        "C:spsp": math.comb(n, p),
+        "C:gl": 2 ** n,
+        "D:oo": math.comb(n, p),
+        "D:gl": 2 ** (n - 1),
+        "D:oo-odd": math.comb(n - 1, p),
+    }[pair.kind.descriptor]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_graph_node_sets_match_enumeration(n):
     for pair in pairs_of_rank(n):
-        if pair.case == "A_SO_EVEN" and n >= 4:
+        if pair.kind.descriptor == "A:so-even" and n >= 4:
             continue  # the SL(8) instance runs in its own test below
         graph = build_weak_order_graph(pair)
         assert sorted(graph.nodes, key=lambda pm: pm.sort_key()) == enumerate_orbits(

@@ -136,7 +136,7 @@ def test_involutions_parse_exactly_when_the_graph_admits(allow_union, tmp_path, 
         pair = parse_pair_spec(spec)
         level = build_weak_order_graph(pair).level
         refused = []
-        for inv in involutions(pair.ambient_family()[1]):
+        for inv in involutions(pair.ambient[1]):
             fixed = any(v == i for i, v in enumerate(inv, start=1))
             for tag in ("", PLUS, MINUS):
                 text = tag + SignedPermutation("A", inv).cycle_string()
@@ -456,7 +456,7 @@ def test_twisted_action_matches_involution_rules():
 )
 def test_m_action_agrees_with_classification(spec):
     pair = parse_pair_spec(spec)
-    _, size = pair.ambient_family()
+    _, size = pair.ambient
     theta = conjugation_by_longest(size)
     w0 = SignedPermutation("A", tuple(range(size, 0, -1)))
     for param in enumerate_orbits(pair):
@@ -471,7 +471,7 @@ def test_m_action_agrees_with_classification(spec):
                 if moved:
                     # the monoid raises the twisted involution, but for the
                     # symplectic pair the image leaves the orbit set
-                    assert pair.case == "A_SP"
+                    assert pair.kind.descriptor == "A:sp"
                     target = compose(image, inverse(w0))
                     assert any(
                         target.images[k] == k + 1 for k in range(size)
@@ -613,7 +613,7 @@ def test_degree_two_exactly_when_cross_action_fixes(spec):
     from korbits.weyl import SignedPermutation
 
     pair = parse_pair_spec(spec)
-    family, size = pair.ambient_family()
+    family, size = pair.ambient
     for param in enumerate_orbits(pair):
         for i in range(1, pair.num_simple_roots() + 1):
             status = classify_simple_root(pair, param, i)
@@ -655,7 +655,7 @@ def test_parameter_strings_round_trip(spec):
         assert isinstance(param, Clan if pair.is_clan_case() else InvolutionOrbit)
         if isinstance(param, InvolutionOrbit):
             fixed_point_free = all(v != i for i, v in enumerate(param.involution, start=1))
-            split = pair.case == "A_SO_EVEN" and fixed_point_free
+            split = pair.kind.descriptor == "A:so-even" and fixed_point_free
             assert bool(param.component) == split, (spec, str(param))
 
 

@@ -75,29 +75,40 @@ def test_bad_descriptor_is_usage_error(spec):
         parse_pair_spec(spec)
 
 
-# a read of a pair's case, or a case tag named
-_CASE = re.compile(rf"\.case\b|\b({'|'.join(KINDS)})\b")
+# a read of a pair's case: no module has one, pairs included
+_CASE_READ = re.compile(r"\.case\b")
+# a pair kind looked up or compared by its descriptor: only pairs does that
+_KIND_BY_NAME = re.compile(r"\bKINDS(?:\[|\.get\b)|\.descriptor\s*[!=]=")
 
 
 def test_no_case_chains_outside_pairs():
-    # case facts live in the pair-kind records; other modules read them
+    # a pair holds its kind record; other modules read the kind's facts
     # through pair.kind, and key per-rule tables by a field of the kind, so
-    # no other module reads a pair's case or names a case tag
+    # no module reads a case and none but pairs names a kind to find it
     offenders = [
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted((ROOT / "src" / "korbits").glob("*.py"))
-        if path.name != "pairs.py"
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-        if _CASE.search(line)
+        if _CASE_READ.search(line) or (path.name != "pairs.py" and _KIND_BY_NAME.search(line))
     ]
     assert offenders == []
 
 
-def test_case_guard_catches_a_case_read_and_a_tag():
-    hits = ["table[pair.case]", 'if kind == "D_OO_ODD":', "from .pairs import A_SP"]
-    misses = ["pair.kind.closed", "pair.cases", "A_SPX = 1", "lowercase"]
-    assert all(_CASE.search(line) for line in hits)
-    assert not any(_CASE.search(line) for line in misses)
+def test_case_guard_catches_a_case_read_and_a_kind_by_name():
+    case_hits = ["table[pair.case]", "if self.case == other.case:", "(p.case)"]
+    case_misses = ["pair.cases", "pair.is_clan_case()", '"TYPE:case"', "lowercase"]
+    name_hits = [
+        'KINDS["D:oo-odd"]', 'KINDS.get("A:sp")', 'if pair.kind.descriptor == "A:sp":',
+        "kind.descriptor != other.kind.descriptor",
+    ]
+    name_misses = [
+        "KINDS.values()", 'f"{kind.descriptor}:{params}"', "the A:so and D:gl pairs",
+        "kind.descriptor_x == 1", "pair.kind.closed",
+    ]
+    assert all(_CASE_READ.search(line) for line in case_hits)
+    assert not any(_CASE_READ.search(line) for line in case_misses)
+    assert all(_KIND_BY_NAME.search(line) for line in name_hits)
+    assert not any(_KIND_BY_NAME.search(line) for line in name_misses)
 
 
 # a read of the pair kind's involution policy

@@ -20,8 +20,8 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 # read by no pipeline path, and kept on purpose
 EXEMPT = {
-    "closure_compare",  # the closure order that ROADMAP item 6 tests
-    "weight_product_oracle",  # the README sketch's independent check of restrictions
+    "closure_compare",  # the closure order that ROADMAP item 8 tests
+    "weight_product_oracle",  # the README sketch's independent check of closed restrictions
 }
 
 

@@ -40,7 +40,7 @@ class TwinVariableSpace:
 
 @frozen
 class TwinSymmetricPair:
-    case: str
+    descriptor: str
     n: int
     p: int = 0
     q: int = 0
@@ -76,7 +76,7 @@ def twin(record):
     if isinstance(record, VariableSpace):
         return TwinVariableSpace(record.x_count, record.y_count)
     if isinstance(record, SymmetricPair):
-        return TwinSymmetricPair(record.case, record.n, record.p, record.q)
+        return TwinSymmetricPair(record.kind.descriptor, record.n, record.p, record.q)
     if isinstance(record, SignedPermutation):
         return TwinSignedPermutation(record.family, record.images)
     if isinstance(record, Clan):
@@ -95,7 +95,7 @@ def rebuilt(record):
     if isinstance(record, VariableSpace):
         return VariableSpace(record.x_count, record.y_count)
     if isinstance(record, SymmetricPair):
-        return SymmetricPair(record.case, record.n, record.p, record.q)
+        return SymmetricPair(record.kind.descriptor, record.n, record.p, record.q)
     if isinstance(record, SignedPermutation):
         return SignedPermutation(record.family, tuple(list(record.images)))
     if isinstance(record, Clan):
@@ -113,7 +113,7 @@ def pairs_of_rank(n):
         splits = [(p, n - p) for p in range(n + 1)] if kind.form == PQ else [(0, 0)]
         for p, q in splits:
             try:
-                yield SymmetricPair(kind.tag, n, p, q)
+                yield SymmetricPair(kind.descriptor, n, p, q)
             except UsageError:
                 continue
 
@@ -159,7 +159,7 @@ def test_records_of_different_classes_never_compare_equal():
         InvolutionOrbit(inv, "+"),
         Clan((1, 1)),
         SignedPermutation("A", inv),
-        SymmetricPair("A_SO_EVEN", 2),
+        SymmetricPair("A:so-even", 2),
     ]
     for a, b in itertools.permutations(records, 2):
         assert a.__eq__(b) is NotImplemented and a != b
@@ -171,14 +171,14 @@ def test_records_of_different_classes_never_compare_equal():
     [
         (VariableSpace(2, 3), "x_count"),
         (VariableSpace(2, 3), "shifts"),
-        (SymmetricPair("A_GLPQ", 2, 1, 1), "n"),
+        (SymmetricPair("A:glpq", 2, 1, 1), "n"),
         (SignedPermutation("BC", (2, -1)), "images"),
         (Clan(("+", 1, 1)), "symbols"),
-        (build_weak_order_graph(SymmetricPair("A_SP", 2)), "nodes"),
+        (build_weak_order_graph(SymmetricPair("A:sp", 2)), "nodes"),
         (InvolutionOrbit((2, 1)), "involution"),
         (InvolutionOrbit((2, 1), "-"), "component"),
         (WeakEdge(InvolutionOrbit((1, 2)), InvolutionOrbit((2, 1)), 1, 1), "degree"),
-        (KINDS["D_GL"], "clan_rule"),
+        (KINDS["D:gl"], "clan_rule"),
         (RootStatus("complex"), "kind"),
         (VariableSpace(1, 0).x(1), "terms"),
         (Clan(("+", 1, 1)), "mates"),
@@ -198,14 +198,14 @@ def test_records_refuse_assignment_and_deletion(record, field):
     [
         (lambda: VariableSpace(-1, 2), ContractViolation, "variable counts must be nonnegative"),
         (lambda: SymmetricPair("E_XX", 2), UsageError, "unknown case 'E_XX'"),
-        (lambda: SymmetricPair("A_GLPQ", 0), UsageError, "rank must be at least 1"),
-        (lambda: SymmetricPair("B_OO", 3, 1, 1), UsageError, "need p, q >= 0 with p + q = n"),
+        (lambda: SymmetricPair("A:glpq", 0), UsageError, "rank must be at least 1"),
+        (lambda: SymmetricPair("B:oo", 3, 1, 1), UsageError, "need p, q >= 0 with p + q = n"),
         (
-            lambda: SymmetricPair("D_OO_ODD", 2, 2, 0),
+            lambda: SymmetricPair("D:oo-odd", 2, 2, 0),
             UsageError,
             "D:oo-odd:2,0 has clan signature (5, -1); the odd orthogonal split needs q >= 1",
         ),
-        (lambda: SymmetricPair("D_GL", 1), UsageError, "type D pairs need n >= 2"),
+        (lambda: SymmetricPair("D:gl", 1), UsageError, "type D pairs need n >= 2"),
         (
             lambda: SignedPermutation("A", (1, 1)),
             ContractViolation,
@@ -236,11 +236,11 @@ def test_invalid_arguments_keep_their_errors(build, error, message):
 
 
 def test_keyword_construction_and_defaults():
-    assert SymmetricPair(case="A_SO_ODD", n=2) == SymmetricPair("A_SO_ODD", 2, 0, 0)
-    kind = KINDS["A_SO_ODD"]
+    assert SymmetricPair(descriptor="A:so", n=2) == SymmetricPair("A:so", 2, 0, 0)
+    kind = KINDS["A:so"]
     assert (kind.restriction, kind.clan_rule, kind.inner_class) == ("fold", None, None)
-    assert KINDS["A_GLPQ"].restriction == "identity" and KINDS["A_GLPQ"].form == PQ
-    assert KINDS["C_GL"].form == RANK and KINDS["C_GL"].inner_class.doubled
+    assert KINDS["A:glpq"].restriction == "identity" and KINDS["A:glpq"].form == PQ
+    assert KINDS["C:gl"].form == RANK and KINDS["C:gl"].inner_class.doubled
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
