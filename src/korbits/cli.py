@@ -13,16 +13,12 @@ import argparse
 import os
 import sys
 
-from .classes import (
-    format_table, parameter_classes, parse_fixture, propagate, to_chern_basis, verify_rows,
-)
-from .counting import INNER_CLASSES, count_report
+# each layer loads on its first attribute read (see __init__), so a command
+# runs only the layers it reads
+from . import classes, counting, orbits, pairs, weyl
 from .errors import (
     ContractViolation, InternalError, UsageError, VerificationFailure, parse_decimal,
 )
-from .orbits import build_weak_order_graph, parse_orbit_parameter, to_dot
-from .pairs import SymmetricPair, parse_pair_spec
-from .weyl import group_order
 
 FIXTURE_ENV = "KORBITS_FIXTURES"
 
@@ -34,11 +30,11 @@ def _max_n(text: str) -> int:
     return max_n
 
 
-def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
+def _check_weyl_bound(pair: pairs.SymmetricPair, max_n: int) -> None:
     # the hyperoctahedral order at max-n; every ambient Weyl group of size N
     # has order at most N! 2^N, so max-n past N changes no outcome
-    limit = group_order("BC", min(max_n, pair.ambient[1]))
-    order = group_order(*pair.ambient)
+    limit = weyl.group_order("BC", min(max_n, pair.ambient[1]))
+    order = weyl.group_order(*pair.ambient)
     if order > limit:
         raise UsageError(
             f"localization would enumerate {order} fixed points, beyond the "
@@ -47,8 +43,8 @@ def _check_weyl_bound(pair: SymmetricPair, max_n: int) -> None:
 
 
 def _cmd_orbits(args) -> int:
-    pair = parse_pair_spec(args.pair)
-    graph = build_weak_order_graph(pair)
+    pair = pairs.parse_pair_spec(args.pair)
+    graph = orbits.build_weak_order_graph(pair)
     params = graph.level  # keyed in enumerate_orbits order
     closed, dense = set(graph.closed), graph.dense
     if args.format == "json":
@@ -76,14 +72,14 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    pair = parse_pair_spec(args.pair)
-    print(to_dot(build_weak_order_graph(pair)), end="")
+    pair = pairs.parse_pair_spec(args.pair)
+    print(orbits.to_dot(orbits.build_weak_order_graph(pair)), end="")
     return 0
 
 
 def _cmd_classes(args) -> int:
-    pair = parse_pair_spec(args.pair)
-    format_table(pair, propagate(pair), args.format, sys.stdout.write)
+    pair = pairs.parse_pair_spec(args.pair)
+    classes.format_table(pair, classes.propagate(pair), args.format, sys.stdout.write)
     return 0
 
 
@@ -108,15 +104,15 @@ def _fixture_text(path: str) -> str:
 def _cmd_verify(args) -> int:
     max_n = _max_n(args.max_n)
     text = _fixture_text(args.fixture)
-    pair_spec, rows = parse_fixture(text)
+    pair_spec, rows = classes.parse_fixture(text)
     if args.pair:
-        pair = parse_pair_spec(args.pair)
+        pair = pairs.parse_pair_spec(args.pair)
     elif pair_spec:
-        pair = parse_pair_spec(pair_spec)
+        pair = pairs.parse_pair_spec(pair_spec)
     else:
         raise UsageError("fixture has no pair header; pass --pair")
     _check_weyl_bound(pair, max_n)
-    results = verify_rows(pair, rows, literal=args.literal)
+    results = classes.verify_rows(pair, rows, literal=args.literal)
     failures = 0
     for param_text, ok in results:
         print(f"{'ok  ' if ok else 'FAIL'} {param_text}")
@@ -137,7 +133,7 @@ def _cmd_count(args) -> int:
     rank = parse_decimal(rank_text, "rank")
     if rank < 1 or rank > max_n:
         raise UsageError(f"rank must be between 1 and --max-n ({max_n})")
-    rows = count_report(name, rank)
+    rows = counting.count_report(name, rank)
     failures = 0
     for row in rows:
         status = "ok  " if row.ok else "FAIL"
@@ -150,11 +146,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_chern(args) -> int:
-    pair = parse_pair_spec(args.pair)
+    pair = pairs.parse_pair_spec(args.pair)
     if pair.kind.roots != "A":
         raise UsageError("Chern rewriting is supported for type A pairs only")
-    param = parse_orbit_parameter(pair, args.parameter, allow_union=True)
-    print(to_chern_basis(parameter_classes(pair, [param])[0]))
+    param = orbits.parse_orbit_parameter(pair, args.parameter, allow_union=True)
+    print(classes.to_chern_basis(classes.parameter_classes(pair, [param])[0]))
     return 0
 
 
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="clan totals vs fiber sizes")
     p_count.add_argument(
-        "inner_class", help=f"NAME:n with NAME one of {', '.join(INNER_CLASSES)}"
+        "inner_class", help=f"NAME:n with NAME one of {', '.join(counting.INNER_CLASSES)}"
     )
     p_count.add_argument("--max-n", default="5")
     p_count.set_defaults(func=_cmd_count)

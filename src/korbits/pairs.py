@@ -13,7 +13,7 @@ K, its Chern form and its inner class.  Pairs are parsed from strings like
 
 from __future__ import annotations
 
-from .algebra import SimpleRootAction, VariableSpace, simple_root_action
+from . import algebra  # runs on first use (see __init__), in root_action or variable_space
 from .errors import UsageError, parse_decimal
 from .records import Record, set_field, set_fields
 
@@ -190,14 +190,14 @@ class SymmetricPair(Record):
         family, size = self.ambient
         return size - 1 if family == "A" else size
 
-    def variable_space(self) -> VariableSpace:
+    def variable_space(self) -> algebra.VariableSpace:
         """x's for K's torus (one fewer when the restriction drops a
         coordinate) and one y per ambient coordinate."""
         x_count = self.n - 1 if self.kind.restriction == "drop" else self.n
-        return VariableSpace(x_count, self.ambient[1])
+        return algebra.VariableSpace(x_count, self.ambient[1])
 
-    def root_action(self, i: int) -> SimpleRootAction:
-        return simple_root_action(self.variable_space(), self.kind.roots, i)
+    def root_action(self, i: int) -> algebra.SimpleRootAction:
+        return algebra.simple_root_action(self.variable_space(), self.kind.roots, i)
 
     def is_clan_case(self) -> bool:
         return self.kind.clan_rule is not None

@@ -15,12 +15,14 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .algebra import PlanEntry
 from .errors import ContractViolation, UsageError, parse_decimal
 from .pairs import SymmetricPair
 from .records import Record, set_field
+
+if TYPE_CHECKING:  # annotations only, so importing weyl runs no polynomial code
+    from .algebra import PlanEntry
 
 #: Restriction targets per y-index: None for zero, else (sign, x_index).
 RestrictionMap = tuple[Optional[tuple[int, int]], ...]

@@ -418,12 +418,12 @@ def test_unreadable_fixture_is_usage_error(tmp_path, capsys):
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
-    import korbits.cli
+    import korbits.orbits
 
     def broken(graph):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(korbits.cli, "to_dot", broken)
+    monkeypatch.setattr(korbits.orbits, "to_dot", broken)
     code, _, err = run(capsys, "graph", "A:sp:4")
     assert code == 3
     assert err == "internal error: ZeroDivisionError: boom\n"
@@ -545,8 +545,9 @@ def test_traced_names_resolve(trace_child):
 
 def test_cli_import_loads_every_traced_module_and_no_unneeded_stdlib(trace_child):
     # a clean interpreter (-S: no site, so no .pth preloads) shows what
-    # ``import korbits.cli`` itself loads; the benchmark's tracer relies on
-    # every traced module being loaded by that import
+    # ``import korbits.cli`` itself loads; the benchmark's tracer reads every
+    # traced module from sys.modules after that import, where each is
+    # registered and runs on its first attribute read
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, korbits.cli; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}

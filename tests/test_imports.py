@@ -2,7 +2,8 @@
 
 A stdlib stand-in for a linter's unused-import rule: a name bound by a
 module-level ``import`` must be read somewhere in its module.  Names a
-package's ``__init__`` re-exports through ``__all__`` count as read.
+package's ``__init__`` re-exports through a literal ``__all__`` count as
+read.
 """
 
 import ast
@@ -28,7 +29,8 @@ def unused_imports(source: str) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            # a derived ``__all__``, such as one sorted from a table, reads nothing
             read.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
 
@@ -37,6 +39,7 @@ def test_guard_catches_an_unused_import():
     source = "import os\nimport sys\nfrom typing import List as L, Tuple\nprint(sys, L)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Tuple"]
     assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+    assert unused_imports("from x import y\n__all__ = sorted(NAMES)\n") == ["line 1: y"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
