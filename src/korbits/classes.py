@@ -6,9 +6,10 @@ subgroup cases signed y-permutations of one determinant of
 elementary-symmetric entries).  Every other class
 is produced by divided difference operators walking up the weak order,
 dividing by the cover degree on degree-two edges.  Correctness is checked
-against localization: restriction at a torus fixed point is polynomial
-substitution, and two classes are equal exactly when all their
-restrictions agree.  A weight-product oracle recomputes closed-orbit
+against localization: two classes are equal exactly when their restrictions
+(polynomial substitutions) agree at every torus fixed point.  ``settle``
+decides each comparison literally, else by the kernel certificate, else by
+one walk over the fixed points.  A weight-product oracle recomputes closed-orbit
 restrictions directly from root data, independently of the formulas; which
 fixed points a closed orbit contains it asks ``orbits``' membership test.
 """
@@ -251,30 +252,21 @@ def ambient_weyl(pair: SymmetricPair):
     return group_images(*pair.ambient)
 
 
-def first_disagreement(c1: EquivariantClass, c2: EquivariantClass) -> Optional[tuple[int, ...]]:
-    """The images of the first fixed point w whose restrictions differ, or
-    None when all agree (exact equality)."""
-    if c1.pair != c2.pair:
-        raise ContractViolation("classes belong to different pairs")
-    if c1.polynomial == c2.polynomial:  # most path checks; far cheaper than a difference
-        return None
-    return _first_nonzero(c1.pair, [c1.polynomial - c2.polynomial])[0]
-
-
-def _first_nonzero(pair: SymmetricPair, differences: list[Polynomial]) -> list:
-    """For each polynomial, the images of the first fixed point where it
-    restricts to nonzero, or None: two classes differ at w exactly when their
-    difference does, restriction being a ring homomorphism.  One walk over
-    the fixed points tests each difference until it is nonzero somewhere.
-    When some torus coordinate restricts to zero (A:so, D:oo-odd), so do
-    y1...ym and its multiples at every fixed point: those terms are dropped
-    first, and a difference made of them alone is zero without a walk."""
-    found: list = [None] * len(differences)
-    table = signed_targets(pair)
+def settle(pair: SymmetricPair, comparisons: list) -> list:
+    """For each (f, g) pair of polynomials: None when f and g restrict alike
+    at every fixed point, else the images of the first fixed point, in
+    ``group_images`` order, where f - g restricts to nonzero (restriction is
+    a ring homomorphism).  Rungs, cheapest first: literal f == g; the kernel
+    certificate (when a torus coordinate restricts to zero, as on A:so and
+    D:oo-odd, so do y1...ym and its multiples, whose terms are dropped from
+    f - g); one walk over the fixed points for every comparison still open."""
+    found: list = [None] * len(comparisons)
+    differences = [(k, f - g) for k, (f, g) in enumerate(comparisons) if f != g]
+    table = signed_targets(pair) if differences else ()
     every_y = pair.variable_space().y_count if 0 in table else -1
     pending = [
         (k, terms)
-        for k, diff in enumerate(differences)
+        for k, diff in differences
         if (terms := [term for term in compile_terms(diff) if len(term[1]) != every_y])
     ]
     for images in ambient_weyl(pair) if pending else ():
@@ -286,6 +278,14 @@ def _first_nonzero(pair: SymmetricPair, differences: list[Polynomial]) -> list:
         if not pending:
             break
     return found
+
+
+def first_disagreement(c1: EquivariantClass, c2: EquivariantClass) -> Optional[tuple[int, ...]]:
+    """The images of the first fixed point w whose restrictions differ, or
+    None when all agree (exact equality)."""
+    if c1.pair != c2.pair:
+        raise ContractViolation("classes belong to different pairs")
+    return settle(c1.pair, [(c1.polynomial, c2.polynomial)])[0]
 
 
 def equal_via_localization(c1: EquivariantClass, c2: EquivariantClass) -> bool:
@@ -407,12 +407,12 @@ def propagate(pair: SymmetricPair) -> Iterator[tuple[OrbitParameter, Equivariant
     spec = pair.spec_string()
     actions = [pair.root_action(i) for i in range(1, pair.num_simple_roots() + 1)]
     live = {param: closed_orbit_class(pair, param) for param in graph.closed}
-    unit = EquivariantClass(pair, pair.variable_space().one())
+    one = pair.variable_space().one()
     done: set = set()
     edges, k = graph.edges, 0
     for node in graph.nodes:
         cls = live.pop(node)
-        if node == graph.dense and (w := first_disagreement(cls, unit)) is not None:
+        if node == graph.dense and (w := settle(pair, [(cls.polynomial, one)])[0]) is not None:
             raise InternalError(
                 f"{spec}: the class of the dense orbit {node} is not 1: it differs"
                 f" from 1 at fixed point w = {w}"
@@ -431,11 +431,10 @@ def propagate(pair: SymmetricPair) -> Iterator[tuple[OrbitParameter, Equivariant
             poly = divided_difference(cls.polynomial, actions[edge.root_index - 1])
             if edge.degree == 2:
                 poly = poly / 2
-            candidate = EquivariantClass(pair, poly)
             stored = live.get(target)
             if stored is None:
-                live[target] = candidate
-            elif (w := first_disagreement(stored, candidate)) is not None:
+                live[target] = EquivariantClass(pair, poly)
+            elif (w := settle(pair, [(stored.polynomial, poly)])[0]) is not None:
                 raise _path_error(spec, edge, w)
 
 
@@ -603,7 +602,8 @@ def format_table(
 
 def parse_fixture(text: str) -> tuple[Optional[str], list[tuple[str, str]]]:
     """Fixture files: comment headers, then ``parameter := polynomial``
-    lines.  A ``# pair:`` header names the symmetric pair."""
+    lines.  A ``# pair:`` header names the symmetric pair; a second header
+    naming another pair is refused."""
     pair_spec = None
     rows: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -613,7 +613,13 @@ def parse_fixture(text: str) -> tuple[Optional[str], list[tuple[str, str]]]:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("pair:"):
-                pair_spec = body[5:].strip()
+                named = body[5:].strip()
+                if pair_spec not in (None, named):
+                    raise UsageError(
+                        f"fixture line {lineno} names the pair {named!r}, but an earlier"
+                        f" header names {pair_spec!r}"
+                    )
+                pair_spec = named
             continue
         if ":=" not in line:
             raise UsageError(f"fixture line {lineno} lacks ':='")
@@ -659,17 +665,16 @@ def verify_rows(
     """Check fixture rows against propagated classes.
 
     Every parameter, then every polynomial, is parsed before any class is
-    computed.  Default comparison is localization equality, one walk over
-    the fixed points for all rows; ``literal`` demands the exact canonical
-    polynomial.
+    computed.  Default comparison is localization equality, all rows in one
+    ``settle``; ``literal`` demands the exact canonical polynomial.
     """
     space = pair.variable_space()
     params = [parse_orbit_parameter(pair, text, allow_union=True) for text, _ in rows]
     expected = [parse_polynomial(text, space) for _, text in rows]
     classes = parameter_classes(pair, params)
-    differences = [cls.polynomial - poly for cls, poly in zip(classes, expected)]
+    comparisons = [(cls.polynomial, poly) for cls, poly in zip(classes, expected)]
     if literal:
-        checks = [not diff for diff in differences]
+        checks = [f == g for f, g in comparisons]
     else:
-        checks = [w is None for w in _first_nonzero(pair, differences)]
+        checks = [w is None for w in settle(pair, comparisons)]
     return [(param_text, ok) for (param_text, _), ok in zip(rows, checks)]

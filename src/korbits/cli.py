@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="clan totals vs fiber sizes")
     p_count.add_argument(
-        "inner_class", help=f"NAME:n with NAME one of {', '.join(counting.INNER_CLASSES)}"
+        "inner_class", help=f"NAME:n with NAME one of {', '.join(pairs.INNER_CLASSES)}"
     )
     p_count.add_argument("--max-n", default="5")
     p_count.set_defaults(func=_cmd_count)

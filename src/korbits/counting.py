@@ -17,13 +17,9 @@ import itertools
 
 from .clans import enumerate_clans
 from .errors import InternalError, UsageError
-from .pairs import KINDS, PQ
+from .pairs import INNER_CLASSES, KINDS, PQ
 from .records import Record, set_fields
 from .weyl import SignedPermutation, involutions
-
-INNER_CLASSES = tuple(
-    dict.fromkeys(kind.inner_class.name for kind in KINDS.values() if kind.inner_class)
-)
 
 
 class CountRow(Record):

@@ -147,6 +147,9 @@ KINDS = {
     )
 }
 
+# the inner class names that `count` accepts, in KINDS order
+INNER_CLASSES = tuple(dict.fromkeys(k.inner_class.name for k in KINDS.values() if k.inner_class))
+
 
 class SymmetricPair(Record):
     # ambient: (family, size) of the ambient Weyl group, derived from the rest

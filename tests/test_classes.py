@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from korbits.classes import (
     propagate,
     propagate_all,
     restrict_at,
+    settle,
     split_orbit_data,
     verify_rows,
     weight_product_oracle,
@@ -516,6 +518,90 @@ def test_kernel_certificate_only_where_a_coordinate_restricts_to_zero(spec):
         w = first_disagreement_reference(cls, zero)
         assert first_disagreement(cls, zero) == w and (w is None) == vanishes, (spec, str(poly))
 
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The pair of every walk over the fixed points: each call of
+    ``classes.ambient_weyl``, read through the module as ``settle`` reads it."""
+    import korbits.classes
+
+    calls = []
+    original = korbits.classes.ambient_weyl
+
+    def counted(pair):
+        calls.append(pair.spec_string())
+        return original(pair)
+
+    monkeypatch.setattr(korbits.classes, "ambient_weyl", counted)
+    return calls
+
+
+def test_propagation_settles_every_check_without_a_walk(walks, workloads):
+    # every path check and dense check of the benchmark's class pairs ends on
+    # the literal rung, but for 3 on D:oo-odd:2,2 and 35 on D:oo-odd:2,3 that
+    # the kernel certificate settles; none needs the walk
+    for spec in workloads.CLASSES_PAIRS + ("D:oo-odd:2,3",):
+        propagate_all(parse_pair_spec(spec))
+        assert walks == [], spec
+
+
+def test_verify_walks_once_per_seeded_table_and_never_on_fixtures(walks, verify_tables):
+    # the shipped fixtures settle without a walk and each seeded table in
+    # one; every witness is the reference walk's first disagreement
+    shipped = len(list(FIXTURES.glob("*.txt")))
+    for index, (spec, rows) in enumerate(verify_tables):
+        pair = parse_pair_spec(spec)
+        walks.clear()
+        verify_rows(pair, rows)
+        assert len(walks) == (index >= shipped), (spec, walks)
+        params = [parse_orbit_parameter(pair, param, allow_union=True) for param, _ in rows]
+        classes = parameter_classes(pair, params)
+        given = [EquivariantClass(pair, poly(pair, text)) for _, text in rows]
+        witnesses = settle(pair, [(a.polynomial, b.polynomial) for a, b in zip(classes, given)])
+        for (param, _), a, b, w in zip(rows, classes, given, witnesses):
+            assert w == first_disagreement_reference(a, b), (spec, param)
+
+
+# the calls that walk the fixed points, and the only definitions that make one:
+# the ladder's last rung, the walk itself, and the closed orbits' first fixed points
+_WALKS = {"ambient_weyl", "group_images"}
+_WALKERS = {("classes.py", "settle"), ("classes.py", "ambient_weyl"), ("orbits.py", "closed_orbits")}
+
+
+def _walk_calls(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every call of a walk in the sources."""
+    found = set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) in _WALKS:
+                    found.add((name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_fixed_points_are_walked_only_by_settle():
+    # every class comparison goes through settle's ladder, so a new rung
+    # serves every caller; no other library code walks the fixed points
+    library = Path(__file__).resolve().parents[1] / "src" / "korbits"
+    assert _walk_calls({path.name: path.read_text() for path in library.glob("*.py")}) == _WALKERS
+
+
+def test_walk_guard_catches_a_second_walk():
+    source = (FIXTURES.parent / "classes.py").read_text()
+    line = "    classes = parameter_classes(pair, params)\n"
+    assert source.count(line) == 1
+    second_walk = source.replace(line, line + "    list(ambient_weyl(pair))\n")
+    hits = _walk_calls({"classes.py": second_walk}) - _WALKERS
+    assert hits == {("classes.py", "verify_rows")}
+    # a definition, a docstring and a rebinding name the walk but make none
+    miss = (
+        "def group_images(family, n):\n"
+        '    """The order of ``ambient_weyl(pair)``."""\n'
+        "    return family\n\n\n"
+        "classes.ambient_weyl = counted\n"
+    )
+    assert _walk_calls({"weyl.py": miss}) == set()
 
 def test_localization_identifies_ideal_shifts():
     # the full y-sum restricts to zero at every fixed point of the

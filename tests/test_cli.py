@@ -281,6 +281,23 @@ def test_verify_rejects_malformed_row(tmp_path, capsys):
     assert code == 2 and "':='" in err
 
 
+def test_verify_refuses_headers_naming_two_pairs(tmp_path, capsys):
+    # the row is a valid class of either pair, so obeying one header would pass
+    fixture = tmp_path / "two-pairs.txt"
+    fixture.write_text("# pair: A:glpq:1,1\n# pair: A:glpq:2,0\n(+,+) := 1\n")
+    message = (
+        "fixture line 2 names the pair 'A:glpq:2,0', but an earlier header names 'A:glpq:1,1'"
+    )
+    assert run(capsys, "verify", str(fixture)) == (2, "", f"error: {message}\n")
+
+
+def test_verify_accepts_a_repeated_header(tmp_path, capsys):
+    fixture = tmp_path / "repeated.txt"
+    fixture.write_text("# pair: A:glpq:2,0\n# pair: A:glpq:2,0\n(+,+) := 1\n")
+    out = "ok   (+,+)\n1/1 rows verified (localization)\n"
+    assert run(capsys, "verify", str(fixture)) == (0, out, "")
+
+
 def test_orbits_enumerates_once(capsys, monkeypatch):
     import korbits.orbits
 

@@ -75,10 +75,10 @@ def test_import_runs_no_layer(module):
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        ("orbits A:glpq:2,2", {"algebra", "classes"}),
-        ("graph A:so:5", {"algebra", "classes"}),
+        ("orbits A:glpq:2,2", {"algebra", "classes", "counting"}),
+        ("graph A:so:5", {"algebra", "classes", "counting"}),
         ("count B:3", {"algebra", "classes", "orbits"}),
-        ("classes A:glpq:1,1", set()),
+        ("classes A:glpq:1,1", {"counting"}),
     ],
 )
 def test_each_command_runs_only_the_layers_it_uses(argv, unloaded):
