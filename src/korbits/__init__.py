@@ -19,12 +19,12 @@ _EXPORTS = {
     "algebra": ("Polynomial", "VariableSpace", "divided_difference", "elementary_symmetric",
                 "parse_polynomial", "poly_determinant", "simple_root_action"),
     "clans": ("Clan", "enumerate_clans"),
-    "classes": ("EquivariantClass", "closed_orbit_class", "equal_via_localization",
-                "first_disagreement", "propagate", "propagate_all", "restrict_at",
-                "to_chern_basis", "weight_product_oracle"),
+    "classes": ("EquivariantClass", "closed_orbit_class", "closed_orbits",
+                "equal_via_localization", "first_disagreement", "propagate", "propagate_all",
+                "restrict_at", "to_chern_basis", "weight_product_oracle"),
     "counting": (),
     "orbits": ("InvolutionOrbit", "build_weak_order_graph", "classify_simple_root",
-               "closed_orbits", "closure_compare", "enumerate_orbits"),
+               "closure_compare", "enumerate_orbits"),
     "pairs": ("SymmetricPair", "parse_pair_spec"),
     "weyl": ("SignedPermutation", "restriction_map"),
 }

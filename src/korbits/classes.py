@@ -10,8 +10,10 @@ against localization: two classes are equal exactly when their restrictions
 (polynomial substitutions) agree at every torus fixed point.  ``settle``
 decides each comparison literally, else by the kernel certificate, else by
 one walk over the fixed points.  A weight-product oracle recomputes closed-orbit
-restrictions directly from root data, independently of the formulas; which
-fixed points a closed orbit contains it asks ``orbits``' membership test.
+restrictions directly from root data, independently of the formulas.
+Each closed-orbit rule is one entry of one table, its class formula beside
+its membership test, which says which torus-fixed points the orbit
+contains; no other module reads a fixed point.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import (
     CompiledTerm,
+    PlanEntry,
     Polynomial,
     VariableSpace,
     compile_terms,
@@ -34,20 +37,18 @@ from .algebra import (
     split_leading_x,
     substitute_terms,
 )
-from .clans import PLUS
+from .clans import MINUS, PLUS
 from .errors import ContractViolation, InternalError, UsageError
 from .orbits import (
     OrbitParameter,
     WeakEdge,
-    _closed_member,
-    _component_representatives,
     build_weak_order_graph,
     parse_orbit_parameter,
     split_components,
 )
 from .pairs import SymmetricPair
 from .records import Record, set_fields
-from .weyl import SignedPermutation, group_images, restriction_map, signed_targets
+from .weyl import SignedPermutation, group_images, restriction_map
 
 
 class EquivariantClass(Record):
@@ -72,7 +73,7 @@ class EquivariantClass(Record):
 
 
 # ---------------------------------------------------------------------------
-# closed orbit formulas
+# closed orbits: class formulas and torus-fixed points
 
 
 def _sign_split(signs) -> tuple[int, list[int], list[int]]:
@@ -168,15 +169,44 @@ def _closed_oo_odd(pair, param, space) -> EquivariantClass:
     return EquivariantClass.from_factors(pair, factors)
 
 
-# keyed by the pair kind's closed-orbit rule
-_CLOSED_CLASSES = {
-    "glpq": _closed_glpq,
-    "so_odd": _closed_so_odd,
-    "sp": _closed_sp,
-    "so_even": _closed_so_even,
-    "blocks": _closed_blocks,
-    "gl": _closed_gl,
-    "oo_odd": _closed_oo_odd,
+def _plus_where_low(mates, images, p: int) -> bool:
+    """The + positions among the clan's mates are the positions i with |w(i)| <= p."""
+    return all((s == PLUS) == (abs(v) <= p) for s, v in zip(mates, images))
+
+
+def _member_involution(pair, param, images) -> bool:
+    n, size = pair.n, len(images)
+    if any(a + b != size + 1 for a, b in zip(images, reversed(images))):
+        return False
+    crossings = sum(1 for v in images[:n] if v > n)
+    return not param.component or crossings % 2 == (param.component == MINUS)
+
+
+def _member_blocks(pair, param, images) -> bool:
+    # the whole clan in type A, its first half otherwise
+    return _plus_where_low(param.mates[: pair.n], images, pair.p)
+
+
+def _member_gl(pair, param, images) -> bool:
+    return all((v > 0) == (s == PLUS) for v, s in zip(images, param.mates[: pair.n]))
+
+
+def _member_oo_odd(pair, param, images) -> bool:
+    n = pair.n
+    return abs(images[n - 1]) == pair.p + 1 and _plus_where_low(
+        param.mates[: n - 1], images, pair.p
+    )
+
+
+# keyed by the pair kind's closed-orbit rule: (class formula, membership test)
+_CLOSED_RULES = {
+    "glpq": (_closed_glpq, _member_blocks),
+    "so_odd": (_closed_so_odd, _member_involution),
+    "sp": (_closed_sp, _member_involution),
+    "so_even": (_closed_so_even, _member_involution),
+    "blocks": (_closed_blocks, _member_blocks),
+    "gl": (_closed_gl, _member_gl),
+    "oo_odd": (_closed_oo_odd, _member_oo_odd),
 }
 
 
@@ -185,7 +215,22 @@ def closed_orbit_class(pair: SymmetricPair, param: OrbitParameter) -> Equivarian
     the whole-orbit formula, i.e. the sum over components), read off the
     orbit parameter alone.  Any other orbit is refused."""
     _require_closed(pair, param)
-    return _CLOSED_CLASSES[pair.kind.closed](pair, param, pair.variable_space())
+    return _CLOSED_RULES[pair.kind.closed][0](pair, param, pair.variable_space())
+
+
+def _closed_member(pair: SymmetricPair, param: OrbitParameter, images: tuple[int, ...]) -> bool:
+    """Is the fixed point with these images contained in the given closed orbit?"""
+    return _CLOSED_RULES[pair.kind.closed][1](pair, param, images)
+
+
+def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
+    """The closed orbits of the cached graph, each with its first
+    torus-fixed point in ``group_images`` order."""
+    found = []
+    for param in build_weak_order_graph(pair).closed:
+        images = next(w for w in ambient_weyl(pair) if _closed_member(pair, param, w))
+        found.append((param, SignedPermutation(pair.ambient[0], images)))
+    return found
 
 
 def _require_closed(pair: SymmetricPair, param: OrbitParameter) -> None:
@@ -225,6 +270,24 @@ def _staircase_terms(space: VariableSpace, n: int, half: bool) -> list[CompiledT
 
 # ---------------------------------------------------------------------------
 # restriction and localization
+
+
+@functools.lru_cache(maxsize=None)
+def signed_targets(pair: SymmetricPair) -> tuple[PlanEntry, ...]:
+    """The pair's plan table: restriction's substitution plan entries, indexed
+    by the signed value v = w(j) itself (a negative v counts from the end):
+    the entry sends y_j to the restriction map's target of Y_|v|, negated
+    for v < 0, or to zero (entry 0).  A plan at w is ``[table[v] for v in images]``."""
+    rho = restriction_map(pair)
+    shifts = pair.variable_space().shifts
+    table: list[PlanEntry] = [None] * (2 * len(rho) + 1)
+    for v, target in enumerate(rho, start=1):
+        if target is None:
+            table[v] = table[-v] = 0
+        else:
+            sign, idx = target
+            table[v], table[-v] = (sign, shifts[idx - 1]), (-sign, shifts[idx - 1])
+    return tuple(table)
 
 
 def restrict_at(cls: EquivariantClass, images: tuple[int, ...]) -> Polynomial:
@@ -345,7 +408,7 @@ def weight_product_oracle(
     """
     _require_closed(pair, param)
     space = pair.variable_space()
-    if not _closed_member(pair, param, w):
+    if not _closed_member(pair, param, w.images):
         return space.zero()
     rho = restriction_map(pair)
     family = pair.kind.roots
@@ -459,6 +522,27 @@ def _path_error(spec: str, edge: WeakEdge, w) -> InternalError:
 
 # ---------------------------------------------------------------------------
 # the component tag rule of the even orthogonal pair, checked by localization
+
+
+def _component_representatives(inv: tuple[int, ...], n: int) -> dict[str, SignedPermutation]:
+    """Fixed-point representatives of the two components of a split orbit.
+
+    The k-th two-cycle (i, j), i < j, of the fixed-point-free involution
+    takes the coordinate pair (e_k, e_{2n+1-k}): the + representative
+    sends i to k and j to 2n+1-k, the - one also swaps the values n, n+1.
+    On the longest involution they are the identity and that value swap.
+    """
+    images = [0] * (2 * n)
+    k = 0
+    for i, j in enumerate(inv, start=1):
+        if j > i:
+            k += 1
+            images[i - 1], images[j - 1] = k, 2 * n + 1 - k
+    swap = {n: n + 1, n + 1: n}
+    return {
+        PLUS: SignedPermutation("A", tuple(images)),
+        MINUS: SignedPermutation("A", tuple(swap.get(v, v) for v in images)),
+    }
 
 
 def split_orbit_data(pair: SymmetricPair) -> dict[OrbitParameter, EquivariantClass]:

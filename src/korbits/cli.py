@@ -105,12 +105,15 @@ def _cmd_verify(args) -> int:
     max_n = _max_n(args.max_n)
     text = _fixture_text(args.fixture)
     pair_spec, rows = classes.parse_fixture(text)
-    if args.pair:
-        pair = pairs.parse_pair_spec(args.pair)
-    elif pair_spec:
-        pair = pairs.parse_pair_spec(pair_spec)
-    else:
+    if not rows:
+        raise UsageError(f"fixture {args.fixture!r} has no rows")
+    if not (args.pair or pair_spec):
         raise UsageError("fixture has no pair header; pass --pair")
+    pair = pairs.parse_pair_spec(args.pair or pair_spec)
+    if args.pair and pair_spec and pairs.parse_pair_spec(pair_spec) != pair:
+        raise UsageError(
+            f"--pair {args.pair!r} names another pair than the fixture header {pair_spec!r}"
+        )
     _check_weyl_bound(pair, max_n)
     results = classes.verify_rows(pair, rows, literal=args.literal)
     failures = 0

@@ -9,8 +9,8 @@ breadth-first raising from the closed orbits, classifies simple roots
 (complex / non-compact imaginary of type I or II), and provides a
 closure-order comparator and DOT emission.  The closed orbits, the
 minimal elements of the weak order, are picked out of the enumeration by
-one closedness test, and their torus-fixed points by one membership test
-per closed-orbit rule.  The cached graph, walked a frontier at a time in
+one closedness test; nothing here reads a torus-fixed point, which is
+``classes``' business.  The cached graph, walked a frontier at a time in
 the sorted enumeration's order, is the one record of which parameters
 exist and which are closed; the parser accepts its nodes.  Clan moves
 read and write a clan's mates without renumbering: each is the type A
@@ -31,7 +31,7 @@ from .clans import MINUS, PLUS, Clan, enumerate_clans
 from .errors import ContractViolation, InternalError, UsageError
 from .pairs import SymmetricPair
 from .records import Record, set_field, set_fields
-from .weyl import SignedPermutation, group_images, involutions, parse_cycles
+from .weyl import SignedPermutation, involutions, parse_cycles
 
 # ---------------------------------------------------------------------------
 # orbit parameters
@@ -155,7 +155,7 @@ def enumerate_orbits(pair: SymmetricPair) -> list[OrbitParameter]:
 
 
 # ---------------------------------------------------------------------------
-# closed orbits and their torus-fixed points
+# closed orbits
 
 
 def _is_closed(pair: SymmetricPair, param: OrbitParameter) -> bool:
@@ -170,89 +170,6 @@ def _is_closed(pair: SymmetricPair, param: OrbitParameter) -> bool:
     if pair.kind.closed == "oo_odd":
         return numbers == 2 and mates[pair.n - 1] == pair.n + 1
     return numbers == 0
-
-
-def _component_representatives(inv: tuple[int, ...], n: int) -> dict[str, SignedPermutation]:
-    """Fixed-point representatives of the two components of a split orbit.
-
-    The k-th two-cycle (i, j), i < j, of the fixed-point-free involution
-    takes the coordinate pair (e_k, e_{2n+1-k}): the + representative
-    sends i to k and j to 2n+1-k, the - one also swaps the values n, n+1.
-    On the longest involution they are the identity and that value swap.
-    """
-    images = [0] * (2 * n)
-    k = 0
-    for i, j in enumerate(inv, start=1):
-        if j > i:
-            k += 1
-            images[i - 1], images[j - 1] = k, 2 * n + 1 - k
-    swap = {n: n + 1, n + 1: n}
-    return {
-        PLUS: SignedPermutation("A", tuple(images)),
-        MINUS: SignedPermutation("A", tuple(swap.get(v, v) for v in images)),
-    }
-
-
-def _plus_where_low(mates, w: SignedPermutation, p: int) -> bool:
-    """The + positions among the clan's mates are the positions i with |w(i)| <= p."""
-    plus_positions = {i for i, s in enumerate(mates, start=1) if s == PLUS}
-    low = {i for i in range(1, len(mates) + 1) if abs(w.images[i - 1]) <= p}
-    return low == plus_positions
-
-
-def _member_involution(pair, param, w) -> bool:
-    size, n = w.n, pair.n
-    if any(w.images[size - i] != size + 1 - w.images[i - 1] for i in range(1, size + 1)):
-        return False
-    if param.component:
-        crossings = sum(1 for i in range(1, n + 1) if w.images[i - 1] > n)
-        return crossings % 2 == (0 if param.component == PLUS else 1)
-    return True
-
-
-def _member_blocks(pair, param, w) -> bool:
-    # the whole clan in type A, its first half otherwise
-    return _plus_where_low(param.mates[: pair.n], w, pair.p)
-
-
-def _member_gl(pair, param, w) -> bool:
-    signs = param.mates[: pair.n]
-    return all((v > 0) == (s == PLUS) for v, s in zip(w.images, signs))
-
-
-def _member_oo_odd(pair, param, w) -> bool:
-    n = pair.n
-    return abs(w.images[n - 1]) == pair.p + 1 and _plus_where_low(
-        param.mates[: n - 1], w, pair.p
-    )
-
-
-# keyed by the pair kind's closed-orbit rule
-_MEMBERS = {
-    "glpq": _member_blocks,
-    "so_odd": _member_involution,
-    "sp": _member_involution,
-    "so_even": _member_involution,
-    "blocks": _member_blocks,
-    "gl": _member_gl,
-    "oo_odd": _member_oo_odd,
-}
-
-
-def _closed_member(pair: SymmetricPair, param: OrbitParameter, w: SignedPermutation) -> bool:
-    """Is the fixed point of w contained in the given closed orbit?"""
-    return _MEMBERS[pair.kind.closed](pair, param, w)
-
-
-def closed_orbits(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
-    """The closed orbits of the cached graph, each with its first
-    torus-fixed point in ``group_images`` order."""
-    family, size = pair.ambient
-    found = []
-    for param in build_weak_order_graph(pair).closed:
-        members = (SignedPermutation(family, images) for images in group_images(family, size))
-        found.append((param, next(w for w in members if _closed_member(pair, param, w))))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +322,11 @@ def classify_simple_root(pair: SymmetricPair, param: OrbitParameter, i: int) -> 
     target, degree_two = move
     if not degree_two:
         # A complex raise keeps the component tag.  In the coordinate basis
-        # of _component_representatives, where the k-th two-cycle
-        # takes the pair (e_k, e_{2n+1-k}), swapping the vectors at i and
-        # i+1 of the + representative gives the + representative of the
-        # conjugated involution, up to an SO(2n) permutation of those
-        # pairs; that flag lies in Q.P_i but not in Q, and the O(2n)
+        # of the components' representatives (in classes), where the k-th
+        # two-cycle takes the pair (e_k, e_{2n+1-k}), swapping the vectors
+        # at i and i+1 of the + representative gives the + representative
+        # of the conjugated involution, up to an SO(2n) permutation of
+        # those pairs; that flag lies in Q.P_i but not in Q, and the O(2n)
         # component swap commutes with P_i.
         return RootStatus("complex", InvolutionOrbit(target, param.component))
     if param.component:

@@ -7,22 +7,20 @@ Generator conventions (fixed once, all other modules depend on them):
 s_i swaps positions i, i+1; the last BC generator negates n; the last D
 generator swaps and negates n-1, n.
 No statistic of an element lives here: the signs of the closed-orbit
-formulas are read off the clans' sign strings, in ``classes``.
+formulas are read off the clans' sign strings, in ``classes``.  Nor does
+the polynomial layout: a restriction map names its targets by x-index,
+and ``classes`` turns it into substitution plans.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import ContractViolation, UsageError, parse_decimal
 from .pairs import SymmetricPair
 from .records import Record, set_field
-
-if TYPE_CHECKING:  # annotations only, so importing weyl runs no polynomial code
-    from .algebra import PlanEntry
 
 #: Restriction targets per y-index: None for zero, else (sign, x_index).
 RestrictionMap = tuple[Optional[tuple[int, int]], ...]
@@ -194,21 +192,3 @@ def restriction_map(pair: SymmetricPair) -> RestrictionMap:
             for j in range(1, n + 1)
         )
     return tuple((1, j) for j in range(1, n + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def signed_targets(pair: SymmetricPair) -> tuple[PlanEntry, ...]:
-    """The pair's plan table: restriction's substitution plan entries, indexed
-    by the signed value v = w(j) itself (a negative v counts from the end):
-    the entry sends y_j to the restriction map's target of Y_|v|, negated
-    for v < 0, or to zero (entry 0).  A plan at w is ``[table[v] for v in images]``."""
-    rho = restriction_map(pair)
-    shifts = pair.variable_space().shifts
-    table: list[PlanEntry] = [None] * (2 * len(rho) + 1)
-    for v, target in enumerate(rho, start=1):
-        if target is None:
-            table[v] = table[-v] = 0
-        else:
-            sign, idx = target
-            table[v], table[-v] = (sign, shifts[idx - 1]), (-sign, shifts[idx - 1])
-    return tuple(table)

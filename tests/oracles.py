@@ -79,6 +79,7 @@ from korbits.clans import MINUS, PLUS, Clan
 from korbits.classes import (
     ChernExpression,
     EquivariantClass,
+    _component_representatives,
     _staircase_terms,
     closed_orbit_class,
     first_disagreement,
@@ -88,7 +89,6 @@ from korbits.errors import ContractViolation, InternalError, UsageError, parse_d
 from korbits.orbits import (
     InvolutionOrbit,
     OrbitParameter,
-    _component_representatives,
     build_weak_order_graph,
 )
 from korbits.pairs import SymmetricPair

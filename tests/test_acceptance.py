@@ -20,6 +20,7 @@ from korbits.algebra import (
 )
 from korbits.classes import (
     closed_orbit_class,
+    closed_orbits,
     staircase_determinant,
     parse_fixture,
     propagate_all,
@@ -32,7 +33,6 @@ from korbits.counting import count_report
 from korbits.orbits import (
     InvolutionOrbit,
     build_weak_order_graph,
-    closed_orbits,
     closure_compare,
     enumerate_orbits,
     parse_orbit_parameter,

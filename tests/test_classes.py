@@ -29,6 +29,7 @@ from korbits.classes import (
     EquivariantClass,
     ambient_weyl,
     closed_orbit_class,
+    closed_orbits,
     equal_via_localization,
     first_disagreement,
     parameter_classes,
@@ -37,6 +38,7 @@ from korbits.classes import (
     propagate_all,
     restrict_at,
     settle,
+    signed_targets,
     split_orbit_data,
     verify_rows,
     weight_product_oracle,
@@ -48,12 +50,11 @@ from korbits.orbits import (
     WeakEdge,
     WeakOrderGraph,
     build_weak_order_graph,
-    closed_orbits,
     enumerate_orbits,
     parse_orbit_parameter,
 )
 from korbits.pairs import parse_pair_spec
-from korbits.weyl import SignedPermutation, restriction_map, signed_targets
+from korbits.weyl import SignedPermutation, restriction_map
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "korbits" / "fixtures"
@@ -565,7 +566,7 @@ def test_verify_walks_once_per_seeded_table_and_never_on_fixtures(walks, verify_
 # the calls that walk the fixed points, and the only definitions that make one:
 # the ladder's last rung, the walk itself, and the closed orbits' first fixed points
 _WALKS = {"ambient_weyl", "group_images"}
-_WALKERS = {("classes.py", "settle"), ("classes.py", "ambient_weyl"), ("orbits.py", "closed_orbits")}
+_WALKERS = {("classes.py", "settle"), ("classes.py", "ambient_weyl"), ("classes.py", "closed_orbits")}
 
 
 def _walk_calls(sources: dict[str, str]) -> set[tuple[str, str]]:
@@ -818,7 +819,7 @@ def test_closed_class_same_from_every_member_fixed_point():
             got = closed_orbit_class(pair, param).polynomial
             accepted = []
             for w in fixed_points(pair):
-                if not _closed_member(pair, param, w):
+                if not _closed_member(pair, param, w.images):
                     continue
                 try:
                     want = closed_class_reference(pair, param, w)
@@ -847,14 +848,14 @@ def _plant(monkeypatch, pair, fault):
     import korbits.classes
 
     rule = pair.kind.closed
-    formula = korbits.classes._CLOSED_CLASSES[rule]
+    formula, member = korbits.classes._CLOSED_RULES[rule]
     first = closed_orbits(pair)[0][0]
 
     def faulty(pair, param, space):
         cls = formula(pair, param, space)
         return FAULTS[fault](cls) if param == first else cls
 
-    monkeypatch.setitem(korbits.classes._CLOSED_CLASSES, rule, faulty)
+    monkeypatch.setitem(korbits.classes._CLOSED_RULES, rule, (faulty, member))
     return first
 
 
@@ -986,7 +987,7 @@ def test_membership_predicate_matches_coset_enumeration():
                 if in_subgroup(pair, s)
             }
             for w in enumerate_group(family, size):
-                assert _closed_member(pair, param, w) == (w.images in coset), (
+                assert _closed_member(pair, param, w.images) == (w.images in coset), (
                     spec,
                     str(param),
                     w.images,
@@ -1044,7 +1045,8 @@ def test_tag_rule_matches_split_oracle(size):
 @pytest.mark.parametrize("size", [4, 6])
 def test_split_check_catches_a_flipped_tag(monkeypatch, size):
     import korbits.orbits
-    from korbits.orbits import InvolutionOrbit, RootStatus, _component_representatives
+    from korbits.classes import _component_representatives
+    from korbits.orbits import InvolutionOrbit, RootStatus
 
     original = korbits.orbits.classify_simple_root
     flip = {PLUS: MINUS, MINUS: PLUS}

@@ -9,10 +9,12 @@ import pytest
 
 from korbits.algebra import format_polynomial
 from korbits.clans import MINUS, PLUS
-from korbits.classes import EquivariantClass, closed_orbit_class, propagate_all, to_chern_basis
+from korbits.classes import (
+    EquivariantClass, closed_orbit_class, closed_orbits, propagate_all, to_chern_basis,
+)
 from korbits.cli import main
 from korbits.orbits import (
-    InvolutionOrbit, build_weak_order_graph, closed_orbits, parse_orbit_parameter,
+    InvolutionOrbit, build_weak_order_graph, parse_orbit_parameter,
 )
 from korbits.pairs import parse_pair_spec
 
@@ -265,13 +267,40 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: korbits orbits")
 
 
-def test_verify_pair_flag_overrides_header(tmp_path, capsys):
+def test_verify_pair_flag_names_the_pair_of_a_headerless_fixture(tmp_path, capsys):
     fixture = tmp_path / "override.txt"
     fixture.write_text("(1,2)(3,4) := 1\n")  # no header at all
     code, _, err = run(capsys, "verify", str(fixture))
     assert code == 2 and "no pair header" in err
     code, out, _ = run(capsys, "verify", str(fixture), "--pair", "A:sp:4")
     assert code == 0
+
+
+def test_verify_refuses_a_pair_flag_naming_another_pair_than_the_header(tmp_path, capsys):
+    # the row is a class of A:glpq:2,0, so obeying the flag would pass
+    fixture = tmp_path / "header.txt"
+    fixture.write_text("# pair: A:glpq:1,1\n(+,+) := 1\n")
+    assert run(capsys, "verify", str(fixture))[0] == 2
+    message = "--pair 'A:glpq:2,0' names another pair than the fixture header 'A:glpq:1,1'"
+    got = run(capsys, "verify", str(fixture), "--pair", "A:glpq:2,0")
+    assert got == (2, "", f"error: {message}\n")
+
+
+def test_verify_accepts_a_pair_flag_naming_the_header_pair_another_way(tmp_path, capsys):
+    fixture = tmp_path / "header.txt"
+    fixture.write_text("# pair: A:glpq:2,0\n(+,+) := 1\n")
+    out = "ok   (+,+)\n1/1 rows verified (localization)\n"
+    assert run(capsys, "verify", str(fixture), "--pair", "a:GLPQ:2,0") == (0, out, "")
+
+
+@pytest.mark.parametrize("text", ["# pair: A:sp:4\n", "# pair: A:sp:4\n# (1,2)(3,4) := 1\n\n"])
+def test_verify_refuses_a_fixture_with_no_rows(tmp_path, capsys, text):
+    # a table whose rows are all commented out checks nothing
+    fixture = tmp_path / "empty.txt"
+    fixture.write_text(text)
+    message = f"error: fixture {str(fixture)!r} has no rows\n"
+    assert run(capsys, "verify", str(fixture)) == (2, "", message)
+    assert run(capsys, "verify", str(fixture), "--pair", "A:sp:4") == (2, "", message)
 
 
 def test_verify_rejects_malformed_row(tmp_path, capsys):

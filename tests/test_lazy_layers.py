@@ -55,7 +55,7 @@ def test_names_the_benchmark_imports_load_from_a_fresh_interpreter():
     )
     result = _python("-S", "-c", probe)
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
-    assert result.stdout == "korbits.orbits korbits.pairs korbits.algebra korbits.weyl\n"
+    assert result.stdout == "korbits.classes korbits.pairs korbits.algebra korbits.weyl\n"
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "format_table"])

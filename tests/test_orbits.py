@@ -24,12 +24,12 @@ from korbits.orbits import (
     _fresh_pair,
     build_weak_order_graph,
     classify_simple_root,
-    closed_orbits,
     closure_compare,
     enumerate_orbits,
     parse_orbit_parameter,
     to_dot,
 )
+from korbits.classes import closed_orbits
 from korbits.pairs import parse_pair_spec
 from korbits.weyl import SignedPermutation, involutions, parse_cycles
 

@@ -155,7 +155,7 @@ _CLOSED_RULE = re.compile(r"\bkind\.closed\b")
 # the class formulas, the membership test and the closedness test
 _CLOSED_RULE_READERS = {
     ("classes.py", "closed_orbit_class"),
-    ("orbits.py", "_closed_member"),
+    ("classes.py", "_closed_member"),
     ("orbits.py", "_is_closed"),
 }
 

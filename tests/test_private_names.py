@@ -1,10 +1,14 @@
-"""No module-level private name of the library goes unread.
+"""No module-level private name of the library goes unread, and none is
+imported by another module.
 
 A stdlib stand-in for a linter's dead-code rule: a function, class or
 assignment at module level of ``src/korbits`` whose name starts with a
 single underscore must be read somewhere in ``src/korbits``, as a name or
 as an attribute.  A helper left behind when its caller is replaced fails
-here.
+here.  A private name is its module's own: ``from .x import _name`` or
+``from korbits.x import _name`` anywhere in a module, also inside a
+function or under ``TYPE_CHECKING``, fails, and so does any import of
+``algebra`` by ``weyl``, which knows no polynomial layout.
 """
 
 import ast
@@ -56,3 +60,44 @@ def test_guard_catches_an_unread_private_name():
 def test_every_private_library_name_is_read():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unread_private_names(sources) == []
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Every import of a korbits module's private name, at any depth."""
+    hits = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "korbits":
+                hits += [
+                    f"{module} line {node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if _private(alias.name)
+                ]
+    return hits
+
+
+def test_guard_catches_a_private_import():
+    sources = {
+        "a.py": "from .b import _x, y\nfrom os import _exit\nfrom . import b\n"
+        "def f():\n    from korbits.c import _z\n"
+        "if TYPE_CHECKING:\n    from .d import _w\n",
+        "b.py": "from korbits.c import z\nfrom .d import __version__\n",
+    }
+    assert private_imports(sources) == ["a.py line 1: _x", "a.py line 5: _z", "a.py line 7: _w"]
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert private_imports({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_weyl_imports_nothing_from_algebra():
+    tree = ast.parse((ROOT / "src" / "korbits" / "weyl.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [name for name in imported if name.split(".")[-1] == "algebra"]
