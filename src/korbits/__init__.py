@@ -21,7 +21,7 @@ _EXPORTS = {
     "clans": ("Clan", "enumerate_clans"),
     "classes": ("EquivariantClass", "closed_orbit_class", "closed_orbits",
                 "equal_via_localization", "first_disagreement", "propagate", "propagate_all",
-                "restrict_at", "to_chern_basis", "weight_product_oracle"),
+                "restrict_at", "to_chern_basis"),
     "counting": (),
     "orbits": ("InvolutionOrbit", "build_weak_order_graph", "classify_simple_root",
                "closure_compare", "enumerate_orbits"),

@@ -9,8 +9,9 @@ dividing by the cover degree on degree-two edges.  Correctness is checked
 against localization: two classes are equal exactly when their restrictions
 (polynomial substitutions) agree at every torus fixed point.  ``settle``
 decides each comparison literally, else by the kernel certificate, else by
-one walk over the fixed points.  A weight-product oracle recomputes closed-orbit
-restrictions directly from root data, independently of the formulas.
+one walk over the fixed points.  The tests' weight-product oracle
+(``tests/oracles.py``) recomputes closed-orbit restrictions directly from
+root data, independently of the formulas.
 Each closed-orbit rule is one entry of one table, its class formula beside
 its membership test, which says which torus-fixed points the orbit
 contains; no other module reads a fixed point.
@@ -354,99 +355,6 @@ def first_disagreement(c1: EquivariantClass, c2: EquivariantClass) -> Optional[t
 def equal_via_localization(c1: EquivariantClass, c2: EquivariantClass) -> bool:
     """True when all fixed-point restrictions agree (exact equality)."""
     return first_disagreement(c1, c2) is None
-
-
-# ---------------------------------------------------------------------------
-# the weight-product oracle
-
-
-def _positive_roots(family: str, m: int) -> list[tuple[int, ...]]:
-    roots: list[tuple[int, ...]] = []
-
-    def form(entries: dict[int, int]) -> tuple[int, ...]:
-        row = [0] * m
-        for idx, coeff in entries.items():
-            row[idx - 1] = coeff
-        return tuple(row)
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            roots.append(form({i: 1, j: -1}))
-            if family in ("B", "C", "D"):
-                roots.append(form({i: 1, j: 1}))
-    if family == "B":
-        roots.extend(form({i: 1}) for i in range(1, m + 1))
-    if family == "C":
-        roots.extend(form({i: 2}) for i in range(1, m + 1))
-    return roots
-
-
-def _subgroup_roots(pair: SymmetricPair) -> set[tuple[int, ...]]:
-    """Root system of K in the small-torus coordinates: the roots of each
-    block's family, placed at the block's x-coordinates."""
-    r = pair.variable_space().x_count
-    blocks = pair.kind.subgroup
-    bounds = (0, r) if len(blocks) == 1 else (0, pair.p, r)
-    roots: set[tuple[int, ...]] = set()
-    for family, start, stop in zip(blocks, bounds, bounds[1:]):
-        for root in _positive_roots(family, stop - start):
-            row = (0,) * start + root + (0,) * (r - stop)
-            roots.add(row)
-            roots.add(tuple(-c for c in row))
-    return roots
-
-
-def weight_product_oracle(
-    pair: SymmetricPair, param: OrbitParameter, w: SignedPermutation
-) -> Polynomial:
-    """Product of the normal-space torus weights at the fixed point of w.
-
-    Computed purely from root data: push the positive system through w,
-    restrict to the small torus, and strike each subgroup root once.  Off
-    the orbit the result is zero, matching the class's vanishing.  Only
-    closed orbits are accepted.
-    """
-    _require_closed(pair, param)
-    space = pair.variable_space()
-    if not _closed_member(pair, param, w.images):
-        return space.zero()
-    rho = restriction_map(pair)
-    family = pair.kind.roots
-    m = space.y_count
-    restricted: dict[tuple[int, ...], int] = {}
-    for root in _positive_roots(family, m):
-        row = [0] * space.x_count
-        for idx in range(1, m + 1):
-            coeff = root[idx - 1]
-            if not coeff:
-                continue
-            v = w.images[idx - 1]
-            target = rho[abs(v) - 1]
-            if target is None:
-                continue
-            sign, x_idx = target
-            row[x_idx - 1] += coeff * (sign if v > 0 else -sign)
-        key = tuple(row)
-        restricted[key] = restricted.get(key, 0) + 1
-    for kroot in _subgroup_roots(pair):
-        if restricted.get(kroot, 0) > 0:
-            restricted[kroot] -= 1
-    zero = (0,) * space.x_count
-    result = space.one()
-    for weight, count in restricted.items():
-        if count <= 0:
-            continue
-        if weight == zero:
-            raise InternalError(
-                f"{pair.spec_string()}: zero normal weight at the fixed point w = {w.images},"
-                f" supposedly in the closed orbit {param}"
-            )
-        linear = space.zero()
-        for idx, coeff in enumerate(weight, start=1):
-            if coeff:
-                linear = linear + coeff * space.x(idx)
-        result = result * linear ** count
-    return result
 
 
 # ---------------------------------------------------------------------------

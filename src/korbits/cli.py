@@ -101,6 +101,19 @@ def _fixture_text(path: str) -> str:
     raise UsageError(f"fixture {path!r} not found")
 
 
+def _report(checks: list[tuple[str, bool]], summary: str, failed: str) -> int:
+    """One ``ok`` or ``FAIL`` line per (text, ok) check, then "passed/total
+    <summary>"; any failed check is a verification failure (exit 1)."""
+    failures = 0
+    for text, ok in checks:
+        print(f"{'ok  ' if ok else 'FAIL'} {text}")
+        failures += 0 if ok else 1
+    print(f"{len(checks) - failures}/{len(checks)} {summary}")
+    if failures:
+        raise VerificationFailure(f"{failures} {failed}")
+    return 0
+
+
 def _cmd_verify(args) -> int:
     max_n = _max_n(args.max_n)
     text = _fixture_text(args.fixture)
@@ -116,15 +129,8 @@ def _cmd_verify(args) -> int:
         )
     _check_weyl_bound(pair, max_n)
     results = classes.verify_rows(pair, rows, literal=args.literal)
-    failures = 0
-    for param_text, ok in results:
-        print(f"{'ok  ' if ok else 'FAIL'} {param_text}")
-        failures += 0 if ok else 1
     mode = "literal" if args.literal else "localization"
-    print(f"{len(results) - failures}/{len(results)} rows verified ({mode})")
-    if failures:
-        raise VerificationFailure(f"{failures} rows failed")
-    return 0
+    return _report(results, f"rows verified ({mode})", "rows failed")
 
 
 def _cmd_count(args) -> int:
@@ -136,16 +142,11 @@ def _cmd_count(args) -> int:
     rank = parse_decimal(rank_text, "rank")
     if rank < 1 or rank > max_n:
         raise UsageError(f"rank must be between 1 and --max-n ({max_n})")
-    rows = counting.count_report(name, rank)
-    failures = 0
-    for row in rows:
-        status = "ok  " if row.ok else "FAIL"
-        print(f"{status} {row.involution}: clans={row.clan_count} fiber={row.fiber_count}")
-        failures += 0 if row.ok else 1
-    print(f"{len(rows) - failures}/{len(rows)} twisted involutions match")
-    if failures:
-        raise VerificationFailure(f"{failures} fibers mismatch")
-    return 0
+    checks = [
+        (f"{row.involution}: clans={row.clan_count} fiber={row.fiber_count}", row.ok)
+        for row in counting.count_report(name, rank)
+    ]
+    return _report(checks, "twisted involutions match", "fibers mismatch")
 
 
 def _cmd_chern(args) -> int:

@@ -444,24 +444,17 @@ def closure_compare(pair: SymmetricPair, a: OrbitParameter, b: OrbitParameter) -
     if a == b:
         return "equal"
     if isinstance(a, Clan) and isinstance(b, Clan):
-        return _dominance_verdict(a, b)
-    inv_a = a.involution  # type: ignore[union-attr]
-    inv_b = b.involution  # type: ignore[union-attr]
-    if inv_a == inv_b:
-        return "incomparable"
-    ra, rb = _rank_numbers(inv_a), _rank_numbers(inv_b)
-    below = all(ra[i][j] <= rb[i][j] for i in range(len(ra)) for j in range(len(ra)))
-    above = all(ra[i][j] >= rb[i][j] for i in range(len(ra)) for j in range(len(ra)))
-    if below and not above:
-        return "less"
-    if above and not below:
-        return "greater"
-    return "incomparable"
-
-
-def _dominance_verdict(a: Clan, b: Clan) -> str:
-    below = _clan_dominated(a, b)
-    above = _clan_dominated(b, a)
+        below, above = _clan_dominated(a, b), _clan_dominated(b, a)
+    else:
+        inv_a = a.involution  # type: ignore[union-attr]
+        inv_b = b.involution  # type: ignore[union-attr]
+        if inv_a == inv_b:
+            return "incomparable"
+        # the rank numbers determine the involution, so two distinct ones
+        # never dominate each other both ways
+        ra, rb = _rank_numbers(inv_a), _rank_numbers(inv_b)
+        below = all(ra[i][j] <= rb[i][j] for i in range(len(ra)) for j in range(len(ra)))
+        above = all(ra[i][j] >= rb[i][j] for i in range(len(ra)) for j in range(len(ra)))
     if below and above:
         return "equal"
     if below:

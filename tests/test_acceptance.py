@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import enumerate_group, reflect
+from oracles import enumerate_group, reflect, weight_product_oracle
 
 from korbits.algebra import (
     VariableSpace,
@@ -27,7 +27,6 @@ from korbits.classes import (
     restrict_at,
     to_chern_basis,
     verify_rows,
-    weight_product_oracle,
 )
 from korbits.counting import count_report
 from korbits.orbits import (

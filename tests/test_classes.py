@@ -15,6 +15,7 @@ from oracles import (
     propagate_all_reference,
     restriction_assignment,
     sign_stats,
+    weight_product_oracle,
 )
 from test_orbits import _pair_specs
 
@@ -41,7 +42,6 @@ from korbits.classes import (
     signed_targets,
     split_orbit_data,
     verify_rows,
-    weight_product_oracle,
 )
 from korbits.clans import MINUS, PLUS
 from korbits.cli import main

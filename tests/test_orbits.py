@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from oracles import (
     clan_rule_admits,
@@ -558,6 +560,24 @@ def test_closure_compare_dominance_on_edges():
         graph = build_weak_order_graph(pair)
         for e in graph.edges:
             assert closure_compare(pair, e.source, e.target) == "less"
+
+
+# verdict counts over all ordered pairs of orbits, as the clan and involution
+# branches gave them when each had its own verdict ladder
+VERDICT_COUNTS = {
+    "A:glpq:2,2": {"equal": 21, "greater": 103, "incomparable": 214, "less": 103},
+    "A:so:5": {"equal": 26, "greater": 211, "incomparable": 228, "less": 211},
+    "A:so-even:4": {"equal": 13, "greater": 61, "incomparable": 34, "less": 61},
+    "B:oo:2,1": {"equal": 25, "greater": 209, "incomparable": 182, "less": 209},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(VERDICT_COUNTS))
+def test_closure_compare_verdict_counts(spec):
+    pair = parse_pair_spec(spec)
+    params = list(enumerate_orbits(pair))
+    verdicts = Counter(closure_compare(pair, a, b) for a in params for b in params)
+    assert verdicts == VERDICT_COUNTS[spec]
 
 
 # -- misc ------------------------------------------------------------------------
