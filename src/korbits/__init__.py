@@ -1,7 +1,7 @@
-"""Exact equivariant classes of symmetric-subgroup orbit closures on
-classical flag varieties: orbit parametrizations (clans, involutions),
-weak-order graphs, closed-orbit class formulas, divided-difference
-propagation, and localization-based verification.
+"""Exact equivariant classes of K-orbit closures on the flag variety G/B
+of a classical symmetric pair (G, K): orbit parametrizations (clans,
+involutions), weak-order graphs, closed-orbit class formulas,
+divided-difference propagation, and localization-based verification.
 
 ``import korbits`` runs none of the seven layer modules.  Each is
 registered in ``sys.modules`` through ``importlib.util.LazyLoader`` and runs
@@ -24,7 +24,7 @@ _EXPORTS = {
                 "restrict_at", "to_chern_basis"),
     "counting": (),
     "orbits": ("InvolutionOrbit", "build_weak_order_graph", "classify_simple_root",
-               "closure_compare", "enumerate_orbits"),
+               "enumerate_orbits"),
     "pairs": ("SymmetricPair", "parse_pair_spec"),
     "weyl": ("SignedPermutation", "restriction_map"),
 }

@@ -514,7 +514,10 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         if not coeff:
             continue  # stale heap entry
         if any(a < b for a, b in zip(space.exponents(mono), g_exponents)):
-            raise InternalError("non-exact polynomial division")
+            raise InternalError(
+                f"non-exact polynomial division by {g}: leading remainder term"
+                f" {Polynomial(space, {mono: coeff})}"
+            )
         diff = mono - g_mono
         q_coeff = _coeff(Fraction(coeff) / g_coeff)
         quotient[diff] = quotient.get(diff, 0) + q_coeff

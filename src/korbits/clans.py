@@ -6,12 +6,11 @@ natural number, every number occurring exactly twice, with #plus - #minus
 stored by its mates: each position holds its sign or the position of the
 other end of its pair.  The numbers exist only in printed text, as 1, 2,
 ... in order of first occurrence.  On top of the type itself the module
-provides enumeration, the counting invariants gamma(i;+), gamma(i;-),
-gamma(i;j), the even-front parity of D:gl's clan rule, and the position
-involution attached to a clan.  The rest of each pair's clan rule (kept
-with the pair, in ``pairs.KINDS``) is applied by the generator: one fill
-serves every rule, placing a position and its image (its mirror under a
-symmetric or skew rule) at a time.  A clan read from input is checked
+provides enumeration, the even-front parity of D:gl's clan rule, and the
+position involution attached to a clan.  The rest of each pair's clan
+rule (kept with the pair, in ``pairs.KINDS``) is applied by the generator:
+one fill serves every rule, placing a position and its image (its mirror
+under a symmetric or skew rule) at a time.  A clan read from input is checked
 against the pair's orbit set, in ``orbits.parse_orbit_parameter``.
 """
 
@@ -137,35 +136,14 @@ class Clan(Record):
             mates[b - 1] = i
         return Clan._trusted(tuple(mates))
 
-    # -- counting invariants -------------------------------------------------
-
-    def gamma_plus(self, i: int) -> int:
-        """Plus signs plus complete number pairs among the first i symbols."""
-        return self._prefix_count(i, PLUS)
-
-    def gamma_minus(self, i: int) -> int:
-        return self._prefix_count(i, MINUS)
-
-    def _prefix_count(self, i: int, sign: str) -> int:
-        if not 1 <= i <= len(self.mates):
-            raise ContractViolation(f"index {i} out of range")
-        prefix = self.mates[:i]
-        # a pair is complete when its second end, mated backwards, is in the prefix
-        ends = sum(1 for pos, m in enumerate(prefix, start=1) if m not in (PLUS, MINUS) and m < pos)
-        return prefix.count(sign) + ends
-
-    def gamma_pair(self, i: int, j: int) -> int:
-        """Number pairs c_s = c_t with s <= i < j < t."""
-        if not 1 <= i < j <= len(self.mates):
-            raise ContractViolation("need 1 <= i < j <= n")
-        return sum(1 for mate in self.mates[:i] if mate not in (PLUS, MINUS) and mate > j)
-
     # -- the even-front rule ----------------------------------------------------
 
     def front_parity_even(self) -> bool:
         """Minus signs plus complete pairs among the first half, mod 2."""
-        half = len(self.mates) // 2
-        return (self.gamma_minus(half) % 2) == 0
+        front = self.mates[: len(self.mates) // 2]
+        # a pair is complete when its second end, mated backwards, is in the front
+        ends = sum(1 for pos, m in enumerate(front, start=1) if m not in (PLUS, MINUS) and m < pos)
+        return (front.count(MINUS) + ends) % 2 == 0
 
     # -- the position involution ------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Equivariant fundamental classes of orbit closures.
 
 Closed orbits get explicit polynomial representatives, read off the orbit
-parameter (products of linear forms, or for the two general-linear
-subgroup cases signed y-permutations of one determinant of
+parameter (products of linear forms, or, for the two pairs whose K is a
+general linear group, signed y-permutations of one determinant of
 elementary-symmetric entries).  Every other class
 is produced by divided difference operators walking up the weak order,
 dividing by the cover degree on degree-two edges.  Correctness is checked
@@ -212,7 +212,7 @@ _CLOSED_RULES = {
 
 
 def closed_orbit_class(pair: SymmetricPair, param: OrbitParameter) -> EquivariantClass:
-    """The explicit class of a closed orbit (disconnected subgroups get
+    """The explicit class of a closed orbit (a disconnected K gets
     the whole-orbit formula, i.e. the sum over components), read off the
     orbit parameter alone.  Any other orbit is refused."""
     _require_closed(pair, param)

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="korbits",
         description=(
             "Orbit parametrizations, weak-order graphs and exact equivariant "
-            "classes of symmetric-subgroup orbit closures on flag varieties."
+            "classes of K-orbit closures on G/B for symmetric pairs (G, K)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,10 +3,10 @@
 For each inner class of involutions, every twisted involution tau carries
 a fiber of size 2^k or 2^(k+1) (k the number of positive fixed points of
 the matching signed-element involution; the doubled count occurs exactly
-when no position is swapped with its mirror).  Summing clans over all
-symmetric subgroups in the inner class and grouping them by their
-position involution must reproduce these fiber sizes.  The subgroups of
-an inner class are the pair kinds that name it; the clans of each come
+when no position is swapped with its mirror).  Summing clans over every
+symmetric pair (G, K) in the inner class and grouping them by their
+position involution must reproduce these fiber sizes.  The pairs of an
+inner class are the pair kinds that name it; the clans of each come
 straight from the clan generator, which builds only the clans of that
 kind's rule, so no clan outside the inner class is ever built.
 """
@@ -82,8 +82,8 @@ def count_report(inner_class: str, n: int) -> list[CountRow]:
             if a < 0 or b < 0:
                 continue
             # the front-parity test of the type D general-linear rule splits
-            # its clans between two non-conjugate subgroups of the inner
-            # class, so it is left out here
+            # its clans between two non-conjugate choices of K in the
+            # inner class, so it is left out here
             clans += enumerate_clans(
                 a, b, mirror=rule.mirror, anti_reflexive=rule.anti_reflexive
             )

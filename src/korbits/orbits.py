@@ -1,4 +1,4 @@
-"""Orbit parametrizations and the weak closure order.
+"""Orbit parametrizations and the weak order.
 
 An orbit parameter is the label itself: a ``Clan`` (of the pair's clan
 rule) or an ``InvolutionOrbit``, an involution of the ambient symmetric
@@ -6,9 +6,10 @@ group whose component "+" or "-" tags one of the two halves of a split
 fixed-point-free involution of the even special-orthogonal pair and is
 empty otherwise.  The module builds the weak-order graph by
 breadth-first raising from the closed orbits, classifies simple roots
-(complex / non-compact imaginary of type I or II), and provides a
-closure-order comparator and DOT emission.  The closed orbits, the
-minimal elements of the weak order, are picked out of the enumeration by
+(complex / non-compact imaginary of type I or II), and emits the graph as
+DOT.  A raise puts its source's closure in its target's; no other
+closure containment is decided.  The closed orbits, the minimal elements
+of the weak order, are picked out of the enumeration by
 one closedness test; nothing here reads a torus-fixed point, which is
 ``classes``' business.  The cached graph, walked a frontier at a time in
 the sorted enumeration's order, is the one record of which parameters
@@ -277,7 +278,7 @@ def _clan_classify(pair: SymmetricPair, clan: Clan, i: int) -> RootStatus:
 
 
 # ---------------------------------------------------------------------------
-# involution moves (orthogonal and symplectic subgroups of SL(N))
+# involution moves (the pairs (SL(N), SO(N)) and (SL(N), Sp(N)))
 
 
 def _involution_status(images: tuple[int, ...], i: int) -> Optional[tuple[tuple[int, ...], bool]]:
@@ -418,63 +419,6 @@ def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
         )
     ordered = types.MappingProxyType({param: level[param] for param in expected})
     return WeakOrderGraph(pair, tuple(nodes), tuple(edges), closed, maximal[0], ordered)
-
-
-# ---------------------------------------------------------------------------
-# closure order comparison
-
-
-def _rank_numbers(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(images)
-    return tuple(
-        tuple(sum(1 for k in range(1, i + 1) if images[k - 1] <= j) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-
-
-def closure_compare(pair: SymmetricPair, a: OrbitParameter, b: OrbitParameter) -> str:
-    """Order verdict "equal" / "less" / "greater" / "incomparable".
-
-    "less" means the closure of a is contained in the closure of b.  Clan
-    cases use the rank/dominance criterion (a conjectural description of
-    closures, verified here only along weak-order edges); involution cases
-    use rank numbers, i.e. reverse Bruhat order.  Components of split
-    orbits with the same underlying involution are incomparable.
-    """
-    if a == b:
-        return "equal"
-    if isinstance(a, Clan) and isinstance(b, Clan):
-        below, above = _clan_dominated(a, b), _clan_dominated(b, a)
-    else:
-        inv_a = a.involution  # type: ignore[union-attr]
-        inv_b = b.involution  # type: ignore[union-attr]
-        if inv_a == inv_b:
-            return "incomparable"
-        # the rank numbers determine the involution, so two distinct ones
-        # never dominate each other both ways
-        ra, rb = _rank_numbers(inv_a), _rank_numbers(inv_b)
-        below = all(ra[i][j] <= rb[i][j] for i in range(len(ra)) for j in range(len(ra)))
-        above = all(ra[i][j] >= rb[i][j] for i in range(len(ra)) for j in range(len(ra)))
-    if below and above:
-        return "equal"
-    if below:
-        return "less"
-    if above:
-        return "greater"
-    return "incomparable"
-
-
-def _clan_dominated(a: Clan, b: Clan) -> bool:
-    """Closure of a inside closure of b under the dominance inequalities."""
-    size = len(a)
-    for i in range(1, size + 1):
-        if a.gamma_plus(i) < b.gamma_plus(i) or a.gamma_minus(i) < b.gamma_minus(i):
-            return False
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            if a.gamma_pair(i, j) > b.gamma_pair(i, j):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

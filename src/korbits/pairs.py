@@ -5,10 +5,9 @@ Everything the library knows about a kind of pair is written down once, in
 its :class:`PairKind` record in ``KINDS``, keyed by its descriptor: its
 description, the root system of G (which fixes the ambient Weyl group),
 the rule saying which clans or involutions label its orbits, the name of
-its closed-orbit rule (the key of the per-rule tables in ``orbits`` and
-``classes``), its restriction map to the small torus, the root blocks of
-K, its Chern form and its inner class.  Pairs are parsed from strings like
-``A:glpq:2,2`` or ``D:oo-odd:1,2``.
+its closed-orbit rule (the key of the rule table in ``classes``), its
+restriction map to the small torus, its Chern form and its inner class.
+Pairs are parsed from strings like ``A:glpq:2,2`` or ``D:oo-odd:1,2``.
 """
 
 from __future__ import annotations
@@ -64,9 +63,7 @@ class PairKind(Record):
         "form",  # parameter form: PQ, RANK, ODD or EVEN
         "template",  # describe() over N (matrix size), n and the signature a, b
         "roots",  # root family of G: "A", "B", "C" or "D" (Weyl family "BC" for B and C)
-        # root families of K's blocks: one block x_1..x_r, or two split after x_p
-        "subgroup",
-        "closed",  # closed-orbit rule: the key of the tables in orbits and classes
+        "closed",  # closed-orbit rule: the key of classes' rule table
         # y_j -> x_j ("identity"); y_j -> x_j, y_{N+1-j} -> -x_j and any middle
         # y -> 0 ("fold"); y_{p+1} -> 0 and the later x-labels close up ("drop")
         "restriction",
@@ -80,11 +77,11 @@ class PairKind(Record):
     )
 
     def __init__(
-        self, descriptor, form, template, roots, subgroup, closed, restriction="identity",
+        self, descriptor, form, template, roots, closed, restriction="identity",
         signature=None, clan_rule=None, involutions=None, chern=None, inner_class=None,
     ) -> None:
         set_fields(
-            self, descriptor, form, template, roots, subgroup, closed, restriction, signature,
+            self, descriptor, form, template, roots, closed, restriction, signature,
             clan_rule, involutions, chern, inner_class,
         )
 
@@ -98,49 +95,49 @@ KINDS = {
     kind.descriptor: kind
     for kind in (
         PairKind(
-            "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A", ("A", "A"),
+            "A:glpq", PQ, "(SL({N}), S(GL({a}) x GL({b})))", "A",
             closed="glpq", signature=lambda n, p, q: (p, q), clan_rule=ClanRule(), chern="blocks",
         ),
         PairKind(
-            "A:so", ODD, "(SL({N}), SO({N}))", "A", ("B",),
+            "A:so", ODD, "(SL({N}), SO({N}))", "A",
             closed="so_odd", restriction="fold", involutions="all", chern="euler",
         ),
         PairKind(
-            "A:so-even", EVEN, "(SL({N}), SO({N}))", "A", ("D",),
+            "A:so-even", EVEN, "(SL({N}), SO({N}))", "A",
             closed="so_even", restriction="fold", involutions="split", chern="euler",
         ),
         PairKind(
-            "A:sp", EVEN, "(SL({N}), Sp({N}))", "A", ("C",),
+            "A:sp", EVEN, "(SL({N}), Sp({N}))", "A",
             closed="sp", restriction="fold", involutions="fixed-point-free", chern="euler",
         ),
         PairKind(
-            "B:oo", PQ, _ORTHOGONAL_BLOCKS, "B", ("D", "B"),
+            "B:oo", PQ, _ORTHOGONAL_BLOCKS, "B",
             closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q + 1),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_B,
         ),
         PairKind(
-            "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "C", ("C", "C"),
+            "C:spsp", PQ, "(Sp({N}), Sp({a}) x Sp({b}))", "C",
             closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q),
             clan_rule=ClanRule("symmetric", anti_reflexive=True), inner_class=INNER_C,
         ),
         PairKind(
-            "C:gl", RANK, "(Sp({N}), GL({n}))", "C", ("A",),
+            "C:gl", RANK, "(Sp({N}), GL({n}))", "C",
             closed="gl", signature=lambda n, p, q: (n, n),
             clan_rule=ClanRule("skew"), inner_class=INNER_C,
         ),
         PairKind(
-            "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D", ("D", "D"),
+            "D:oo", PQ, _ORTHOGONAL_BLOCKS, "D",
             closed="blocks", signature=lambda n, p, q: (2 * p, 2 * q),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_D_COMPACT,
         ),
         PairKind(
-            "D:gl", RANK, "(SO({N}), GL({n}))", "D", ("A",),
+            "D:gl", RANK, "(SO({N}), GL({n}))", "D",
             closed="gl", signature=lambda n, p, q: (n, n),
             clan_rule=ClanRule("skew", anti_reflexive=True, even_front=True),
             inner_class=INNER_D_COMPACT,
         ),
         PairKind(
-            "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D", ("B", "B"),
+            "D:oo-odd", PQ, _ORTHOGONAL_BLOCKS, "D",
             closed="oo_odd", restriction="drop", signature=lambda n, p, q: (2 * p + 1, 2 * q - 1),
             clan_rule=ClanRule("symmetric"), inner_class=INNER_D_UNEQUAL,
         ),

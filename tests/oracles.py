@@ -56,8 +56,8 @@ inverse of ``to_chern_basis``.
 ``weight_product_oracle`` is the product of the normal-space torus weights
 at a fixed point of a closed orbit, computed from root data alone
 (``_positive_roots`` of the ambient group pushed through w, less the
-``_subgroup_roots`` of K) and so independently of the closed-orbit
-formulas; the tests compare it with ``restrict_at`` of every closed class.
+``_subgroup_roots`` of K, whose block families ``_SUBGROUP_BLOCKS`` keeps
+by pair descriptor) and so independently of the closed-orbit formulas; the tests compare it with ``restrict_at`` of every closed class.
 It reads membership from the library's closed-orbit rule table.
 """
 
@@ -770,11 +770,27 @@ def _positive_roots(family: str, m: int) -> list[tuple[int, ...]]:
     return roots
 
 
+# root families of K's blocks, by pair descriptor: one block x_1..x_r, or
+# two split after x_p
+_SUBGROUP_BLOCKS = {
+    "A:glpq": ("A", "A"),
+    "A:so": ("B",),
+    "A:so-even": ("D",),
+    "A:sp": ("C",),
+    "B:oo": ("D", "B"),
+    "C:spsp": ("C", "C"),
+    "C:gl": ("A",),
+    "D:oo": ("D", "D"),
+    "D:gl": ("A",),
+    "D:oo-odd": ("B", "B"),
+}
+
+
 def _subgroup_roots(pair: SymmetricPair) -> set[tuple[int, ...]]:
     """Root system of K in the small-torus coordinates: the roots of each
     block's family, placed at the block's x-coordinates."""
     r = pair.variable_space().x_count
-    blocks = pair.kind.subgroup
+    blocks = _SUBGROUP_BLOCKS[pair.kind.descriptor]
     bounds = (0, r) if len(blocks) == 1 else (0, pair.p, r)
     roots: set[tuple[int, ...]] = set()
     for family, start, stop in zip(blocks, bounds, bounds[1:]):

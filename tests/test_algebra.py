@@ -357,8 +357,16 @@ def test_divided_difference_kills_symmetric():
 def test_exact_divide_detects_nonexact():
     from korbits.errors import InternalError
 
-    with pytest.raises(InternalError):
+    # the message names the divisor and the remainder term it cannot divide
+    with pytest.raises(InternalError) as info:
         exact_divide(SP.y(1) + SP.one(), SP.y(2))
+    assert str(info.value) == "non-exact polynomial division by y2: leading remainder term y1"
+    # y1^2 + 1 = y1*(y1 - y2) + y2*(y1 - y2) + y2^2 + 1
+    with pytest.raises(InternalError) as info:
+        exact_divide(SP.y(1) ** 2 + SP.one(), SP.y(1) - SP.y(2))
+    assert str(info.value) == (
+        "non-exact polynomial division by y1 - y2: leading remainder term y2^2"
+    )
 
 
 # -- randomized operator laws -------------------------------------------------

@@ -66,24 +66,16 @@ def test_enumerate_known_sizes():
     assert len(enumerate_clans(3, 1)) == 10
 
 
-def test_gamma_counts():
-    clan = Clan.parse("(1,+,1,-)")
-    assert [clan.gamma_plus(i) for i in range(1, 5)] == [0, 1, 2, 2]
-    assert [clan.gamma_minus(i) for i in range(1, 5)] == [0, 0, 1, 2]
-    pairs = {
-        (i, j): clan.gamma_pair(i, j)
-        for i in range(1, 5)
-        for j in range(i + 1, 5)
-    }
-    assert pairs[(1, 2)] == 1
-    assert sum(pairs.values()) == 1
-
-
-def test_gamma_pair_no_numbers():
-    clan = Clan.parse("(+,-,+,-)")
-    assert all(
-        clan.gamma_pair(i, j) == 0 for i in range(1, 5) for j in range(i + 1, 5)
-    )
+def test_front_parity_even():
+    # minus signs plus complete pairs among the first half: the prefixes of
+    # (1,+,1,-) count 0, 0, 1 and 2, each the front half of a clan here
+    fronts = {"(1,1)": 0, "(1,+,1,-)": 0, "(1,+,1,-,+,-)": 1, "(1,+,1,-,+,-,+,-)": 2}
+    for text, count in fronts.items():
+        assert Clan.parse(text).front_parity_even() is (count % 2 == 0), text
+    # a pair counts once, and only when both ends are in the front
+    assert Clan.parse("(1,1,+,+)").front_parity_even() is False
+    assert Clan.parse("(+,+,1,1)").front_parity_even() is True
+    assert Clan.parse("(-,1,1,-)").front_parity_even() is False
 
 
 def test_symmetry_predicates():

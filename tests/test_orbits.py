@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 from oracles import (
     clan_rule_admits,
@@ -26,7 +24,6 @@ from korbits.orbits import (
     _fresh_pair,
     build_weak_order_graph,
     classify_simple_root,
-    closure_compare,
     enumerate_orbits,
     parse_orbit_parameter,
     to_dot,
@@ -533,51 +530,6 @@ def test_even_orthogonal_split_pairing():
         if e.source == InvolutionOrbit(w0, "+") and not e.target.component
     ]
     assert [(e.root_index, str(e.target), e.degree) for e in unsplit] == [(2, "(1,4)", 1)]
-
-
-# -- closure comparison ------------------------------------------------------------
-
-
-def test_closure_compare_involutions():
-    pair = parse_pair_spec("A:so:5")
-    w0 = parse_orbit_parameter(pair, "(1,5)(2,4)")
-    some = parse_orbit_parameter(pair, "(2,4)")
-    assert closure_compare(pair, w0, some) == "less"
-    assert closure_compare(pair, some, w0) == "greater"
-    assert closure_compare(pair, some, some) == "equal"
-
-
-def test_closure_compare_split_components():
-    pair = parse_pair_spec("A:so-even:4")
-    plus = parse_orbit_parameter(pair, "+(1,3)(2,4)")
-    minus = parse_orbit_parameter(pair, "-(1,3)(2,4)")
-    assert closure_compare(pair, plus, minus) == "incomparable"
-
-
-def test_closure_compare_dominance_on_edges():
-    for spec in ("A:glpq:2,2", "A:glpq:2,1"):
-        pair = parse_pair_spec(spec)
-        graph = build_weak_order_graph(pair)
-        for e in graph.edges:
-            assert closure_compare(pair, e.source, e.target) == "less"
-
-
-# verdict counts over all ordered pairs of orbits, as the clan and involution
-# branches gave them when each had its own verdict ladder
-VERDICT_COUNTS = {
-    "A:glpq:2,2": {"equal": 21, "greater": 103, "incomparable": 214, "less": 103},
-    "A:so:5": {"equal": 26, "greater": 211, "incomparable": 228, "less": 211},
-    "A:so-even:4": {"equal": 13, "greater": 61, "incomparable": 34, "less": 61},
-    "B:oo:2,1": {"equal": 25, "greater": 209, "incomparable": 182, "less": 209},
-}
-
-
-@pytest.mark.parametrize("spec", sorted(VERDICT_COUNTS))
-def test_closure_compare_verdict_counts(spec):
-    pair = parse_pair_spec(spec)
-    params = list(enumerate_orbits(pair))
-    verdicts = Counter(closure_compare(pair, a, b) for a in params for b in params)
-    assert verdicts == VERDICT_COUNTS[spec]
 
 
 # -- misc ------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Every function, class and method of the library is reached by a command
-or by the benchmark.
+or by the benchmark, and every record field is read.
 
 A name-based reachability pass over the AST of ``src/korbits``.  The roots
 are ``cli.main``, which reaches every subcommand, and every name or
 attribute that ``perfbench/*.py`` reads; the function names that the
 tracer's ``SPANS`` table lists as strings count as reads.  The statements a
-module runs on import that bind no name are roots too, and so are the
-``EXEMPT`` names, which keeps their helpers from being reported.  A reached
+module runs on import that bind no name are roots too.  A reached
 definition reaches what its body reads:
 - a module-level function, class or assignment, read as a name or as an
   attribute;
@@ -17,6 +16,10 @@ its dunders and its methods that override a base class from outside
 korbits (``cli._Parser.error``): the interpreter or that base calls them.
 Module-level dunders such as the package's ``__getattr__`` are reached.
 Code that only the tests call belongs in ``tests/oracles.py``.
+
+A field named in a class's ``__slots__`` must be read as an attribute
+somewhere in ``src/korbits``: data that only the tests read belongs beside
+them too.
 """
 
 import ast
@@ -28,11 +31,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "korbits").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
-
-# reached by no command and no benchmark read, and kept on purpose
-EXEMPT = {
-    "closure_compare",  # the closure order that ROADMAP item 8 tests
-}
 
 
 @dataclasses.dataclass(eq=False)
@@ -126,13 +124,11 @@ def _definitions(module: str, tree: ast.Module):
             _reads([node], run_on_import.names, run_on_import.attributes)
 
 
-def unreached_names(
-    library: dict[str, str], benchmark: dict[str, str], exempt=frozenset()
-) -> list[str]:
+def unreached_names(library: dict[str, str], benchmark: dict[str, str]) -> list[str]:
     defined = []
     for module, source in library.items():
         defined += _definitions(module, ast.parse(source))
-    names, attributes = set(exempt), set()
+    names, attributes = set(), set()
     for source in benchmark.values():
         _reads([ast.parse(source)], names, attributes)
 
@@ -199,21 +195,52 @@ def test_guard_catches_an_unreached_name():
         "a.py line 13: _Old",
         "cli.py line 5: _Parser.extra",
     ]
-    # an exempt name reaches its helpers
-    assert unreached_names(library, benchmark, {"left"}) == [
-        "a.py line 9: Kept.gone",
-        "a.py line 10: Kept.mate",
-        "a.py line 11: Old",
-        "a.py line 12: Old.__str__",
-        "a.py line 13: _Old",
-        "cli.py line 5: _Parser.extra",
-    ]
 
 
 def test_every_library_name_is_reached():
     library = {path.name: path.read_text() for path in LIBRARY}
     benchmark = {path.name: path.read_text() for path in BENCHMARK}
-    assert unreached_names(library, benchmark, EXEMPT) == []
-    # an exemption that something now reaches is stale
-    unreached = {entry.rsplit(" ", 1)[1] for entry in unreached_names(library, benchmark)}
-    assert EXEMPT <= unreached
+    assert unreached_names(library, benchmark) == []
+
+
+def unread_fields(library: dict[str, str]) -> list[str]:
+    """The ``__slots__`` fields of library classes that no attribute read
+    names; setting a field, or reading one by ``getattr``, does not count."""
+    fields, read = [], set()
+    for module, source in library.items():
+        tree = ast.parse(source)
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        for cls in tree.body:
+            for item in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    slots = ast.literal_eval(item.value)
+                    for name in (slots,) if isinstance(slots, str) else slots:
+                        fields.append((f"{module} line {item.lineno}: {cls.name}.{name}", name))
+    return [shown for shown, name in fields if name not in read]
+
+
+def test_field_guard_catches_an_unread_field():
+    library = {
+        "a.py": "class Kept:\n"
+        "    __slots__ = ('used', 'stored', 'by_name')\n"
+        "    def size(self): return self.used + getattr(self, 'by_name')\n"
+        "def fill(kept): kept.stored = 1\n"
+        "class Lone:\n"
+        "    __slots__ = 'lone'\n",
+        "b.py": "def read(kept): return kept.used\n",
+    }
+    assert unread_fields(library) == [
+        "a.py line 2: Kept.stored",
+        "a.py line 2: Kept.by_name",
+        "a.py line 6: Lone.lone",
+    ]
+
+
+def test_every_record_field_is_read():
+    assert unread_fields({path.name: path.read_text() for path in LIBRARY}) == []
