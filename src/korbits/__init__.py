@@ -20,7 +20,7 @@ _EXPORTS = {
                 "parse_polynomial", "poly_determinant", "simple_root_action"),
     "clans": ("Clan", "enumerate_clans"),
     "classes": ("EquivariantClass", "closed_orbit_class", "closed_orbits",
-                "equal_via_localization", "first_disagreement", "propagate", "propagate_all",
+                "equal_via_localization", "propagate", "propagate_all",
                 "restrict_at", "to_chern_basis"),
     "counting": (),
     "orbits": ("InvolutionOrbit", "build_weak_order_graph", "classify_simple_root",

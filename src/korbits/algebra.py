@@ -464,20 +464,13 @@ def split_leading_x(poly: Polynomial) -> tuple[tuple[int, ...], Polynomial]:
     return a, Polynomial._from_clean(space, rest)
 
 
-def elementary_symmetric(
-    k: int, items: Sequence[Polynomial], space: Optional[VariableSpace] = None
-) -> Polynomial:
-    """e_k of the given polynomials (usually signed variables).
+def elementary_symmetric(k: int, items: Sequence[Polynomial], space: VariableSpace) -> Polynomial:
+    """e_k of the given polynomials of ``space`` (usually signed variables).
 
-    e_0 = 1 and e_k = 0 once k exceeds the number of inputs.  ``space`` is
-    only needed when ``items`` is empty.
+    e_0 = 1 and e_k = 0 once k exceeds the number of inputs.
     """
     if k < 0:
         raise ContractViolation("elementary symmetric index must be >= 0")
-    if space is None:
-        if not items:
-            raise ContractViolation("empty input needs an explicit space")
-        space = items[0].space
     if k > len(items):
         return space.zero()
     # Row DP: e[j] accumulates e_j of the prefix processed so far.
@@ -575,15 +568,15 @@ def _det_cofactor(space: VariableSpace, m: list[list[Polynomial]]) -> Polynomial
 
 
 class SimpleRootAction(Record):
-    """What :func:`divided_difference` needs of a simple root: its space,
-    its ``shape``, "A" (u - v), "B" (u), "C" (2u) or "D" (u + v), and the
+    """What :func:`divided_difference` needs of a simple root: its
+    ``shape``, "A" (u - v), "B" (u), "C" (2u) or "D" (u + v), and the
     exponent ``slot`` of u; v, for A and D, sits at ``slot + 1``.
     """
 
-    __slots__ = ("space", "shape", "slot")
+    __slots__ = ("shape", "slot")
 
-    def __init__(self, space: VariableSpace, shape: str, slot: int):
-        set_fields(self, space, shape, slot)
+    def __init__(self, shape: str, slot: int):
+        set_fields(self, shape, slot)
 
 
 def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootAction:
@@ -598,15 +591,15 @@ def simple_root_action(space: VariableSpace, family: str, i: int) -> SimpleRootA
     if family == "A" or i < m:
         if not 1 <= i <= m - 1:
             raise ContractViolation(f"alpha_{i} out of range for type A rank {m - 1}")
-        return SimpleRootAction(space, "A", space.y_slot(i))
+        return SimpleRootAction("A", space.y_slot(i))
     if i != m:
         raise ContractViolation(f"alpha_{i} out of range for rank {m}")
     if family in ("B", "C"):
-        return SimpleRootAction(space, family, space.y_slot(m))
+        return SimpleRootAction(family, space.y_slot(m))
     if family == "D":
         if m < 2:
             raise ContractViolation("type D needs rank >= 2")
-        return SimpleRootAction(space, "D", space.y_slot(m - 1))
+        return SimpleRootAction("D", space.y_slot(m - 1))
     raise ContractViolation(f"unknown family {family!r}")
 
 

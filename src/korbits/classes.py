@@ -35,6 +35,7 @@ from .algebra import (
     parse_polynomial,
     poly_determinant,
     product,
+    simple_root_action,
     split_leading_x,
     substitute_terms,
 )
@@ -344,17 +345,11 @@ def settle(pair: SymmetricPair, comparisons: list) -> list:
     return found
 
 
-def first_disagreement(c1: EquivariantClass, c2: EquivariantClass) -> Optional[tuple[int, ...]]:
-    """The images of the first fixed point w whose restrictions differ, or
-    None when all agree (exact equality)."""
-    if c1.pair != c2.pair:
-        raise ContractViolation("classes belong to different pairs")
-    return settle(c1.pair, [(c1.polynomial, c2.polynomial)])[0]
-
-
 def equal_via_localization(c1: EquivariantClass, c2: EquivariantClass) -> bool:
     """True when all fixed-point restrictions agree (exact equality)."""
-    return first_disagreement(c1, c2) is None
+    if c1.pair != c2.pair:
+        raise ContractViolation("classes belong to different pairs")
+    return settle(c1.pair, [(c1.polynomial, c2.polynomial)])[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +371,10 @@ def propagate(pair: SymmetricPair) -> Iterator[tuple[OrbitParameter, Equivariant
     """
     graph = build_weak_order_graph(pair)
     spec = pair.spec_string()
-    actions = [pair.root_action(i) for i in range(1, pair.num_simple_roots() + 1)]
+    space, indices = pair.variable_space(), range(1, pair.num_simple_roots() + 1)
+    actions = [simple_root_action(space, pair.kind.roots, i) for i in indices]
     live = {param: closed_orbit_class(pair, param) for param in graph.closed}
-    one = pair.variable_space().one()
+    one = space.one()
     done: set = set()
     edges, k = graph.edges, 0
     for node in graph.nodes:

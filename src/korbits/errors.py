@@ -1,10 +1,10 @@
 """Shared exception types, and the one reader of decimal numerals.
 
 The CLI maps these to exit codes: ContractViolation and UsageError are the
-caller's fault (exit 2), VerificationFailure means a checked identity failed
-(exit 1), and InternalError signals a broken invariant inside the library
-itself (exit 3).  ``parse_decimal`` lives here because every module that
-reads numbers already imports this one, which imports nothing.
+caller's fault (exit 2), and InternalError signals a broken invariant inside
+the library itself (exit 3).  A failed check is no exception: the command
+that reports it returns exit 1.  ``parse_decimal`` lives here because every
+module that reads numbers already imports this one, which imports nothing.
 """
 
 
@@ -14,10 +14,6 @@ class UsageError(ValueError):
 
 class ContractViolation(ValueError):
     """An operation was called with arguments violating its preconditions."""
-
-
-class VerificationFailure(Exception):
-    """A fixture row or localization check did not hold."""
 
 
 class InternalError(RuntimeError):

@@ -63,9 +63,6 @@ class InvolutionOrbit(Record):
     def __str__(self) -> str:
         return self.component + SignedPermutation("A", self.involution).cycle_string()
 
-    def sort_key(self):
-        return (self.involution, self.component)
-
 
 OrbitParameter = Union[Clan, InvolutionOrbit]
 
@@ -355,10 +352,10 @@ class WeakEdge(Record):
 
 
 class WeakOrderGraph(Record):
-    __slots__ = ("pair", "nodes", "edges", "closed", "dense", "level")
+    __slots__ = ("nodes", "edges", "closed", "dense", "level")
 
-    def __init__(self, pair, nodes: tuple, edges: tuple, closed: tuple, dense, level: Mapping):
-        set_fields(self, pair, nodes, edges, closed, dense, level)
+    def __init__(self, nodes: tuple, edges: tuple, closed: tuple, dense, level: Mapping):
+        set_fields(self, nodes, edges, closed, dense, level)
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,7 +415,7 @@ def build_weak_order_graph(pair: SymmetricPair) -> WeakOrderGraph:
             + ", ".join(map(str, maximal))
         )
     ordered = types.MappingProxyType({param: level[param] for param in expected})
-    return WeakOrderGraph(pair, tuple(nodes), tuple(edges), closed, maximal[0], ordered)
+    return WeakOrderGraph(tuple(nodes), tuple(edges), closed, maximal[0], ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ Pairs are parsed from strings like ``A:glpq:2,2`` or ``D:oo-odd:1,2``.
 
 from __future__ import annotations
 
-from . import algebra  # runs on first use (see __init__), in root_action or variable_space
+from . import algebra  # runs on first use (see __init__), in variable_space
 from .errors import UsageError, parse_decimal
 from .records import Record, set_field, set_fields
 
@@ -195,9 +195,6 @@ class SymmetricPair(Record):
         coordinate) and one y per ambient coordinate."""
         x_count = self.n - 1 if self.kind.restriction == "drop" else self.n
         return algebra.VariableSpace(x_count, self.ambient[1])
-
-    def root_action(self, i: int) -> algebra.SimpleRootAction:
-        return algebra.simple_root_action(self.variable_space(), self.kind.roots, i)
 
     def is_clan_case(self) -> bool:
         return self.kind.clan_rule is not None

@@ -3,6 +3,10 @@ faster code, and code that only the tests call.
 
 ``parse_polynomial_reference`` is the former recursive-descent parser, which
 builds a ``Polynomial`` for every atom and every partial sum and product.
+``first_disagreement`` is the witness of one ``settle`` comparison of two
+classes, the former library wrapper that ``equal_via_localization`` now
+calls ``settle`` for itself, and ``order_key`` the order of
+``enumerate_orbits``: a clan's sort key, else the involution and its tag.
 ``first_disagreement_reference`` is the former localization walk: one
 ``SignedPermutation``, one substitution plan and one ``Polynomial`` per
 fixed point, with each plan built from the restriction map rather than from
@@ -81,6 +85,7 @@ from korbits.algebra import (
     divided_difference,
     exact_divide,
     product,
+    simple_root_action,
     substitute_terms,
 )
 from korbits.clans import MINUS, PLUS, Clan
@@ -92,7 +97,7 @@ from korbits.classes import (
     _require_closed,
     _staircase_terms,
     closed_orbit_class,
-    first_disagreement,
+    settle,
     staircase_determinant,
 )
 from korbits.errors import ContractViolation, InternalError, UsageError, parse_decimal
@@ -221,6 +226,16 @@ class _Parser:
                 raise UsageError("unbalanced parentheses")
             return inner
         raise UsageError(f"unexpected token {text!r}")
+
+
+def first_disagreement(c1, c2) -> Optional[tuple[int, ...]]:
+    """The images of the first fixed point, in ``group_images`` order, where
+    the two classes restrict differently, or None."""
+    return settle(c1.pair, [(c1.polynomial, c2.polynomial)])[0]
+
+
+def order_key(param: OrbitParameter):
+    return param.sort_key() if isinstance(param, Clan) else (param.involution, param.component)
 
 
 def first_disagreement_reference(c1, c2) -> Optional[tuple[int, ...]]:
@@ -357,9 +372,8 @@ def propagate_all_reference(pair):
     graph = build_weak_order_graph(pair)
     classes = {param: closed_orbit_class(pair, param) for param in graph.closed}
     for edge in graph.edges:
-        poly = divided_difference(
-            classes[edge.source].polynomial, pair.root_action(edge.root_index)
-        )
+        action = simple_root_action(pair.variable_space(), pair.kind.roots, edge.root_index)
+        poly = divided_difference(classes[edge.source].polynomial, action)
         if edge.degree == 2:
             poly = poly / 2
         candidate = EquivariantClass(pair, poly)
@@ -500,7 +514,7 @@ _CLOSED_ORBITS = {
 def closed_orbits_reference(pair: SymmetricPair) -> list[tuple[OrbitParameter, SignedPermutation]]:
     """Closed orbits with one torus-fixed representative each, built by
     hand per closed-orbit rule and sorted by parameter."""
-    return sorted(_CLOSED_ORBITS[pair.kind.closed](pair), key=lambda pr: pr[0].sort_key())
+    return sorted(_CLOSED_ORBITS[pair.kind.closed](pair), key=lambda pr: order_key(pr[0]))
 
 
 def inverse(w: SignedPermutation) -> SignedPermutation:

@@ -214,9 +214,9 @@ def test_substitute_missing_assignment():
 
 def test_elementary_symmetric_basic():
     sp = VariableSpace(2, 2)
-    assert elementary_symmetric(1, [sp.x(1), sp.x(2)]) == sp.x(1) + sp.x(2)
+    assert elementary_symmetric(1, [sp.x(1), sp.x(2)], sp) == sp.x(1) + sp.x(2)
     assert elementary_symmetric(3, [sp.y(1), sp.y(2)], sp).is_zero
-    assert elementary_symmetric(2, [sp.y(1), -sp.y(2)]) == -(sp.y(1) * sp.y(2))
+    assert elementary_symmetric(2, [sp.y(1), -sp.y(2)], sp) == -(sp.y(1) * sp.y(2))
     assert elementary_symmetric(0, [], sp) == sp.one()
 
 
@@ -538,7 +538,7 @@ def test_closed_forms_match_division_on_every_edge(spec):
     assert edges
     for edge in edges:
         f = classes[edge.source].polynomial
-        act = pair.root_action(edge.root_index)
+        act = simple_root_action(pair.variable_space(), pair.kind.roots, edge.root_index)
         assert divided_difference(f, act) == divided_difference_by_division(
             f, pair.kind.roots, edge.root_index
         )

@@ -8,10 +8,12 @@ from oracles import (
     closed_gl_reference,
     compose,
     enumerate_group,
+    first_disagreement,
     first_disagreement_reference,
     identity,
     inverse,
     is_identity,
+    order_key,
     propagate_all_reference,
     restriction_assignment,
     sign_stats,
@@ -25,6 +27,7 @@ from korbits.algebra import (
     parse_polynomial,
     poly_determinant,
     product,
+    simple_root_action,
 )
 from korbits.classes import (
     EquivariantClass,
@@ -32,7 +35,6 @@ from korbits.classes import (
     closed_orbit_class,
     closed_orbits,
     equal_via_localization,
-    first_disagreement,
     parameter_classes,
     staircase_determinant,
     propagate,
@@ -375,6 +377,9 @@ def test_localization_detects_scaling():
     a = EquivariantClass(pair, sp.y(1) + sp.y(2))
     b = EquivariantClass(pair, 2 * (sp.y(1) + sp.y(2)))
     assert not equal_via_localization(a, b)
+    other = parse_pair_spec("A:so-even:4")
+    with pytest.raises(ContractViolation, match="classes belong to different pairs"):
+        equal_via_localization(a, EquivariantClass(other, other.variable_space().one()))
 
 
 def test_first_disagreement_names_a_witness():
@@ -443,7 +448,7 @@ def test_first_disagreement_matches_two_sided_reference(spec, workloads):
     closed = [classes[param] for param, _ in closed_orbits(pair)]
     if not spec.startswith(("C:gl", "D:gl")):
         assert all(cls.factors is not None for cls in closed)
-    for k, param in enumerate(sorted(classes, key=lambda p: p.sort_key())):
+    for k, param in enumerate(sorted(classes, key=order_key)):
         cls = classes[param]
         degree = max(cls.polynomial.total_degree(), 1)
         shifted = cls.polynomial + multipliers[k % 3] * invariant
@@ -917,7 +922,7 @@ def test_planted_cover_degree_flip_fails_the_walk(spec, monkeypatch):
     for k, edge in enumerate(graph.edges):
         flipped = WeakEdge(edge.source, edge.target, edge.root_index, 3 - edge.degree)
         edges = graph.edges[:k] + (flipped,) + graph.edges[k + 1 :]
-        served = WeakOrderGraph(pair, graph.nodes, edges, graph.closed, graph.dense, graph.level)
+        served = WeakOrderGraph(graph.nodes, edges, graph.closed, graph.dense, graph.level)
         monkeypatch.setattr(korbits.classes, "build_weak_order_graph", lambda _pair: served)
         with pytest.raises(InternalError, match=re.escape(spec)):
             list(propagate(pair))
@@ -1143,7 +1148,7 @@ def test_walk_refuses_an_edge_into_a_yielded_class(monkeypatch, capsys):
     index = next(k for k, edge in enumerate(edges) if edge.source == second)
     late = WeakEdge(second, first, edges[index].root_index, edges[index].degree)
     edges[index] = late
-    bad = WeakOrderGraph(pair, graph.nodes, tuple(edges), graph.closed, graph.dense, graph.level)
+    bad = WeakOrderGraph(graph.nodes, tuple(edges), graph.closed, graph.dense, graph.level)
     monkeypatch.setattr(korbits.classes, "build_weak_order_graph", lambda _: bad)
     with pytest.raises(InternalError) as failure:
         list(propagate(pair))
@@ -1186,7 +1191,7 @@ def test_split_walk_disagreement_names_pair_edge_and_fixed_point(monkeypatch):
     target, edges = next((t, es) for t, es in into.items() if len(es) > 1)
     doubled = edges[-1]
     source_poly = good[doubled.source].polynomial
-    action = pair.root_action(doubled.root_index)
+    action = simple_root_action(pair.variable_space(), pair.kind.roots, doubled.root_index)
     original = korbits.classes.divided_difference
 
     def doubled_on_one_edge(f, act):

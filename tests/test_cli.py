@@ -567,7 +567,7 @@ def test_traced_names_resolve(trace_child):
 
     from test_algebra import exponent_terms, reference_divided_difference
 
-    from korbits.algebra import Polynomial, divided_difference
+    from korbits.algebra import Polynomial, divided_difference, simple_root_action
     from korbits.classes import propagate_all
     from korbits.pairs import parse_pair_spec
 
@@ -582,7 +582,7 @@ def test_traced_names_resolve(trace_child):
     classes, counted = propagate_all(pair), 0
     for edge in build_weak_order_graph(pair).edges:
         f = classes[edge.source].polynomial
-        act = pair.root_action(edge.root_index)
+        act = simple_root_action(pair.variable_space(), pair.kind.roots, edge.root_index)
         result = divided_difference(f, act)
         assert len(result.terms) == len(reference_divided_difference(exponent_terms(f), act))
         counted += len(result.terms)
@@ -646,6 +646,44 @@ def test_reader_that_stops_early_is_no_error(argv):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0, err
     assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_verdict_outlives_a_reader_gone_before_the_start(capsys, workloads, tmp_path, unbuffered):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # so the rows go nowhere; a failed verify still exits 1 with its one
+    # stderr line and a passing one exits 0 with none, whether or not
+    # stdout is buffered.  The seeded a-sp-6 table runs the fixed-point walk.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    fixture = src / "korbits" / "fixtures" / "a-glpq-2-2.txt"
+    pair_line, count_line, first, *rest = fixture.read_text().splitlines()
+    one_wrong = tmp_path / "one-wrong.txt"
+    one_wrong.write_text("\n".join([pair_line, count_line, f"{first}+x1", *rest]) + "\n")
+    (tmp_path / "seeded").mkdir()
+    workloads.make_verify_inputs(1, src / "korbits" / "fixtures", tmp_path / "seeded")
+    seeded = tmp_path / "seeded" / "a-sp-6.txt"
+    code, _, seeded_err = run(capsys, "verify", str(seeded))
+    assert code == 1 and seeded_err.startswith("verification failed: "), seeded_err
+    cases = [
+        (fixture, 0, b""),
+        (one_wrong, 1, b"verification failed: 1 rows failed\n"),
+        (seeded, 1, seeded_err.encode()),
+    ]
+    for table, code, err in cases:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "korbits.cli", "verify", str(table)],
+                env=env, stdout=write, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (code, err), table.name
 
 
 CLASSES_PINS = Path(__file__).with_name("classes_pins.json")

@@ -37,7 +37,7 @@ def _python(*args):
 
 
 def test_every_public_name_is_served_from_its_home_module():
-    assert len(korbits.__all__) == len(set(korbits.__all__)) == 26
+    assert len(korbits.__all__) == len(set(korbits.__all__)) == 25
     assert set(korbits.__all__) <= set(dir(korbits))
     for name in korbits.__all__:
         value = getattr(korbits, name)

@@ -171,3 +171,22 @@ def test_closed_rule_guard_catches_a_rule_read():
     misses = ["graph.closed", "build_weak_order_graph(pair).closed", "kind.closed_x", "'closed'"]
     assert all(_CLOSED_RULE.search(line) for line in hits)
     assert not any(_CLOSED_RULE.search(line) for line in misses)
+
+
+# a read of the pair kind's Chern form
+_CHERN = re.compile(r"\bkind\.chern\b")
+# the command's refusal and the rewrite itself
+_CHERN_READERS = {("cli.py", "_cmd_chern"), ("classes.py", "to_chern_basis")}
+
+
+def test_chern_form_is_read_only_where_a_class_is_rewritten():
+    # whether a pair has a Chern form is one field, read by the command that
+    # refuses a pair without one and by the rewrite; no root family stands in
+    assert _reads(_CHERN) == _CHERN_READERS
+
+
+def test_chern_guard_catches_a_form_read():
+    hits = ["if pair.kind.chern is None:", 'kind.chern == "blocks"', "(k.kind.chern)"]
+    misses = ["to_chern_basis(cls)", "kind.chern_x", '"chern",', "korbits chern"]
+    assert all(_CHERN.search(line) for line in hits)
+    assert not any(_CHERN.search(line) for line in misses)
